@@ -5,8 +5,8 @@ Subcommands: solve (full decision), approx (phase 1 only), oracle
 gen (instance generators), reduce (densifying lifts), bench (timing CSV).
 
 Exit codes: 0 yes, 1 certified no, 2 unknown, 64 usage, 65 a size cap or
-configuration limit was hit, 66 malformed input, 70 internal invariant
-failure.
+configuration limit was hit, 66 malformed input, 70 internal failure
+(a broken invariant or any unexpected exception; never 1).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .generators import (
     BaseFamily,
@@ -414,6 +415,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except SolverError as exc:
         print(f"emsolve: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # A bug, not a verdict: it must never exit 1, which means "certified no".
+        traceback.print_exc()
+        print(f"emsolve: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

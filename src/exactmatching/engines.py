@@ -9,7 +9,7 @@ so perfection is detected by size.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 
@@ -64,40 +64,54 @@ class _BudgetExhausted(Exception):
 def _backtrack_match(
     adjacency: Mapping[int, Sequence[int]], verts: list[int]
 ) -> tuple[Edge, ...] | None:
-    """Bounded lowest-vertex-first search for a perfect matching on ``verts``.
+    """Bounded lowest-vertex-first search for a perfect matching on ``verts``
+    (sorted, distinct and non-empty).
 
     Neighbors outside ``verts`` (or already matched) are skipped by the
     uncovered test, so a shared oversized adjacency and a pre-filtered one
-    walk the identical search tree.  Raises when the node budget runs out.
+    walk the identical search tree.  The search keeps an explicit stack of
+    one frame per matched pair, so its depth is not bounded by the
+    interpreter's recursion limit.  Each search node costs one unit of
+    budget; raises when the budget runs out.
     """
-    budget = _SEARCH_BUDGET
+    budget = _SEARCH_BUDGET - 1     # the root node
     uncovered = set(verts)
+    # ``verts`` is sorted, so the lowest uncovered vertex is found by
+    # scanning forward from the position of the one matched last.
+    pos = 0
+    u = verts[0]
+    uncovered.discard(u)
+    untried = iter(adjacency.get(u, ()))
     chosen: list[Edge] = []
-
-    def search() -> bool:
-        nonlocal budget
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    while True:
+        for v in untried:
+            if v in uncovered:
+                break
+        else:
+            # Every neighbor of u failed: undo the parent's pair and try
+            # the parent's next neighbor.
+            uncovered.add(u)
+            if not stack:
+                return None
+            pos, u, untried = stack.pop()
+            uncovered.add(chosen.pop()[1])
+            continue
+        # u is the lowest uncovered vertex, so its partner v is above it.
+        uncovered.discard(v)
+        chosen.append((u, v))
         budget -= 1
         if budget < 0:
             raise _BudgetExhausted
         if not uncovered:
-            return True
-        u = min(uncovered)
+            return tuple(sorted(chosen))
+        stack.append((pos, u, untried))
+        pos += 1
+        while verts[pos] not in uncovered:
+            pos += 1
+        u = verts[pos]
         uncovered.discard(u)
-        for v in adjacency.get(u, ()):
-            if v not in uncovered:
-                continue
-            uncovered.discard(v)
-            chosen.append((u, v) if u < v else (v, u))
-            if search():
-                return True
-            chosen.pop()
-            uncovered.add(v)
-        uncovered.add(u)
-        return False
-
-    if search():
-        return tuple(sorted(chosen))
-    return None
+        untried = iter(adjacency.get(u, ()))
 
 
 def _blossom_match(pairs: list[Edge], verts: list[int]) -> tuple[Edge, ...] | None:

@@ -17,10 +17,9 @@ unknown.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .engines import (
     max_red_pm,
@@ -316,9 +315,6 @@ def recover_from_color_guess(
     return PerfectMatching(frozenset(proposal) | frozenset(completion), k)
 
 
-_TARGET_CAP = 200_000
-
-
 @dataclass(frozen=True)
 class _RecoveryContext:
     """Per-(matching, color) state shared by every recovery attempt.
@@ -380,119 +376,109 @@ def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching 
 def _guess_stream(
     ctx: _RecoveryContext, limit: int
 ) -> Iterator[tuple[int, tuple[Edge, ...]]]:
-    """All useful guesses as (size, edges), by increasing size then lex order.
+    """Every guess recovery could accept, as (size, edges), by size then lex.
 
-    Behaviorally identical to enumerating every subset of the color class of
-    size at most ``limit`` in (size, lex) order and keeping those that could
-    pass the recovery's cardinality test: a guess S succeeds only if
-    ``base xor S`` hits the exact target size, so guesses correspond one to
-    one with target-size subsets of the color class.  When the color class
-    is small enough the targets are enumerated directly; otherwise guesses
-    are generated size by size with the forced split between edges inside
-    and outside the matching.  Guesses whose proposal provably clashes on a
-    vertex may be dropped early; that never changes which guess succeeds
-    first.
+    A guess S proposes ``base xor S`` as the solution's color class, which
+    must have the exact target size and share no vertex.  So the size fixes
+    how many base edges a guess removes and how many other edges it adds,
+    and this yields exactly the subsets of the sorted color class with that
+    split whose proposal is vertex-disjoint.  Only guesses that recovery
+    rejects are left out, so this never changes which guess succeeds first.
+
+    One explicit-stack search per size extends a partial guess by its next
+    included edge, in index order, so the stack holds one frame per guess
+    edge whatever the size of the color class.  An added edge prunes the
+    partial guess when it
+      (a) shares a vertex with another added edge,
+      (b) touches an earlier base edge that was kept, or
+      (c) touches a later base edge, which forces that edge's removal: the
+          search never skips (keeps) a forced edge, and cuts as soon as the
+          distinct forced edges outnumber the removals still allowed.
     """
-    color_edges = ctx.color_edges
-    base = ctx.base
-    target = ctx.target
-    if target < 0 or target > len(color_edges) or limit < 0:
+    edges = ctx.color_edges
+    m = len(edges)
+    if ctx.target < 0 or ctx.target > m or limit < 0:
         return
-    if math.comb(len(color_edges), target) <= _TARGET_CAP:
-        plan = []
-        for combo in itertools.combinations(color_edges, target):
-            used: set[int] = set()
-            ok = True
-            for u, v in combo:
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.update((u, v))
-            if not ok:
-                continue
-            guess = tuple(sorted(base ^ frozenset(combo)))
-            if len(guess) <= limit:
-                plan.append((len(guess), guess))
-        plan.sort()
-        yield from plan
-        return
-    gap = target - len(base)
-    is_base = [e in base for e in color_edges]
-    non_base = [e for e in color_edges if e not in base]
-    blocked = {v for e in base for v in e}
-    n_base = len(base)
-    n_non = len(non_base)
+    is_base = [e in ctx.base for e in edges]
+    base_of = [-1] * ctx.graph.n    # vertex -> index of its base edge, or -1
+    for j, (u, v) in enumerate(edges):
+        if is_base[j]:
+            base_of[u] = base_of[v] = j
+    # base_left[j]: base edges at index >= j
+    base_left = list(itertools.accumulate(reversed(is_base), initial=0))[::-1]
+    n_base = base_left[0]
+    gap = ctx.target - n_base
     for size in range(limit + 1):
         if (size - gap) % 2 != 0:
             continue
-        from_base = (size - gap) // 2
-        from_non = (size + gap) // 2
-        if not (0 <= from_base <= n_base and 0 <= from_non <= n_non):
+        nb = (size - gap) // 2      # removals still to choose
+        nn = (size + gap) // 2      # additions still to choose
+        if not (0 <= nb <= n_base and 0 <= nn <= m - n_base):
             continue
-        if from_base == 0:
-            # Add-only guesses keep the whole base, so any addition that
-            # clashes with it (or another addition) is a certain reject.
-            for guess in _disjoint_additions(non_base, blocked, from_non):
-                yield (size, guess)
-        else:
-            for guess in _constrained_subsets(color_edges, is_base,
-                                              from_base, from_non):
-                yield (size, guess)
-
-
-def _disjoint_additions(
-    edges: Sequence[Edge], blocked: set[int], count: int
-) -> Iterator[tuple[Edge, ...]]:
-    """Lexicographic ``count``-subsets of ``edges``, vertex-disjoint and
-    avoiding ``blocked``."""
-    n = len(edges)
-    chosen: list[Edge] = []
-    used: set[int] = set()
-
-    def rec(idx: int, need: int) -> Iterator[tuple[Edge, ...]]:
-        if need == 0:
-            yield tuple(chosen)
-            return
-        for i in range(idx, n - need + 1):
-            u, v = edges[i]
-            if u in blocked or v in blocked or u in used or v in used:
-                continue
-            used.update((u, v))
-            chosen.append(edges[i])
-            yield from rec(i + 1, need - 1)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    yield from rec(0, count)
-
-
-def _constrained_subsets(
-    edges: Sequence[Edge], is_base: Sequence[bool], need_base: int, need_non: int
-) -> Iterator[tuple[Edge, ...]]:
-    """Lexicographic subsets of ``edges`` with a fixed split across the flag."""
-    n = len(edges)
-    suffix_base = [0] * (n + 1)
-    suffix_non = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_base[i] = suffix_base[i + 1] + (1 if is_base[i] else 0)
-        suffix_non[i] = suffix_non[i + 1] + (0 if is_base[i] else 1)
-    chosen: list[Edge] = []
-
-    def rec(idx: int, nb: int, nn: int) -> Iterator[tuple[Edge, ...]]:
-        if nb == 0 and nn == 0:
-            yield tuple(chosen)
-            return
-        if idx == n or suffix_base[idx] < nb or suffix_non[idx] < nn:
-            return
-        take = nb > 0 if is_base[idx] else nn > 0
-        if take:
-            chosen.append(edges[idx])
-            yield from rec(idx + 1, nb - (1 if is_base[idx] else 0),
-                           nn - (0 if is_base[idx] else 1))
-            chosen.pop()
-        yield from rec(idx + 1, nb, nn)
-
-    yield from rec(0, need_base, need_non)
+        if size == 0:
+            yield 0, ()
+            continue
+        chosen: list[int] = []
+        undo: list = []             # per chosen index: what to restore on pop
+        taken = [False] * m
+        used: set[int] = set()      # vertices of the added edges
+        pending: set[int] = set()   # forced base edges not chosen yet
+        j = 0
+        while True:
+            # Extend by the first admissible index >= j, never skipping a
+            # forced base edge; with none, backtrack.
+            stop = min(pending) if pending else m - 1
+            while j <= stop and base_left[j] >= nb and m - j - base_left[j] >= nn:
+                if is_base[j]:
+                    # A removal nothing forces must leave room for those (c).
+                    if nb and (j in pending or len(pending) < nb):
+                        break
+                elif nn:
+                    u, v = edges[j]
+                    if u not in used and v not in used:                 # (a)
+                        new = []
+                        for b in (base_of[u], base_of[v]):
+                            if b > j:
+                                if b not in pending:
+                                    new.append(b)
+                            elif b >= 0 and not taken[b]:                   # (b)
+                                break
+                        else:
+                            if len(pending) + len(new) <= nb:               # (c)
+                                break
+                j += 1
+            else:
+                j = -1
+            if j >= 0:
+                chosen.append(j)
+                taken[j] = True
+                if is_base[j]:
+                    nb -= 1
+                    undo.append(j in pending)
+                    pending.discard(j)
+                else:
+                    nn -= 1
+                    used.update(edges[j])
+                    undo.append(new)
+                    pending.update(new)
+                if nb or nn:
+                    j += 1
+                    continue
+                yield size, tuple(map(edges.__getitem__, chosen))
+            if not chosen:
+                break
+            j = chosen.pop()
+            info = undo.pop()
+            taken[j] = False
+            if is_base[j]:
+                nb += 1
+                if info:
+                    pending.add(j)
+            else:
+                nn += 1
+                used.difference_update(edges[j])
+                pending.difference_update(info)
+            j += 1
 
 
 def _first_success(

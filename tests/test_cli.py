@@ -6,6 +6,7 @@ import pytest
 from exactmatching import parse_graph, serialize_graph
 from exactmatching.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_LIMIT,
     EXIT_NO,
     EXIT_UNKNOWN,
@@ -82,6 +83,13 @@ class TestSolve:
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(C4_JSON))
         assert main(["solve", "-", "-k", "0"]) == EXIT_YES
+
+    def test_unexpected_exception_is_internal_error(self, c4_file, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr("exactmatching.cli.solve_em", crash)
+        assert main(["solve", c4_file, "-k", "1"]) == EXIT_INTERNAL
+        assert "emsolve: internal error: RecursionError" in capsys.readouterr().err
 
     def test_dot_format_sniffing(self, tmp_path, capsys):
         g = parse_graph(C4_JSON)

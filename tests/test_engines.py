@@ -73,6 +73,12 @@ def test_perfect_matching_on_small():
     assert perfect_matching_on([0, 1, 2, 3], [(0, 1)]) is None
 
 
+def test_perfect_matching_on_long_path():
+    # One search frame per matched pair, far past the recursion limit.
+    edges = [(i, i + 1) for i in range(2399)]
+    assert perfect_matching_on(range(2400), edges) == tuple(edges[::2])
+
+
 def test_perfect_matching_on_ignores_outside_edges():
     got = perfect_matching_on([0, 1], [(0, 1), (2, 3), (0, 9)])
     assert got == ((0, 1),)

@@ -205,39 +205,45 @@ def naive_guesses(ctx, limit):
     return out
 
 
+def disjoint_proposal(ctx, guess):
+    ends = [w for e in ctx.base.symmetric_difference(guess) for w in e]
+    return len(ends) == len(set(ends))
+
+
 class TestGuessStream:
-    def test_matches_naive_reference_on_successes(self, monkeypatch):
-        for cap in (10 ** 9, 0):   # force the direct and the split strategy
-            monkeypatch.setattr(solver_mod, "_TARGET_CAP", cap)
-            for seed in range(10):
-                g = random_colored_graph(8, 0.7, seed)
+    def test_matches_naive_reference_on_successes(self):
+        # Exactly the naive guesses whose proposal shares no vertex, in order.
+        for n in (4, 6, 8, 10):
+            for seed in range(4):
+                g = random_colored_graph(n, 0.6, seed)
                 pm = solver_mod.min_red_pm(g)
                 if pm is None:
                     continue
-                ctx = solver_mod._make_context(g, pm, 2, RED)
-                stream = list(solver_mod._guess_stream(ctx, 4))
-                naive = naive_guesses(ctx, 4)
-                assert set(stream) <= set(naive)
-                # anything skipped must be a certain reject
-                for item in naive:
-                    if item not in set(stream):
-                        assert solver_mod._recover(ctx, item[1]) is None
-                # order: sizes ascending, lex within size
-                assert stream == sorted(stream)
+                for color in (RED, BLUE):
+                    for k in range(n // 2 + 1):
+                        ctx = solver_mod._make_context(g, pm, k, color)
+                        want = [item for item in naive_guesses(ctx, n)
+                                if disjoint_proposal(ctx, item[1])]
+                        for limit in (3, n):
+                            assert list(solver_mod._guess_stream(ctx, limit)) == [
+                                item for item in want if item[0] <= limit]
 
-    def test_both_strategies_find_the_same_first_witness(self, monkeypatch):
+    def test_first_witness_matches_naive_first_success(self):
+        hits = 0
         for seed in range(10):
             g = random_colored_graph(10, 0.6, seed + 50)
             pm = solver_mod.min_red_pm(g)
             if pm is None or em_decide_bruteforce(g, 2) is None:
                 continue
-            hits = []
-            for cap in (10 ** 9, 0):
-                monkeypatch.setattr(solver_mod, "_TARGET_CAP", cap)
-                hits.append(small_diff_search(g, pm, 2, g.n, RED))
-            assert hits[0] == hits[1]
-            if hits[0] is not None:
-                assert hits[0].red_count == 2
+            ctx = solver_mod._make_context(g, pm, 2, RED)
+            recovered = (solver_mod._recover(ctx, guess)
+                         for _, guess in naive_guesses(ctx, g.n))
+            want = next((got for got in recovered if got is not None), None)
+            got = small_diff_search(g, pm, 2, g.n, RED)
+            assert got is not None and got.red_count == 2
+            assert got == want
+            hits += 1
+        assert hits > 0
 
     def test_interleave_orders_red_before_blue_per_size(self):
         red = iter([(0, ("r0",)), (2, ("r2",))])
@@ -343,6 +349,24 @@ class TestSolveEm:
         assert a.status == YES
         assert a.witness == b.witness == c.witness
         assert a.L_used == b.L_used == c.L_used
+
+    @pytest.mark.parametrize("bound, seed", [(1, 5), (2, 3)])
+    def test_large_planted_instances_solve(self, bound, seed):
+        # Color classes of thousands of edges: the guess search's stack depth
+        # must not grow with them.
+        g = gen_planted_yes(120, 30, BaseFamily("alpha", bound), seed)
+        v = solve_em(g, 30, SolverParams(alpha_hint=bound))
+        assert v.status == YES
+        assert validate_matching(g, v.witness) and v.witness.red_count == 30
+
+    def test_parity_instance_is_certified_no(self):
+        # Red exactly on edges crossing {0..3}: every PM has an even red count.
+        g = ColoredGraph.from_edges(14, [
+            (u, v, RED if (u < 4) != (v < 4) else BLUE)
+            for u in range(14) for v in range(u + 1, 14)])
+        v = solve_em(g, 1, SolverParams(alpha_hint=1))
+        assert v.status == NO_CERTIFIED
+        assert v.L_used == 14
 
     def test_bipartite_instances(self):
         for seed in range(10):
