@@ -118,7 +118,6 @@ def _params_from(args) -> SolverParams:
         beta_hint=getattr(args, "beta", None),
         L_cap=getattr(args, "L_cap", None),
         t_override=getattr(args, "t_override", None),
-        workers=getattr(args, "threads", 1),
     )
 
 
@@ -315,8 +314,6 @@ def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
                      help="cap on the phase-2 guess size")
     sub.add_argument("--t-override", dest="t_override", type=int, default=None,
                      help="replace the phase-1 cycle-weight threshold")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers for the phase-2 guess evaluation")
 
 
 def _build_parser() -> _Parser:

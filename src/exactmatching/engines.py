@@ -132,30 +132,21 @@ def perfect_matching_on(
     Deterministic.  Tries a bounded backtracking search first (fast on the
     small or dense remainder graphs this is used for); if the budget runs
     out, falls back to the blossom engine, which is exact in polynomial time.
+    Edges with an endpoint outside ``vertices`` are ignored.
     """
-    verts = sorted(set(vertices))
-    if len(verts) % 2 != 0:
-        return None
-    if not verts:
-        return ()
-    vset = set(verts)
-    pairs = [e for e in edges if e[0] in vset and e[1] in vset]
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    try:
-        return _backtrack_match(adj, verts)
-    except _BudgetExhausted:
-        return _blossom_match(pairs, verts)
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for ws in adj.values():
+        ws.sort()
+    return perfect_matching_on_adjacency(adj, vertices)
 
 
 def perfect_matching_on_adjacency(
     adjacency: Mapping[int, Sequence[int]], vertices: Iterable[int]
 ) -> tuple[Edge, ...] | None:
-    """``perfect_matching_on`` against a shared adjacency, result-identical.
+    """``perfect_matching_on`` against a prebuilt adjacency.
 
     ``adjacency`` must list neighbors in ascending order and may cover far
     more vertices than ``vertices``; edges leaving the vertex set are

@@ -14,7 +14,12 @@ shorter vertex-disjoint ones closed off by two chord arcs.
 
 All searches are exhaustive and deterministic: candidate chords are scanned
 in lexicographic order and the first valid shortcut whose weight lies in
-the requested filter wins.
+the requested filter wins.  Each candidate pair is judged in O(1) from
+per-cycle tables built once in O(L): the position of each cycle vertex,
+the parity of the matching-edge positions, and prefix sums of the edge
+weights.  Alternation reduces to position parity, so chords that can never
+take part are dropped before the pair loop, and only the winner's cycles
+are built.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .graphs import (
     Edge,
     GraphError,
     PerfectMatching,
+    edge_key,
     edge_weight,
 )
 
@@ -187,22 +193,34 @@ class Skip:
     host_cycle: AlternatingCycle
 
 
-def _cycle_weight(graph: ColoredGraph, matching: PerfectMatching,
-                  cycle: AlternatingCycle) -> int:
-    """Weight of the cycle relative to ``matching``, recomputed from colors."""
-    in_m = [e in matching.edges for e in cycle.edges]
-    for i, flag in enumerate(in_m):
-        if flag == in_m[(i + 1) % len(in_m)]:
-            raise GraphError("cycle does not alternate with the given matching")
-    return sum(edge_weight(graph, matching, e) for e in cycle.edges)
-
-
 def _vrange(vertices: tuple[int, ...], start: int, stop: int) -> list[int]:
     """Vertices from position start to stop inclusive, walking forward."""
     length = len(vertices)
     if stop < start:
         stop += length
     return [vertices[i % length] for i in range(start, stop + 1)]
+
+
+def _walk_layout(
+    graph: ColoredGraph, matching: PerfectMatching, order: Sequence[int]
+) -> tuple[dict[int, int], int, list[int]]:
+    """Position map, matching parity and weight prefix sums along ``order``.
+
+    Edge i joins ``order[i]`` and ``order[i+1]`` (cyclically).  The cycle
+    must alternate with ``matching``; then edge i is a matching edge exactly
+    when ``i % 2 == par``.  ``prefix[i]`` is the weight of edges 0..i-1
+    relative to ``matching``, so ``prefix[-1]`` is the whole cycle's.
+    """
+    length = len(order)
+    prefix = [0]
+    in_m = []
+    for i in range(length):
+        e = edge_key(order[i], order[(i + 1) % length])
+        in_m.append(e in matching.edges)
+        prefix.append(prefix[-1] + edge_weight(graph, matching, e))
+    if any(flag == in_m[i - 1] for i, flag in enumerate(in_m)):
+        raise GraphError("cycle does not alternate with the given matching")
+    return {v: i for i, v in enumerate(order)}, 0 if in_m[0] else 1, prefix
 
 
 def find_skip(
@@ -219,49 +237,52 @@ def find_skip(
     patterns are tried (which covers both cyclic orientations).  A candidate
     is valid when the rebuilt cycle is a strictly shorter alternating cycle
     and the weight difference has absolute value at most 4.
+
+    Each candidate costs O(1).  A kept arc must start and end with a
+    matching edge, so a chord takes part only if its two endpoints have the
+    same position parity, and the two chords of a skip have opposite
+    parities; that parity also decides which removal pattern can alternate.
+    Lengths come from the positions and weights from prefix sums along the
+    cycle, and only the winner's shortcut cycle is built.
     """
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
         return None
-    base_weight = _cycle_weight(graph, matching, cycle)
-    pos = {v: i for i, v in enumerate(cycle.vertices)}
-    on_cycle = cycle.edge_set()
-    chords = [e for e in graph.edges()
-              if e[0] in pos and e[1] in pos
-              and e not in on_cycle and e not in matching.edges]
-    for i, f in enumerate(chords):
-        for g in chords[i + 1:]:
-            skip = _try_chord_pair(graph, matching, cycle, base_weight, pos,
-                                   f, g, wanted)
-            if skip is not None:
-                return skip
-    return None
-
-
-def _try_chord_pair(graph, matching, cycle, base_weight, pos, f, g, wanted):
-    points = sorted(((pos[f[0]], 0), (pos[f[1]], 0), (pos[g[0]], 1), (pos[g[1]], 1)))
-    if len({p for p, _ in points}) != 4:
-        return None
-    owners = tuple(o for _, o in points)
-    if owners not in ((0, 1, 0, 1), (1, 0, 1, 0)):
-        return None
-    s = [p for p, _ in points]
     verts = cycle.vertices
-    variants = (
-        _vrange(verts, s[1], s[2]) + list(reversed(_vrange(verts, s[3], s[0]))),
-        _vrange(verts, s[0], s[1]) + list(reversed(_vrange(verts, s[2], s[3]))),
-    )
-    for seq in variants:
-        try:
+    length = len(verts)
+    pos, par, prefix = _walk_layout(graph, matching, verts)
+    on_cycle = cycle.edge_set()
+    # (chord, lower position, upper position, position parity, weight)
+    chords = []
+    for e in graph.edges():
+        if e[0] in pos and e[1] in pos and e not in on_cycle and e not in matching.edges:
+            p, q = sorted((pos[e[0]], pos[e[1]]))
+            if p % 2 == q % 2:
+                chords.append((e, p, q, p % 2, edge_weight(graph, matching, e)))
+    for i, (f, a0, a1, side, wf) in enumerate(chords):
+        for g, b0, b1, g_side, wg in chords[i + 1:]:
+            if g_side == side or (a0 < b0 < a1) == (a0 < b1 < a1):
+                continue
+            s0, s1, s2, s3 = (a0, b0, a1, b1) if a0 < b0 else (b0, a0, b1, a1)
+            if s1 % 2 == par:
+                # Keep arcs [s1, s2] and [s3, s0]: e_s1, e_s2-1, e_s3, e_s0-1 in M.
+                if s1 == s0 + 1 and s3 == s2 + 1:
+                    continue
+                weight = prefix[s2] - prefix[s1] + prefix[s0] - prefix[s3] + wf + wg
+                if weight not in wanted:
+                    continue
+                seq = _vrange(verts, s1, s2) + list(reversed(_vrange(verts, s3, s0)))
+            else:
+                # Keep arcs [s0, s1] and [s2, s3]: e_s0, e_s1-1, e_s2, e_s3-1 in M.
+                if s2 == s1 + 1 and s0 == 0 and s3 == length - 1:
+                    continue
+                weight = (prefix[s1] - prefix[s0] + prefix[s3] - prefix[s2] + wf + wg
+                          - prefix[-1])
+                if weight not in wanted:
+                    continue
+                seq = _vrange(verts, s0, s1) + list(reversed(_vrange(verts, s2, s3)))
             shortcut = AlternatingCycle.from_vertices(graph, matching, seq)
-        except GraphError:
-            continue
-        if len(shortcut) >= len(cycle):
-            continue
-        weight = shortcut.weight - base_weight
-        if abs(weight) > 4 or weight not in wanted:
-            continue
-        return Skip(f, g, weight, shortcut, cycle)
+            return Skip(f, g, weight, shortcut, cycle)
     return None
 
 
@@ -364,43 +385,52 @@ def find_biskip(
     replacement cycles close the kept segments with a1 and a2, must be
     vertex-disjoint, strictly shorter in total, and shift the weight by at
     most 4 in absolute value.  Ordered arc pairs are scanned lexicographically.
+
+    Each candidate costs O(1).  A replacement cycle runs from its arc's head
+    forward to its tail, so it alternates exactly when the head starts a
+    matching edge and the tail ends one; arcs failing that position-parity
+    test are dropped up front.  The cyclic order makes the two cycles
+    vertex-disjoint, lengths come from positions and weights from prefix sums
+    along the directed order, and only the winner's cycles are built.
     """
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
         return None
-    base_weight = _cycle_weight(view.graph, matching, cycle)
+    graph = view.graph
     order = _directed_order(view, cycle)
     length = len(order)
-    pos = {v: i for i, v in enumerate(order)}
+    pos, par, prefix = _walk_layout(graph, matching, order)
+    total = prefix[-1]
     cycle_arcs = {(order[i], order[(i + 1) % length]) for i in range(length)}
-    chords = sorted(a for a in view.arcs
-                    if a[0] in pos and a[1] in pos and a not in cycle_arcs)
-    graph = view.graph
-    for a1 in chords:
-        v1, v2 = a1
-        r2 = (pos[v2] - pos[v1]) % length
-        for a2 in chords:
-            if a2 == a1:
+    # (arc, tail position, head position, weight of the segment from head
+    # forward to tail plus the arc itself)
+    chords = []
+    for a in sorted(view.arcs):
+        tail, head = a
+        if tail in pos and head in pos and a not in cycle_arcs:
+            pt, ph = pos[tail], pos[head]
+            if ph % 2 == par and pt % 2 != par:
+                segment = prefix[pt] - prefix[ph] + (total if ph > pt else 0)
+                chords.append((a, pt, ph, segment + edge_weight(graph, matching, edge_key(*a))))
+    for a1, p1, p2, w1 in chords:
+        r2 = (p2 - p1) % length
+        len1 = length - r2 + 1
+        if len1 < 4:
+            continue
+        for a2, q1, q2, w2 in chords:
+            # a2 == a1 fails the order test: its r1p is 0.
+            r2p = (q2 - p1) % length
+            r1p = (q1 - p1) % length
+            if not 0 < r2p < r1p < r2:
                 continue
-            v1p, v2p = a2
-            r2p = (pos[v2p] - pos[v1]) % length
-            r1p = (pos[v1p] - pos[v1]) % length
-            if not (0 < r2p < r1p < r2):
+            len2 = r1p - r2p + 1
+            if len2 < 4 or len1 + len2 >= length:
                 continue
-            seq1 = _vrange(order, pos[v2], pos[v1])
-            seq2 = _vrange(order, pos[v2p], pos[v1p])
-            if set(seq1) & set(seq2):
+            weight = w1 + w2 - total
+            if weight not in wanted:
                 continue
-            try:
-                c1 = AlternatingCycle.from_vertices(graph, matching, seq1)
-                c2 = AlternatingCycle.from_vertices(graph, matching, seq2)
-            except GraphError:
-                continue
-            if len(c1) + len(c2) >= len(cycle):
-                continue
-            weight = c1.weight + c2.weight - base_weight
-            if abs(weight) > 4 or weight not in wanted:
-                continue
+            c1 = AlternatingCycle.from_vertices(graph, matching, _vrange(order, p2, p1))
+            c2 = AlternatingCycle.from_vertices(graph, matching, _vrange(order, q2, q1))
             return Biskip(a1, a2, weight, (c1, c2), cycle)
     return None
 

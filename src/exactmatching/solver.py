@@ -17,11 +17,12 @@ unknown.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .engines import (
+# perfect_matching_on is not called here, but perfbench/tracing.py wraps it
+# under this module's name, so it stays importable from here.
+from .engines import (  # noqa: F401
     max_red_pm,
     min_red_pm,
     perfect_matching_on,
@@ -99,18 +100,13 @@ class SolverParams:
     with the brute-force oracle (mandatory for graphs above the oracle cap).
     ``L_cap`` limits the phase-2 guess size; None means uncapped, in which
     case exhaustion certifies a no-instance.  ``t_override`` replaces the
-    phase-1 cycle-weight threshold (experimentation only).  With
-    ``deterministic`` the phase-2 witness is the first in (size, lex) guess
-    order; ``workers`` > 1 evaluates guesses in parallel batches without
-    changing that choice.
+    phase-1 cycle-weight threshold (experimentation only).
     """
 
     alpha_hint: int | None = None
     beta_hint: int | None = None
     L_cap: int | None = None
     t_override: int | None = None
-    deterministic: bool = True
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -210,17 +206,27 @@ def run_phase1(
     assert high is not None
     view = orient(graph, low) if bipartite else None
 
+    # ``context`` is always symmetric_difference(graph, low, high), weighted
+    # against low.  It is computed once and then carried forward: a skip or
+    # biskip returns the updated context, and flipping one cycle onto low
+    # just drops that cycle, since the others are vertex-disjoint from it and
+    # keep their weights.
+    context = None
     iterations = 0
     while low.red_count <= k - threshold and high.red_count > k:
         iterations += 1
         if iterations > graph.n:
             raise SolverError("phase-1 walk exceeded its iteration bound")
-        context = symmetric_difference(graph, low, high)
+        if context is None:
+            context = symmetric_difference(graph, low, high)
+        elif not (validate_matching(graph, low) and validate_matching(graph, high)):
+            raise SolverError("phase-1 walk produced an invalid matching")
         cycle = next((c for c in context if c.weight > 0), None)
         if cycle is None:
             raise SolverError("no positive cycle although red counts differ")
         if cycle.weight <= threshold:
             low = apply_cycles(low, CycleSet.from_cycles([cycle]))
+            context = CycleSet.from_cycles(c for c in context if c is not cycle)
             if bipartite:
                 view = orient(graph, low)
         elif bipartite:
@@ -229,14 +235,14 @@ def run_phase1(
                 raise SkipSearchError(
                     "no negative biskip on a heavy cycle; "
                     "the bipartite independence bound hint is too small")
-            high, _ = apply_biskip(high, shortcut, context)
+            high, context = apply_biskip(high, shortcut, context)
         else:
             shortcut = find_skip(graph, low, cycle, NEGATIVE_WEIGHTS)
             if shortcut is None:
                 raise SkipSearchError(
                     "no negative skip on a heavy cycle; "
                     "the independence bound hint is too small")
-            high, _ = apply_skip(high, shortcut, context)
+            high, context = apply_skip(high, shortcut, context)
 
     final = high if high.red_count <= k else low
     return Phase1Result(final, iterations, threshold, bound, bipartite)
@@ -295,24 +301,7 @@ def recover_from_color_guess(
         if graph.color(e) != color:
             raise GraphError(f"guess contains edge {e} of the wrong color")
         guess_set.add(e)
-    base = {e for e in matching.edges if graph.colors[e] == color}
-    proposal = base ^ guess_set
-    target = k if color == RED else graph.n // 2 - k
-    if len(proposal) != target:
-        return None
-    used: set[int] = set()
-    for u, v in proposal:
-        if u in used or v in used:
-            return None
-        used.update((u, v))
-    other = BLUE if color == RED else RED
-    rest_vertices = [v for v in range(graph.n) if v not in used]
-    rest_edges = [e for e, c in graph.colors.items()
-                  if c == other and e[0] not in used and e[1] not in used]
-    completion = perfect_matching_on(rest_vertices, rest_edges)
-    if completion is None:
-        return None
-    return PerfectMatching(frozenset(proposal) | frozenset(completion), k)
+    return _recover(_make_context(graph, matching, k, color), tuple(guess_set))
 
 
 @dataclass(frozen=True)
@@ -353,11 +342,7 @@ def _make_context(
 
 
 def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching | None:
-    """``recover_from_color_guess`` minus input validation, on shared state.
-
-    Same accept/reject decisions and the same completion (both run the
-    identical matching search), so the two paths return equal witnesses.
-    """
+    """``recover_from_color_guess`` minus input validation, on shared state."""
     proposal = ctx.base.symmetric_difference(guess)
     if len(proposal) != ctx.target:
         return None
@@ -483,29 +468,13 @@ def _guess_stream(
 
 def _first_success(
     items: Iterator[tuple[_RecoveryContext, int, tuple[Edge, ...]]],
-    workers: int,
 ) -> tuple[int, PerfectMatching] | None:
-    """Evaluate (context, size, guess) items in order; first hit wins.
-
-    With several workers, items are evaluated in parallel batches, but the
-    winner is still the earliest item in stream order.
-    """
-    if workers <= 1:
-        for ctx, size, guess in items:
-            pm = _recover(ctx, guess)
-            if pm is not None:
-                return size, pm
-        return None
-    batch_size = max(workers * 16, 64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            batch = list(itertools.islice(items, batch_size))
-            if not batch:
-                return None
-            results = pool.map(lambda item: _recover(item[0], item[2]), batch)
-            for (ctx, size, guess), pm in zip(batch, results):
-                if pm is not None:
-                    return size, pm
+    """Evaluate (context, size, guess) items in order; first hit wins."""
+    for ctx, size, guess in items:
+        pm = _recover(ctx, guess)
+        if pm is not None:
+            return size, pm
+    return None
 
 
 def small_diff_search(
@@ -514,7 +483,6 @@ def small_diff_search(
     k: int,
     limit: int,
     color: str,
-    workers: int = 1,
 ) -> PerfectMatching | None:
     """First successful recovery over guesses of size at most ``limit``.
 
@@ -527,7 +495,7 @@ def small_diff_search(
         raise ConfigurationError(f"subset budget must be >= 0, got {limit}")
     ctx = _make_context(graph, matching, k, color)
     items = ((ctx, size, guess) for size, guess in _guess_stream(ctx, limit))
-    hit = _first_success(items, workers)
+    hit = _first_success(items)
     return hit[1] if hit is not None else None
 
 
@@ -586,7 +554,7 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     blue_ctx = _make_context(graph, m, k, BLUE)
     items = _interleave(red_ctx, _guess_stream(red_ctx, limit),
                         blue_ctx, _guess_stream(blue_ctx, limit))
-    hit = _first_success(items, params.workers)
+    hit = _first_success(items)
     if hit is not None:
         size, pm = hit
         if not validate_matching(graph, pm) or pm.red_count != k:

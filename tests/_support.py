@@ -5,6 +5,10 @@ These re-evaluate the defining properties of skips and biskips from scratch
 reusing the library's own cycle or shortcut helpers, so tests can confront
 the implementation with a second opinion.  Each checker returns a list of
 violation strings; an empty list means the structure is valid.
+
+``naive_find_skip`` and ``naive_find_biskip`` are the straightforward
+shortcut searches that rebuild every candidate cycle, kept as the
+reference the library's searches are tested against.
 """
 
 from __future__ import annotations
@@ -12,12 +16,16 @@ from __future__ import annotations
 from exactmatching import (
     BLUE,
     RED,
+    SKIP_WEIGHTS,
+    AlternatingCycle,
     Biskip,
     ColoredGraph,
+    GraphError,
     MatchingOrientation,
     PerfectMatching,
     Skip,
 )
+from exactmatching.skips import _directed_order
 
 
 def _key(u: int, v: int) -> tuple[int, int]:
@@ -189,3 +197,112 @@ def check_biskip(
     if abs(biskip.weight) > 4:
         out.append("weight outside [-4, 4]")
     return out
+
+
+# -- rebuild-per-candidate reference searches ---------------------------------------
+#
+# The original shortcut searches: every candidate is rebuilt as a full
+# AlternatingCycle and re-validated, O(L) per candidate.  The library's O(1)
+# searches must return exactly what these return, ``None`` included.
+
+
+def _cycle_weight(graph, matching, cycle):
+    in_m = [e in matching.edges for e in cycle.edges]
+    for i, flag in enumerate(in_m):
+        if flag == in_m[(i + 1) % len(in_m)]:
+            raise GraphError("cycle does not alternate with the given matching")
+    return cycle_weight(graph, matching, cycle.edges)
+
+
+def _vrange(vertices, start, stop):
+    length = len(vertices)
+    if stop < start:
+        stop += length
+    return [vertices[i % length] for i in range(start, stop + 1)]
+
+
+def naive_find_skip(graph, matching, cycle, weight_filter):
+    wanted = frozenset(weight_filter) & SKIP_WEIGHTS
+    if not wanted:
+        return None
+    base_weight = _cycle_weight(graph, matching, cycle)
+    pos = {v: i for i, v in enumerate(cycle.vertices)}
+    on_cycle = cycle.edge_set()
+    chords = [e for e in graph.edges()
+              if e[0] in pos and e[1] in pos
+              and e not in on_cycle and e not in matching.edges]
+    for i, f in enumerate(chords):
+        for g in chords[i + 1:]:
+            skip = _naive_chord_pair(graph, matching, cycle, base_weight, pos,
+                                     f, g, wanted)
+            if skip is not None:
+                return skip
+    return None
+
+
+def _naive_chord_pair(graph, matching, cycle, base_weight, pos, f, g, wanted):
+    points = sorted(((pos[f[0]], 0), (pos[f[1]], 0), (pos[g[0]], 1), (pos[g[1]], 1)))
+    if len({p for p, _ in points}) != 4:
+        return None
+    owners = tuple(o for _, o in points)
+    if owners not in ((0, 1, 0, 1), (1, 0, 1, 0)):
+        return None
+    s = [p for p, _ in points]
+    verts = cycle.vertices
+    variants = (
+        _vrange(verts, s[1], s[2]) + list(reversed(_vrange(verts, s[3], s[0]))),
+        _vrange(verts, s[0], s[1]) + list(reversed(_vrange(verts, s[2], s[3]))),
+    )
+    for seq in variants:
+        try:
+            shortcut = AlternatingCycle.from_vertices(graph, matching, seq)
+        except GraphError:
+            continue
+        if len(shortcut) >= len(cycle):
+            continue
+        weight = shortcut.weight - base_weight
+        if abs(weight) > 4 or weight not in wanted:
+            continue
+        return Skip(f, g, weight, shortcut, cycle)
+    return None
+
+
+def naive_find_biskip(view, matching, cycle, weight_filter):
+    wanted = frozenset(weight_filter) & SKIP_WEIGHTS
+    if not wanted:
+        return None
+    base_weight = _cycle_weight(view.graph, matching, cycle)
+    order = _directed_order(view, cycle)
+    length = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    cycle_arcs = {(order[i], order[(i + 1) % length]) for i in range(length)}
+    chords = sorted(a for a in view.arcs
+                    if a[0] in pos and a[1] in pos and a not in cycle_arcs)
+    graph = view.graph
+    for a1 in chords:
+        v1, v2 = a1
+        r2 = (pos[v2] - pos[v1]) % length
+        for a2 in chords:
+            if a2 == a1:
+                continue
+            v1p, v2p = a2
+            r2p = (pos[v2p] - pos[v1]) % length
+            r1p = (pos[v1p] - pos[v1]) % length
+            if not (0 < r2p < r1p < r2):
+                continue
+            seq1 = _vrange(order, pos[v2], pos[v1])
+            seq2 = _vrange(order, pos[v2p], pos[v1p])
+            if set(seq1) & set(seq2):
+                continue
+            try:
+                c1 = AlternatingCycle.from_vertices(graph, matching, seq1)
+                c2 = AlternatingCycle.from_vertices(graph, matching, seq2)
+            except GraphError:
+                continue
+            if len(c1) + len(c2) >= len(cycle):
+                continue
+            weight = c1.weight + c2.weight - base_weight
+            if abs(weight) > 4 or weight not in wanted:
+                continue
+            return Biskip(a1, a2, weight, (c1, c2), cycle)
+    return None

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from exactmatching import (
@@ -5,6 +8,7 @@ from exactmatching import (
     RED,
     AlternatingCycle,
     ColoredGraph,
+    CycleSet,
     EdgePair,
     GraphError,
     NEGATIVE_WEIGHTS,
@@ -12,6 +16,7 @@ from exactmatching import (
     SKIP_WEIGHTS,
     PerfectMatching,
     apply_biskip,
+    apply_cycles,
     apply_skip,
     find_biskip,
     find_bundles,
@@ -19,12 +24,22 @@ from exactmatching import (
     find_skip,
     gen_alternating_cycle_instance,
     guaranteed_skip_weights,
+    max_red_pm,
+    min_red_pm,
     orient,
     pair_decomposition,
+    random_bipartite_colored_graph,
+    random_colored_graph,
     symmetric_difference,
 )
 
-from ._support import check_biskip, check_skip, cycle_weight
+from ._support import (
+    check_biskip,
+    check_skip,
+    cycle_weight,
+    naive_find_biskip,
+    naive_find_skip,
+)
 
 # -- fixtures: a 10-cycle with matching (2i, 2i+1) and optional chords ---------
 
@@ -202,6 +217,25 @@ def test_skip_none_without_chords():
     assert find_skip(g, pm, cyc, SKIP_WEIGHTS) is None
 
 
+def test_searches_reject_a_host_that_does_not_alternate():
+    g, _, cyc = ten_cycle(chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
+    crossing = PerfectMatching.from_edges(g, [(0, 3), (1, 2), (4, 7), (5, 6), (8, 9)])
+    with pytest.raises(GraphError):
+        find_skip(g, crossing, cyc, SKIP_WEIGHTS)
+    with pytest.raises(GraphError):
+        find_biskip(orient(g, crossing), crossing, cyc, SKIP_WEIGHTS)
+
+
+def test_full_scan_without_a_match_on_all_blue_k48():
+    # Every skip of an all-blue graph weighs 0, so filter {4} makes the
+    # search visit every chord pair of a Hamiltonian host cycle.
+    n = 48
+    g = ColoredGraph.from_edges(n, [(u, v, BLUE) for u, v in itertools.combinations(range(n), 2)])
+    pm = PerfectMatching.from_edges(g, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    cyc = AlternatingCycle.from_vertices(g, pm, range(n))
+    assert find_skip(g, pm, cyc, {4}) is None
+
+
 def test_apply_skip():
     g, pm, cyc = ten_cycle(nm_reds=[(3, 4), (5, 6), (7, 8), (0, 9)],
                            chords=[(0, 2, BLUE), (1, 3, BLUE)])
@@ -316,3 +350,132 @@ def test_random_biskips_pass_independent_checks():
         hits += 1
         assert check_biskip(view, pm, bi) == []
     assert hits >= 30
+
+
+# -- differential checks against the rebuild-per-candidate reference ---------------
+
+FILTERS = ([NEGATIVE_WEIGHTS, POSITIVE_WEIGHTS, frozenset({0}), SKIP_WEIGHTS]
+           + [frozenset({w}) for w in range(-4, 5)])
+
+
+def random_host(n, prob, seed, bipartite=False):
+    """Random graph around an alternating host cycle, some vertices off it.
+
+    The matching pairs the cycle's vertices along the cycle and the
+    remaining vertices among themselves; every other admissible edge is
+    present with probability ``prob``.  Colors are random throughout.
+    """
+    rng = random.Random(seed)
+    length = rng.randrange(4, n + 1, 2)
+    if bipartite:
+        side_a, side_b = list(range(0, n, 2)), list(range(1, n, 2))
+        rng.shuffle(side_a)
+        rng.shuffle(side_b)
+        order = [v for pair in zip(side_a, side_b) for v in pair][:length]
+        rest = [v for pair in zip(side_a, side_b) for v in pair][length:]
+        bip = (side_a, side_b)
+    else:
+        verts = list(range(n))
+        rng.shuffle(verts)
+        order, rest = verts[:length], verts[length:]
+        bip = None
+    matched = [(order[i], order[i + 1]) for i in range(0, length, 2)]
+    matched += [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
+    forced = {frozenset(e) for e in matched}
+    forced |= {frozenset((order[i], order[(i + 1) % length])) for i in range(length)}
+    triples = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if bip is not None and u % 2 == v % 2:
+                continue
+            if frozenset((u, v)) in forced or rng.random() < prob:
+                triples.append((u, v, RED if rng.random() < 0.5 else BLUE))
+    sides = (side_a, side_b) if bipartite else None
+    g = ColoredGraph.from_edges(n, triples, bipartition=sides)
+    pm = PerfectMatching.from_edges(g, matched)
+    cyc = AlternatingCycle.from_vertices(g, pm, order)
+    return g, pm, cyc
+
+
+def test_find_skip_matches_naive_reference():
+    hits = 0
+    for n in range(4, 17, 2):
+        for prob in (0.3, 0.6, 0.9):
+            for seed in range(3):
+                g, pm, cyc = random_host(n, prob, seed)
+                for wanted in FILTERS:
+                    want = naive_find_skip(g, pm, cyc, wanted)
+                    assert find_skip(g, pm, cyc, wanted) == want
+                    hits += want is not None
+    assert hits >= 100
+
+
+def test_find_biskip_matches_naive_reference():
+    hits = 0
+    for n in range(4, 17, 2):
+        for prob in (0.3, 0.6, 0.9):
+            for seed in range(3):
+                g, pm, cyc = random_host(n, prob, seed, bipartite=True)
+                view = orient(g, pm)
+                for wanted in FILTERS:
+                    want = naive_find_biskip(view, pm, cyc, wanted)
+                    assert find_biskip(view, pm, cyc, wanted) == want
+                    hits += want is not None
+    assert hits >= 30
+
+
+# -- the walk's context can be carried forward instead of recomputed ---------------
+
+
+def walk_contexts(bipartite):
+    """(graph, low, high, context) with low/high the min/max-red matchings."""
+    for n in (10, 12, 14, 16):
+        for seed in range(8):
+            if bipartite:
+                g = random_bipartite_colored_graph(n, 0.7, seed)
+            else:
+                g = random_colored_graph(n, 0.6, seed)
+            low = min_red_pm(g)
+            if low is None:
+                continue
+            high = max_red_pm(g)
+            yield g, low, high, symmetric_difference(g, low, high)
+
+
+def test_apply_skip_returns_the_recomputed_context():
+    hits = 0
+    for g, low, high, context in walk_contexts(bipartite=False):
+        for cycle in context:
+            skip = find_skip(g, low, cycle, SKIP_WEIGHTS)
+            if skip is None:
+                continue
+            new_high, new_context = apply_skip(high, skip, context)
+            assert new_context == symmetric_difference(g, low, new_high)
+            hits += 1
+    assert hits >= 10
+
+
+def test_apply_biskip_returns_the_recomputed_context():
+    hits = 0
+    for g, low, high, context in walk_contexts(bipartite=True):
+        view = orient(g, low)
+        for cycle in context:
+            bi = find_biskip(view, low, cycle, SKIP_WEIGHTS)
+            if bi is None:
+                continue
+            new_high, new_context = apply_biskip(high, bi, context)
+            assert new_context == symmetric_difference(g, low, new_high)
+            hits += 1
+    assert hits >= 10
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_flipping_a_cycle_onto_low_drops_it_from_the_context(bipartite):
+    multi = 0
+    for g, low, high, context in walk_contexts(bipartite):
+        multi += len(context) > 1
+        for cycle in context:
+            new_low = apply_cycles(low, CycleSet.from_cycles([cycle]))
+            rest = CycleSet.from_cycles(c for c in context if c is not cycle)
+            assert rest == symmetric_difference(g, new_low, high)
+    assert multi >= 5

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from exactmatching import (
@@ -132,6 +134,22 @@ class TestPhase1:
     def test_bipartite_variant(self, k33):
         pm = approx_em_bipartite(k33, 0)
         assert pm is not None and pm.red_count == 0
+
+    @pytest.mark.parametrize("n, pins", [
+        (100, [(25, 13, 24, "06df1bd1daa02153"), (33, 9, 32, "0f51bce67c0eb5c2")]),
+        (128, [(32, 9, 30, "4067a709139bd3fb"), (42, 13, 41, "a697388dcfb859e9")]),
+    ])
+    def test_walk_on_large_planted_instances_is_pinned(self, n, pins):
+        # (k, iterations, red count, digest of the sorted edges), recorded
+        # with the rebuild-per-candidate skip search and a symmetric
+        # difference recomputed on every iteration.
+        g = gen_planted_yes(n, n // 4, BaseFamily("alpha", 1), 1)
+        for k, iterations, red, digest in pins:
+            res = run_phase1(g, k, SolverParams(alpha_hint=1), bipartite=False)
+            edges = repr(res.matching.sorted_edges()).encode()
+            assert res.iterations == iterations
+            assert res.matching.red_count == red
+            assert hashlib.sha256(edges).hexdigest()[:16] == digest
 
 
 # -- phase 2: single-guess recovery -------------------------------------------------
@@ -270,14 +288,6 @@ class TestSmallDiffSearch:
         with pytest.raises(ConfigurationError):
             small_diff_search(c4, blue_pm, 2, -1, RED)
 
-    def test_workers_preserve_the_witness(self):
-        for seed in range(6):
-            g = gen_planted_yes(16, 4, BaseFamily("alpha", 2), seed)
-            pm = solver_mod.min_red_pm(g)
-            sequential = small_diff_search(g, pm, 4, 6, RED, workers=1)
-            threaded = small_diff_search(g, pm, 4, 6, RED, workers=4)
-            assert sequential == threaded
-
 
 # -- the full solver ----------------------------------------------------------------
 
@@ -345,10 +355,9 @@ class TestSolveEm:
         g = gen_planted_yes(14, 3, BaseFamily("alpha", 2), 7)
         a = solve_em(g, 3, SolverParams(alpha_hint=2))
         b = solve_em(g, 3, SolverParams(alpha_hint=2))
-        c = solve_em(g, 3, SolverParams(alpha_hint=2, workers=4))
         assert a.status == YES
-        assert a.witness == b.witness == c.witness
-        assert a.L_used == b.L_used == c.L_used
+        assert a.witness == b.witness
+        assert a.L_used == b.L_used
 
     @pytest.mark.parametrize("bound, seed", [(1, 5), (2, 3)])
     def test_large_planted_instances_solve(self, bound, seed):
