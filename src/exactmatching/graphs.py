@@ -14,7 +14,7 @@ matchings, where r counts red edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 RED = "red"
 BLUE = "blue"
@@ -222,6 +222,12 @@ def edge_weight(graph: ColoredGraph, matching: PerfectMatching, e: Edge) -> int:
     return -1 if e in matching.edges else 1
 
 
+def alternates(edges: Sequence[Edge], matching: PerfectMatching) -> bool:
+    """True iff the closed walk ``edges`` goes in and out of ``matching`` by turns."""
+    in_m = [e in matching.edges for e in edges]
+    return all(flag != in_m[i - 1] for i, flag in enumerate(in_m))
+
+
 @dataclass(frozen=True)
 class AlternatingCycle:
     """An even cycle alternating between matching and non-matching edges.
@@ -257,10 +263,8 @@ class AlternatingCycle:
             if e not in graph.colors:
                 raise GraphError(f"cycle uses unknown edge ({u}, {v})")
             edges.append(e)
-        in_m = [e in matching.edges for e in edges]
-        for i, flag in enumerate(in_m):
-            if flag == in_m[(i + 1) % len(in_m)]:
-                raise GraphError(f"cycle does not alternate at edge {edges[i]}")
+        if not alternates(edges, matching):
+            raise GraphError("cycle does not alternate with the matching")
         weight = sum(edge_weight(graph, matching, e) for e in edges)
         return cls(tuple(seq), tuple(edges), weight)
 
@@ -366,11 +370,9 @@ def apply_cycles(matching: PerfectMatching, cycle_set: CycleSet) -> PerfectMatch
     the same cycle set twice is the identity.
     """
     for c in cycle_set:
-        in_m = [e in matching.edges for e in c.edges]
-        for i, flag in enumerate(in_m):
-            if flag == in_m[(i + 1) % len(in_m)]:
-                raise GraphError(f"cycle at {c.vertices[0]} does not alternate "
-                                 f"with the matching being modified")
+        if not alternates(c.edges, matching):
+            raise GraphError(f"cycle at {c.vertices[0]} does not alternate "
+                             f"with the matching being modified")
     new_edges = matching.edges ^ cycle_set.all_edges()
     if len(new_edges) != len(matching.edges):
         raise GraphError("cycle flip did not preserve matching size")

@@ -25,6 +25,7 @@ are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -34,6 +35,7 @@ from .graphs import (
     Edge,
     GraphError,
     PerfectMatching,
+    alternates,
     edge_key,
     edge_weight,
 )
@@ -211,16 +213,11 @@ def _walk_layout(
     when ``i % 2 == par``.  ``prefix[i]`` is the weight of edges 0..i-1
     relative to ``matching``, so ``prefix[-1]`` is the whole cycle's.
     """
-    length = len(order)
-    prefix = [0]
-    in_m = []
-    for i in range(length):
-        e = edge_key(order[i], order[(i + 1) % length])
-        in_m.append(e in matching.edges)
-        prefix.append(prefix[-1] + edge_weight(graph, matching, e))
-    if any(flag == in_m[i - 1] for i, flag in enumerate(in_m)):
+    ring = [edge_key(u, v) for u, v in zip(order, order[1:] + order[:1])]
+    if not alternates(ring, matching):
         raise GraphError("cycle does not alternate with the given matching")
-    return {v: i for i, v in enumerate(order)}, 0 if in_m[0] else 1, prefix
+    prefix = list(accumulate((edge_weight(graph, matching, e) for e in ring), initial=0))
+    return {v: i for i, v in enumerate(order)}, 0 if ring[0] in matching.edges else 1, prefix
 
 
 def find_skip(
@@ -286,6 +283,33 @@ def find_skip(
     return None
 
 
+def _swap_host(
+    matching2: PerfectMatching,
+    host: AlternatingCycle,
+    replacements: Sequence[AlternatingCycle],
+    weight: int,
+    context: CycleSet,
+    what: str,
+) -> tuple[PerfectMatching, CycleSet]:
+    """Replace ``host`` by ``replacements`` in ``context`` and flip ``matching2``
+    to match, after checking membership, alternation, shrink and size."""
+    if host not in context.cycles:
+        raise GraphError(f"{what} does not belong to any cycle of the context")
+    if not alternates(host.edges, matching2):
+        raise GraphError("context cycle does not alternate with the second matching")
+    rest = [c for c in context.cycles if c != host]
+    new_context = CycleSet.from_cycles(rest + list(replacements))
+    if not new_context.edge_count() < context.edge_count():
+        raise GraphError(f"{what} application failed to shrink the context")
+    flip = host.edge_set()
+    for c in replacements:
+        flip ^= c.edge_set()
+    flipped = matching2.edges ^ flip
+    if len(flipped) != len(matching2.edges):
+        raise GraphError(f"{what} application broke the matching")
+    return PerfectMatching(frozenset(flipped), matching2.red_count + weight), new_context
+
+
 def apply_skip(
     matching2: PerfectMatching, skip: Skip, context: CycleSet
 ) -> tuple[PerfectMatching, CycleSet]:
@@ -296,22 +320,8 @@ def apply_skip(
     second matching (red count shifted by the skip weight) and the updated
     context, whose total edge count strictly decreases.
     """
-    if skip.host_cycle not in context.cycles:
-        raise GraphError("skip does not belong to any cycle of the context")
-    host = skip.host_cycle
-    in_m2 = [e in matching2.edges for e in host.edges]
-    for i, flag in enumerate(in_m2):
-        if flag == in_m2[(i + 1) % len(in_m2)]:
-            raise GraphError("context cycle does not alternate with the second matching")
-    rest = [c for c in context.cycles if c != host]
-    new_context = CycleSet.from_cycles(rest + [skip.shortcut_cycle])
-    if not new_context.edge_count() < context.edge_count():
-        raise GraphError("skip application failed to shrink the context")
-    flipped = matching2.edges ^ (host.edge_set() ^ skip.shortcut_cycle.edge_set())
-    if len(flipped) != len(matching2.edges):
-        raise GraphError("skip application broke the matching")
-    return (PerfectMatching(frozenset(flipped), matching2.red_count + skip.weight),
-            new_context)
+    return _swap_host(matching2, skip.host_cycle, (skip.shortcut_cycle,), skip.weight,
+                      context, "skip")
 
 
 # -- the bipartite directed view and biskips -----------------------------------
@@ -439,20 +449,5 @@ def apply_biskip(
     matching2: PerfectMatching, biskip: Biskip, context: CycleSet
 ) -> tuple[PerfectMatching, CycleSet]:
     """Swap the biskip's host cycle for its two replacement cycles."""
-    if biskip.host_cycle not in context.cycles:
-        raise GraphError("biskip does not belong to any cycle of the context")
-    host = biskip.host_cycle
-    in_m2 = [e in matching2.edges for e in host.edges]
-    for i, flag in enumerate(in_m2):
-        if flag == in_m2[(i + 1) % len(in_m2)]:
-            raise GraphError("context cycle does not alternate with the second matching")
-    c1, c2 = biskip.cycles
-    rest = [c for c in context.cycles if c != host]
-    new_context = CycleSet.from_cycles(rest + [c1, c2])
-    if not new_context.edge_count() < context.edge_count():
-        raise GraphError("biskip application failed to shrink the context")
-    flipped = matching2.edges ^ (host.edge_set() ^ c1.edge_set() ^ c2.edge_set())
-    if len(flipped) != len(matching2.edges):
-        raise GraphError("biskip application broke the matching")
-    return (PerfectMatching(frozenset(flipped), matching2.red_count + biskip.weight),
-            new_context)
+    return _swap_host(matching2, biskip.host_cycle, biskip.cycles, biskip.weight,
+                      context, "biskip")

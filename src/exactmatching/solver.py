@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # perfect_matching_on is not called here, but perfbench/tracing.py wraps it
 # under this module's name, so it stays importable from here.
@@ -148,29 +148,19 @@ class Phase1Result:
     bipartite: bool
 
 
-def _resolve_alpha(graph: ColoredGraph, params: SolverParams) -> int:
-    if params.alpha_hint is not None:
-        if params.alpha_hint < 1:
-            raise ConfigurationError(f"alpha hint must be >= 1, got {params.alpha_hint}")
-        return params.alpha_hint
+def _resolve_bound(
+    graph: ColoredGraph, hint: int | None, oracle: Callable[[ColoredGraph], int], label: str
+) -> int:
+    """The hinted bound, else ``oracle(graph)`` (at least 1)."""
+    if hint is not None:
+        if hint < 1:
+            raise ConfigurationError(f"{label} hint must be >= 1, got {hint}")
+        return hint
     try:
-        return max(1, independence_number(graph))
+        return max(1, oracle(graph))
     except OracleLimitError as exc:
         raise ConfigurationError(
-            f"cannot measure the independence bound ({exc}); pass an explicit hint"
-        ) from None
-
-
-def _resolve_beta(graph: ColoredGraph, params: SolverParams) -> int:
-    if params.beta_hint is not None:
-        if params.beta_hint < 1:
-            raise ConfigurationError(f"beta hint must be >= 1, got {params.beta_hint}")
-        return params.beta_hint
-    try:
-        return max(1, bipartite_independence_number(graph))
-    except OracleLimitError as exc:
-        raise ConfigurationError(
-            f"cannot measure the bipartite independence bound ({exc}); pass an explicit hint"
+            f"cannot measure the {label} bound ({exc}); pass an explicit hint"
         ) from None
 
 
@@ -191,10 +181,10 @@ def run_phase1(
     if bipartite is None:
         bipartite = graph.bipartition is not None
     if bipartite:
-        bound = _resolve_beta(graph, params)
+        bound = _resolve_bound(graph, params.beta_hint, bipartite_independence_number, "beta")
         threshold = 2 * 4 ** (2 * bound + 2)
     else:
-        bound = _resolve_alpha(graph, params)
+        bound = _resolve_bound(graph, params.alpha_hint, independence_number, "alpha")
         threshold = 2 * 4 ** bound
     if params.t_override is not None:
         threshold = params.t_override
@@ -306,11 +296,13 @@ def recover_from_color_guess(
 
 @dataclass(frozen=True)
 class _RecoveryContext:
-    """Per-(matching, color) state shared by every recovery attempt.
+    """Per-(matching, color) state shared by every guess and recovery attempt.
 
     Precomputing the color class, the matching's share of it, and the
     opposite-color adjacency keeps the per-guess cost independent of the
-    graph size.
+    graph size.  ``is_base[j]`` tells whether ``color_edges[j]`` is in the
+    base, ``base_of[v]`` is the index of the base edge at vertex v (or -1),
+    and ``base_left[j]`` counts the base edges at index >= j.
     """
 
     graph: ColoredGraph
@@ -320,12 +312,14 @@ class _RecoveryContext:
     base: frozenset[Edge]
     color_edges: tuple[Edge, ...]
     other_adjacency: dict[int, tuple[int, ...]]
+    is_base: tuple[bool, ...]
+    base_of: tuple[int, ...]
+    base_left: tuple[int, ...]
 
 
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
-    other = BLUE if color == RED else RED
     color_edges = []
     neighbors: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     for (u, v), c in graph.colors.items():
@@ -337,8 +331,14 @@ def _make_context(
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     target = k if color == RED else graph.n // 2 - k
     adjacency = {v: tuple(sorted(ws)) for v, ws in neighbors.items()}
-    return _RecoveryContext(graph, color, k, target, base,
-                            tuple(color_edges), adjacency)
+    is_base = tuple(e in base for e in color_edges)
+    base_of = [-1] * graph.n
+    for j, (u, v) in enumerate(color_edges):
+        if is_base[j]:
+            base_of[u] = base_of[v] = j
+    base_left = tuple(itertools.accumulate(reversed(is_base), initial=0))[::-1]
+    return _RecoveryContext(graph, color, k, target, base, tuple(color_edges),
+                            adjacency, is_base, tuple(base_of), base_left)
 
 
 def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching | None:
@@ -358,10 +358,8 @@ def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching 
     return PerfectMatching(frozenset(proposal) | frozenset(completion), ctx.k)
 
 
-def _guess_stream(
-    ctx: _RecoveryContext, limit: int
-) -> Iterator[tuple[int, tuple[Edge, ...]]]:
-    """Every guess recovery could accept, as (size, edges), by size then lex.
+def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
+    """Every guess of ``size`` edges that recovery could accept, in lex order.
 
     A guess S proposes ``base xor S`` as the solution's color class, which
     must have the exact target size and share no vertex.  So the size fixes
@@ -370,110 +368,103 @@ def _guess_stream(
     split whose proposal is vertex-disjoint.  Only guesses that recovery
     rejects are left out, so this never changes which guess succeeds first.
 
-    One explicit-stack search per size extends a partial guess by its next
-    included edge, in index order, so the stack holds one frame per guess
-    edge whatever the size of the color class.  An added edge prunes the
-    partial guess when it
+    An explicit-stack search extends a partial guess by its next included
+    edge, in index order, so the stack holds one frame per guess edge
+    whatever the size of the color class.  An added edge prunes the partial
+    guess when it
       (a) shares a vertex with another added edge,
       (b) touches an earlier base edge that was kept, or
       (c) touches a later base edge, which forces that edge's removal: the
           search never skips (keeps) a forced edge, and cuts as soon as the
           distinct forced edges outnumber the removals still allowed.
     """
-    edges = ctx.color_edges
+    edges, is_base, base_of, base_left = ctx.color_edges, ctx.is_base, ctx.base_of, ctx.base_left
     m = len(edges)
-    if ctx.target < 0 or ctx.target > m or limit < 0:
-        return
-    is_base = [e in ctx.base for e in edges]
-    base_of = [-1] * ctx.graph.n    # vertex -> index of its base edge, or -1
-    for j, (u, v) in enumerate(edges):
-        if is_base[j]:
-            base_of[u] = base_of[v] = j
-    # base_left[j]: base edges at index >= j
-    base_left = list(itertools.accumulate(reversed(is_base), initial=0))[::-1]
     n_base = base_left[0]
     gap = ctx.target - n_base
-    for size in range(limit + 1):
-        if (size - gap) % 2 != 0:
-            continue
-        nb = (size - gap) // 2      # removals still to choose
-        nn = (size + gap) // 2      # additions still to choose
-        if not (0 <= nb <= n_base and 0 <= nn <= m - n_base):
-            continue
-        if size == 0:
-            yield 0, ()
-            continue
-        chosen: list[int] = []
-        undo: list = []             # per chosen index: what to restore on pop
-        taken = [False] * m
-        used: set[int] = set()      # vertices of the added edges
-        pending: set[int] = set()   # forced base edges not chosen yet
-        j = 0
-        while True:
-            # Extend by the first admissible index >= j, never skipping a
-            # forced base edge; with none, backtrack.
-            stop = min(pending) if pending else m - 1
-            while j <= stop and base_left[j] >= nb and m - j - base_left[j] >= nn:
-                if is_base[j]:
-                    # A removal nothing forces must leave room for those (c).
-                    if nb and (j in pending or len(pending) < nb):
-                        break
-                elif nn:
-                    u, v = edges[j]
-                    if u not in used and v not in used:                 # (a)
-                        new = []
-                        for b in (base_of[u], base_of[v]):
-                            if b > j:
-                                if b not in pending:
-                                    new.append(b)
-                            elif b >= 0 and not taken[b]:                   # (b)
-                                break
-                        else:
-                            if len(pending) + len(new) <= nb:               # (c)
-                                break
-                j += 1
-            else:
-                j = -1
-            if j >= 0:
-                chosen.append(j)
-                taken[j] = True
-                if is_base[j]:
-                    nb -= 1
-                    undo.append(j in pending)
-                    pending.discard(j)
-                else:
-                    nn -= 1
-                    used.update(edges[j])
-                    undo.append(new)
-                    pending.update(new)
-                if nb or nn:
-                    j += 1
-                    continue
-                yield size, tuple(map(edges.__getitem__, chosen))
-            if not chosen:
-                break
-            j = chosen.pop()
-            info = undo.pop()
-            taken[j] = False
+    if (size - gap) % 2 != 0:
+        return
+    nb = (size - gap) // 2          # removals still to choose
+    nn = (size + gap) // 2          # additions still to choose
+    if not (0 <= nb <= n_base and 0 <= nn <= m - n_base):
+        return
+    if size == 0:
+        yield ()
+        return
+    chosen: list[int] = []
+    undo: list = []                 # per chosen index: what to restore on pop
+    taken = [False] * m
+    used: set[int] = set()          # vertices of the added edges
+    pending: set[int] = set()       # forced base edges not chosen yet
+    j = 0
+    while True:
+        # Extend by the first admissible index >= j, never skipping a
+        # forced base edge; with none, backtrack.
+        stop = min(pending) if pending else m - 1
+        while j <= stop and base_left[j] >= nb and m - j - base_left[j] >= nn:
             if is_base[j]:
-                nb += 1
-                if info:
-                    pending.add(j)
-            else:
-                nn += 1
-                used.difference_update(edges[j])
-                pending.difference_update(info)
+                # A removal nothing forces must leave room for those (c).
+                if nb and (j in pending or len(pending) < nb):
+                    break
+            elif nn:
+                u, v = edges[j]
+                if u not in used and v not in used:                     # (a)
+                    new = []
+                    for b in (base_of[u], base_of[v]):
+                        if b > j:
+                            if b not in pending:
+                                new.append(b)
+                        elif b >= 0 and not taken[b]:                   # (b)
+                            break
+                    else:
+                        if len(pending) + len(new) <= nb:               # (c)
+                            break
             j += 1
+        else:
+            j = -1
+        if j >= 0:
+            chosen.append(j)
+            taken[j] = True
+            if is_base[j]:
+                nb -= 1
+                undo.append(j in pending)
+                pending.discard(j)
+            else:
+                nn -= 1
+                used.update(edges[j])
+                undo.append(new)
+                pending.update(new)
+            if nb or nn:
+                j += 1
+                continue
+            yield tuple(map(edges.__getitem__, chosen))
+        if not chosen:
+            return
+        j = chosen.pop()
+        info = undo.pop()
+        taken[j] = False
+        if is_base[j]:
+            nb += 1
+            if info:
+                pending.add(j)
+        else:
+            nn += 1
+            used.difference_update(edges[j])
+            pending.difference_update(info)
+        j += 1
 
 
-def _first_success(
-    items: Iterator[tuple[_RecoveryContext, int, tuple[Edge, ...]]],
+def _search(
+    contexts: tuple[_RecoveryContext, ...], limit: int
 ) -> tuple[int, PerfectMatching] | None:
-    """Evaluate (context, size, guess) items in order; first hit wins."""
-    for ctx, size, guess in items:
-        pm = _recover(ctx, guess)
-        if pm is not None:
-            return size, pm
+    """First successful recovery as (guess size, solution): guesses go by
+    size up to ``limit``, then by context order, then lex."""
+    for size in range(limit + 1):
+        for ctx in contexts:
+            for guess in _guesses(ctx, size):
+                pm = _recover(ctx, guess)
+                if pm is not None:
+                    return size, pm
     return None
 
 
@@ -493,28 +484,16 @@ def small_diff_search(
     """
     if limit < 0:
         raise ConfigurationError(f"subset budget must be >= 0, got {limit}")
-    ctx = _make_context(graph, matching, k, color)
-    items = ((ctx, size, guess) for size, guess in _guess_stream(ctx, limit))
-    hit = _first_success(items)
+    hit = _search((_make_context(graph, matching, k, color),), limit)
     return hit[1] if hit is not None else None
 
 
-def _interleave(
-    red_ctx: _RecoveryContext,
-    red: Iterator[tuple[int, tuple[Edge, ...]]],
-    blue_ctx: _RecoveryContext,
-    blue: Iterator[tuple[int, tuple[Edge, ...]]],
-) -> Iterator[tuple[_RecoveryContext, int, tuple[Edge, ...]]]:
-    """Merge two size-ascending guess streams, red before blue per size."""
-    r = next(red, None)
-    b = next(blue, None)
-    while r is not None or b is not None:
-        if b is None or (r is not None and r[0] <= b[0]):
-            yield (red_ctx, r[0], r[1])
-            r = next(red, None)
-        else:
-            yield (blue_ctx, b[0], b[1])
-            b = next(blue, None)
+def _verified(graph: ColoredGraph, pm: PerfectMatching, k: int, phase: str) -> PerfectMatching:
+    """``pm`` after checking that it is a perfect matching with exactly k red
+    edges, counted from the graph rather than taken from ``pm.red_count``."""
+    if not validate_matching(graph, pm) or sum(graph.colors[e] == RED for e in pm.edges) != k:
+        raise SolverError(f"{phase} produced an invalid witness")
+    return pm
 
 
 def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) -> Verdict:
@@ -541,25 +520,17 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
         return Verdict(NO_CERTIFIED, reason="graph has no perfect matching")
     m = phase1.matching
     if m.red_count == k:
-        if not validate_matching(graph, m):
-            raise SolverError("phase-1 produced an invalid matching")
-        return Verdict(YES, witness=m, L_used=0,
+        return Verdict(YES, witness=_verified(graph, m, k, "phase 1"), L_used=0,
                        phase1_r=m.red_count, iterations=phase1.iterations)
 
     f_bound = f_beta(phase1.bound) if bipartite else f_alpha(phase1.bound)
     certified_radius = min(n, f_bound)
     limit = certified_radius if params.L_cap is None else min(params.L_cap, certified_radius)
 
-    red_ctx = _make_context(graph, m, k, RED)
-    blue_ctx = _make_context(graph, m, k, BLUE)
-    items = _interleave(red_ctx, _guess_stream(red_ctx, limit),
-                        blue_ctx, _guess_stream(blue_ctx, limit))
-    hit = _first_success(items)
+    hit = _search((_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE)), limit)
     if hit is not None:
         size, pm = hit
-        if not validate_matching(graph, pm) or pm.red_count != k:
-            raise SolverError("phase-2 produced an invalid witness")
-        return Verdict(YES, witness=pm, L_used=size,
+        return Verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size,
                        phase1_r=m.red_count, iterations=phase1.iterations)
     if limit >= certified_radius:
         return Verdict(NO_CERTIFIED, reason="exhausted the certified search radius",

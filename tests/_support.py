@@ -8,15 +8,21 @@ violation strings; an empty list means the structure is valid.
 
 ``naive_find_skip`` and ``naive_find_biskip`` are the straightforward
 shortcut searches that rebuild every candidate cycle, kept as the
-reference the library's searches are tested against.
+reference the library's searches are tested against.  ``naive_solve`` is
+the witness contract of ``solve_em`` spelled out with plain combinations.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from exactmatching import (
     BLUE,
+    NO_CERTIFIED,
     RED,
     SKIP_WEIGHTS,
+    UNKNOWN,
+    YES,
     AlternatingCycle,
     Biskip,
     ColoredGraph,
@@ -24,7 +30,10 @@ from exactmatching import (
     MatchingOrientation,
     PerfectMatching,
     Skip,
+    SolverParams,
+    run_phase1,
 )
+from exactmatching import solver as solver_mod
 from exactmatching.skips import _directed_order
 
 
@@ -306,3 +315,45 @@ def naive_find_biskip(view, matching, cycle, weight_filter):
                 continue
             return Biskip(a1, a2, weight, (c1, c2), cycle)
     return None
+
+
+# -- the phase-2 witness contract, unpruned ------------------------------------------
+
+
+def naive_first_success(contexts, limit):
+    """(size, solution) of the first guess that recovery completes, or None.
+
+    Guesses go by size ascending, then context order, then
+    ``itertools.combinations`` order of the sorted color class; every
+    combination is handed to recovery, with no pruning.
+    """
+    for size in range(limit + 1):
+        for ctx in contexts:
+            for guess in itertools.combinations(ctx.color_edges, size):
+                pm = solver_mod._recover(ctx, guess)
+                if pm is not None:
+                    return size, pm
+    return None
+
+
+def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None):
+    """(status, witness, L_used) that ``solve_em`` must return on a graph
+    with an even vertex count, 0 <= k <= n/2 and n below the certified
+    radius f(bound), which holds for every bound.
+
+    The phase-1 matching is the anchor; red guesses go before blue at each
+    size.  Exhausting radius n certifies a no, a smaller ``L_cap`` gives
+    unknown.
+    """
+    params = params or SolverParams()
+    anchor = run_phase1(graph, k, params).matching
+    if anchor is None:
+        return NO_CERTIFIED, None, 0
+    if anchor.red_count == k:
+        return YES, anchor, 0
+    limit = graph.n if params.L_cap is None else min(params.L_cap, graph.n)
+    contexts = [solver_mod._make_context(graph, anchor, k, c) for c in (RED, BLUE)]
+    hit = naive_first_success(contexts, limit)
+    if hit is not None:
+        return YES, hit[1], hit[0]
+    return (NO_CERTIFIED if limit == graph.n else UNKNOWN), None, limit

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -13,10 +15,13 @@ from exactmatching import (
     GraphError,
     PerfectMatching,
     SkipSearchError,
+    SolverError,
     SolverParams,
     approx_em,
     approx_em_bipartite,
+    count_perfect_matchings,
     em_decide_bruteforce,
+    enumerate_perfect_matchings,
     f_alpha,
     f_beta,
     gen_planted_yes,
@@ -30,7 +35,10 @@ from exactmatching import (
     validate_matching,
 )
 from exactmatching import BaseFamily
+from exactmatching import engines
 from exactmatching import solver as solver_mod
+
+from ._support import naive_first_success, naive_solve
 
 
 def double_c4(bipartite=False):
@@ -190,22 +198,50 @@ class TestRecovery:
         with pytest.raises(GraphError):
             recover_from_color_guess(c4, blue_pm, [(0, 5)], RED, 2)
 
-    def test_fast_path_agrees_with_public_path(self):
-        import itertools
-        for seed in range(12):
-            g = random_colored_graph(8, 0.6, seed)
-            pms = [pm for pm in [solver_mod.min_red_pm(g)] if pm is not None]
-            if not pms:
-                continue
-            pm = pms[0]
+    def test_completion_agrees_with_enumeration(self, monkeypatch):
+        # Completion on opposite-color remainders against the oracles, which
+        # see the remainder relabeled in order onto 0..len-1.
+        blossom_calls = []
+        blossom = engines._blossom_match
+        monkeypatch.setattr(engines, "_blossom_match",
+                            lambda *args: blossom_calls.append(1) or blossom(*args))
+        rng = random.Random(5)
+        exists = 0
+        for seed in range(40):
+            n = rng.choice((6, 8, 10, 12))
+            g = random_colored_graph(n, rng.choice((0.3, 0.6, 0.9)), seed)
             for color in (RED, BLUE):
-                k = 1
-                ctx = solver_mod._make_context(g, pm, k, color)
-                pool = ctx.color_edges[:6]
-                for size in range(3):
-                    for guess in itertools.combinations(pool, size):
-                        assert (solver_mod._recover(ctx, guess)
-                                == recover_from_color_guess(g, pm, guess, color, k))
+                # The base plays no part in the opposite-color adjacency.
+                ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
+                other = BLUE if color == RED else RED
+                for _ in range(4):
+                    free = sorted(rng.sample(range(n), 2 * rng.randint(0, n // 2)))
+                    index = {v: i for i, v in enumerate(free)}
+                    sub = ColoredGraph(len(free), {
+                        (index[u], index[v]): other
+                        for u in free for v in ctx.other_adjacency[u]
+                        if u < v and v in index})
+                    got = solver_mod.perfect_matching_on_adjacency(ctx.other_adjacency, free)
+                    assert (got is not None) == (count_perfect_matchings(sub) > 0)
+                    first = next(enumerate_perfect_matchings(sub), None)
+                    want = None if first is None else tuple(
+                        sorted((free[a], free[b]) for a, b in first.edges))
+                    assert got == want
+                    if not free:
+                        continue
+                    calls = len(blossom_calls)
+                    with monkeypatch.context() as budget:
+                        budget.setattr(engines, "_SEARCH_BUDGET", 1)
+                        fallback = solver_mod.perfect_matching_on_adjacency(
+                            ctx.other_adjacency, free)
+                    assert (fallback is not None) == (got is not None)
+                    if fallback is not None:
+                        # Budget 1 runs out at the first pair, so blossom found it.
+                        assert len(blossom_calls) == calls + 1
+                        exists += 1
+                        assert sorted(w for e in fallback for w in e) == free
+                        assert all(v in ctx.other_adjacency[u] for u, v in fallback)
+        assert exists > 50
 
 
 # -- phase 2: the guess stream ------------------------------------------------------
@@ -214,7 +250,6 @@ class TestRecovery:
 def naive_guesses(ctx, limit):
     """Reference enumeration: every subset of the color class up to the size
     limit, in (size, lex) order, that proposes exactly the target size."""
-    import itertools
     out = []
     for size in range(limit + 1):
         for combo in itertools.combinations(ctx.color_edges, size):
@@ -242,9 +277,9 @@ class TestGuessStream:
                         ctx = solver_mod._make_context(g, pm, k, color)
                         want = [item for item in naive_guesses(ctx, n)
                                 if disjoint_proposal(ctx, item[1])]
-                        for limit in (3, n):
-                            assert list(solver_mod._guess_stream(ctx, limit)) == [
-                                item for item in want if item[0] <= limit]
+                        for size in range(n + 1):
+                            assert list(solver_mod._guesses(ctx, size)) == [
+                                guess for s, guess in want if s == size]
 
     def test_first_witness_matches_naive_first_success(self):
         hits = 0
@@ -263,14 +298,28 @@ class TestGuessStream:
             hits += 1
         assert hits > 0
 
-    def test_interleave_orders_red_before_blue_per_size(self):
-        red = iter([(0, ("r0",)), (2, ("r2",))])
-        blue = iter([(0, ("b0",)), (1, ("b1",)), (2, ("b2",))])
-        merged = list(solver_mod._interleave("RC", red, "BC", blue))
-        assert merged == [
-            ("RC", 0, ("r0",)), ("BC", 0, ("b0",)), ("BC", 1, ("b1",)),
-            ("RC", 2, ("r2",)), ("BC", 2, ("b2",)),
-        ]
+    def test_witness_contract_matches_naive_reference(self):
+        # solve_em: guesses by size, red before blue, lex; small_diff_search:
+        # the same over one color.  Both against unpruned combinations.
+        outcomes = set()
+        for n, p in ((6, 0.6), (8, 0.5), (10, 0.4)):
+            for seed in range(6):
+                g = random_colored_graph(n, p, seed + 100)
+                pm = solver_mod.min_red_pm(g)
+                for k in range(n // 2 + 1):
+                    for params in (SolverParams(), SolverParams(L_cap=2)):
+                        v = solve_em(g, k, params)
+                        want = naive_solve(g, k, params)
+                        assert (v.status, v.witness, v.L_used) == want
+                        outcomes.add((v.status, v.L_used > 0))
+                    if pm is None:
+                        continue
+                    for color in (RED, BLUE):
+                        ctx = solver_mod._make_context(g, pm, k, color)
+                        hit = naive_first_success([ctx], n)
+                        assert small_diff_search(g, pm, k, n, color) == (
+                            hit[1] if hit is not None else None)
+        assert {(YES, True), (YES, False), (NO_CERTIFIED, True), (UNKNOWN, True)} <= outcomes
 
 
 class TestSmallDiffSearch:
@@ -338,6 +387,19 @@ class TestSolveEm:
     def test_skip_search_failure_propagates(self):
         with pytest.raises(SkipSearchError):
             solve_em(double_c4(), 2, SolverParams(t_override=1))
+
+    def test_phase2_witness_red_count_is_recounted(self, c4, monkeypatch):
+        # A perfect matching with two reds, stamped as one.
+        wrong = PerfectMatching(frozenset({(0, 1), (2, 3)}), 1)
+        monkeypatch.setattr(solver_mod, "_recover", lambda ctx, guess: wrong)
+        with pytest.raises(SolverError):
+            solve_em(c4, 1)
+
+    def test_phase1_witness_red_count_is_recounted(self, c4, monkeypatch):
+        wrong = PerfectMatching(frozenset({(0, 1), (2, 3)}), 1)
+        monkeypatch.setattr(solver_mod, "max_red_pm", lambda graph: wrong)
+        with pytest.raises(SolverError):
+            solve_em(c4, 1)
 
     def test_matches_oracle_on_small_graphs(self):
         for seed in range(25):
