@@ -1,0 +1,677 @@
+"""Maximum-weight maximum-cardinality matching on vertices ``0..n-1``.
+
+This is a translation of ``max_weight_matching(G, maxcardinality=True)``
+from networkx 3.6 (``networkx/algorithms/matching.py``), restricted to
+integer weights, onto integer vertex ids.  The algorithm is Edmonds'
+primal-dual blossom method as presented in Z. Galil, "Efficient Algorithms
+for Finding Maximum Matching in Graphs", ACM Computing Surveys 18(1), 1986;
+the comments below use Galil's terms.
+
+What changes against networkx is the representation, not the choices:
+
+- the dicts keyed by vertex or blossom become lists indexed by id, where
+  vertices are ``0..n-1`` and non-trivial blossoms take ids ``n..2n-1``
+  from a free pool;
+- live blossoms stay in ``blossomdual``, a dict in creation order, so every
+  loop that networkx runs over its ``blossomdual`` or ``blossomparent`` dict
+  visits blossoms in the same order;
+- neighbors are visited in the caller's ``adj[v]`` order, which plays the
+  part of networkx's adjacency order;
+- the delta2 and delta3 scans over the vertices share one pass that keeps
+  each one's first minimum, and the internal ``assert`` checks are gone.
+
+Every stage, scan and delta loop therefore breaks ties as networkx does, and
+on the same graph (same node order, same neighbor order, same integer
+weights) the matching is networkx's own.  ``expand_blossom`` and
+``augment_blossom`` keep networkx's trampolines, so nesting depth is not
+bounded by the interpreter's recursion limit.  The optimality check stays,
+builds each vertex's chain of enclosing blossoms once instead of once per
+edge, and raises ``OptimalityError`` rather than using ``assert``.
+
+The networkx original is distributed under the 3-clause BSD license:
+
+    Copyright (c) 2004-2025, NetworkX Developers
+    Aric Hagberg <hagberg@lanl.gov>
+    Dan Schult <dschult@colgate.edu>
+    Pieter Swart <swart@lanl.gov>
+    All rights reserved.
+
+    Redistribution and use in source and binary forms, with or without
+    modification, are permitted provided that the following conditions are
+    met:
+
+      * Redistributions of source code must retain the above copyright
+        notice, this list of conditions and the following disclaimer.
+
+      * Redistributions in binary form must reproduce the above
+        copyright notice, this list of conditions and the following
+        disclaimer in the documentation and/or other materials provided
+        with the distribution.
+
+      * Neither the name of the NetworkX Developers nor the names of its
+        contributors may be used to endorse or promote products derived
+        from this software without specific prior written permission.
+
+    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+
+class OptimalityError(RuntimeError):
+    """The matching failed its dual optimality check: a bug, not bad input."""
+
+
+def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
+    """A maximum-cardinality matching of maximum total weight.
+
+    ``adj[v]`` maps each neighbor ``w`` of vertex ``v`` to the integer weight
+    of edge ``vw``; it must be symmetric and have no self-loops.  Returns
+    ``mate`` with ``mate[v]`` the partner of ``v``, or -1 if ``v`` is single.
+    """
+    n = len(adj)
+    if n == 0:
+        return []
+    nb = 2 * n      # vertex ids 0..n-1, blossom ids n..2n-1
+
+    maxweight = 0
+    for nbrs in adj:
+        for wt in nbrs.values():
+            if wt > maxweight:
+                maxweight = wt
+
+    # mate[v] is v's partner, or -1 if v is single.
+    mate = [-1] * n
+    # label[b] of a top-level blossom b: 0 free, 1 S, 2 T (5 is a
+    # breadcrumb of scan_blossom).  label[v] of a vertex inside a T-blossom
+    # is 2 iff v is reachable from an S-vertex outside the blossom.
+    label = [0] * nb
+    # labeledge[b] = (v, w), the edge through which b got its label, with w
+    # in b; None if b's base is single.  Likewise for reached vertices in a
+    # T-blossom.
+    labeledge: list[tuple[int, int] | None] = [None] * nb
+    # inblossom[v] is the top-level blossom containing vertex v.
+    inblossom = list(range(n))
+    # blossomparent[b] is b's immediate parent blossom, or -1 at top level.
+    blossomparent = [-1] * nb
+    # blossombase[b] is the base vertex of (sub-)blossom b.
+    blossombase = list(range(n)) + [-1] * n
+    # bestedge[w] of a free vertex (or unreached vertex in a T-blossom) is
+    # the least-slack edge from an S-vertex; bestedge[b] of a top-level
+    # S-blossom is its least-slack edge to a different S-blossom.
+    bestedge: list[tuple[int, int] | None] = [None] * nb
+    # dualvar[v] = 2 u(v), so that all duals stay integers.
+    dualvar = [maxweight] * n
+    # blossomdual[b] = z(b) of each live non-trivial blossom, in creation
+    # order: this dict is also the live-blossom list.
+    blossomdual: dict[int, int] = {}
+    # Per blossom: sub-blossoms from the base round the cycle, connecting
+    # edges (childedges[b][i] joins childs[b][i] to childs[b][i+1]), and,
+    # for a top-level S-blossom, least-slack edges to neighboring
+    # S-blossoms (None if not computed yet).
+    childs: list[list[int]] = [[] for _ in range(nb)]
+    childedges: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
+    mybestedges: list[list[tuple[int, int]] | None] = [None] * nb
+    unused = list(range(nb - 1, n - 1, -1))
+    # Edges (v, w) known to have zero slack, encoded as v * n + w, with
+    # both orientations present.
+    allowedge: set[int] = set()
+    queue: list[int] = []
+
+    def leaves(b: int) -> list[int]:
+        # The leaf vertices of blossom b, in networkx's order.
+        out = []
+        stack = childs[b][:]
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(childs[t])
+            else:
+                out.append(t)
+        return out
+
+    def slack(v: int, w: int) -> int:
+        # 2 * slack of edge vw (not valid inside blossoms).
+        return dualvar[v] + dualvar[w] - 2 * adj[v][w]
+
+    def assign_label(w: int, t: int, v: int | None) -> None:
+        # Label the top-level blossom containing w with t, reached from v.
+        b = inblossom[w]
+        label[w] = label[b] = t
+        if v is not None:
+            labeledge[w] = labeledge[b] = (v, w)
+        else:
+            labeledge[w] = labeledge[b] = None
+        bestedge[w] = bestedge[b] = None
+        if t == 1:
+            # b became an S-blossom: queue its vertices.
+            if b >= n:
+                queue.extend(leaves(b))
+            else:
+                queue.append(b)
+        elif t == 2:
+            # b became a T-blossom: its base's mate becomes S.
+            base = blossombase[b]
+            assign_label(mate[base], 1, base)
+
+    def scan_blossom(v: int, w: int) -> int:
+        # Trace back from v and w; the base of a new blossom, or -1 if
+        # the two paths end at different single vertices (augmenting path).
+        path = []
+        base = -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                base = blossombase[b]
+                break
+            path.append(b)
+            label[b] = 5
+            if labeledge[b] is None:
+                # The base of b is single; stop tracing this path.
+                v = -1
+            else:
+                v = labeledge[b][0]
+                b = inblossom[v]
+                # b is a T-blossom; trace one more step back.
+                v = labeledge[b][0]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return base
+
+    def add_blossom(base: int, v: int, w: int) -> None:
+        # New S-blossom with the given base, through S-vertices v and w.
+        bb = inblossom[base]
+        bv = inblossom[v]
+        bw = inblossom[w]
+        b = unused.pop()
+        blossombase[b] = base
+        blossomparent[b] = -1
+        blossomparent[bb] = b
+        path = []
+        edgs = [(v, w)]
+        # Trace back from v to base.
+        while bv != bb:
+            blossomparent[bv] = b
+            path.append(bv)
+            edgs.append(labeledge[bv])
+            v = labeledge[bv][0]
+            bv = inblossom[v]
+        path.append(bb)
+        path.reverse()
+        edgs.reverse()
+        # Trace back from w to base.
+        while bw != bb:
+            blossomparent[bw] = b
+            path.append(bw)
+            le = labeledge[bw]
+            edgs.append((le[1], le[0]))
+            w = le[0]
+            bw = inblossom[w]
+        childs[b] = path
+        childedges[b] = edgs
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        blossomdual[b] = 0
+        # T-vertices turn into S-vertices as part of an S-blossom.
+        for v in leaves(b):
+            if label[inblossom[v]] == 2:
+                queue.append(v)
+            inblossom[v] = b
+        # Least-slack edges to other S-blossoms, from the sub-blossoms'
+        # lists where they exist and from the vertices otherwise.
+        bestedgeto: dict[int, tuple[int, int]] = {}
+        for bv in path:
+            if bv >= n:
+                if mybestedges[bv] is not None:
+                    nblist = mybestedges[bv]
+                    mybestedges[bv] = None
+                else:
+                    nblist = [(v, w) for v in leaves(bv) for w in adj[v]]
+            else:
+                nblist = [(bv, w) for w in adj[bv]]
+            for k in nblist:
+                i, j = k
+                if inblossom[j] == b:
+                    i, j = j, i
+                bj = inblossom[j]
+                if (bj != b and label[bj] == 1
+                        and (bj not in bestedgeto
+                             or slack(i, j) < slack(*bestedgeto[bj]))):
+                    bestedgeto[bj] = k
+            bestedge[bv] = None
+        mybestedges[b] = best_list = list(bestedgeto.values())
+        mybestedge = None
+        for k in best_list:
+            kslack = slack(*k)
+            if mybestedge is None or kslack < mybestslack:
+                mybestedge = k
+                mybestslack = kslack
+        bestedge[b] = mybestedge
+
+    def expand_blossom(b: int, endstage: bool) -> None:
+        # Turn the sub-blossoms of top-level blossom b into top-level
+        # blossoms, through a trampoline of generators that yield the
+        # sub-blossoms to expand recursively.
+
+        def _recurse(b: int, endstage: bool):
+            for s in childs[b]:
+                blossomparent[s] = -1
+                if s >= n:
+                    if endstage and blossomdual[s] == 0:
+                        yield s
+                    else:
+                        for v in leaves(s):
+                            inblossom[v] = s
+                else:
+                    inblossom[s] = s
+            # A T-blossom expanded during a stage has its sub-blossoms
+            # relabeled, from the one it got its label through round to
+            # the base.
+            if not endstage and label[b] == 2:
+                ch = childs[b]
+                ce = childedges[b]
+                entrychild = inblossom[labeledge[b][1]]
+                j = ch.index(entrychild)
+                if j & 1:
+                    # Odd start: go forward and wrap.
+                    j -= len(ch)
+                    jstep = 1
+                else:
+                    # Even start: go backward.
+                    jstep = -1
+                v, w = labeledge[b]
+                while j != 0:
+                    # Relabel the T-sub-blossom.
+                    if jstep == 1:
+                        p, q = ce[j]
+                    else:
+                        q, p = ce[j - 1]
+                    label[w] = 0
+                    label[q] = 0
+                    assign_label(w, 2, v)
+                    # Step to the next S-sub-blossom and note its forward edge.
+                    allowedge.add(p * n + q)
+                    allowedge.add(q * n + p)
+                    j += jstep
+                    if jstep == 1:
+                        v, w = ce[j]
+                    else:
+                        w, v = ce[j - 1]
+                    # Step to the next T-sub-blossom.
+                    allowedge.add(v * n + w)
+                    allowedge.add(w * n + v)
+                    j += jstep
+                # Relabel the base T-sub-blossom without stepping through to
+                # its mate.
+                bw = ch[j]
+                label[w] = label[bw] = 2
+                labeledge[w] = labeledge[bw] = (v, w)
+                bestedge[bw] = None
+                # Continue round to entrychild, labeling T any sub-blossom
+                # reachable from an S-vertex outside the expanding blossom.
+                j += jstep
+                while ch[j] != entrychild:
+                    bv = ch[j]
+                    if label[bv] == 1:
+                        # It just got label S through a neighbor; leave it.
+                        j += jstep
+                        continue
+                    if bv >= n:
+                        for v in leaves(bv):
+                            if label[v]:
+                                break
+                    else:
+                        v = bv
+                    if label[v]:
+                        label[v] = 0
+                        label[mate[blossombase[bv]]] = 0
+                        assign_label(v, 2, labeledge[v][0])
+                    j += jstep
+            # Remove the expanded blossom entirely.
+            label[b] = 0
+            labeledge[b] = None
+            bestedge[b] = None
+            blossomparent[b] = -1
+            blossombase[b] = -1
+            del blossomdual[b]
+            unused.append(b)
+
+        stack = [_recurse(b, endstage)]
+        while stack:
+            top = stack[-1]
+            for s in top:
+                stack.append(_recurse(s, endstage))
+                break
+            else:
+                stack.pop()
+
+    def augment_blossom(b: int, v: int) -> None:
+        # Swap matched and unmatched edges on the alternating path through
+        # blossom b from vertex v to the base, with the same trampoline.
+
+        def _recurse(b: int, v: int):
+            # Bubble up from v to an immediate sub-blossom of b.
+            t = v
+            while blossomparent[t] != b:
+                t = blossomparent[t]
+            if t >= n:
+                yield (t, v)
+            ch = childs[b]
+            ce = childedges[b]
+            i = j = ch.index(t)
+            if i & 1:
+                # Odd start: go forward and wrap.
+                j -= len(ch)
+                jstep = 1
+            else:
+                # Even start: go backward.
+                jstep = -1
+            while j != 0:
+                # Step to the next sub-blossom and augment it.
+                j += jstep
+                t = ch[j]
+                if jstep == 1:
+                    w, x = ce[j]
+                else:
+                    x, w = ce[j - 1]
+                if t >= n:
+                    yield (t, w)
+                # Step to the next sub-blossom and augment it.
+                j += jstep
+                t = ch[j]
+                if t >= n:
+                    yield (t, x)
+                # Match the edge connecting those sub-blossoms.
+                mate[w] = x
+                mate[x] = w
+            # Rotate the sub-blossoms so the new base comes first.
+            childs[b] = ch[i:] + ch[:i]
+            childedges[b] = ce[i:] + ce[:i]
+            blossombase[b] = blossombase[childs[b][0]]
+
+        stack = [_recurse(b, v)]
+        while stack:
+            top = stack[-1]
+            for args in top:
+                stack.append(_recurse(*args))
+                break
+            else:
+                stack.pop()
+
+    def augment_matching(v: int, w: int) -> None:
+        # Augment along the path through S-vertices v and w between two
+        # single vertices.
+        for s, j in ((v, w), (w, v)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = j
+                if labeledge[bs] is None:
+                    # Reached a single vertex.
+                    break
+                t = labeledge[bs][0]
+                bt = inblossom[t]
+                s, j = labeledge[bt]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = s
+
+    blank_labels = [0] * nb
+    blank_edges: list[None] = [None] * nb
+    while True:
+        # A stage: find one augmenting path.
+        label[:] = blank_labels
+        labeledge[:] = blank_edges
+        bestedge[:] = blank_edges
+        for b in blossomdual:
+            mybestedges[b] = None
+        allowedge.clear()
+        queue.clear()
+
+        # Single vertices become S and enter the queue (assign_label with
+        # no source edge, inlined: labeledge and bestedge are already None).
+        for v in range(n):
+            if mate[v] == -1:
+                b = inblossom[v]
+                if label[b] == 0:
+                    label[v] = label[b] = 1
+                    if b >= n:
+                        queue.extend(leaves(b))
+                    else:
+                        queue.append(b)
+
+        augmented = False
+        while True:
+            # A substage: label until an augmenting path turns up or the
+            # queue runs dry, then move the duals.
+            while queue and not augmented:
+                v = queue.pop()
+                bv = inblossom[v]
+                adjv = adj[v]
+                dv = dualvar[v]
+                for w in adjv:
+                    bw = inblossom[w]
+                    if bv == bw:
+                        # Internal to a blossom.
+                        continue
+                    allowed = v * n + w in allowedge
+                    if not allowed:
+                        kslack = dv + dualvar[w] - 2 * adjv[w]
+                        if kslack <= 0:
+                            allowedge.add(v * n + w)
+                            allowedge.add(w * n + v)
+                            allowed = True
+                    if allowed:
+                        lbw = label[bw]
+                        if lbw == 0:
+                            # (C1) w is free: w becomes T, its mate S.
+                            assign_label(w, 2, v)
+                        elif lbw == 1:
+                            # (C2) w is an S-vertex in another blossom.
+                            base = scan_blossom(v, w)
+                            if base != -1:
+                                add_blossom(base, v, w)
+                                bv = inblossom[v]
+                            else:
+                                augment_matching(v, w)
+                                augmented = True
+                                break
+                        elif label[w] == 0:
+                            # w is in a T-blossom and not reached yet: mark
+                            # it reached for relabeling on expansion.
+                            label[w] = 2
+                            labeledge[w] = (v, w)
+                    elif label[bw] == 1:
+                        # Least-slack edge to a different S-blossom.
+                        be = bestedge[bv]
+                        if be is None or kslack < slack(*be):
+                            bestedge[bv] = (v, w)
+                    elif label[w] == 0:
+                        # Least-slack edge to a vertex not reachable yet.
+                        be = bestedge[w]
+                        if be is None or kslack < slack(*be):
+                            bestedge[w] = (v, w)
+
+            if augmented:
+                break
+
+            # No augmenting path under these constraints: compute delta
+            # (pre-multiplied by two, as the duals are).
+            deltatype = -1
+            delta = 0
+            deltaedge = None
+            deltablossom = -1
+
+            # delta2: least slack of an edge from an S-vertex to a free one;
+            # delta3: half the least slack of an edge between S-blossoms,
+            # over top-level vertices and then blossoms in creation order.
+            # One pass over the vertices keeps the first minimum of each; a
+            # delta3 candidate then wins only below delta2, as in two passes.
+            delta3 = -1
+            edge3 = None
+            for v in range(n):
+                be = bestedge[v]
+                if be is not None:
+                    lb = label[inblossom[v]]
+                    if lb == 0:
+                        d = slack(*be)
+                        if deltatype == -1 or d < delta:
+                            delta = d
+                            deltatype = 2
+                            deltaedge = be
+                    elif lb == 1 and blossomparent[v] == -1:
+                        d = slack(*be) // 2
+                        if edge3 is None or d < delta3:
+                            delta3 = d
+                            edge3 = be
+            if edge3 is not None and (deltatype == -1 or delta3 < delta):
+                delta = delta3
+                deltatype = 3
+                deltaedge = edge3
+            for b in blossomdual:
+                be = bestedge[b]
+                if be is not None and blossomparent[b] == -1 and label[b] == 1:
+                    d = slack(*be) // 2
+                    if deltatype == -1 or d < delta:
+                        delta = d
+                        deltatype = 3
+                        deltaedge = be
+
+            # delta4: least z of a T-blossom.
+            for b, z in blossomdual.items():
+                if (blossomparent[b] == -1 and label[b] == 2
+                        and (deltatype == -1 or z < delta)):
+                    delta = z
+                    deltatype = 4
+                    deltablossom = b
+
+            if deltatype == -1:
+                # Max-cardinality optimum reached: a last dual update makes
+                # it verifiable.
+                deltatype = 1
+                delta = max(0, min(dualvar))
+
+            for v in range(n):
+                lb = label[inblossom[v]]
+                if lb == 1:
+                    dualvar[v] -= delta
+                elif lb == 2:
+                    dualvar[v] += delta
+            for b in blossomdual:
+                if blossomparent[b] == -1:
+                    if label[b] == 1:
+                        blossomdual[b] += delta
+                    elif label[b] == 2:
+                        blossomdual[b] -= delta
+
+            if deltatype == 1:
+                break
+            elif deltatype == 2 or deltatype == 3:
+                # Continue the search through the least-slack edge.
+                v, w = deltaedge
+                allowedge.add(v * n + w)
+                allowedge.add(w * n + v)
+                queue.append(v)
+            else:
+                expand_blossom(deltablossom, False)
+
+        if not augmented:
+            break
+
+        # End of a stage: expand the S-blossoms whose dual is zero.
+        for b in list(blossomdual):
+            if b not in blossomdual:
+                continue    # already expanded
+            if blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
+                expand_blossom(b, True)
+
+    _verify_optimum(adj, mate, dualvar, blossomparent, blossomdual, childedges)
+    return mate
+
+
+def _verify_optimum(
+    adj: Sequence[Mapping[int, int]],
+    mate: list[int],
+    dualvar: list[int],
+    blossomparent: list[int],
+    blossomdual: Mapping[int, int],
+    childedges: list[list[tuple[int, int]]],
+) -> None:
+    """Check the complementary-slackness conditions of the optimum.
+
+    Raises ``OptimalityError`` at the first condition that fails.
+    """
+    n = len(adj)
+    # Vertex duals may be negative: shift them all by one non-negative
+    # constant.
+    vdualoffset = max(0, -min(dualvar))
+    # 0. all blossom duals are non-negative;
+    if blossomdual and min(blossomdual.values()) < 0:
+        raise OptimalityError("negative blossom dual")
+    # The matching is symmetric and made of edges.
+    for v, m in enumerate(mate):
+        if m != -1 and (mate[m] != v or m not in adj[v]):
+            raise OptimalityError(f"vertex {v} is matched to {m} one way or off the graph")
+    # Each vertex's enclosing blossoms, top level first, built once.
+    chains: list[list[int]] = []
+    for v in range(n):
+        chain = []
+        b = blossomparent[v]
+        while b != -1:
+            chain.append(b)
+            b = blossomparent[b]
+        chain.reverse()
+        chains.append(chain)
+
+    def edge_slack(i: int, j: int, wt: int) -> int:
+        # 2 * slack of edge ij, with the duals of the blossoms around both.
+        s = dualvar[i] + dualvar[j] - 2 * wt
+        for bi, bj in zip(chains[i], chains[j]):
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        return s
+
+    # 0. all edges have non-negative slack and
+    # 1. all matched edges have zero slack.  Blossom duals are non-negative,
+    # so when no edge at i has negative slack without them, none has with
+    # them, and only then is each edge's slack taken exactly.
+    for i in range(n):
+        nbrs = adj[i]
+        if not nbrs:
+            continue
+        if dualvar[i] + min([dualvar[j] - 2 * wt for j, wt in nbrs.items()]) < 0:
+            for j, wt in nbrs.items():
+                if edge_slack(i, j, wt) < 0:
+                    raise OptimalityError(f"edge ({i}, {j}) has negative slack")
+        m = mate[i]
+        if m != -1 and edge_slack(i, m, nbrs[m]) != 0:
+            raise OptimalityError(f"matched edge ({i}, {m}) has nonzero slack")
+    # 2. all single vertices have zero dual;
+    for v in range(n):
+        if mate[v] == -1 and dualvar[v] + vdualoffset != 0:
+            raise OptimalityError(f"single vertex {v} has nonzero dual")
+    # 3. all blossoms with positive dual are full.
+    for b, z in blossomdual.items():
+        if z > 0:
+            edges = childedges[b]
+            if len(edges) % 2 != 1:
+                raise OptimalityError(f"blossom {b} has an even cycle")
+            for i, j in edges[1::2]:
+                if mate[i] != j or mate[j] != i:
+                    raise OptimalityError(f"blossom {b} with positive dual is not full")

@@ -1,9 +1,10 @@
 """Exact optimum-weight perfect matching engines.
 
-The heavy lifting is delegated to networkx's blossom implementation
-(``max_weight_matching`` with ``maxcardinality=True``), which is exact for
-integer weights.  A maximum-cardinality matching of maximum weight is a
-maximum-weight perfect matching whenever a perfect matching exists at all,
+The heavy lifting is done by the blossom engine in ``blossom`` (Edmonds'
+primal-dual method, translated from networkx's ``max_weight_matching`` with
+``maxcardinality=True``), which is exact for integer weights and runs on the
+standard library alone.  A maximum-cardinality matching of maximum weight is
+a maximum-weight perfect matching whenever a perfect matching exists at all,
 so perfection is detected by size.
 """
 
@@ -11,9 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-
-from .graphs import BLUE, RED, ColoredGraph, Edge, GraphError, PerfectMatching
+from .blossom import max_weight_matching
+from .graphs import RED, ColoredGraph, Edge, GraphError, PerfectMatching
 
 
 def max_weight_perfect_matching(
@@ -22,36 +22,55 @@ def max_weight_perfect_matching(
 ) -> PerfectMatching | None:
     """A perfect matching of maximum total ``weights``, or None if none exists.
 
-    ``weights`` must assign an integer to every edge of the graph.  Among
+    ``weights`` must assign an ``int`` to every edge of the graph.  Among
     equal-weight optima the choice is deterministic but otherwise arbitrary.
     """
+    adj: list[dict[int, int]] = [{} for _ in range(graph.n)]
     for e in graph.colors:
         if e not in weights:
             raise GraphError(f"no weight given for edge {e}")
-    if graph.n % 2 != 0:
-        return None
-    if graph.n == 0:
-        return PerfectMatching(frozenset(), 0)
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.n))
-    for e in graph.edges():
-        g.add_edge(*e, weight=weights[e])
-    mate = nx.max_weight_matching(g, maxcardinality=True)
-    if 2 * len(mate) != graph.n:
-        return None
-    return PerfectMatching.from_edges(graph, mate)
+        w = weights[e]
+        if type(w) is not int:
+            raise GraphError(f"weight {w!r} of edge {e} is not an int")
+        u, v = e
+        adj[u][v] = w
+        adj[v][u] = w
+    return _best_perfect(graph, adj)
 
 
 def min_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as few red edges as possible."""
-    weights = {e: (-1 if c == RED else 0) for e, c in graph.colors.items()}
-    return max_weight_perfect_matching(graph, weights)
+    return _best_perfect(graph, _red_weighted(graph, -1))
 
 
 def max_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as many red edges as possible."""
-    weights = {e: (1 if c == RED else 0) for e, c in graph.colors.items()}
-    return max_weight_perfect_matching(graph, weights)
+    return _best_perfect(graph, _red_weighted(graph, 1))
+
+
+def _red_weighted(graph: ColoredGraph, red: int) -> list[dict[int, int]]:
+    adj: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, v), c in graph.colors.items():
+        w = red if c == RED else 0
+        adj[u][v] = w
+        adj[v][u] = w
+    return adj
+
+
+def _best_perfect(graph: ColoredGraph, adj: list[dict[int, int]]) -> PerfectMatching | None:
+    """Blossom on ``graph`` with ``adj[v]`` mapping each neighbor of ``v`` to
+    the edge weight.  ``adj`` is filled in the sorted order of
+    ``graph.colors``, so every neighbor map is ascending, as networkx's
+    adjacency is when a graph is built edge by edge in that order."""
+    if graph.n % 2 != 0:
+        return None
+    if graph.n == 0:
+        return PerfectMatching(frozenset(), 0)
+    mate = max_weight_matching(adj)
+    if -1 in mate:
+        return None
+    return PerfectMatching.from_edges(
+        graph, [(u, v) for u, v in enumerate(mate) if u < v])
 
 
 _SEARCH_BUDGET = 60_000
@@ -115,13 +134,18 @@ def _backtrack_match(
 
 
 def _blossom_match(pairs: list[Edge], verts: list[int]) -> tuple[Edge, ...] | None:
-    g = nx.Graph()
-    g.add_nodes_from(verts)
-    g.add_edges_from(sorted(pairs))
-    mate = nx.max_weight_matching(g, maxcardinality=True)
-    if 2 * len(mate) != len(verts):
+    """Blossom on ``verts`` (sorted) mapped onto ``0..len-1``, every edge
+    weighing 1."""
+    index = {v: i for i, v in enumerate(verts)}
+    adj: list[dict[int, int]] = [{} for _ in verts]
+    for u, v in sorted(pairs):
+        iu, iv = index[u], index[v]
+        adj[iu][iv] = 1
+        adj[iv][iu] = 1
+    mate = max_weight_matching(adj)
+    if -1 in mate:
         return None
-    return tuple(sorted((u, v) if u < v else (v, u) for u, v in mate))
+    return tuple(sorted((verts[i], verts[j]) for i, j in enumerate(mate) if i < j))
 
 
 def perfect_matching_on(

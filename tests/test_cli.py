@@ -91,6 +91,20 @@ class TestSolve:
         assert main(["solve", c4_file, "-k", "1"]) == EXIT_INTERNAL
         assert "emsolve: internal error: RecursionError" in capsys.readouterr().err
 
+    def test_failed_optimality_check_is_internal_error(self, c4_file, capsys,
+                                                       monkeypatch):
+        from exactmatching import blossom
+
+        check = blossom._verify_optimum
+
+        def corrupted(adj, mate, dualvar, *rest):
+            dualvar[0] += 2
+            check(adj, mate, dualvar, *rest)
+
+        monkeypatch.setattr(blossom, "_verify_optimum", corrupted)
+        assert main(["solve", c4_file, "-k", "2"]) == EXIT_INTERNAL
+        assert "emsolve: internal error: OptimalityError" in capsys.readouterr().err
+
     def test_dot_format_sniffing(self, tmp_path, capsys):
         g = parse_graph(C4_JSON)
         p = tmp_path / "c4.dot"

@@ -1,5 +1,10 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +18,10 @@ from exactmatching import (
     max_weight_perfect_matching,
     random_colored_graph,
 )
+from exactmatching import blossom
+from exactmatching.blossom import OptimalityError
 from exactmatching.engines import (
+    _blossom_match,
     max_red_pm,
     min_red_pm,
     perfect_matching_on,
@@ -51,6 +59,111 @@ def test_no_pm_returns_none():
 def test_missing_weight_rejected(c4):
     with pytest.raises(GraphError):
         max_weight_perfect_matching(c4, {(0, 1): 1})
+
+
+@pytest.mark.parametrize("weight", [1.0, 2.5, True, "1", None])
+def test_non_int_weight_rejected(c4, weight):
+    weights = {e: 1 for e in c4.edges()}
+    weights[(1, 2)] = weight
+    with pytest.raises(GraphError, match="not an int"):
+        max_weight_perfect_matching(c4, weights)
+
+
+def _corrupt_before_check(monkeypatch, corrupt):
+    """Make the blossom engine run ``corrupt(mate, dualvar)`` just before its
+    optimality check."""
+    check = blossom._verify_optimum
+
+    def corrupted(adj, mate, dualvar, *rest):
+        corrupt(mate, dualvar)
+        check(adj, mate, dualvar, *rest)
+
+    monkeypatch.setattr(blossom, "_verify_optimum", corrupted)
+
+
+def _shift_dual(mate, dualvar):
+    dualvar[0] += 2
+
+
+def _drop_mate(mate, dualvar):
+    mate[mate[0]] = -1
+
+
+@pytest.mark.parametrize("corrupt", [_shift_dual, _drop_mate])
+def test_failed_optimality_check_raises(c4, monkeypatch, corrupt):
+    _corrupt_before_check(monkeypatch, corrupt)
+    with pytest.raises(OptimalityError):
+        min_red_pm(c4)
+    # An internal failure, never a bad-input report.
+    assert not issubclass(OptimalityError, GraphError)
+
+
+def _nx_matching(n, weighted_edges, nodes=None):
+    """networkx's max-cardinality max-weight matching as a set of (min, max)."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n) if nodes is None else nodes)
+    for u, v, w in weighted_edges:
+        if w is None:
+            g.add_edge(u, v)
+        else:
+            g.add_edge(u, v, weight=w)
+    return {(min(e), max(e)) for e in nx.max_weight_matching(g, maxcardinality=True)}
+
+
+WEIGHT_RANGES = {
+    "unit-signed": lambda rng: rng.randint(-1, 1),
+    "small": lambda rng: rng.randint(-5, 9),
+    "planted": lambda rng: rng.randrange(1, 1_000_000),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHT_RANGES))
+def test_blossom_equals_networkx(kind):
+    """Edge for edge networkx's matching, perfect or not, on random graphs."""
+    draw_weight = WEIGHT_RANGES[kind]
+    imperfect = 0
+    for seed in range(120):
+        rng = random.Random(f"{kind}-{seed}")
+        n = rng.randint(0, 40)
+        g = random_colored_graph(n, rng.choice([0.05, 0.1, 0.2, 0.4, 0.8]), seed)
+        weights = {e: draw_weight(rng) for e in g.edges()}
+        want = _nx_matching(n, [(u, v, weights[u, v]) for u, v in g.edges()])
+        adj = [{} for _ in range(n)]
+        for (u, v), w in weights.items():
+            adj[u][v] = adj[v][u] = w
+        mate = blossom.max_weight_matching(adj)
+        assert {(u, v) for u, v in enumerate(mate) if u < v} == want, (kind, seed)
+        pm = max_weight_perfect_matching(g, weights)
+        if n % 2 == 0 and 2 * len(want) == n:
+            assert pm is not None and pm.edges == want, (kind, seed)
+        else:
+            imperfect += 1
+            assert pm is None, (kind, seed)
+    assert imperfect > 0
+
+
+def test_blossom_fallback_equals_networkx():
+    """``_blossom_match`` on vertex subsets, every edge of networkx's default
+    weight 1."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        g = random_colored_graph(n, rng.choice([0.1, 0.3, 0.6]), seed)
+        verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
+        vset = set(verts)
+        pairs = [e for e in g.edges() if e[0] in vset and e[1] in vset]
+        want = _nx_matching(0, [(u, v, None) for u, v in sorted(pairs)], verts)
+        expected = tuple(sorted(want)) if 2 * len(want) == len(verts) else None
+        assert _blossom_match(pairs, verts) == expected, seed
+
+
+def test_import_does_not_load_networkx():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blossom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, exactmatching; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_max_weight_against_enumeration():
