@@ -95,6 +95,47 @@ def count_perfect_matchings(graph: ColoredGraph, max_n: int = COUNTING_CAP) -> i
     return count((1 << n) - 1)
 
 
+def perfect_matching_red_counts(graph: ColoredGraph, max_n: int = COUNTING_CAP) -> frozenset[int]:
+    """Every k for which some perfect matching has exactly k red edges.
+
+    Bitmask dynamic programming with the recursion of
+    ``count_perfect_matchings``: ``reach(mask)`` is an int whose bit j is set
+    when the vertices in ``mask`` have a perfect matching with j red edges,
+    so one pass answers every k without enumerating matchings.
+    """
+    _check_cap(graph, max_n, "red counts")
+    n = graph.n
+    if n % 2 != 0:
+        return frozenset()
+    nbr = [0] * n
+    red = [0] * n
+    for (u, v), c in graph.colors.items():
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        if c == RED:
+            red[u] |= 1 << v
+    memo: dict[int, int] = {0: 1}
+
+    def reach(mask: int) -> int:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        u = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << u)
+        counts = 0
+        cand = rest & nbr[u]
+        while cand:
+            vbit = cand & -cand
+            sub = reach(rest & ~vbit)
+            counts |= sub << 1 if red[u] & vbit else sub
+            cand ^= vbit
+        memo[mask] = counts
+        return counts
+
+    counts = reach((1 << n) - 1)
+    return frozenset(j for j in range(n // 2 + 1) if counts >> j & 1)
+
+
 def em_decide_bruteforce(
     graph: ColoredGraph, k: int, max_n: int = ENUMERATION_CAP
 ) -> PerfectMatching | None:

@@ -11,13 +11,20 @@ each guess with a perfect matching on the remaining single-color graph.
 
 Exhausting phase 2 up to radius min(n, f_bound) is a certificate that no
 solution exists; with a smaller caller-imposed budget the result is merely
-unknown.
+unknown.  Two prunings drop only guesses that cannot succeed, so they change
+no verdict and no witness.  The search stops after size min(r + k, n - r - k),
+where r is the red count of the phase-1 matching: every solution is found by
+a guess no larger than that, so the sizes past it are provably empty.  And a
+guess whose remainder fails a parity test on the components of the
+opposite-color graph (Tutte 1947; Hall/Konig for bipartite components) is
+rejected before any completion is attempted.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 # perfect_matching_on is not called here, but perfbench/tracing.py wraps it
@@ -115,8 +122,10 @@ class Verdict:
 
     ``status`` is "yes" (witness attached), "no" (certified absence), or
     "unknown" (caller-imposed budget exhausted).  ``L_used`` is the guess
-    size of the successful recovery for yes verdicts found in phase 2, else
-    the executed phase-2 budget.  ``phase1_r`` is the red count of the
+    size of the successful recovery for yes verdicts found in phase 2, the
+    certified radius min(n, f_bound) for a "no" from phase 2 (the search may
+    stop earlier, since the sizes past its stop are provably empty), the cap
+    for an "unknown", and 0 otherwise.  ``phase1_r`` is the red count of the
     phase-1 matching when one exists.
     """
 
@@ -302,7 +311,10 @@ class _RecoveryContext:
     opposite-color adjacency keeps the per-guess cost independent of the
     graph size.  ``is_base[j]`` tells whether ``color_edges[j]`` is in the
     base, ``base_of[v]`` is the index of the base edge at vertex v (or -1),
-    and ``base_left[j]`` counts the base edges at index >= j.
+    and ``base_left[j]`` counts the base edges at index >= j.  ``parity``
+    labels the components of the opposite-color graph for ``_parity_ok``;
+    it is built on first use, so contexts that never reach a completion do
+    not pay for it.
     """
 
     graph: ColoredGraph
@@ -315,6 +327,47 @@ class _RecoveryContext:
     is_base: tuple[bool, ...]
     base_of: tuple[int, ...]
     base_left: tuple[int, ...]
+
+    @cached_property
+    def parity(self) -> tuple[list[int], list[int], list[int], list[int], int]:
+        """(component, side, need, mask, bad) for the opposite-color graph.
+
+        A depth-first search labels each vertex v with its component
+        ``component[v]`` and a side ``side[v]`` of +1 or -1 that alternates
+        along the search tree.  ``need[c]`` sums the sides of component c:
+        for a bipartite component that is the signed difference of its two
+        sides, for any component its parity is that of the vertex count.
+        ``mask[c]`` is -1 for a bipartite component and 1 otherwise, so
+        ``need[c] & mask[c]`` is nonzero exactly when the component can have
+        no perfect matching: odd, or bipartite with unequal sides.  ``bad``
+        counts those components.
+        """
+        adjacency = self.other_adjacency
+        component = [-1] * self.graph.n
+        side = [0] * self.graph.n
+        need: list[int] = []
+        mask: list[int] = []
+        for root in range(self.graph.n):
+            if component[root] >= 0:
+                continue
+            c = len(need)
+            component[root], side[root] = c, 1
+            stack = [root]
+            total, bipartite = 0, True
+            while stack:
+                v = stack.pop()
+                s = side[v]
+                total += s
+                for w in adjacency[v]:
+                    if component[w] < 0:
+                        component[w], side[w] = c, -s
+                        stack.append(w)
+                    elif side[w] == s:
+                        bipartite = False
+            need.append(total)
+            mask.append(-1 if bipartite else 1)
+        bad = sum(1 for x, m in zip(need, mask) if x & m)
+        return component, side, need, mask, bad
 
 
 def _make_context(
@@ -351,11 +404,34 @@ def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching 
         if u in used or v in used:
             return None
         used.update((u, v))
+    if not _parity_ok(ctx, used):
+        return None
     free = [w for w in range(ctx.graph.n) if w not in used]
     completion = perfect_matching_on_adjacency(ctx.other_adjacency, free)
     if completion is None:
         return None
     return PerfectMatching(frozenset(proposal) | frozenset(completion), ctx.k)
+
+
+def _parity_ok(ctx: _RecoveryContext, removed: set[int]) -> bool:
+    """False when the opposite-color graph minus ``removed`` provably has no
+    perfect matching.
+
+    A perfect matching of the remainder pairs vertices within components of
+    the opposite-color graph, so every component must keep an even number of
+    vertices (Tutte 1947), and a bipartite component must keep as many
+    vertices on one side as on the other (Hall/Konig).  Only the components
+    that lose a vertex change, so this costs O(|removed|).
+    """
+    component, side, need, mask, bad = ctx.parity
+    left: dict[int, int] = {}
+    for v in removed:
+        c = component[v]
+        left[c] = left.get(c, need[c]) - side[v]
+    for c, x in left.items():
+        m = mask[c]
+        bad += (x & m != 0) - (need[c] & m != 0)
+    return bad == 0
 
 
 def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
@@ -458,8 +534,18 @@ def _search(
     contexts: tuple[_RecoveryContext, ...], limit: int
 ) -> tuple[int, PerfectMatching] | None:
     """First successful recovery as (guess size, solution): guesses go by
-    size up to ``limit``, then by context order, then lex."""
-    for size in range(limit + 1):
+    size up to ``limit``, then by context order, then lex.
+
+    The search stops early, after size min(base + target) over the
+    contexts.  If a solution S exists, each context's guess ``base xor
+    S_color`` has at most base + target edges, and recovery accepts it: its
+    proposal is S's color class, and S's other edges match the remainder.
+    So the first success, if any, comes at a size no larger than any
+    context's bound, and the sizes past the smallest bound are provably
+    empty.  With the anchor's red count r this is min(r + k, n - r - k).
+    """
+    stop = min(limit, min(ctx.base_left[0] + ctx.target for ctx in contexts))
+    for size in range(stop + 1):
         for ctx in contexts:
             for guess in _guesses(ctx, size):
                 pm = _recover(ctx, guess)
@@ -501,9 +587,10 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     Yes verdicts carry a verified witness.  A no verdict is only emitted
     when it is certain: trivial parity/range violations, no perfect
-    matching at all, or a fully exhausted phase-2 search of radius
-    min(n, f_bound).  A caller-imposed ``L_cap`` below that radius turns
-    exhaustion into an unknown verdict instead.
+    matching at all, or a phase-2 search that covers radius min(n, f_bound),
+    which it does once it passes its early stop.  A caller-imposed ``L_cap``
+    below that radius turns exhaustion into an unknown verdict instead, even
+    when the search stopped early under the cap.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:

@@ -13,6 +13,7 @@ from exactmatching import (
     em_decide_bruteforce,
     enumerate_perfect_matchings,
     independence_number,
+    perfect_matching_red_counts,
     random_colored_graph,
 )
 from exactmatching.oracle import (
@@ -72,6 +73,30 @@ class TestCounting:
     def test_cap_enforced(self):
         with pytest.raises(OracleLimitError):
             count_perfect_matchings(complete(COUNTING_CAP + 2))
+
+
+class TestRedCounts:
+    def test_c4(self, c4):
+        assert perfect_matching_red_counts(c4) == {0, 2}
+
+    def test_odd_and_empty_graphs(self):
+        assert perfect_matching_red_counts(complete(3)) == frozenset()
+        assert perfect_matching_red_counts(ColoredGraph(0, {})) == {0}
+
+    def test_matches_enumeration(self):
+        # Includes odd n and graphs without a perfect matching.
+        for n in range(1, 13):
+            for p in (0.3, 0.6, 0.9):
+                for seed in range(4):
+                    g = random_colored_graph(n, p, seed)
+                    want = {pm.red_count for pm in enumerate_perfect_matchings(g)}
+                    assert perfect_matching_red_counts(g) == want
+
+    def test_cap_enforced(self):
+        with pytest.raises(OracleLimitError):
+            perfect_matching_red_counts(complete(COUNTING_CAP + 2))
+        assert perfect_matching_red_counts(complete(COUNTING_CAP + 2, BLUE),
+                                           max_n=COUNTING_CAP + 2) == {0}
 
 
 class TestDecision:

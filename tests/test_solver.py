@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from exactmatching import (
@@ -25,6 +26,8 @@ from exactmatching import (
     f_alpha,
     f_beta,
     gen_planted_yes,
+    perfect_matching_red_counts,
+    random_bipartite_colored_graph,
     random_colored_graph,
     recover_from_color_guess,
     run_phase1,
@@ -49,6 +52,14 @@ def double_c4(bipartite=False):
                     (off + 1, off + 2, BLUE), (off, off + 3, BLUE)]
     bip = ([0, 2, 4, 6], [1, 3, 5, 7]) if bipartite else None
     return ColoredGraph.from_edges(8, triples, bipartition=bip)
+
+
+def parity_graph(n, split):
+    """K_n with red exactly on the edges crossing {0 .. split-1}: every
+    perfect matching has a red count of the parity of ``split``."""
+    return ColoredGraph.from_edges(n, [
+        (u, v, RED if (u < split) != (v < split) else BLUE)
+        for u in range(n) for v in range(u + 1, n)])
 
 
 # -- constants --------------------------------------------------------------------
@@ -243,6 +254,50 @@ class TestRecovery:
                         assert all(v in ctx.other_adjacency[u] for u, v in fallback)
         assert exists > 50
 
+    def test_parity_screen_matches_components(self):
+        # Against networkx's components and 2-colorings of the whole
+        # opposite-color graph: the screen rejects exactly the remainders
+        # that leave a component odd or a bipartite one unbalanced, and
+        # never one that completion can match.
+        rng = random.Random(17)
+        rejected = matched = 0
+        for seed in range(60):
+            n = rng.choice((4, 6, 8, 10, 12, 14))
+            make = random_bipartite_colored_graph if seed % 3 == 0 else random_colored_graph
+            g = make(n, rng.choice((0.15, 0.3, 0.6, 0.9)), seed)
+            for color in (RED, BLUE):
+                ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
+                other = nx.Graph()
+                other.add_nodes_from(range(n))
+                other.add_edges_from((u, v) for u in range(n) for v in ctx.other_adjacency[u])
+                parts = []
+                for comp in nx.connected_components(other):
+                    sub = other.subgraph(comp)
+                    parts.append((comp, nx.bipartite.color(sub) if nx.is_bipartite(sub) else None))
+                for _ in range(8):
+                    # A random vertex-disjoint proposal of ``color`` edges.
+                    edges = list(ctx.color_edges)
+                    rng.shuffle(edges)
+                    removed = set()
+                    for u, v in edges[:rng.randint(0, len(edges))]:
+                        if u not in removed and v not in removed:
+                            removed.update((u, v))
+                    want = True
+                    for comp, side in parts:
+                        rest = comp - removed
+                        if len(rest) % 2 or (side is not None
+                                             and 2 * sum(side[v] for v in rest) != len(rest)):
+                            want = False
+                    got = solver_mod._parity_ok(ctx, removed)
+                    assert got == want
+                    rejected += not got
+                    free = [w for w in range(n) if w not in removed]
+                    pm = solver_mod.perfect_matching_on_adjacency(ctx.other_adjacency, free)
+                    if pm is not None:
+                        assert got
+                        matched += 1
+        assert rejected > 100 and matched > 100
+
 
 # -- phase 2: the guess stream ------------------------------------------------------
 
@@ -413,6 +468,23 @@ class TestSolveEm:
                     assert v.status == YES
                     assert v.witness.red_count == k
 
+    def test_matches_red_count_oracle_beyond_enumeration(self):
+        exhausted = 0
+        for n in (14, 16, 18):
+            for p in (0.3, 0.6, 0.9):
+                for seed in range(4):
+                    g = random_colored_graph(n, p, seed)
+                    counts = perfect_matching_red_counts(g)
+                    for k in range(n // 2 + 1):
+                        v = solve_em(g, k)
+                        if k in counts:
+                            assert v.status == YES
+                            assert validate_matching(g, v.witness) and v.witness.red_count == k
+                        else:
+                            assert v.status == NO_CERTIFIED
+                            exhausted += v.reason == "exhausted the certified search radius"
+        assert exhausted >= 10
+
     def test_deterministic_witness(self):
         g = gen_planted_yes(14, 3, BaseFamily("alpha", 2), 7)
         a = solve_em(g, 3, SolverParams(alpha_hint=2))
@@ -431,13 +503,31 @@ class TestSolveEm:
         assert validate_matching(g, v.witness) and v.witness.red_count == 30
 
     def test_parity_instance_is_certified_no(self):
-        # Red exactly on edges crossing {0..3}: every PM has an even red count.
-        g = ColoredGraph.from_edges(14, [
-            (u, v, RED if (u < 4) != (v < 4) else BLUE)
-            for u in range(14) for v in range(u + 1, 14)])
-        v = solve_em(g, 1, SolverParams(alpha_hint=1))
+        v = solve_em(parity_graph(14, 4), 1, SolverParams(alpha_hint=1))
         assert v.status == NO_CERTIFIED
         assert v.L_used == 14
+
+    @pytest.mark.parametrize("n, split, k", [
+        (16, 4, 1), (16, 2, 3), (20, 6, 1), (20, 4, 3), (24, 8, 1), (28, 4, 1), (28, 14, 1)])
+    def test_parity_no_instances_stop_early(self, n, split, k, monkeypatch):
+        # Odd k with an even split.  The search stops after size
+        # min(r + k, n - r - k), and every remainder fails the parity
+        # screen, so no completion is attempted.
+        sizes, completions = [], []
+        guesses, complete = solver_mod._guesses, solver_mod.perfect_matching_on_adjacency
+        monkeypatch.setattr(solver_mod, "_guesses",
+                            lambda ctx, size: sizes.append(size) or guesses(ctx, size))
+        monkeypatch.setattr(solver_mod, "perfect_matching_on_adjacency",
+                            lambda *args: completions.append(1) or complete(*args))
+        g = parity_graph(n, split)
+        v = solve_em(g, k, SolverParams(alpha_hint=1))
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, n, "exhausted the certified search radius")
+        r = v.phase1_r
+        assert max(sizes) == min(r + k, n - r - k)
+        assert not completions
+        if n <= 24:
+            assert k not in perfect_matching_red_counts(g, max_n=n)
 
     def test_bipartite_instances(self):
         for seed in range(10):
