@@ -2,7 +2,7 @@
 
 Subcommands: solve (full decision), approx (phase 1 only), oracle
 (brute-force ground truth), analyze (cycle structure of two matchings),
-gen (instance generators), reduce (densifying lifts), bench (timing CSV).
+gen (instance generators), reduce (densifying lifts).
 
 Exit codes: 0 yes, 1 certified no, 2 unknown, 64 usage, 65 a size cap or
 configuration limit was hit, 66 malformed input, 70 internal failure
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import traceback
 
 from .generators import (
@@ -176,25 +175,17 @@ def _cmd_oracle(args) -> int:
     graph = _load_graph(args)
     lines: list[str] = []
     code = EXIT_YES
+    caps = {} if args.cap is None else {"max_n": args.cap}
     if args.k is not None:
-        if args.cap is not None:
-            found = em_decide_bruteforce(graph, args.k, max_n=args.cap)
-        else:
-            found = em_decide_bruteforce(graph, args.k)
+        found = em_decide_bruteforce(graph, args.k, **caps)
         lines.append("yes" if found is not None else "no")
         code = EXIT_YES if found is not None else EXIT_NO
     if args.count:
-        count = (count_perfect_matchings(graph) if args.cap is None
-                 else count_perfect_matchings(graph, max_n=args.cap))
-        lines.append(str(count))
+        lines.append(str(count_perfect_matchings(graph, **caps)))
     if args.alpha:
-        alpha = (independence_number(graph) if args.cap is None
-                 else independence_number(graph, max_n=args.cap))
-        lines.append(str(alpha))
+        lines.append(str(independence_number(graph, **caps)))
     if args.beta:
-        beta = (bipartite_independence_number(graph) if args.cap is None
-                else bipartite_independence_number(graph, max_n=args.cap))
-        lines.append(str(beta))
+        lines.append(str(bipartite_independence_number(graph, **caps)))
     print("\n".join(lines))
     return code
 
@@ -272,27 +263,6 @@ def _cmd_reduce(args) -> int:
     else:
         lifted = lift_to_dense(graph)
     _write_text(args.output, serialize_graph(lifted, args.out_format or JSON))
-    return EXIT_YES
-
-
-def _cmd_bench(args) -> int:
-    kind = args.family.split("-")[1]
-    base = BaseFamily(kind, args.bound, args.edge_prob)
-    hint = SolverParams(alpha_hint=args.bound) if kind == "alpha" \
-        else SolverParams(beta_hint=args.bound)
-    print("n,alpha_or_beta,k,verdict,L_used,phase1_r,millis")
-    for n in args.sizes:
-        if n % 2 != 0:
-            raise _UsageError(f"sizes must be even, got {n}")
-        k = n // 4
-        for i in range(args.per_size):
-            seed = args.seed * 100_003 + n * 101 + i
-            graph = gen_planted_yes(n, k, base, seed)
-            start = time.perf_counter()
-            verdict = solve_em(graph, k, hint)
-            millis = (time.perf_counter() - start) * 1000.0
-            print(f"{n},{args.bound},{k},{verdict.status},{verdict.L_used},"
-                  f"{verdict.phase1_r},{millis:.2f}")
     return EXIT_YES
 
 
@@ -380,17 +350,6 @@ def _build_parser() -> _Parser:
     reduce_cmd.add_argument("-o", "--output", default=None,
                             help="output file (default stdout)")
     reduce_cmd.set_defaults(func=_cmd_reduce)
-
-    bench = commands.add_parser("bench", help="timing sweep as CSV")
-    bench.add_argument("--family", choices=["planted-alpha", "planted-beta"],
-                       default="planted-alpha")
-    bench.add_argument("--bound", type=int, default=1)
-    bench.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
-                       default=[8, 16, 24], help="comma-separated vertex counts")
-    bench.add_argument("--per-size", dest="per_size", type=int, default=3)
-    bench.add_argument("--edge-prob", type=float, default=0.5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

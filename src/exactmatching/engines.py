@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blossom import max_weight_matching
-from .graphs import RED, ColoredGraph, Edge, GraphError, PerfectMatching
+from .graphs import ColoredGraph, Edge, GraphError, PerfectMatching
 
 
 def max_weight_perfect_matching(
@@ -40,28 +40,21 @@ def max_weight_perfect_matching(
 
 def min_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as few red edges as possible."""
-    return _best_perfect(graph, _red_weighted(graph, -1))
+    return _best_perfect(graph, [{w: -red for w, red in nbrs.items()}
+                                 for nbrs in graph.neighbor_index])
 
 
 def max_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as many red edges as possible."""
-    return _best_perfect(graph, _red_weighted(graph, 1))
+    return _best_perfect(graph, graph.neighbor_index)
 
 
-def _red_weighted(graph: ColoredGraph, red: int) -> list[dict[int, int]]:
-    adj: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (u, v), c in graph.colors.items():
-        w = red if c == RED else 0
-        adj[u][v] = w
-        adj[v][u] = w
-    return adj
-
-
-def _best_perfect(graph: ColoredGraph, adj: list[dict[int, int]]) -> PerfectMatching | None:
+def _best_perfect(graph: ColoredGraph, adj: Sequence[Mapping[int, int]]) -> PerfectMatching | None:
     """Blossom on ``graph`` with ``adj[v]`` mapping each neighbor of ``v`` to
-    the edge weight.  ``adj`` is filled in the sorted order of
-    ``graph.colors``, so every neighbor map is ascending, as networkx's
-    adjacency is when a graph is built edge by edge in that order."""
+    the edge weight.  Every neighbor map must list its neighbors ascending,
+    as ``graph.neighbor_index`` does, which ``max_red_pm`` passes as it is
+    and ``min_red_pm`` negated; networkx's adjacency is in that order when a
+    graph is built edge by edge in sorted order.  ``adj`` is only read."""
     if graph.n % 2 != 0:
         return None
     if graph.n == 0:

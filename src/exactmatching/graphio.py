@@ -62,7 +62,7 @@ def parse_matching(data: str | bytes, graph: ColoredGraph) -> PerfectMatching:
     edges = []
     for item in raw:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) for x in item)):
+                or not all(type(x) is int for x in item)):
             raise ParseError(f"matching entry {item!r} is not an [u, v] pair of integers")
         edges.append((item[0], item[1]))
     return PerfectMatching.from_edges(graph, edges)
@@ -82,7 +82,7 @@ def _parse_json(text: str) -> ColoredGraph:
         raise ParseError(f"graph document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
-    if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
+    if "n" not in doc or type(doc["n"]) is not int:
         raise ParseError('graph document needs an integer "n"')
     n = doc["n"]
     raw_edges = doc.get("edges", [])
@@ -91,7 +91,7 @@ def _parse_json(text: str) -> ColoredGraph:
     triples = []
     for item in raw_edges:
         if (not isinstance(item, list) or len(item) != 3
-                or not isinstance(item[0], int) or not isinstance(item[1], int)
+                or type(item[0]) is not int or type(item[1]) is not int
                 or not isinstance(item[2], str)):
             raise ParseError(f"edge entry {item!r} is not an [u, v, color] triple")
         if item[2] not in COLORS:
@@ -105,7 +105,7 @@ def _parse_json(text: str) -> ColoredGraph:
             raise ParseError('"bipartition" must be a pair of vertex lists')
         for side in raw_bip:
             for v in side:
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise ParseError(f"bipartition entry {v!r} is not an integer")
         bip = (raw_bip[0], raw_bip[1])
     try:

@@ -3,7 +3,9 @@
 Vertices are 0-based integers and an undirected edge is always stored as the
 canonical ``(min, max)`` pair.  All types here are immutable value objects;
 operations are pure functions, so instances can be shared freely between
-threads.
+threads.  A graph's neighbor index (``ColoredGraph.neighbor_index``) is built
+lazily on first access and never mutated afterwards; two threads that reach
+it first at the same time at worst both build it, and one copy wins.
 
 The central weight scheme, relative to a reference perfect matching M:
 blue edges weigh 0, red matching edges weigh -1, red non-matching edges
@@ -14,6 +16,7 @@ matchings, where r counts red edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 RED = "red"
@@ -128,15 +131,24 @@ class ColoredGraph:
     def blue_edges(self) -> list[Edge]:
         return [e for e, c in self.colors.items() if c == BLUE]
 
+    @cached_property
+    def neighbor_index(self) -> tuple[dict[int, int], ...]:
+        """For each vertex, a map from every neighbor to 1 if the edge is red
+        and 0 if it is blue.
+
+        The maps are filled in the sorted order of ``colors``, so each lists
+        its neighbors ascending.  That order fixes the tie-breaks of the
+        blossom engine and of completion.  Shared and read-only: callers
+        must copy before changing anything.
+        """
+        index: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
+        for (u, v), c in self.colors.items():
+            index[u][v] = index[v][u] = 1 if c == RED else 0
+        return index
+
     def adjacency(self) -> dict[int, list[int]]:
         """Neighbor lists, each sorted ascending."""
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.colors:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return {v: list(nbrs) for v, nbrs in enumerate(self.neighbor_index)}
 
     def side_of(self, v: int) -> int:
         """0 or 1 for the bipartition side of ``v``; requires a bipartition."""
@@ -204,11 +216,6 @@ def validate_matching(graph: ColoredGraph, matching: Iterable[tuple[int, int]] |
         seen.update(e)
         count += 1
     return count * 2 == graph.n
-
-
-def red_count(matching: PerfectMatching) -> int:
-    """Number of red edges in the matching."""
-    return matching.red_count
 
 
 def edge_weight(graph: ColoredGraph, matching: PerfectMatching, e: Edge) -> int:

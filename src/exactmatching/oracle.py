@@ -217,11 +217,8 @@ def bipartite_independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE
     nonadj = []
     for a in side_a:
         mask = full_b
-        for u, v in graph.colors:
-            if u == a:
-                mask &= ~(1 << index_b[v])
-            elif v == a:
-                mask &= ~(1 << index_b[u])
+        for b in graph.neighbor_index[a]:
+            mask &= ~(1 << index_b[b])
         nonadj.append(mask)
     best = 0
     n_a = len(side_a)

@@ -373,17 +373,12 @@ class _RecoveryContext:
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
-    color_edges = []
-    neighbors: dict[int, list[int]] = {v: [] for v in range(graph.n)}
-    for (u, v), c in graph.colors.items():
-        if c == color:
-            color_edges.append((u, v))
-        else:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
+    color_edges = graph.red_edges() if color == RED else graph.blue_edges()
+    other = 0 if color == RED else 1        # the opposite color's index flag
+    adjacency = {v: tuple([w for w, flag in nbrs.items() if flag == other])
+                 for v, nbrs in enumerate(graph.neighbor_index)}
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     target = k if color == RED else graph.n // 2 - k
-    adjacency = {v: tuple(sorted(ws)) for v, ws in neighbors.items()}
     is_base = tuple(e in base for e in color_edges)
     base_of = [-1] * graph.n
     for j, (u, v) in enumerate(color_edges):

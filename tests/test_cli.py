@@ -249,18 +249,3 @@ class TestReduce:
         g = parse_graph(capsys.readouterr().out)
         assert g.n == 10
         assert g.bipartition is not None
-
-
-class TestBench:
-    def test_csv_shape(self, capsys):
-        code = main(["bench", "--sizes", "8", "--per-size", "2", "--bound", "1"])
-        assert code == EXIT_YES
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,alpha_or_beta,k,verdict,L_used,phase1_r,millis"
-        assert len(lines) == 3
-        for row in lines[1:]:
-            cells = row.split(",")
-            assert cells[0] == "8" and cells[3] == "yes"
-
-    def test_odd_size_is_usage_error(self, capsys):
-        assert main(["bench", "--sizes", "7"]) == EXIT_USAGE

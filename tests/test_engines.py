@@ -142,6 +142,25 @@ def test_blossom_equals_networkx(kind):
     assert imperfect > 0
 
 
+def test_red_engines_equal_networkx():
+    """min/max-red are networkx's matching under red weight -1/+1, blue 0."""
+    imperfect = 0
+    for seed in range(120):
+        rng = random.Random(f"red-{seed}")
+        n = rng.randint(0, 40)
+        g = random_colored_graph(n, rng.choice([0.05, 0.1, 0.2, 0.4, 0.8]), seed)
+        for engine, red in ((min_red_pm, -1), (max_red_pm, 1)):
+            want = _nx_matching(n, [(u, v, red if c == RED else 0)
+                                    for (u, v), c in g.colors.items()])
+            pm = engine(g)
+            if n % 2 == 0 and 2 * len(want) == n:
+                assert pm is not None and pm.edges == want, (engine.__name__, seed)
+            else:
+                imperfect += 1
+                assert pm is None, (engine.__name__, seed)
+    assert imperfect > 0
+
+
 def test_blossom_fallback_equals_networkx():
     """``_blossom_match`` on vertex subsets, every edge of networkx's default
     weight 1."""

@@ -47,6 +47,9 @@ class TestJson:
         '{"n": 2, "edges": [[0, 1]]}',
         '{"n": 2, "edges": [[0, 1, "red", 4]]}',
         '{"n": 2, "edges": [["a", 1, "red"]]}',
+        '{"n": 4, "edges": [[0, true, "red"], [2, 3, "blue"]]}',
+        '{"n": 2, "edges": [[false, 1, "red"]]}',
+        '{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[false], [1]]}',
         '{"n": 2, "edges": [], "bipartition": [[0]]}',
         "{not json",
     ])
@@ -138,6 +141,10 @@ class TestMatchingIo:
             parse_matching('{"edges": [[0, 1], [2, 3]]}', c4)
         with pytest.raises(ParseError):
             parse_matching('[[0, 1, 2]]', c4)
+        with pytest.raises(ParseError):
+            parse_matching('[[0, true], [2, 3]]', c4)
+        with pytest.raises(ParseError):
+            parse_matching('[[false, 1], [2, 3]]', c4)
         with pytest.raises(GraphError):
             parse_matching('[]', c4)
 

@@ -16,6 +16,7 @@ from exactmatching import (
     edge_key,
     edge_weight,
     enumerate_perfect_matchings,
+    random_bipartite_colored_graph,
     random_colored_graph,
     symmetric_difference,
     validate_matching,
@@ -85,6 +86,25 @@ class TestColoredGraph:
         adj = k33.adjacency()
         assert adj[0] == [3, 4, 5]
         assert adj[4] == [0, 1, 2]
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_neighbor_index(self, bipartite):
+        """Both directions of every edge, nothing else, flagged red, ascending."""
+        make = random_bipartite_colored_graph if bipartite else random_colored_graph
+        for seed in range(40):
+            n = 2 * (seed % 11)
+            g = make(n, (0.1, 0.4, 0.8)[seed % 3], seed)
+            index = g.neighbor_index
+            assert len(index) == n
+            flags = {(u, w): red for u, nbrs in enumerate(index) for w, red in nbrs.items()}
+            want = {}
+            for (u, v), c in g.colors.items():
+                want[u, v] = want[v, u] = int(c == RED)
+            assert flags == want
+            assert all(type(red) is int for red in flags.values())
+            assert all(list(nbrs) == sorted(nbrs) for nbrs in index)
+            assert g.adjacency() == {v: list(nbrs) for v, nbrs in enumerate(index)}
+            assert g.neighbor_index is index
 
 
 class TestPerfectMatching:
