@@ -18,7 +18,26 @@ What changes against networkx is the representation, not the choices:
 - neighbors are visited in the caller's ``adj[v]`` order, which plays the
   part of networkx's adjacency order;
 - the delta2 and delta3 scans over the vertices share one pass that keeps
-  each one's first minimum, and the internal ``assert`` checks are gone.
+  each one's first minimum, least-slack comparisons compute their slacks
+  inline, and the internal ``assert`` checks are gone;
+- until the duals first move, a stage first looks for the first ``w`` in
+  ``adj[v]``, for ``v`` the highest single vertex, that is single and joined
+  to ``v`` by an edge of the largest weight; if there is one, the stage just
+  matches ``v`` with ``w``.  That is the outcome of the full stage.  Before
+  any dual move every vertex dual equals the largest weight and no blossom
+  is live, so the stage labels every single vertex S and scans the highest,
+  ``v``, first; only edges of the largest weight are tight.  During that
+  scan it can augment only over a tight edge to another single vertex,
+  which it does at the first one; every vertex it labels on the way is
+  reached from ``v``, so a blossom it forms has base ``v`` and dual zero,
+  the augmentation leaves its inside as it is, and the end of the stage
+  expands it.  Skipping those blossoms changes which free ids later
+  blossoms take, but ids only name blossoms: every loop over live
+  blossoms runs in creation order.  Without such a ``w`` the full stage
+  runs from the untouched state;
+- the optimality check skips the per-edge slack pass at vertex ``i`` when
+  ``dualvar[i] + min(dualvar) - 2 * max(adj[i].values()) >= 0``, a lower
+  bound on every slack at ``i``; every condition is still checked.
 
 Every stage, scan and delta loop therefore breaks ties as networkx does, and
 on the same graph (same node order, same neighbor order, same integer
@@ -234,6 +253,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
         # Least-slack edges to other S-blossoms, from the sub-blossoms'
         # lists where they exist and from the vertices otherwise.
         bestedgeto: dict[int, tuple[int, int]] = {}
+        bestslackto: dict[int, int] = {}
         for bv in path:
             if bv >= n:
                 if mybestedges[bv] is not None:
@@ -248,15 +268,16 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
                 if inblossom[j] == b:
                     i, j = j, i
                 bj = inblossom[j]
-                if (bj != b and label[bj] == 1
-                        and (bj not in bestedgeto
-                             or slack(i, j) < slack(*bestedgeto[bj]))):
-                    bestedgeto[bj] = k
+                if bj != b and label[bj] == 1:
+                    kslack = dualvar[i] + dualvar[j] - 2 * adj[i][j]
+                    if bj not in bestedgeto or kslack < bestslackto[bj]:
+                        bestedgeto[bj] = k
+                        bestslackto[bj] = kslack
             bestedge[bv] = None
-        mybestedges[b] = best_list = list(bestedgeto.values())
+        mybestedges[b] = list(bestedgeto.values())
         mybestedge = None
-        for k in best_list:
-            kslack = slack(*k)
+        for bj, k in bestedgeto.items():
+            kslack = bestslackto[bj]
             if mybestedge is None or kslack < mybestslack:
                 mybestedge = k
                 mybestslack = kslack
@@ -433,7 +454,25 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
 
     blank_labels = [0] * nb
     blank_edges: list[None] = [None] * nb
+    # Set when the duals first move; until then a stage may be greedy.
+    dualsmoved = False
+    # The highest single vertex, once the greedy stages have looked for it:
+    # vertices never become single again, so it only moves down.
+    top = n - 1
     while True:
+        if not dualsmoved:
+            # A greedy stage (see the module docstring): match the highest
+            # single vertex to its first single neighbor over a tight edge.
+            while top >= 0 and mate[top] != -1:
+                top -= 1
+            if top >= 0:
+                w = next((w for w, wt in adj[top].items()
+                          if wt == maxweight and mate[w] == -1), -1)
+                if w != -1:
+                    mate[top] = w
+                    mate[w] = top
+                    continue
+
         # A stage: find one augmenting path.
         label[:] = blank_labels
         labeledge[:] = blank_edges
@@ -499,12 +538,14 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
                     elif label[bw] == 1:
                         # Least-slack edge to a different S-blossom.
                         be = bestedge[bv]
-                        if be is None or kslack < slack(*be):
+                        if be is None or kslack < (dualvar[be[0]] + dualvar[be[1]]
+                                                   - 2 * adj[be[0]][be[1]]):
                             bestedge[bv] = (v, w)
                     elif label[w] == 0:
                         # Least-slack edge to a vertex not reachable yet.
                         be = bestedge[w]
-                        if be is None or kslack < slack(*be):
+                        if be is None or kslack < (dualvar[be[0]] + dualvar[be[1]]
+                                                   - 2 * adj[be[0]][be[1]]):
                             bestedge[w] = (v, w)
 
             if augmented:
@@ -566,6 +607,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
                 deltatype = 1
                 delta = max(0, min(dualvar))
 
+            dualsmoved = True
             for v in range(n):
                 lb = label[inblossom[v]]
                 if lb == 1:
@@ -619,7 +661,8 @@ def _verify_optimum(
     n = len(adj)
     # Vertex duals may be negative: shift them all by one non-negative
     # constant.
-    vdualoffset = max(0, -min(dualvar))
+    mindual = min(dualvar)
+    vdualoffset = max(0, -mindual)
     # 0. all blossom duals are non-negative;
     if blossomdual and min(blossomdual.values()) < 0:
         raise OptimalityError("negative blossom dual")
@@ -650,12 +693,17 @@ def _verify_optimum(
     # 0. all edges have non-negative slack and
     # 1. all matched edges have zero slack.  Blossom duals are non-negative,
     # so when no edge at i has negative slack without them, none has with
-    # them, and only then is each edge's slack taken exactly.
+    # them, and only then is each edge's slack taken exactly.  Without them
+    # every slack at i is at least dualvar[i] + min(dualvar) - 2 * (i's
+    # heaviest weight); when that bound is non-negative the per-edge pass
+    # is skipped.
     for i in range(n):
         nbrs = adj[i]
         if not nbrs:
             continue
-        if dualvar[i] + min([dualvar[j] - 2 * wt for j, wt in nbrs.items()]) < 0:
+        di = dualvar[i]
+        if (di + mindual - 2 * max(nbrs.values()) < 0
+                and di + min([dualvar[j] - 2 * wt for j, wt in nbrs.items()]) < 0):
             for j, wt in nbrs.items():
                 if edge_slack(i, j, wt) < 0:
                     raise OptimalityError(f"edge ({i}, {j}) has negative slack")

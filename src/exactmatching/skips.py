@@ -248,14 +248,21 @@ def find_skip(
     verts = cycle.vertices
     length = len(verts)
     pos, par, prefix = _walk_layout(graph, matching, verts)
-    on_cycle = cycle.edge_set()
-    # (chord, lower position, upper position, position parity, weight)
+    # (chord, lower position, upper position, position parity, weight), in
+    # lexicographic order of the chord.  Same-parity positions are never
+    # adjacent on the even cycle, and every matching edge between cycle
+    # vertices is a cycle edge, so each candidate is a non-matching edge and
+    # weighs 1 if red, 0 if blue.
+    index = graph.neighbor_index
     chords = []
-    for e in graph.edges():
-        if e[0] in pos and e[1] in pos and e not in on_cycle and e not in matching.edges:
-            p, q = sorted((pos[e[0]], pos[e[1]]))
-            if p % 2 == q % 2:
-                chords.append((e, p, q, p % 2, edge_weight(graph, matching, e)))
+    for u in sorted(pos):
+        pu = pos[u]
+        for v, red in index[u].items():
+            if v > u and v in pos:
+                pv = pos[v]
+                if pu % 2 == pv % 2:
+                    p, q = (pu, pv) if pu < pv else (pv, pu)
+                    chords.append(((u, v), p, q, p % 2, red))
     for i, (f, a0, a1, side, wf) in enumerate(chords):
         for g, b0, b1, g_side, wg in chords[i + 1:]:
             if g_side == side or (a0 < b0 < a1) == (a0 < b1 < a1):

@@ -98,6 +98,31 @@ def test_failed_optimality_check_raises(c4, monkeypatch, corrupt):
     assert not issubclass(OptimalityError, GraphError)
 
 
+def _lower_dual(mate, dualvar):
+    dualvar[0] -= 2
+
+
+def _raise_matched_dual(mate, dualvar):
+    dualvar[mate.index(0)] += 2
+
+
+@pytest.mark.parametrize("corrupt, message", [(_lower_dual, "negative slack"),
+                                              (_raise_matched_dual, "nonzero slack")])
+def test_optimality_screen_keeps_every_condition(c4, monkeypatch, corrupt, message):
+    """Duals still all at the largest weight pass the per-vertex slack
+    screen; a mutation must still fail the condition it breaks."""
+    seen = []
+
+    def record_then_corrupt(mate, dualvar):
+        seen.append(list(dualvar))
+        corrupt(mate, dualvar)
+
+    _corrupt_before_check(monkeypatch, record_then_corrupt)
+    with pytest.raises(OptimalityError, match=message):
+        max_red_pm(c4)
+    assert seen == [[1, 1, 1, 1]]
+
+
 def _nx_matching(n, weighted_edges, nodes=None):
     """networkx's max-cardinality max-weight matching as a set of (min, max)."""
     g = nx.Graph()
@@ -159,6 +184,44 @@ def test_red_engines_equal_networkx():
                 imperfect += 1
                 assert pm is None, (engine.__name__, seed)
     assert imperfect > 0
+
+
+DENSE_WEIGHTS = {
+    "unit": lambda rng, high: rng.randint(0, 1),
+    "unit-negative": lambda rng, high: rng.randint(-1, 0),
+    # Weight 9 only between vertices at or above a cut: the greedy stages
+    # match that part, then stall and hand over to stages that move duals.
+    "stall": lambda rng, high: 9 if high else rng.randint(-5, 8),
+}
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5])
+@pytest.mark.parametrize("kind", sorted(DENSE_WEIGHTS))
+def test_blossom_equals_networkx_dense(kind, density):
+    """Edge for edge networkx's matching on K_n and G(n, 0.5), n 60-128."""
+    draw_weight = DENSE_WEIGHTS[kind]
+    for seed in range(3):
+        rng = random.Random(f"dense-{kind}-{density}-{seed}")
+        n = rng.randint(60, 128)
+        cut = rng.randint(n // 4, 3 * n // 4)
+        edges = [(u, v, draw_weight(rng, u >= cut))
+                 for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < density]
+        adj = [{} for _ in range(n)]
+        for u, v, w in edges:
+            adj[u][v] = adj[v][u] = w
+        mate = blossom.max_weight_matching(adj)
+        assert {(u, v) for u, v in enumerate(mate) if u < v} == _nx_matching(n, edges), seed
+
+
+@pytest.mark.parametrize("color", [RED, BLUE])
+def test_red_engines_equal_networkx_monochrome(color):
+    """min/max-red on all-red and all-blue K_n."""
+    for n in (64, 128):
+        g = ColoredGraph(n, {e: color for e in itertools.combinations(range(n), 2)})
+        for engine, red in ((min_red_pm, -1), (max_red_pm, 1)):
+            want = _nx_matching(n, [(u, v, red if color == RED else 0) for u, v in g.edges()])
+            assert engine(g).edges == want, (engine.__name__, n)
 
 
 def test_blossom_fallback_equals_networkx():
