@@ -3,9 +3,12 @@
 Vertices are 0-based integers and an undirected edge is always stored as the
 canonical ``(min, max)`` pair.  All types here are immutable value objects;
 operations are pure functions, so instances can be shared freely between
-threads.  A graph's neighbor index (``ColoredGraph.neighbor_index``) is built
-lazily on first access and never mutated afterwards; two threads that reach
-it first at the same time at worst both build it, and one copy wins.
+threads.  A graph's two cached structures are built lazily on first access
+and never mutated afterwards: the neighbor index
+(``ColoredGraph.neighbor_index``), and the per-color lists
+(``ColoredGraph.color_classes``), whose neighbor tuples are split from the
+index in one pass.  Two threads that reach one first at the same time at
+worst both build it, and one copy wins.
 
 The central weight scheme, relative to a reference perfect matching M:
 blue edges weigh 0, red matching edges weigh -1, red non-matching edges
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 RED = "red"
 BLUE = "blue"
@@ -35,6 +39,15 @@ def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+class ColorClass(NamedTuple):
+    """The edges of one color: ``neighbors[v]`` lists the vertices joined to
+    ``v`` by an edge of that color, ascending, and ``edges`` lists those
+    edges sorted."""
+
+    neighbors: dict[int, tuple[int, ...]]
+    edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -126,10 +139,10 @@ class ColoredGraph:
         return self.color(e) == RED
 
     def red_edges(self) -> list[Edge]:
-        return [e for e, c in self.colors.items() if c == RED]
+        return list(self.color_classes[1].edges)
 
     def blue_edges(self) -> list[Edge]:
-        return [e for e, c in self.colors.items() if c == BLUE]
+        return list(self.color_classes[0].edges)
 
     @cached_property
     def neighbor_index(self) -> tuple[dict[int, int], ...]:
@@ -138,13 +151,40 @@ class ColoredGraph:
 
         The maps are filled in the sorted order of ``colors``, so each lists
         its neighbors ascending.  That order fixes the tie-breaks of the
-        blossom engine and of completion.  Shared and read-only: callers
-        must copy before changing anything.
+        blossom engine and, through the neighbor tuples of
+        ``color_classes``, which are split from it, those of completion.
+        Built on first access.  Shared and read-only: callers must copy before
+        changing anything.
         """
         index: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
         for (u, v), c in self.colors.items():
             index[u][v] = index[v][u] = 1 if c == RED else 0
         return index
+
+    @cached_property
+    def color_classes(self) -> tuple[ColorClass, ColorClass]:
+        """The blue and the red ``ColorClass``, at the index of their flag in
+        ``neighbor_index`` (0 blue, 1 red).
+
+        The neighbor tuples are split from ``neighbor_index`` in one pass and
+        keep its ascending order; the edge tuples keep the sorted order of
+        ``colors``.  Built on first access.  Shared and read-only, like the
+        index.
+        """
+        blue_nbrs: dict[int, tuple[int, ...]] = {}
+        red_nbrs: dict[int, tuple[int, ...]] = {}
+        for v, nbrs in enumerate(self.neighbor_index):
+            split: tuple[list[int], list[int]] = ([], [])
+            for w, flag in nbrs.items():
+                split[flag].append(w)
+            blue_nbrs[v] = tuple(split[0])
+            red_nbrs[v] = tuple(split[1])
+        # The edge tuples reuse the keys of ``colors``: making m new pairs
+        # instead made the build about 1.5 times slower on planted graphs
+        # with n 100-120.
+        colors = self.colors
+        return (ColorClass(blue_nbrs, tuple(compress(colors, map(BLUE.__eq__, colors.values())))),
+                ColorClass(red_nbrs, tuple(compress(colors, map(RED.__eq__, colors.values())))))
 
     def adjacency(self) -> dict[int, list[int]]:
         """Neighbor lists, each sorted ascending."""

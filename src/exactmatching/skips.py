@@ -220,6 +220,45 @@ def _walk_layout(
     return {v: i for i, v in enumerate(order)}, 0 if ring[0] in matching.edges else 1, prefix
 
 
+def _skip_chords(
+    index: Sequence[dict[int, int]], pos: dict[int, int]
+) -> list[tuple[Edge, int, int, int, int]]:
+    """(chord, lower position, upper position, position parity, weight) for
+    every edge joining two cycle vertices whose positions ``pos`` have the
+    same parity, in lexicographic order of the chord.
+
+    Same-parity positions are never adjacent on the even cycle, and every
+    matching edge between cycle vertices is a cycle edge, so each chord is a
+    non-matching edge and weighs 1 if red, 0 if blue.  For each cycle vertex
+    u, ascending, the partners v > u come from the shorter of two ascending
+    lists: u's entry in the neighbor ``index``, or the same-parity cycle
+    vertices above u tested for membership in it.  Either gives the same
+    chords, so the scan costs O(min(degree, L)) per vertex.
+    """
+    order = sorted(pos)
+    same: tuple[list[int], list[int]] = ([], [])    # by position parity
+    for u in order:
+        same[pos[u] % 2].append(u)
+    seen = [0, 0]
+    chords = []
+    for u in order:
+        pu = pos[u]
+        side = pu % 2
+        seen[side] += 1
+        nbrs = index[u]
+        row = same[side]
+        if len(row) - seen[side] < len(nbrs):
+            partners = [(v, nbrs[v]) for v in row[seen[side]:] if v in nbrs]
+        else:
+            partners = [(v, red) for v, red in nbrs.items()
+                        if v > u and v in pos and pos[v] % 2 == side]
+        for v, red in partners:
+            pv = pos[v]
+            p, q = (pu, pv) if pu < pv else (pv, pu)
+            chords.append(((u, v), p, q, side, red))
+    return chords
+
+
 def find_skip(
     graph: ColoredGraph,
     matching: PerfectMatching,
@@ -248,21 +287,7 @@ def find_skip(
     verts = cycle.vertices
     length = len(verts)
     pos, par, prefix = _walk_layout(graph, matching, verts)
-    # (chord, lower position, upper position, position parity, weight), in
-    # lexicographic order of the chord.  Same-parity positions are never
-    # adjacent on the even cycle, and every matching edge between cycle
-    # vertices is a cycle edge, so each candidate is a non-matching edge and
-    # weighs 1 if red, 0 if blue.
-    index = graph.neighbor_index
-    chords = []
-    for u in sorted(pos):
-        pu = pos[u]
-        for v, red in index[u].items():
-            if v > u and v in pos:
-                pv = pos[v]
-                if pu % 2 == pv % 2:
-                    p, q = (pu, pv) if pu < pv else (pv, pu)
-                    chords.append(((u, v), p, q, p % 2, red))
+    chords = _skip_chords(graph.neighbor_index, pos)
     for i, (f, a0, a1, side, wf) in enumerate(chords):
         for g, b0, b1, g_side, wg in chords[i + 1:]:
             if g_side == side or (a0 < b0 < a1) == (a0 < b1 < a1):

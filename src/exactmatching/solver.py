@@ -23,6 +23,7 @@ rejected before any completion is attempted.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -203,7 +204,11 @@ def run_phase1(
         return Phase1Result(None, 0, threshold, bound, bipartite)
     high = max_red_pm(graph)
     assert high is not None
-    view = orient(graph, low) if bipartite else None
+    if bipartite and graph.bipartition is None:
+        raise GraphError("orientation needs a bipartite graph")
+    # The bipartite view of low, built just before the first biskip search
+    # that needs it and dropped whenever a cycle is flipped onto low.
+    view = None
 
     # ``context`` is always symmetric_difference(graph, low, high), weighted
     # against low.  It is computed once and then carried forward: a skip or
@@ -226,9 +231,10 @@ def run_phase1(
         if cycle.weight <= threshold:
             low = apply_cycles(low, CycleSet.from_cycles([cycle]))
             context = CycleSet.from_cycles(c for c in context if c is not cycle)
-            if bipartite:
-                view = orient(graph, low)
+            view = None
         elif bipartite:
+            if view is None:
+                view = orient(graph, low)
             shortcut = find_biskip(view, low, cycle, NEGATIVE_WEIGHTS)
             if shortcut is None:
                 raise SkipSearchError(
@@ -309,9 +315,15 @@ class _RecoveryContext:
 
     Precomputing the color class, the matching's share of it, and the
     opposite-color adjacency keeps the per-guess cost independent of the
-    graph size.  ``is_base[j]`` tells whether ``color_edges[j]`` is in the
-    base, ``base_of[v]`` is the index of the base edge at vertex v (or -1),
-    and ``base_left[j]`` counts the base edges at index >= j.  ``parity``
+    graph size.  ``color_edges`` (the sorted color class, which fixes the
+    guess order) and ``other_adjacency`` (ascending neighbor tuples, which
+    fix completion's tie-breaks) are the graph's cached
+    ``ColoredGraph.color_classes`` entries, shared by every context of the
+    graph, not copies.  ``base`` is the matching's edges of this color.
+    ``is_base[j]`` tells whether ``color_edges[j]`` is in the base,
+    ``base_of[v]`` is the index of the base edge at vertex v (or -1), and
+    ``base_left[j]`` counts the base edges at index >= j; the first two are
+    filled from the base edges alone.  ``parity``
     labels the components of the opposite-color graph for ``_parity_ok``;
     it is built on first use, so contexts that never reach a completion do
     not pay for it.
@@ -373,20 +385,21 @@ class _RecoveryContext:
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
-    color_edges = graph.red_edges() if color == RED else graph.blue_edges()
-    other = 0 if color == RED else 1        # the opposite color's index flag
-    adjacency = {v: tuple([w for w, flag in nbrs.items() if flag == other])
-                 for v, nbrs in enumerate(graph.neighbor_index)}
+    flag = 1 if color == RED else 0         # the color's flag in the index
+    classes = graph.color_classes
+    color_edges = classes[flag].edges
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     target = k if color == RED else graph.n // 2 - k
-    is_base = tuple(e in base for e in color_edges)
+    is_base = [False] * len(color_edges)
     base_of = [-1] * graph.n
-    for j, (u, v) in enumerate(color_edges):
-        if is_base[j]:
-            base_of[u] = base_of[v] = j
+    for e in base:
+        j = bisect_left(color_edges, e)
+        is_base[j] = True
+        base_of[e[0]] = base_of[e[1]] = j
     base_left = tuple(itertools.accumulate(reversed(is_base), initial=0))[::-1]
-    return _RecoveryContext(graph, color, k, target, base, tuple(color_edges),
-                            adjacency, is_base, tuple(base_of), base_left)
+    return _RecoveryContext(graph, color, k, target, base, color_edges,
+                            classes[1 - flag].neighbors, tuple(is_base), tuple(base_of),
+                            base_left)
 
 
 def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching | None:

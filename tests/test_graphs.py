@@ -106,6 +106,28 @@ class TestColoredGraph:
             assert g.adjacency() == {v: list(nbrs) for v, nbrs in enumerate(index)}
             assert g.neighbor_index is index
 
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_color_classes(self, bipartite):
+        """The index split by flag, ascending, with the old edge scans' lists."""
+        make = random_bipartite_colored_graph if bipartite else random_colored_graph
+        for seed in range(40):
+            n = 2 * (seed % 11)
+            g = make(n, (0.1, 0.4, 0.8)[seed % 3], seed)
+            classes = g.color_classes
+            assert len(classes) == 2
+            for flag, (neighbors, edges) in enumerate(classes):
+                assert sorted(neighbors) == list(range(n))
+                for v, ws in neighbors.items():
+                    assert type(ws) is tuple and list(ws) == sorted(ws)
+                    assert ws == tuple(w for w, f in g.neighbor_index[v].items() if f == flag)
+                color = RED if flag else BLUE
+                assert type(edges) is tuple
+                assert edges == tuple(e for e, c in g.colors.items() if c == color)
+                assert list(edges) == sorted(edges)
+            assert g.red_edges() == list(classes[1].edges)
+            assert g.blue_edges() == list(classes[0].edges)
+            assert g.color_classes is classes
+
 
 class TestPerfectMatching:
     def test_from_edges(self, c4):

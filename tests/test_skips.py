@@ -33,6 +33,8 @@ from exactmatching import (
     symmetric_difference,
 )
 
+from exactmatching.skips import _skip_chords
+
 from ._support import (
     check_biskip,
     check_skip,
@@ -408,6 +410,39 @@ def test_find_skip_matches_naive_reference():
                     assert find_skip(g, pm, cyc, wanted) == want
                     hits += want is not None
     assert hits >= 100
+
+
+def full_scan_chords(graph, pos):
+    """The chord list read off every neighbor of every cycle vertex."""
+    chords = []
+    for u in sorted(pos):
+        pu = pos[u]
+        for v, red in graph.neighbor_index[u].items():
+            if v > u and v in pos and pu % 2 == pos[v] % 2:
+                p, q = sorted((pu, pos[v]))
+                chords.append(((u, v), p, q, p % 2, red))
+    return chords
+
+
+def test_skip_chords_match_full_neighbor_scan():
+    # Dense graphs take most partners from the cycle's same-parity
+    # vertices, sparse ones from the neighbor index; both must be seen.
+    from_cycle = from_index = chords = 0
+    for n in (8, 16, 30, 40):
+        for prob in (0.02, 0.1, 0.5, 0.95):
+            for seed in range(6):
+                g, _, cyc = random_host(n, prob, 100 + seed)
+                pos = {v: i for i, v in enumerate(cyc.vertices)}
+                want = full_scan_chords(g, pos)
+                assert _skip_chords(g.neighbor_index, pos) == want
+                chords += len(want)
+                for u, pu in pos.items():
+                    above = sum(1 for v, pv in pos.items() if v > u and pv % 2 == pu % 2)
+                    if above < len(g.neighbor_index[u]):
+                        from_cycle += 1
+                    else:
+                        from_index += 1
+    assert from_cycle > 500 and from_index > 300 and chords > 1000
 
 
 def test_find_biskip_matches_naive_reference():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -149,6 +150,8 @@ class TestPhase1:
             approx_em(c4, 3)
         with pytest.raises(GraphError):
             approx_em_bipartite(c4, 1)
+        with pytest.raises(GraphError):
+            run_phase1(c4, 1, SolverParams(beta_hint=1), bipartite=True)
 
     def test_bipartite_variant(self, k33):
         pm = approx_em_bipartite(k33, 0)
@@ -169,6 +172,41 @@ class TestPhase1:
             assert res.iterations == iterations
             assert res.matching.red_count == red
             assert hashlib.sha256(edges).hexdigest()[:16] == digest
+
+    def test_orientation_is_not_built_when_the_walk_does_not_iterate(self, monkeypatch):
+        calls = []
+        orient = solver_mod.orient
+        monkeypatch.setattr(solver_mod, "orient", lambda *a: calls.append(1) or orient(*a))
+        for seed in range(4):
+            g = gen_planted_yes(40, 10, BaseFamily("beta", 1), seed)
+            v = solve_em(g, 10, SolverParams(beta_hint=1))
+            assert v.status == YES and v.iterations == 0
+        assert calls == []
+
+    def test_forced_bipartite_walk_is_pinned(self, monkeypatch):
+        # Recorded with the orientation rebuilt after every flip onto low
+        # (8 builds then).  Every biskip search must see the orientation of
+        # the low matching it is given.
+        calls = {"orient": 0, "find_biskip": 0}
+        orient, find_biskip = solver_mod.orient, solver_mod.find_biskip
+
+        def counting_orient(graph, matching):
+            calls["orient"] += 1
+            return orient(graph, matching)
+
+        def checking_find_biskip(view, matching, cycle, weights):
+            calls["find_biskip"] += 1
+            assert view == orient(view.graph, matching)
+            return find_biskip(view, matching, cycle, weights)
+
+        monkeypatch.setattr(solver_mod, "orient", counting_orient)
+        monkeypatch.setattr(solver_mod, "find_biskip", checking_find_biskip)
+        g = gen_planted_yes(60, 15, BaseFamily("beta", 1), 3)
+        v = solve_em(g, 15, SolverParams(beta_hint=1, t_override=4))
+        assert (v.status, v.iterations, v.phase1_r, v.L_used) == (YES, 13, 12, 3)
+        edges = repr(v.witness.sorted_edges()).encode()
+        assert hashlib.sha256(edges).hexdigest()[:16] == "5a158cd053463905"
+        assert calls == {"orient": 4, "find_biskip": 6}
 
 
 # -- phase 2: single-guess recovery -------------------------------------------------
@@ -254,6 +292,30 @@ class TestRecovery:
                         assert all(v in ctx.other_adjacency[u] for u, v in fallback)
         assert exists > 50
 
+    def test_context_matches_full_scan_reference(self):
+        # Every field against one built from a full scan of graph.colors,
+        # for both colors, on min-red, max-red and random perfect matchings.
+        rng = random.Random(23)
+        checked = 0
+        for seed in range(40):
+            n = rng.choice((0, 2, 4, 6, 8, 10, 12))
+            make = random_bipartite_colored_graph if seed % 3 == 0 else random_colored_graph
+            g = make(n, rng.choice((0.3, 0.6, 0.9)), seed)
+            matchings = list(enumerate_perfect_matchings(g))
+            if not matchings:
+                continue
+            anchors = [solver_mod.min_red_pm(g), solver_mod.max_red_pm(g),
+                       rng.choice(matchings)]
+            for pm in anchors:
+                for color in (RED, BLUE):
+                    k = rng.randint(0, n // 2)
+                    ctx = solver_mod._make_context(g, pm, k, color)
+                    want = reference_context(g, pm, k, color)
+                    for field in dataclasses.fields(ctx):
+                        assert getattr(ctx, field.name) == getattr(want, field.name), field.name
+                    checked += 1
+        assert checked > 150
+
     def test_parity_screen_matches_components(self):
         # Against networkx's components and 2-colorings of the whole
         # opposite-color graph: the screen rejects exactly the remainders
@@ -297,6 +359,29 @@ class TestRecovery:
                         assert got
                         matched += 1
         assert rejected > 100 and matched > 100
+
+
+def reference_context(graph, matching, k, color):
+    """``_make_context`` from full scans of ``graph.colors``: the sorted color
+    class, each vertex's opposite-color neighbors ascending, and the base
+    flags and indices read off the whole class."""
+    color_edges = tuple(e for e, c in graph.colors.items() if c == color)
+    adjacency = {v: [] for v in range(graph.n)}
+    for (u, v), c in graph.colors.items():
+        if c != color:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    base = frozenset(e for e in matching.edges if graph.colors[e] == color)
+    is_base = tuple(e in base for e in color_edges)
+    base_of = [-1] * graph.n
+    for j, (u, v) in enumerate(color_edges):
+        if is_base[j]:
+            base_of[u] = base_of[v] = j
+    base_left = tuple(sum(is_base[j:]) for j in range(len(is_base) + 1))
+    return solver_mod._RecoveryContext(
+        graph, color, k, k if color == RED else graph.n // 2 - k, base, color_edges,
+        {v: tuple(sorted(ws)) for v, ws in adjacency.items()}, is_base, tuple(base_of),
+        base_left)
 
 
 # -- phase 2: the guess stream ------------------------------------------------------
