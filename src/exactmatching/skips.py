@@ -230,10 +230,9 @@ def _skip_chords(
     Same-parity positions are never adjacent on the even cycle, and every
     matching edge between cycle vertices is a cycle edge, so each chord is a
     non-matching edge and weighs 1 if red, 0 if blue.  For each cycle vertex
-    u, ascending, the partners v > u come from the shorter of two ascending
-    lists: u's entry in the neighbor ``index``, or the same-parity cycle
-    vertices above u tested for membership in it.  Either gives the same
-    chords, so the scan costs O(min(degree, L)) per vertex.
+    u, ascending, the partners v > u are the same-parity cycle vertices
+    above u that are in u's entry of the neighbor ``index``, so the scan
+    costs O(L) per vertex whatever the degree.
     """
     order = sorted(pos)
     same: tuple[list[int], list[int]] = ([], [])    # by position parity
@@ -246,16 +245,12 @@ def _skip_chords(
         side = pu % 2
         seen[side] += 1
         nbrs = index[u]
-        row = same[side]
-        if len(row) - seen[side] < len(nbrs):
-            partners = [(v, nbrs[v]) for v in row[seen[side]:] if v in nbrs]
-        else:
-            partners = [(v, red) for v, red in nbrs.items()
-                        if v > u and v in pos and pos[v] % 2 == side]
-        for v, red in partners:
+        for v in same[side][seen[side]:]:
+            if v not in nbrs:
+                continue
             pv = pos[v]
             p, q = (pu, pv) if pu < pv else (pv, pu)
-            chords.append(((u, v), p, q, side, red))
+            chords.append(((u, v), p, q, side, nbrs[v]))
     return chords
 
 
