@@ -280,8 +280,6 @@ def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
                      help="promise bound on the independence number")
     sub.add_argument("--beta", type=int, default=None,
                      help="promise bound on the bipartite independence number")
-    sub.add_argument("--L-cap", dest="L_cap", type=int, default=None,
-                     help="cap on the phase-2 guess size")
     sub.add_argument("--t-override", dest="t_override", type=int, default=None,
                      help="replace the phase-1 cycle-weight threshold")
 
@@ -295,6 +293,8 @@ def _build_parser() -> _Parser:
     _add_input(solve)
     solve.add_argument("-k", type=int, required=True, help="required red-edge count")
     _add_solver_knobs(solve)
+    solve.add_argument("--L-cap", dest="L_cap", type=int, default=None,
+                       help="cap on the phase-2 guess size")
     solve.add_argument("--json", action="store_true", help="print the verdict as JSON")
     solve.set_defaults(func=_cmd_solve)
 

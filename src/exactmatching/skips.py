@@ -360,28 +360,27 @@ class MatchingOrientation:
 
     Matching edges run from side A to side B, everything else from B to A.
     Directed cycles of this view are exactly the alternating cycles of the
-    underlying graph.
+    underlying graph.  An edge's direction follows from the bipartition and
+    the matching, so the view stores no arcs.
     """
 
     graph: ColoredGraph
     matching: PerfectMatching
-    arcs: frozenset[Arc]
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        graph = self.graph
+        if not graph.has_edge(u, v):
+            return False
+        return (u in graph.bipartition[0]) == (edge_key(u, v) in self.matching.edges)
 
 
 def orient(graph: ColoredGraph, matching: PerfectMatching) -> MatchingOrientation:
+    """The orientation of ``graph`` by ``matching``, checked in O(n)."""
     if graph.bipartition is None:
         raise GraphError("orientation needs a bipartite graph")
-    if not matching.edges <= set(graph.colors):
+    if not matching.edges <= graph.colors.keys():
         raise GraphError("matching uses edges outside the graph")
-    side_a = graph.bipartition[0]
-    arcs = set()
-    for u, v in graph.colors:
-        a, b = (u, v) if u in side_a else (v, u)
-        arcs.add((a, b) if (u, v) in matching.edges else (b, a))
-    return MatchingOrientation(graph, matching, frozenset(arcs))
+    return MatchingOrientation(graph, matching)
 
 
 def _directed_order(view: MatchingOrientation, cycle: AlternatingCycle) -> tuple[int, ...]:
@@ -425,10 +424,15 @@ def find_biskip(
 
     Each candidate costs O(1).  A replacement cycle runs from its arc's head
     forward to its tail, so it alternates exactly when the head starts a
-    matching edge and the tail ends one; arcs failing that position-parity
-    test are dropped up front.  The cyclic order makes the two cycles
-    vertex-disjoint, lengths come from positions and weights from prefix sums
-    along the directed order, and only the winner's cycles are built.
+    matching edge and the tail ends one.  That holds for every chord: a
+    chord between cycle vertices is never a matching edge, so it runs from
+    side B to side A, and side A holds the positions of parity ``par`` in
+    directed order.  The chords come from the neighbor index: for each side-B
+    cycle vertex, ascending, the side-A cycle vertices, ascending, that are
+    in its entry, other than its two cycle neighbours.  The cyclic order
+    makes the two cycles vertex-disjoint, lengths come from positions and
+    weights from prefix sums along the directed order, and only the winner's
+    cycles are built.
     """
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
@@ -438,17 +442,19 @@ def find_biskip(
     length = len(order)
     pos, par, prefix = _walk_layout(graph, matching, order)
     total = prefix[-1]
-    cycle_arcs = {(order[i], order[(i + 1) % length]) for i in range(length)}
+    heads = sorted(order[par::2])
     # (arc, tail position, head position, weight of the segment from head
-    # forward to tail plus the arc itself)
+    # forward to tail plus the arc itself, whose weight is its red flag)
     chords = []
-    for a in sorted(view.arcs):
-        tail, head = a
-        if tail in pos and head in pos and a not in cycle_arcs:
-            pt, ph = pos[tail], pos[head]
-            if ph % 2 == par and pt % 2 != par:
+    for tail in sorted(order[1 - par::2]):
+        pt = pos[tail]
+        nbrs = graph.neighbor_index[tail]
+        on_cycle = (order[pt - 1], order[(pt + 1) % length])
+        for head in heads:
+            if head in nbrs and head not in on_cycle:
+                ph = pos[head]
                 segment = prefix[pt] - prefix[ph] + (total if ph > pt else 0)
-                chords.append((a, pt, ph, segment + edge_weight(graph, matching, edge_key(*a))))
+                chords.append(((tail, head), pt, ph, segment + nbrs[head]))
     for a1, p1, p2, w1 in chords:
         r2 = (p2 - p1) % length
         len1 = length - r2 + 1

@@ -9,10 +9,13 @@ by guessing how the red (then blue) edge set of the unknown solution
 differs from the phase-1 matching, in increasing guess size, and completing
 each guess with a perfect matching on the remaining single-color graph.
 
-Exhausting phase 2 up to radius min(n, f_bound) is a certificate that no
-solution exists; with a smaller caller-imposed budget the result is merely
-unknown.  Two prunings drop only guesses that cannot succeed, so they change
-no verdict and no witness.  The search stops after size min(r + k, n - r - k),
+Exhausting phase 2 up to radius n is a certificate that no solution exists;
+with a smaller caller-imposed budget the result is merely unknown.  The paper
+certifies at radius min(n, f) with f = 1000 * (256 * 4^(2 alpha))^6, or
+1000 * (256 * 4^(4 beta + 4))^6 for the bipartite bound beta; f is at least
+1000 * 4096^6, far above any n that fits in memory, so the radius is always
+n.  Two prunings drop only guesses that cannot succeed, so they change no
+verdict and no witness.  The search stops after size min(r + k, n - r - k),
 where r is the red count of the phase-1 matching: every solution is found by
 a guess no larger than that, so the sizes past it are provably empty.  And a
 guess whose remainder fails a parity test on the components of the
@@ -76,30 +79,6 @@ class SkipSearchError(SolverError):
     """A guaranteed shortcut was not found; the independence bound hint is too small."""
 
 
-def t_alpha(alpha: int) -> int:
-    """Reporting constant for the general algorithm; grows as 256 * 4^(2a)."""
-    if alpha < 1:
-        raise ConfigurationError(f"bound must be >= 1, got {alpha}")
-    return 256 * 4 ** (2 * alpha)
-
-
-def f_alpha(alpha: int) -> int:
-    """Certified search radius for independence number at most alpha."""
-    return 1000 * t_alpha(alpha) ** 6
-
-
-def t_beta(beta: int) -> int:
-    """Reporting constant for the bipartite algorithm; grows as 256 * 4^(4b+4)."""
-    if beta < 1:
-        raise ConfigurationError(f"bound must be >= 1, got {beta}")
-    return 256 * 4 ** (4 * beta + 4)
-
-
-def f_beta(beta: int) -> int:
-    """Certified search radius for bipartite independence number at most beta."""
-    return 1000 * t_beta(beta) ** 6
-
-
 @dataclass(frozen=True)
 class SolverParams:
     """Knobs for the solver.
@@ -124,9 +103,9 @@ class Verdict:
     ``status`` is "yes" (witness attached), "no" (certified absence), or
     "unknown" (caller-imposed budget exhausted).  ``L_used`` is the guess
     size of the successful recovery for yes verdicts found in phase 2, the
-    certified radius min(n, f_bound) for a "no" from phase 2 (the search may
-    stop earlier, since the sizes past its stop are provably empty), the cap
-    for an "unknown", and 0 otherwise.  ``phase1_r`` is the red count of the
+    certified radius n for a "no" from phase 2 (the search may stop earlier,
+    since the sizes past its stop are provably empty), the cap for an
+    "unknown", and 0 otherwise.  ``phase1_r`` is the red count of the
     phase-1 matching when one exists.
     """
 
@@ -206,9 +185,6 @@ def run_phase1(
     assert high is not None
     if bipartite and graph.bipartition is None:
         raise GraphError("orientation needs a bipartite graph")
-    # The bipartite view of low, built just before the first biskip search
-    # that needs it and dropped whenever a cycle is flipped onto low.
-    view = None
 
     # ``context`` is always symmetric_difference(graph, low, high), weighted
     # against low.  It is computed once and then carried forward: a skip or
@@ -231,11 +207,8 @@ def run_phase1(
         if cycle.weight <= threshold:
             low = apply_cycles(low, CycleSet.from_cycles([cycle]))
             context = CycleSet.from_cycles(c for c in context if c is not cycle)
-            view = None
         elif bipartite:
-            if view is None:
-                view = orient(graph, low)
-            shortcut = find_biskip(view, low, cycle, NEGATIVE_WEIGHTS)
+            shortcut = find_biskip(orient(graph, low), low, cycle, NEGATIVE_WEIGHTS)
             if shortcut is None:
                 raise SkipSearchError(
                     "no negative biskip on a heavy cycle; "
@@ -595,10 +568,10 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     Yes verdicts carry a verified witness.  A no verdict is only emitted
     when it is certain: trivial parity/range violations, no perfect
-    matching at all, or a phase-2 search that covers radius min(n, f_bound),
-    which it does once it passes its early stop.  A caller-imposed ``L_cap``
-    below that radius turns exhaustion into an unknown verdict instead, even
-    when the search stopped early under the cap.
+    matching at all, or a phase-2 search that covers radius n, which it does
+    once it passes its early stop.  A caller-imposed ``L_cap`` below n turns
+    exhaustion into an unknown verdict instead, even when the search stopped
+    early under the cap.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:
@@ -609,8 +582,7 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     if not 0 <= k <= n // 2:
         return Verdict(NO_CERTIFIED, reason=f"k={k} outside [0, {n // 2}]")
 
-    bipartite = graph.bipartition is not None
-    phase1 = run_phase1(graph, k, params, bipartite)
+    phase1 = run_phase1(graph, k, params)
     if phase1.matching is None:
         return Verdict(NO_CERTIFIED, reason="graph has no perfect matching")
     m = phase1.matching
@@ -618,16 +590,14 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
         return Verdict(YES, witness=_verified(graph, m, k, "phase 1"), L_used=0,
                        phase1_r=m.red_count, iterations=phase1.iterations)
 
-    f_bound = f_beta(phase1.bound) if bipartite else f_alpha(phase1.bound)
-    certified_radius = min(n, f_bound)
-    limit = certified_radius if params.L_cap is None else min(params.L_cap, certified_radius)
+    limit = n if params.L_cap is None else min(params.L_cap, n)
 
     hit = _search((_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE)), limit)
     if hit is not None:
         size, pm = hit
         return Verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size,
                        phase1_r=m.red_count, iterations=phase1.iterations)
-    if limit >= certified_radius:
+    if limit == n:
         return Verdict(NO_CERTIFIED, reason="exhausted the certified search radius",
                        L_used=limit, phase1_r=m.red_count, iterations=phase1.iterations)
     return Verdict(UNKNOWN, reason=f"search exhausted at guess-size budget {limit}",

@@ -6,6 +6,9 @@ reusing the library's own cycle or shortcut helpers, so tests can confront
 the implementation with a second opinion.  Each checker returns a list of
 violation strings; an empty list means the structure is valid.
 
+``orientation_arcs`` lists every arc of the bipartite matching
+orientation, edge by edge; the biskip checker and reference read their arcs
+from it rather than from the library's derived view.
 ``naive_find_skip`` and ``naive_find_biskip`` are the straightforward
 shortcut searches that rebuild every candidate cycle, kept as the
 reference the library's searches are tested against.  ``naive_solve`` is
@@ -27,14 +30,12 @@ from exactmatching import (
     Biskip,
     ColoredGraph,
     GraphError,
-    MatchingOrientation,
     PerfectMatching,
     Skip,
     SolverParams,
     run_phase1,
 )
 from exactmatching import solver as solver_mod
-from exactmatching.skips import _directed_order
 
 
 def _key(u: int, v: int) -> tuple[int, int]:
@@ -148,26 +149,43 @@ def check_skip(graph: ColoredGraph, matching: PerfectMatching, skip: Skip) -> li
     return out
 
 
-def check_biskip(
-    view: MatchingOrientation, matching: PerfectMatching, biskip: Biskip
-) -> list[str]:
+def orientation_arcs(graph: ColoredGraph, matching: PerfectMatching) -> frozenset:
+    """Every arc of the matching orientation, one per edge of ``graph.colors``:
+    matching edges run from the first bipartition side to the second, all
+    other edges back."""
+    side_a = graph.bipartition[0]
+    arcs = set()
+    for u, v in graph.colors:
+        a, b = (u, v) if u in side_a else (v, u)
+        arcs.add((a, b) if (u, v) in matching.edges else (b, a))
+    return frozenset(arcs)
+
+
+def directed_order(arcs, vertices) -> list[int] | None:
+    """``vertices`` or their reverse, whichever runs along ``arcs`` as a
+    directed cycle; None when neither does."""
+    for order in (list(vertices), list(reversed(vertices))):
+        if all((order[i], order[(i + 1) % len(order)]) in arcs for i in range(len(order))):
+            return order
+    return None
+
+
+def check_biskip(graph: ColoredGraph, matching: PerfectMatching, biskip: Biskip) -> list[str]:
     """All split invariants, evaluated directly.  Empty list = valid."""
-    graph = view.graph
+    arcs = orientation_arcs(graph, matching)
     out = []
     host_edges = set(biskip.host_cycle.edges)
     order = walk_cycle(host_edges)
     if order is None or not is_alternating_cycle(graph, matching, host_edges):
         return ["host is not a simple alternating cycle"]
+    order = directed_order(arcs, order)
+    if order is None:
+        return ["host is not a directed cycle of the orientation"]
     length = len(order)
-    if not all(view.has_arc(order[i], order[(i + 1) % length]) for i in range(length)):
-        order = list(reversed(order))
-        if not all(view.has_arc(order[i], order[(i + 1) % length])
-                   for i in range(length)):
-            return ["host is not a directed cycle of the orientation"]
     pos = {v: i for i, v in enumerate(order)}
     host_arcs = {(order[i], order[(i + 1) % length]) for i in range(length)}
     for name, arc in (("first", biskip.a1), ("second", biskip.a2)):
-        if arc not in view.arcs:
+        if arc not in arcs:
             out.append(f"{name} arc is not an orientation arc")
         elif arc in host_arcs:
             out.append(f"{name} arc lies on the host cycle")
@@ -276,18 +294,20 @@ def _naive_chord_pair(graph, matching, cycle, base_weight, pos, f, g, wanted):
     return None
 
 
-def naive_find_biskip(view, matching, cycle, weight_filter):
+def naive_find_biskip(graph, matching, cycle, weight_filter):
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
         return None
-    base_weight = _cycle_weight(view.graph, matching, cycle)
-    order = _directed_order(view, cycle)
+    base_weight = _cycle_weight(graph, matching, cycle)
+    arcs = orientation_arcs(graph, matching)
+    order = directed_order(arcs, cycle.vertices)
+    if order is None:
+        raise GraphError("cycle is not a directed cycle of the orientation")
     length = len(order)
     pos = {v: i for i, v in enumerate(order)}
     cycle_arcs = {(order[i], order[(i + 1) % length]) for i in range(length)}
-    chords = sorted(a for a in view.arcs
+    chords = sorted(a for a in arcs
                     if a[0] in pos and a[1] in pos and a not in cycle_arcs)
-    graph = view.graph
     for a1 in chords:
         v1, v2 = a1
         r2 = (pos[v2] - pos[v1]) % length

@@ -125,6 +125,12 @@ class TestApprox:
         assert doc["bipartite"] is False
         assert doc["threshold"] == 2 * 4 ** doc["bound"]
 
+    def test_guess_size_cap_is_usage_error(self, c4_file):
+        # Phase 1 makes no guesses, so approx takes no --L-cap.
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", c4_file, "-k", "1", "--L-cap", "3"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_odd_n_is_limit_error(self, tmp_path, capsys):
         p = tmp_path / "odd.json"
         p.write_text('{"n": 3, "edges": [[0, 1, "red"]]}')

@@ -41,6 +41,7 @@ from ._support import (
     cycle_weight,
     naive_find_biskip,
     naive_find_skip,
+    orientation_arcs,
 )
 
 # -- fixtures: a 10-cycle with matching (2i, 2i+1) and optional chords ---------
@@ -274,7 +275,7 @@ def test_biskip_zero_weight_example():
     assert bi.weight == 0
     assert bi.cycles[0].vertices == (0, 1, 2, 3)
     assert bi.cycles[1].vertices == (4, 5, 6, 7)
-    assert check_biskip(view, pm, bi) == []
+    assert check_biskip(g, pm, bi) == []
 
 
 def test_biskip_negative_weight_example():
@@ -284,7 +285,7 @@ def test_biskip_negative_weight_example():
     view = orient(g, pm)
     bi = find_biskip(view, pm, cyc, NEGATIVE_WEIGHTS)
     assert bi.weight == -3
-    assert check_biskip(view, pm, bi) == []
+    assert check_biskip(g, pm, bi) == []
     assert find_biskip(view, pm, cyc, POSITIVE_WEIGHTS) is None
 
 
@@ -316,13 +317,40 @@ def test_orientation_structure():
     assert not view.has_arc(1, 0)
     assert view.has_arc(1, 2)      # non-matching edge, second side to first
     assert not view.has_arc(2, 1)
-    assert len(view.arcs) == g.m
+    assert not view.has_arc(0, 2)  # no edge at all
+
+
+def test_has_arc_holds_exactly_on_the_full_arc_set():
+    arcs_seen = 0
+    for n in (4, 8, 12, 16):
+        for prob in (0.3, 0.6, 1.0):
+            for seed in range(4):
+                g = random_bipartite_colored_graph(n, prob, seed)
+                for pm in (min_red_pm(g), max_red_pm(g)):
+                    if pm is None:
+                        continue
+                    view = orient(g, pm)
+                    arcs = orientation_arcs(g, pm)
+                    assert len(arcs) == g.m
+                    for u in range(n):
+                        for v in range(n):
+                            assert view.has_arc(u, v) == ((u, v) in arcs)
+                    arcs_seen += len(arcs)
+    assert arcs_seen > 1000
 
 
 def test_orient_requires_bipartition():
     g, pm, _ = ten_cycle()
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="needs a bipartite graph"):
         orient(g, pm)
+
+
+def test_orient_rejects_a_matching_outside_the_graph():
+    g, _, _ = ten_cycle(bipartite=True)
+    foreign = PerfectMatching(frozenset({(0, 5), (1, 2), (3, 4), (6, 7), (8, 9)}), 0)
+    assert not g.has_edge(0, 5)
+    with pytest.raises(GraphError, match="matching uses edges outside the graph"):
+        orient(g, foreign)
 
 
 # -- randomized cross-check against the independent predicates ---------------------
@@ -350,7 +378,7 @@ def test_random_biskips_pass_independent_checks():
         if bi is None:
             continue
         hits += 1
-        assert check_biskip(view, pm, bi) == []
+        assert check_biskip(g, pm, bi) == []
     assert hits >= 30
 
 
@@ -445,7 +473,7 @@ def test_find_biskip_matches_naive_reference():
                 g, pm, cyc = random_host(n, prob, seed, bipartite=True)
                 view = orient(g, pm)
                 for wanted in FILTERS:
-                    want = naive_find_biskip(view, pm, cyc, wanted)
+                    want = naive_find_biskip(g, pm, cyc, wanted)
                     assert find_biskip(view, pm, cyc, wanted) == want
                     hits += want is not None
     assert hits >= 30

@@ -24,8 +24,6 @@ from exactmatching import (
     count_perfect_matchings,
     em_decide_bruteforce,
     enumerate_perfect_matchings,
-    f_alpha,
-    f_beta,
     gen_planted_yes,
     perfect_matching_red_counts,
     random_bipartite_colored_graph,
@@ -34,8 +32,6 @@ from exactmatching import (
     run_phase1,
     small_diff_search,
     solve_em,
-    t_alpha,
-    t_beta,
     validate_matching,
 )
 from exactmatching import BaseFamily
@@ -61,23 +57,6 @@ def parity_graph(n, split):
     return ColoredGraph.from_edges(n, [
         (u, v, RED if (u < split) != (v < split) else BLUE)
         for u in range(n) for v in range(u + 1, n)])
-
-
-# -- constants --------------------------------------------------------------------
-
-
-def test_threshold_constants():
-    assert t_alpha(1) == 4096
-    assert t_alpha(2) == 256 * 4 ** 4
-    assert t_beta(1) == 16777216
-    assert f_alpha(1) == 1000 * 4096 ** 6
-    assert f_beta(1) == 1000 * 16777216 ** 6
-
-
-@pytest.mark.parametrize("fn", [t_alpha, f_alpha, t_beta, f_beta])
-def test_constants_reject_bad_bound(fn):
-    with pytest.raises(ConfigurationError):
-        fn(0)
 
 
 # -- phase 1 ----------------------------------------------------------------------
@@ -184,9 +163,14 @@ class TestPhase1:
         assert calls == []
 
     def test_forced_bipartite_walk_is_pinned(self, monkeypatch):
-        # Recorded with the orientation rebuilt after every flip onto low
-        # (8 builds then).  Every biskip search must see the orientation of
-        # the low matching it is given.
+        # Per size n (k = n/4): (status, iterations, phase1_r, L_used), the
+        # witness digest and the number of biskip searches, recorded with the
+        # orientation stored as a full arc set.  Every biskip search must get
+        # the orientation of the low matching it is given, built for it.
+        pins = {
+            60: ((YES, 13, 12, 3), "5a158cd053463905", 6),
+            120: ((YES, 15, 27, 3), "b77fcd9ff324094b", 3),
+        }
         calls = {"orient": 0, "find_biskip": 0}
         orient, find_biskip = solver_mod.orient, solver_mod.find_biskip
 
@@ -201,12 +185,14 @@ class TestPhase1:
 
         monkeypatch.setattr(solver_mod, "orient", counting_orient)
         monkeypatch.setattr(solver_mod, "find_biskip", checking_find_biskip)
-        g = gen_planted_yes(60, 15, BaseFamily("beta", 1), 3)
-        v = solve_em(g, 15, SolverParams(beta_hint=1, t_override=4))
-        assert (v.status, v.iterations, v.phase1_r, v.L_used) == (YES, 13, 12, 3)
-        edges = repr(v.witness.sorted_edges()).encode()
-        assert hashlib.sha256(edges).hexdigest()[:16] == "5a158cd053463905"
-        assert calls == {"orient": 4, "find_biskip": 6}
+        for n, (pin, digest, searches) in pins.items():
+            calls.update(orient=0, find_biskip=0)
+            g = gen_planted_yes(n, n // 4, BaseFamily("beta", 1), 3)
+            v = solve_em(g, n // 4, SolverParams(beta_hint=1, t_override=4))
+            assert (v.status, v.iterations, v.phase1_r, v.L_used) == pin
+            edges = repr(v.witness.sorted_edges()).encode()
+            assert hashlib.sha256(edges).hexdigest()[:16] == digest
+            assert calls == {"orient": searches, "find_biskip": searches}
 
 
 # -- phase 2: single-guess recovery -------------------------------------------------
