@@ -1,16 +1,19 @@
-"""Exact optimum-weight perfect matching engines.
+"""Exact perfect matching engines.
 
-The heavy lifting is done by the blossom engine in ``blossom`` (Edmonds'
+Optimum weight is the blossom engine's work in ``blossom`` (Edmonds'
 primal-dual method, translated from networkx's ``max_weight_matching`` with
 ``maxcardinality=True``), which is exact for integer weights and runs on the
 standard library alone.  A maximum-cardinality matching of maximum weight is
 a maximum-weight perfect matching whenever a perfect matching exists at all,
-so perfection is detected by size.
+so perfection is detected by size.  Completion (``perfect_matching_on``) is
+the lexicographically first perfect matching, found with one augmenting-path
+search in polynomial time and no search budget.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections import deque
+from typing import Iterable, Mapping, Sequence
 
 from .blossom import max_weight_matching
 from .graphs import ColoredGraph, Edge, GraphError, PerfectMatching
@@ -66,90 +69,74 @@ def _best_perfect(graph: ColoredGraph, adj: Sequence[Mapping[int, int]]) -> Perf
         graph, [(u, v) for u, v in enumerate(mate) if u < v])
 
 
-_SEARCH_BUDGET = 60_000
+def _augment(
+    adjacency: Mapping[int, Sequence[int]], mate: dict[int, int], alive: set[int], root: int
+) -> bool:
+    """Edmonds' augmenting-path search from the exposed vertex ``root`` over
+    the ``alive`` vertices, contracting each odd cycle it meets into a
+    blossom (Edmonds 1965, "Paths, trees, and flowers").
 
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _backtrack_match(
-    adjacency: Mapping[int, Sequence[int]], verts: list[int]
-) -> tuple[Edge, ...] | None:
-    """Bounded lowest-vertex-first search for a perfect matching on ``verts``
-    (sorted, distinct and non-empty).
-
-    Neighbors outside ``verts`` (or already matched) are skipped by the
-    uncovered test, so a shared oversized adjacency and a pre-filtered one
-    walk the identical search tree.  The search keeps an explicit stack of
-    one frame per matched pair, so its depth is not bounded by the
-    interpreter's recursion limit.  Each search node costs one unit of
-    budget; raises when the budget runs out.
+    ``mate`` maps every matched alive vertex to its partner; exposed ones are
+    absent.  Neighbors are scanned in adjacency order from an explicit queue.
+    Flips the first augmenting path found and returns True; returns False,
+    with ``mate`` untouched, when no augmenting path starts at ``root``.
     """
-    budget = _SEARCH_BUDGET - 1     # the root node
-    uncovered = set(verts)
-    # ``verts`` is sorted, so the lowest uncovered vertex is found by
-    # scanning forward from the position of the one matched last.
-    pos = 0
-    u = verts[0]
-    uncovered.discard(u)
-    untried = iter(adjacency.get(u, ()))
-    chosen: list[Edge] = []
-    stack: list[tuple[int, int, Iterator[int]]] = []
-    while True:
-        for v in untried:
-            if v in uncovered:
-                break
-        else:
-            # Every neighbor of u failed: undo the parent's pair and try
-            # the parent's next neighbor.
-            uncovered.add(u)
-            if not stack:
-                return None
-            pos, u, untried = stack.pop()
-            uncovered.add(chosen.pop()[1])
-            continue
-        # u is the lowest uncovered vertex, so its partner v is above it.
-        uncovered.discard(v)
-        chosen.append((u, v))
-        budget -= 1
-        if budget < 0:
-            raise _BudgetExhausted
-        if not uncovered:
-            return tuple(sorted(chosen))
-        stack.append((pos, u, untried))
-        pos += 1
-        while verts[pos] not in uncovered:
-            pos += 1
-        u = verts[pos]
-        uncovered.discard(u)
-        untried = iter(adjacency.get(u, ()))
-
-
-def _blossom_match(pairs: list[Edge], verts: list[int]) -> tuple[Edge, ...] | None:
-    """Blossom on ``verts`` (sorted) mapped onto ``0..len-1``, every edge
-    weighing 1."""
-    index = {v: i for i, v in enumerate(verts)}
-    adj: list[dict[int, int]] = [{} for _ in verts]
-    for u, v in sorted(pairs):
-        iu, iv = index[u], index[v]
-        adj[iu][iv] = 1
-        adj[iv][iu] = 1
-    mate = max_weight_matching(adj)
-    if -1 in mate:
-        return None
-    return tuple(sorted((verts[i], verts[j]) for i, j in enumerate(mate) if i < j))
+    base = {root: root}             # each labeled vertex's blossom base
+    parent: dict[int, int] = {}     # tree link into odd (and blossom) vertices
+    even = {root}
+    queue = deque((root,))
+    while queue:
+        v = queue.popleft()
+        mv = mate.get(v)
+        for w in adjacency.get(v, ()):
+            if w not in alive or w == mv or base.get(w) == base[v]:
+                continue
+            if w in even:
+                # An odd cycle: contract it onto the nearest common base.
+                top, path = base[v], {base[v]}
+                while top != root:
+                    top = base[parent[mate[top]]]
+                    path.add(top)
+                top = base[w]
+                while top not in path:
+                    top = base[parent[mate[top]]]
+                blossom: set[int] = set()
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != top:
+                        m = mate[x]
+                        blossom.update((base[x], base[m]))
+                        parent[x] = child
+                        child, x = m, parent[m]
+                for x, b in base.items():
+                    if b in blossom:
+                        base[x] = top
+                        if x not in even:
+                            even.add(x)
+                            queue.append(x)
+            elif w not in parent:
+                parent[w] = v
+                if w not in mate:
+                    while w is not None:    # flip the path back to the root
+                        p = parent[w]
+                        mate[w], mate[p], w = p, w, mate.get(p)
+                    return True
+                m = mate[w]
+                base[w], base[m] = w, m
+                even.add(m)
+                queue.append(m)
+    return False
 
 
 def perfect_matching_on(
     vertices: Iterable[int], edges: Sequence[Edge]
 ) -> tuple[Edge, ...] | None:
-    """Some perfect matching of the plain graph (vertices, edges), or None.
+    """The lexicographically first perfect matching of the plain graph
+    (vertices, edges), or None if it has none.
 
-    Deterministic.  Tries a bounded backtracking search first (fast on the
-    small or dense remainder graphs this is used for); if the budget runs
-    out, falls back to the blossom engine, which is exact in polynomial time.
-    Edges with an endpoint outside ``vertices`` are ignored.
+    Lexicographically first: the lowest vertex takes the lowest partner that
+    still leaves a perfect matching, then the lowest vertex left, and so on.
+    Exact in polynomial time, with no search budget.  Edges with an endpoint
+    outside ``vertices`` are ignored.
     """
     adj: dict[int, list[int]] = {}
     for u, v in edges:
@@ -169,16 +156,42 @@ def perfect_matching_on_adjacency(
     more vertices than ``vertices``; edges leaving the vertex set are
     ignored.  Callers that repeatedly match different remainders of one
     fixed graph avoid rebuilding the edge list on every call.
+
+    A lowest-first greedy pass and one ``_augment`` per vertex it leaves
+    exposed find some perfect matching.  Then the lowest unfixed vertex u
+    keeps the first neighbor v that leaves one: its mate, or a v such that
+    deleting u and v leaves an augmenting path between their former mates.
     """
     verts = sorted(set(vertices))
-    if len(verts) % 2 != 0:
-        return None
-    if not verts:
-        return ()
-    try:
-        return _backtrack_match(adjacency, verts)
-    except _BudgetExhausted:
-        vset = set(verts)
-        pairs = [(u, v) for u in verts for v in adjacency.get(u, ())
-                 if u < v and v in vset]
-        return _blossom_match(pairs, verts)
+    alive = set(verts)
+    mate: dict[int, int] = {}
+    for u in verts:
+        if u not in mate:
+            for v in adjacency.get(u, ()):
+                if v in alive and v not in mate:
+                    mate[u], mate[v] = v, u
+                    break
+    for r in verts:
+        if r not in mate and not _augment(adjacency, mate, alive, r):
+            return None
+    chosen: list[Edge] = []
+    for u in verts:
+        if u not in alive:
+            continue
+        alive.discard(u)
+        mu = mate[u]
+        for v in adjacency[u]:
+            if v == mu:
+                break
+            if v not in alive:
+                continue
+            mv = mate[v]
+            alive.discard(v)
+            del mate[mu], mate[mv]
+            if _augment(adjacency, mate, alive, mu):
+                break
+            alive.add(v)
+            mate[mu], mate[mv] = u, v
+        alive.discard(v)
+        chosen.append((u, v))
+    return tuple(chosen)

@@ -4,10 +4,10 @@ Two phases.  Phase 1 walks a minimum-red and a maximum-red perfect matching
 toward each other along positive-weight cycles of their symmetric
 difference, using negative skips (or biskips, in the bipartite variant) to
 shrink heavy cycles; on yes-instances it lands within an additive constant
-of k that depends only on the independence bound.  Phase 2 closes the gap
-by guessing how the red (then blue) edge set of the unknown solution
-differs from the phase-1 matching, in increasing guess size, and completing
-each guess with a perfect matching on the remaining single-color graph.
+of k that depends only on the independence bound.  Phase 2 guesses how the
+red (then blue) edges of a solution differ from the phase-1 matching, by
+increasing guess size, and completes each guess with the lexicographically
+first perfect matching of the rest of the opposite-color graph.
 
 Exhausting phase 2 up to radius n is a certificate that no solution exists;
 with a smaller caller-imposed budget the result is merely unknown.  The paper
@@ -268,8 +268,8 @@ def recover_from_color_guess(
     class.  For red, the proposal must have exactly k edges; for blue,
     exactly n/2 - k.  The proposal's endpoints are removed and the rest of
     the graph, restricted to the opposite color, must carry a perfect
-    matching.  Returns the assembled solution (always with red count k) or
-    None when this guess cannot be completed.
+    matching; the lexicographically first one completes the solution, which
+    is returned (always with red count k), or None if there is none.
     """
     if color not in (RED, BLUE):
         raise GraphError(f"unknown color {color!r}")
@@ -290,7 +290,7 @@ class _RecoveryContext:
     opposite-color adjacency keeps the per-guess cost independent of the
     graph size.  ``color_edges`` (the sorted color class, which fixes the
     guess order) and ``other_adjacency`` (ascending neighbor tuples, which
-    fix completion's tie-breaks) are the graph's cached
+    fix completion's lexicographic order) are the graph's cached
     ``ColoredGraph.color_classes`` entries, shared by every context of the
     graph, not copies.  ``base`` is the matching's edges of this color.
     ``is_base[j]`` tells whether ``color_edges[j]`` is in the base,

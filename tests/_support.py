@@ -12,7 +12,9 @@ from it rather than from the library's derived view.
 ``naive_find_skip`` and ``naive_find_biskip`` are the straightforward
 shortcut searches that rebuild every candidate cycle, kept as the
 reference the library's searches are tested against.  ``naive_solve`` is
-the witness contract of ``solve_em`` spelled out with plain combinations.
+the witness contract of ``solve_em`` spelled out with plain combinations,
+and ``backtrack_match`` is the lexicographically first perfect matching by
+plain backtracking, the reference for completion.
 """
 
 from __future__ import annotations
@@ -377,3 +379,59 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     if hit is not None:
         return YES, hit[1], hit[0]
     return (NO_CERTIFIED if limit == graph.n else UNKNOWN), None, limit
+
+
+# -- completion, by backtracking -----------------------------------------------------
+
+
+class BudgetExhausted(Exception):
+    pass
+
+
+def backtrack_match(adjacency, verts, budget):
+    """The lexicographically first perfect matching on ``verts`` (sorted,
+    distinct and non-empty) by lowest-vertex-first backtracking, or None.
+
+    The lowest uncovered vertex tries its uncovered neighbors in adjacency
+    order, which must be ascending; neighbors outside ``verts`` are skipped.
+    The search keeps an explicit stack of one frame per matched pair, and
+    raises ``BudgetExhausted`` after ``budget`` search nodes.
+    """
+    budget -= 1     # the root node
+    uncovered = set(verts)
+    # ``verts`` is sorted, so the lowest uncovered vertex is found by
+    # scanning forward from the position of the one matched last.
+    pos = 0
+    u = verts[0]
+    uncovered.discard(u)
+    untried = iter(adjacency.get(u, ()))
+    chosen = []
+    stack = []
+    while True:
+        for v in untried:
+            if v in uncovered:
+                break
+        else:
+            # Every neighbor of u failed: undo the parent's pair and try
+            # the parent's next neighbor.
+            uncovered.add(u)
+            if not stack:
+                return None
+            pos, u, untried = stack.pop()
+            uncovered.add(chosen.pop()[1])
+            continue
+        # u is the lowest uncovered vertex, so its partner v is above it.
+        uncovered.discard(v)
+        chosen.append((u, v))
+        budget -= 1
+        if budget < 0:
+            raise BudgetExhausted
+        if not uncovered:
+            return tuple(sorted(chosen))
+        stack.append((pos, u, untried))
+        pos += 1
+        while verts[pos] not in uncovered:
+            pos += 1
+        u = verts[pos]
+        uncovered.discard(u)
+        untried = iter(adjacency.get(u, ()))

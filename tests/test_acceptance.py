@@ -30,17 +30,13 @@ from exactmatching import (
     apply_skip,
     bipartite_independence_number,
     count_perfect_matchings,
-    distance_d_independence_number,
     em_decide_bruteforce,
     enumerate_perfect_matchings,
     find_biskip,
     find_skip,
-    gen_alternating_cycle_instance,
     gen_bounded_alpha,
     gen_bounded_beta,
     gen_planted_yes,
-    gen_skip_extraction_instance,
-    guaranteed_skip_weights,
     independence_number,
     lift_to_dense,
     lift_to_dense_bipartite,
@@ -55,6 +51,9 @@ from exactmatching import (
     symmetric_difference,
     validate_matching,
 )
+from exactmatching.generators import gen_alternating_cycle_instance, gen_skip_extraction_instance
+from exactmatching.reductions import distance_d_independence_number
+from exactmatching.skips import guaranteed_skip_weights
 
 from ._support import check_biskip, check_skip
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -14,19 +15,22 @@ from exactmatching import (
     RED,
     ColoredGraph,
     GraphError,
+    count_perfect_matchings,
     enumerate_perfect_matchings,
     max_weight_perfect_matching,
+    random_bipartite_colored_graph,
     random_colored_graph,
 )
 from exactmatching import blossom
 from exactmatching.blossom import OptimalityError
 from exactmatching.engines import (
-    _blossom_match,
     max_red_pm,
     min_red_pm,
     perfect_matching_on,
     perfect_matching_on_adjacency,
 )
+
+from ._support import BudgetExhausted, backtrack_match
 
 
 def test_min_and_max_red(c4):
@@ -224,21 +228,6 @@ def test_red_engines_equal_networkx_monochrome(color):
             assert engine(g).edges == want, (engine.__name__, n)
 
 
-def test_blossom_fallback_equals_networkx():
-    """``_blossom_match`` on vertex subsets, every edge of networkx's default
-    weight 1."""
-    for seed in range(150):
-        rng = random.Random(seed)
-        n = rng.randint(2, 40)
-        g = random_colored_graph(n, rng.choice([0.1, 0.3, 0.6]), seed)
-        verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
-        vset = set(verts)
-        pairs = [e for e in g.edges() if e[0] in vset and e[1] in vset]
-        want = _nx_matching(0, [(u, v, None) for u, v in sorted(pairs)], verts)
-        expected = tuple(sorted(want)) if 2 * len(want) == len(verts) else None
-        assert _blossom_match(pairs, verts) == expected, seed
-
-
 def test_import_does_not_load_networkx():
     src = os.path.dirname(os.path.dirname(os.path.abspath(blossom.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -269,9 +258,13 @@ def test_perfect_matching_on_small():
 
 
 def test_perfect_matching_on_long_path():
-    # One search frame per matched pair, far past the recursion limit.
+    # Far past the recursion limit.  The second path, 2399-0-1-2-...-2398,
+    # leaves greedy two exposed ends joined by one augmenting path through
+    # every vertex.
     edges = [(i, i + 1) for i in range(2399)]
     assert perfect_matching_on(range(2400), edges) == tuple(edges[::2])
+    edges = [(0, 2399)] + [(i, i + 1) for i in range(2398)]
+    assert perfect_matching_on(range(2400), edges) == ((0, 2399),) + tuple(edges[2::2])
 
 
 def test_perfect_matching_on_ignores_outside_edges():
@@ -290,6 +283,63 @@ def test_adjacency_variant_matches_edge_variant(seed, n, drop):
     edges = g.edges()
     assert (perfect_matching_on(verts, edges)
             == perfect_matching_on_adjacency(adj, verts))
+
+
+def _has_perfect_matching(adjacency, verts):
+    """Existence by an engine other than completion: the count at up to 12
+    vertices, blossom's cardinality above that."""
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = [(index[u], index[v]) for u in verts for v in adjacency[u]
+             if u < v and v in index]
+    if len(verts) <= 12:
+        sub = ColoredGraph(len(verts), {e: RED for e in pairs})
+        return count_perfect_matchings(sub) > 0
+    adj = [{} for _ in verts]
+    for a, b in pairs:
+        adj[a][b] = adj[b][a] = 1
+    return -1 not in blossom.max_weight_matching(adj)
+
+
+def test_completion_equals_backtracking():
+    """The lexicographically first perfect matching, as lowest-vertex-first
+    backtracking finds it, on random remainders of general and bipartite
+    graphs.  Where backtracking runs out of budget, only existence is
+    compared."""
+    outcomes = {"equal": 0, "none": 0, "exhausted": 0}
+    for seed in range(600):
+        rng = random.Random(f"completion-{seed}")
+        n = 2 * rng.randint(2, 20)
+        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
+        g = make(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.95]), seed)
+        adj = g.adjacency()
+        verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
+        got = perfect_matching_on_adjacency(adj, verts)
+        try:
+            want = backtrack_match(adj, verts, budget=20_000)
+        except BudgetExhausted:
+            assert (got is not None) == _has_perfect_matching(adj, verts), seed
+            outcomes["exhausted"] += 1
+        else:
+            assert got == want, seed
+            outcomes["equal" if got is not None else "none"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+@pytest.mark.parametrize("a", [13, 21, 41])
+def test_completion_of_two_odd_cliques(a):
+    """K_a and K_a with one bridge from 0 to 2a-1: only the bridge can join
+    the two odd cliques, which backtracking learns once per partner of 0, by
+    exhausting a whole clique each time."""
+    n = 2 * a
+    cliques = [(u, v) for part in (range(a), range(a, n))
+               for u, v in itertools.combinations(part, 2)]
+    start = time.perf_counter()
+    got = perfect_matching_on(range(n), cliques + [(0, n - 1)])
+    elapsed = time.perf_counter() - start
+    print(f"two odd cliques, a={a}: {1000 * elapsed:.1f} ms")
+    assert got == ((0, n - 1),) + tuple((v, v + 1) for v in range(1, n - 1, 2))
+    assert elapsed < 2.0
+    assert perfect_matching_on(range(n), cliques) is None
 
 
 def test_adjacency_variant_validity():

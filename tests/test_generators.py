@@ -9,16 +9,15 @@ from exactmatching import (
     GenerationError,
     bipartite_independence_number,
     em_decide_bruteforce,
-    gen_alternating_cycle_instance,
     gen_bounded_alpha,
     gen_bounded_beta,
     gen_planted_yes,
-    gen_skip_extraction_instance,
     independence_number,
     random_bipartite_colored_graph,
     random_colored_graph,
     validate_matching,
 )
+from exactmatching.generators import gen_alternating_cycle_instance, gen_skip_extraction_instance
 from exactmatching.skips import pair_decomposition
 
 

@@ -13,9 +13,8 @@ from exactmatching import (
     random_bipartite_colored_graph,
     random_colored_graph,
     serialize_graph,
-    serialize_matching,
 )
-from exactmatching.graphio import DOT, FORMATS, JSON
+from exactmatching.graphio import DOT, FORMATS, JSON, serialize_matching
 
 
 def test_formats_tuple():

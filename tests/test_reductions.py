@@ -7,14 +7,13 @@ from exactmatching import (
     GraphError,
     OracleLimitError,
     PerfectMatching,
-    distance_d_independence_number,
     em_decide_bruteforce,
     lift_to_dense,
     lift_to_dense_bipartite,
-    pullback_matching,
     random_bipartite_colored_graph,
     random_colored_graph,
 )
+from exactmatching.reductions import distance_d_independence_number, pullback_matching
 
 
 class TestGeneralLift:

@@ -22,8 +22,6 @@ from exactmatching import (
     find_bundles,
     find_saps,
     find_skip,
-    gen_alternating_cycle_instance,
-    guaranteed_skip_weights,
     max_red_pm,
     min_red_pm,
     orient,
@@ -32,8 +30,8 @@ from exactmatching import (
     random_colored_graph,
     symmetric_difference,
 )
-
-from exactmatching.skips import _skip_chords
+from exactmatching.generators import gen_alternating_cycle_instance
+from exactmatching.skips import _skip_chords, guaranteed_skip_weights
 
 from ._support import (
     check_biskip,

@@ -20,7 +20,6 @@ from exactmatching import (
     SolverError,
     SolverParams,
     approx_em,
-    approx_em_bipartite,
     count_perfect_matchings,
     em_decide_bruteforce,
     enumerate_perfect_matchings,
@@ -34,8 +33,8 @@ from exactmatching import (
     solve_em,
     validate_matching,
 )
+from exactmatching.solver import approx_em_bipartite
 from exactmatching import BaseFamily
-from exactmatching import engines
 from exactmatching import solver as solver_mod
 
 from ._support import naive_first_success, naive_solve
@@ -233,13 +232,10 @@ class TestRecovery:
         with pytest.raises(GraphError):
             recover_from_color_guess(c4, blue_pm, [(0, 5)], RED, 2)
 
-    def test_completion_agrees_with_enumeration(self, monkeypatch):
+    def test_completion_agrees_with_enumeration(self):
         # Completion on opposite-color remainders against the oracles, which
-        # see the remainder relabeled in order onto 0..len-1.
-        blossom_calls = []
-        blossom = engines._blossom_match
-        monkeypatch.setattr(engines, "_blossom_match",
-                            lambda *args: blossom_calls.append(1) or blossom(*args))
+        # see the remainder relabeled in order onto 0..len-1: the first
+        # perfect matching enumerated is the lexicographically first one.
         rng = random.Random(5)
         exists = 0
         for seed in range(40):
@@ -262,20 +258,7 @@ class TestRecovery:
                     want = None if first is None else tuple(
                         sorted((free[a], free[b]) for a, b in first.edges))
                     assert got == want
-                    if not free:
-                        continue
-                    calls = len(blossom_calls)
-                    with monkeypatch.context() as budget:
-                        budget.setattr(engines, "_SEARCH_BUDGET", 1)
-                        fallback = solver_mod.perfect_matching_on_adjacency(
-                            ctx.other_adjacency, free)
-                    assert (fallback is not None) == (got is not None)
-                    if fallback is not None:
-                        # Budget 1 runs out at the first pair, so blossom found it.
-                        assert len(blossom_calls) == calls + 1
-                        exists += 1
-                        assert sorted(w for e in fallback for w in e) == free
-                        assert all(v in ctx.other_adjacency[u] for u, v in fallback)
+                    exists += bool(free) and got is not None
         assert exists > 50
 
     def test_context_matches_full_scan_reference(self):
