@@ -142,9 +142,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     graph = _load_graph(args)
-    if graph.n % 2 != 0 or not 0 <= args.k <= graph.n // 2:
-        raise ConfigurationError(
-            f"k={args.k} needs an even vertex count and 0 <= k <= n/2")
     result = run_phase1(graph, args.k, _params_from(args))
     if result.matching is None:
         print("no perfect matching")
@@ -219,7 +216,7 @@ def _cmd_analyze(args) -> int:
             "shortcut_length": len(skip.shortcut_cycle),
         }
         if view is not None:
-            biskip = find_biskip(view, first, cycle, SKIP_WEIGHTS)
+            biskip = find_biskip(view, cycle, SKIP_WEIGHTS)
             entry["biskip"] = None if biskip is None else {
                 "arcs": [list(biskip.a1), list(biskip.a2)],
                 "weight": biskip.weight,

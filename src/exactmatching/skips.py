@@ -383,20 +383,6 @@ def orient(graph: ColoredGraph, matching: PerfectMatching) -> MatchingOrientatio
     return MatchingOrientation(graph, matching)
 
 
-def _directed_order(view: MatchingOrientation, cycle: AlternatingCycle) -> tuple[int, ...]:
-    """The cycle's vertices rotated into arc direction."""
-    verts = cycle.vertices
-    forward = all(view.has_arc(verts[i], verts[(i + 1) % len(verts)])
-                  for i in range(len(verts)))
-    if forward:
-        return verts
-    backward = tuple(reversed(verts))
-    if all(view.has_arc(backward[i], backward[(i + 1) % len(backward)])
-           for i in range(len(backward))):
-        return backward
-    raise GraphError("cycle is not a directed cycle of the orientation")
-
-
 @dataclass(frozen=True)
 class Biskip:
     """Two chord arcs splitting a directed cycle into two shorter ones."""
@@ -409,10 +395,7 @@ class Biskip:
 
 
 def find_biskip(
-    view: MatchingOrientation,
-    matching: PerfectMatching,
-    cycle: AlternatingCycle,
-    weight_filter: Iterable[int],
+    view: MatchingOrientation, cycle: AlternatingCycle, weight_filter: Iterable[int]
 ) -> Biskip | None:
     """First arc pair splitting ``cycle`` with combined weight in the filter.
 
@@ -422,23 +405,33 @@ def find_biskip(
     vertex-disjoint, strictly shorter in total, and shift the weight by at
     most 4 in absolute value.  Ordered arc pairs are scanned lexicographically.
 
+    The cycle must alternate with the matching ``view`` carries.  Sides and
+    matching membership both alternate along it, so the canonical vertex
+    order is the directed order exactly when its first vertex is on side A
+    iff its first edge is a matching edge, and the reversed order otherwise:
+    the direction costs O(1).
+
     Each candidate costs O(1).  A replacement cycle runs from its arc's head
     forward to its tail, so it alternates exactly when the head starts a
     matching edge and the tail ends one.  That holds for every chord: a
-    chord between cycle vertices is never a matching edge, so it runs from
-    side B to side A, and side A holds the positions of parity ``par`` in
-    directed order.  The chords come from the neighbor index: for each side-B
-    cycle vertex, ascending, the side-A cycle vertices, ascending, that are
-    in its entry, other than its two cycle neighbours.  The cyclic order
-    makes the two cycles vertex-disjoint, lengths come from positions and
-    weights from prefix sums along the directed order, and only the winner's
-    cycles are built.
+    chord between cycle vertices that are not cycle neighbours is never a
+    matching edge, so it runs from side B to side A, and side A holds the
+    positions of parity ``par`` in directed order.  The chords come from the
+    neighbor index: for each side-B cycle vertex, ascending, the side-A
+    cycle vertices, ascending, that are in its entry.  The two cycle
+    neighbours among them close a two-vertex segment or an empty span, which
+    the length and order tests reject.  The cyclic order makes the two
+    cycles vertex-disjoint, lengths come from positions and weights from
+    prefix sums along the directed order, and only the winner's cycles are
+    built.
     """
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
         return None
-    graph = view.graph
-    order = _directed_order(view, cycle)
+    graph, matching = view.graph, view.matching
+    verts = cycle.vertices
+    forward = (verts[0] in graph.bipartition[0]) == (cycle.edges[0] in matching.edges)
+    order = verts if forward else verts[::-1]
     length = len(order)
     pos, par, prefix = _walk_layout(graph, matching, order)
     total = prefix[-1]
@@ -449,9 +442,8 @@ def find_biskip(
     for tail in sorted(order[1 - par::2]):
         pt = pos[tail]
         nbrs = graph.neighbor_index[tail]
-        on_cycle = (order[pt - 1], order[(pt + 1) % length])
         for head in heads:
-            if head in nbrs and head not in on_cycle:
+            if head in nbrs:
                 ph = pos[head]
                 segment = prefix[pt] - prefix[ph] + (total if ph > pt else 0)
                 chords.append(((tail, head), pt, ph, segment + nbrs[head]))

@@ -153,22 +153,30 @@ def _resolve_bound(
         ) from None
 
 
-def run_phase1(
-    graph: ColoredGraph,
-    k: int,
-    params: SolverParams | None = None,
-    bipartite: bool | None = None,
-) -> Phase1Result:
-    """Approximation walk shared by ``approx_em`` and ``solve_em``.
+def _check_k(graph: ColoredGraph, k: int) -> None:
+    if graph.n % 2 != 0:
+        raise ConfigurationError(f"vertex count {graph.n} is odd")
+    if not 0 <= k <= graph.n // 2:
+        raise ConfigurationError(f"k={k} outside [0, {graph.n // 2}]")
 
-    On yes-instances the returned matching M satisfies
+
+def run_phase1(
+    graph: ColoredGraph, k: int, params: SolverParams | None = None
+) -> Phase1Result:
+    """Approximation walk shared by ``approx_em``, ``solve_em`` and
+    ``emsolve approx``.
+
+    The walk is the bipartite one (biskips, bound beta) exactly when the
+    graph carries a bipartition, and the general one (skips, bound alpha)
+    otherwise.  On yes-instances the returned matching M satisfies
     ``k - threshold <= r(M) <= k`` where threshold is 2 * 4^alpha
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
+    Raises ``ConfigurationError`` for an odd n or k outside [0, n/2].
     """
+    _check_k(graph, k)
     params = params or SolverParams()
-    if bipartite is None:
-        bipartite = graph.bipartition is not None
+    bipartite = graph.bipartition is not None
     if bipartite:
         bound = _resolve_bound(graph, params.beta_hint, bipartite_independence_number, "beta")
         threshold = 2 * 4 ** (2 * bound + 2)
@@ -183,8 +191,6 @@ def run_phase1(
         return Phase1Result(None, 0, threshold, bound, bipartite)
     high = max_red_pm(graph)
     assert high is not None
-    if bipartite and graph.bipartition is None:
-        raise GraphError("orientation needs a bipartite graph")
 
     # ``context`` is always symmetric_difference(graph, low, high), weighted
     # against low.  It is computed once and then carried forward: a skip or
@@ -208,7 +214,7 @@ def run_phase1(
             low = apply_cycles(low, CycleSet.from_cycles([cycle]))
             context = CycleSet.from_cycles(c for c in context if c is not cycle)
         elif bipartite:
-            shortcut = find_biskip(orient(graph, low), low, cycle, NEGATIVE_WEIGHTS)
+            shortcut = find_biskip(orient(graph, low), cycle, NEGATIVE_WEIGHTS)
             if shortcut is None:
                 raise SkipSearchError(
                     "no negative biskip on a heavy cycle; "
@@ -226,29 +232,13 @@ def run_phase1(
     return Phase1Result(final, iterations, threshold, bound, bipartite)
 
 
-def _check_k(graph: ColoredGraph, k: int) -> None:
-    if graph.n % 2 != 0:
-        raise ConfigurationError(f"vertex count {graph.n} is odd")
-    if not 0 <= k <= graph.n // 2:
-        raise ConfigurationError(f"k={k} outside [0, {graph.n // 2}]")
-
-
 def approx_em(
     graph: ColoredGraph, k: int, params: SolverParams | None = None
 ) -> PerfectMatching | None:
-    """Phase 1 alone, general variant.  None when the graph has no PM."""
-    _check_k(graph, k)
-    return run_phase1(graph, k, params, bipartite=False).matching
-
-
-def approx_em_bipartite(
-    graph: ColoredGraph, k: int, params: SolverParams | None = None
-) -> PerfectMatching | None:
-    """Phase 1 alone, bipartite variant (requires a bipartition)."""
-    _check_k(graph, k)
-    if graph.bipartition is None:
-        raise GraphError("bipartite variant needs a bipartition")
-    return run_phase1(graph, k, params, bipartite=True).matching
+    """Phase 1 alone: the matching of ``run_phase1``, None when the graph
+    has no PM.  The walk is bipartite exactly when the graph carries a
+    bipartition; pass the graph without it to run the general walk."""
+    return run_phase1(graph, k, params).matching
 
 
 # -- phase 2: guess-and-complete -----------------------------------------------
@@ -273,6 +263,8 @@ def recover_from_color_guess(
     """
     if color not in (RED, BLUE):
         raise GraphError(f"unknown color {color!r}")
+    if not validate_matching(graph, matching):
+        raise GraphError("matching is not a perfect matching of the graph")
     guess_set = set()
     for u, v in guess:
         e = edge_key(u, v)
@@ -303,7 +295,6 @@ class _RecoveryContext:
     """
 
     graph: ColoredGraph
-    color: str
     k: int
     target: int
     base: frozenset[Edge]
@@ -370,7 +361,7 @@ def _make_context(
         is_base[j] = True
         base_of[e[0]] = base_of[e[1]] = j
     base_left = tuple(itertools.accumulate(reversed(is_base), initial=0))[::-1]
-    return _RecoveryContext(graph, color, k, target, base, color_edges,
+    return _RecoveryContext(graph, k, target, base, color_edges,
                             classes[1 - flag].neighbors, tuple(is_base), tuple(base_of),
                             base_left)
 
@@ -551,6 +542,8 @@ def small_diff_search(
     """
     if limit < 0:
         raise ConfigurationError(f"subset budget must be >= 0, got {limit}")
+    if not validate_matching(graph, matching):
+        raise GraphError("matching is not a perfect matching of the graph")
     hit = _search((_make_context(graph, matching, k, color),), limit)
     return hit[1] if hit is not None else None
 

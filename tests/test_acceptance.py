@@ -117,7 +117,7 @@ def test_criterion_2_phase1_red_bound_general():
         if measured > 3:
             violations.append(f"instance {i}: measured bound {measured} > 3")
             continue
-        res = run_phase1(g, k, SolverParams(alpha_hint=measured), bipartite=False)
+        res = run_phase1(g, k, SolverParams(alpha_hint=measured))
         count += 1
         if res.matching is None:
             violations.append(f"instance {i}: no matching on a planted yes")
@@ -143,7 +143,7 @@ def test_criterion_3_phase1_red_bound_bipartite():
         if measured > 1:
             violations.append(f"instance {i}: measured bound {measured} > 1")
             continue
-        res = run_phase1(g, k, SolverParams(beta_hint=1), bipartite=True)
+        res = run_phase1(g, k, SolverParams(beta_hint=1))
         count += 1
         if res.matching is None:
             violations.append(f"instance {i}: no matching on a planted yes")
@@ -194,7 +194,7 @@ def test_criterion_4_every_shortcut_is_valid():
                 configs += 1
                 g, pm, cyc = gen_alternating_cycle_instance(
                     length, prob, 8000 + seed, bipartite=True)
-                bis = find_biskip(orient(g, pm), pm, cyc, ALL_WEIGHTS)
+                bis = find_biskip(orient(g, pm), cyc, ALL_WEIGHTS)
                 if bis is not None:
                     biskip_hits += 1
                     tag = f"biskip len={length} p={prob} seed={seed}"

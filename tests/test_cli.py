@@ -3,7 +3,18 @@ import json
 
 import pytest
 
-from exactmatching import parse_graph, serialize_graph
+from exactmatching import (
+    SKIP_WEIGHTS,
+    CycleSet,
+    SolverParams,
+    apply_cycles,
+    approx_em,
+    find_biskip,
+    orient,
+    parse_graph,
+    run_phase1,
+    serialize_graph,
+)
 from exactmatching.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -14,6 +25,7 @@ from exactmatching.cli import (
     EXIT_YES,
     main,
 )
+from exactmatching.generators import gen_alternating_cycle_instance
 
 C4_JSON = ('{"n": 4, "edges": [[0, 1, "red"], [2, 3, "red"],'
            ' [1, 2, "blue"], [0, 3, "blue"]]}')
@@ -136,6 +148,27 @@ class TestApprox:
         p.write_text('{"n": 3, "edges": [[0, 1, "red"]]}')
         assert main(["approx", str(p), "-k", "0"]) == EXIT_LIMIT
 
+    def test_k_out_of_range_is_limit_error(self, c4_file, capsys):
+        assert main(["approx", c4_file, "-k", "3"]) == EXIT_LIMIT
+        assert "k=3 outside [0, 2]" in capsys.readouterr().err
+
+    def test_follows_the_bipartition(self, tmp_path, capsys):
+        # approx_em, run_phase1 and the CLI all take the bipartite walk on a
+        # graph that carries a bipartition.
+        path = tmp_path / "b.json"
+        p = str(path)
+        main(["gen", "planted-beta", "-n", "60", "-k", "15", "--seed", "3", "-o", p])
+        assert main(["approx", p, "-k", "15", "--beta", "1", "--t-override", "4",
+                     "--json"]) == EXIT_YES
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["bipartite"], doc["iterations"], doc["red_count"]) == (True, 13, 12)
+        g = parse_graph(path.read_text())
+        params = SolverParams(beta_hint=1, t_override=4)
+        pm = approx_em(g, 15, params)
+        assert pm == run_phase1(g, 15, params).matching
+        assert pm.sorted_edges() == [tuple(e) for e in doc["matching"]]
+        assert pm.red_count == 12
+
     def test_no_pm(self, tmp_path, capsys):
         p = tmp_path / "star.json"
         p.write_text('{"n": 4, "edges": [[0, 1, "red"], [0, 2, "red"],'
@@ -199,6 +232,25 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         [cycle] = doc["cycles"]
         assert "biskip" in cycle
+
+    def test_bipartite_report_carries_the_found_biskip(self, tmp_path, capsys):
+        g, pm, cyc = gen_alternating_cycle_instance(12, 0.6, 0, bipartite=True)
+        flip = apply_cycles(pm, CycleSet.from_cycles([cyc]))
+        paths = []
+        for name, text in (("g.json", serialize_graph(g)),
+                           ("m1.json", json.dumps(pm.sorted_edges())),
+                           ("m2.json", json.dumps(flip.sorted_edges()))):
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        assert main(["analyze", paths[0], "--matchings", *paths[1:]]) == EXIT_YES
+        [cycle] = json.loads(capsys.readouterr().out)["cycles"]
+        want = find_biskip(orient(g, pm), cyc, SKIP_WEIGHTS)
+        assert want is not None
+        assert cycle["biskip"] == {
+            "arcs": [list(want.a1), list(want.a2)],
+            "weight": want.weight,
+            "cycle_lengths": [len(c) for c in want.cycles],
+        }
 
     def test_bad_matching_is_input_error(self, c4_file, tmp_path, capsys):
         m1 = tmp_path / "m1.json"

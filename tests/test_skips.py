@@ -224,7 +224,7 @@ def test_searches_reject_a_host_that_does_not_alternate():
     with pytest.raises(GraphError):
         find_skip(g, crossing, cyc, SKIP_WEIGHTS)
     with pytest.raises(GraphError):
-        find_biskip(orient(g, crossing), crossing, cyc, SKIP_WEIGHTS)
+        find_biskip(orient(g, crossing), cyc, SKIP_WEIGHTS)
 
 
 def test_full_scan_without_a_match_on_all_blue_k48():
@@ -267,7 +267,7 @@ def test_apply_skip_rejects_foreign_context():
 def test_biskip_zero_weight_example():
     g, pm, cyc = ten_cycle(chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
     view = orient(g, pm)
-    bi = find_biskip(view, pm, cyc, SKIP_WEIGHTS)
+    bi = find_biskip(view, cyc, SKIP_WEIGHTS)
     assert bi is not None
     assert (bi.a1, bi.a2) == ((3, 0), (7, 4))
     assert bi.weight == 0
@@ -281,16 +281,16 @@ def test_biskip_negative_weight_example():
                            chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
     assert cyc.weight == 3
     view = orient(g, pm)
-    bi = find_biskip(view, pm, cyc, NEGATIVE_WEIGHTS)
+    bi = find_biskip(view, cyc, NEGATIVE_WEIGHTS)
     assert bi.weight == -3
     assert check_biskip(g, pm, bi) == []
-    assert find_biskip(view, pm, cyc, POSITIVE_WEIGHTS) is None
+    assert find_biskip(view, cyc, POSITIVE_WEIGHTS) is None
 
 
 def test_biskip_none_without_chords():
     g, pm, cyc = ten_cycle(bipartite=True)
     view = orient(g, pm)
-    assert find_biskip(view, pm, cyc, SKIP_WEIGHTS) is None
+    assert find_biskip(view, cyc, SKIP_WEIGHTS) is None
 
 
 def test_apply_biskip():
@@ -299,7 +299,7 @@ def test_apply_biskip():
     other = odd_matching(g)
     ctx = symmetric_difference(g, pm, other)
     view = orient(g, pm)
-    bi = find_biskip(view, pm, cyc, NEGATIVE_WEIGHTS)
+    bi = find_biskip(view, cyc, NEGATIVE_WEIGHTS)
     new_pm, new_ctx = apply_biskip(other, bi, ctx)
     assert new_pm.red_count == other.red_count + bi.weight
     assert new_ctx.edge_count() == 8 < ctx.edge_count()
@@ -372,7 +372,7 @@ def test_random_biskips_pass_independent_checks():
     for seed in range(120):
         g, pm, cyc = gen_alternating_cycle_instance(12, 0.6, seed, bipartite=True)
         view = orient(g, pm)
-        bi = find_biskip(view, pm, cyc, SKIP_WEIGHTS)
+        bi = find_biskip(view, cyc, SKIP_WEIGHTS)
         if bi is None:
             continue
         hits += 1
@@ -472,7 +472,7 @@ def test_find_biskip_matches_naive_reference():
                 view = orient(g, pm)
                 for wanted in FILTERS:
                     want = naive_find_biskip(g, pm, cyc, wanted)
-                    assert find_biskip(view, pm, cyc, wanted) == want
+                    assert find_biskip(view, cyc, wanted) == want
                     hits += want is not None
     assert hits >= 30
 
@@ -513,7 +513,7 @@ def test_apply_biskip_returns_the_recomputed_context():
     for g, low, high, context in walk_contexts(bipartite=True):
         view = orient(g, low)
         for cycle in context:
-            bi = find_biskip(view, low, cycle, SKIP_WEIGHTS)
+            bi = find_biskip(view, cycle, SKIP_WEIGHTS)
             if bi is None:
                 continue
             new_high, new_context = apply_biskip(high, bi, context)

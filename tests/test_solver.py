@@ -33,7 +33,6 @@ from exactmatching import (
     solve_em,
     validate_matching,
 )
-from exactmatching.solver import approx_em_bipartite
 from exactmatching import BaseFamily
 from exactmatching import solver as solver_mod
 
@@ -63,7 +62,7 @@ def parity_graph(n, split):
 
 class TestPhase1:
     def test_immediate_exit_when_target_reached(self, c4):
-        res = run_phase1(c4, 2, bipartite=False)
+        res = run_phase1(c4, 2)
         assert res.matching.red_count == 2
         assert res.iterations == 0
         assert res.bound == 2           # independence number of the four-cycle
@@ -71,14 +70,14 @@ class TestPhase1:
 
     def test_no_pm(self):
         g = ColoredGraph.from_edges(4, [(0, 1, RED), (0, 2, RED), (0, 3, RED)])
-        res = run_phase1(g, 0, bipartite=False)
+        res = run_phase1(g, 0)
         assert res.matching is None
         assert approx_em(g, 0) is None
 
     def test_walk_iterates_under_forced_threshold(self):
         g = double_c4()
         params = SolverParams(t_override=2)
-        res = run_phase1(g, 2, params, bipartite=False)
+        res = run_phase1(g, 2, params)
         assert res.iterations == 1
         assert res.matching.red_count == 2
         assert res.threshold == 2
@@ -86,53 +85,48 @@ class TestPhase1:
     def test_walk_raises_when_no_shortcut_exists(self):
         params = SolverParams(t_override=1)
         with pytest.raises(SkipSearchError):
-            run_phase1(double_c4(), 2, params, bipartite=False)
+            run_phase1(double_c4(), 2, params)
         with pytest.raises(SkipSearchError):
-            run_phase1(double_c4(bipartite=True), 2, params, bipartite=True)
+            run_phase1(double_c4(bipartite=True), 2, params)
 
     def test_bound_bookkeeping_bipartite(self):
         g = double_c4(bipartite=True)
-        res = run_phase1(g, 0, bipartite=True)
+        res = run_phase1(g, 0)
         assert res.bipartite
         assert res.threshold == 2 * 4 ** (2 * res.bound + 2)
 
     def test_hint_overrides_measurement(self, c4):
-        res = run_phase1(c4, 2, SolverParams(alpha_hint=5), bipartite=False)
+        res = run_phase1(c4, 2, SolverParams(alpha_hint=5))
         assert res.bound == 5
         assert res.threshold == 2 * 4 ** 5
 
     def test_bad_hints_rejected(self, c4, k33):
         with pytest.raises(ConfigurationError):
-            run_phase1(c4, 2, SolverParams(alpha_hint=0), bipartite=False)
+            run_phase1(c4, 2, SolverParams(alpha_hint=0))
         with pytest.raises(ConfigurationError):
-            run_phase1(k33, 1, SolverParams(beta_hint=-1), bipartite=True)
+            run_phase1(k33, 1, SolverParams(beta_hint=-1))
 
     def test_unmeasurable_bound_needs_hint(self):
         g = random_colored_graph(44, 0.5, 3)
         with pytest.raises(ConfigurationError):
-            run_phase1(g, 0, bipartite=False)
-        assert run_phase1(g, 0, SolverParams(alpha_hint=3),
-                          bipartite=False).bound == 3
+            run_phase1(g, 0)
+        assert run_phase1(g, 0, SolverParams(alpha_hint=3)).bound == 3
 
     def test_approx_em_delegates_to_run_phase1(self):
         for seed in range(8):
             g = gen_planted_yes(12, 3, BaseFamily("alpha", 2), seed)
             params = SolverParams(alpha_hint=2)
             assert approx_em(g, 3, params) == run_phase1(
-                g, 3, params, bipartite=False).matching
+                g, 3, params).matching
 
     def test_approx_em_validates_input(self, c4):
         with pytest.raises(ConfigurationError):
             approx_em(ColoredGraph.from_edges(3, []), 0)
         with pytest.raises(ConfigurationError):
             approx_em(c4, 3)
-        with pytest.raises(GraphError):
-            approx_em_bipartite(c4, 1)
-        with pytest.raises(GraphError):
-            run_phase1(c4, 1, SolverParams(beta_hint=1), bipartite=True)
 
     def test_bipartite_variant(self, k33):
-        pm = approx_em_bipartite(k33, 0)
+        pm = approx_em(k33, 0)
         assert pm is not None and pm.red_count == 0
 
     @pytest.mark.parametrize("n, pins", [
@@ -145,7 +139,7 @@ class TestPhase1:
         # difference recomputed on every iteration.
         g = gen_planted_yes(n, n // 4, BaseFamily("alpha", 1), 1)
         for k, iterations, red, digest in pins:
-            res = run_phase1(g, k, SolverParams(alpha_hint=1), bipartite=False)
+            res = run_phase1(g, k, SolverParams(alpha_hint=1))
             edges = repr(res.matching.sorted_edges()).encode()
             assert res.iterations == iterations
             assert res.matching.red_count == red
@@ -165,22 +159,24 @@ class TestPhase1:
         # Per size n (k = n/4): (status, iterations, phase1_r, L_used), the
         # witness digest and the number of biskip searches, recorded with the
         # orientation stored as a full arc set.  Every biskip search must get
-        # the orientation of the low matching it is given, built for it.
+        # the very view the preceding orient call built for it.
         pins = {
             60: ((YES, 13, 12, 3), "5a158cd053463905", 6),
             120: ((YES, 15, 27, 3), "b77fcd9ff324094b", 3),
         }
         calls = {"orient": 0, "find_biskip": 0}
+        built = []
         orient, find_biskip = solver_mod.orient, solver_mod.find_biskip
 
         def counting_orient(graph, matching):
             calls["orient"] += 1
-            return orient(graph, matching)
+            built.append(orient(graph, matching))
+            return built[-1]
 
-        def checking_find_biskip(view, matching, cycle, weights):
+        def checking_find_biskip(view, cycle, weights):
             calls["find_biskip"] += 1
-            assert view == orient(view.graph, matching)
-            return find_biskip(view, matching, cycle, weights)
+            assert view is built.pop()
+            return find_biskip(view, cycle, weights)
 
         monkeypatch.setattr(solver_mod, "orient", counting_orient)
         monkeypatch.setattr(solver_mod, "find_biskip", checking_find_biskip)
@@ -231,6 +227,14 @@ class TestRecovery:
             recover_from_color_guess(c4, blue_pm, [(1, 2)], RED, 2)
         with pytest.raises(GraphError):
             recover_from_color_guess(c4, blue_pm, [(0, 5)], RED, 2)
+
+    @pytest.mark.parametrize("anchor", [{(0, 2)}, {(0, 1)}], ids=["non-edge", "non-perfect"])
+    def test_bad_anchor_rejected(self, c4, anchor):
+        matching = PerfectMatching(frozenset(anchor), 0)
+        with pytest.raises(GraphError):
+            recover_from_color_guess(c4, matching, [], RED, 0)
+        with pytest.raises(GraphError):
+            small_diff_search(c4, matching, 0, 2, RED)
 
     def test_completion_agrees_with_enumeration(self):
         # Completion on opposite-color remainders against the oracles, which
@@ -348,7 +352,7 @@ def reference_context(graph, matching, k, color):
             base_of[u] = base_of[v] = j
     base_left = tuple(sum(is_base[j:]) for j in range(len(is_base) + 1))
     return solver_mod._RecoveryContext(
-        graph, color, k, k if color == RED else graph.n // 2 - k, base, color_edges,
+        graph, k, k if color == RED else graph.n // 2 - k, base, color_edges,
         {v: tuple(sorted(ws)) for v, ws in adjacency.items()}, is_base, tuple(base_of),
         base_left)
 
