@@ -165,14 +165,11 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
         # 2 * slack of edge vw (not valid inside blossoms).
         return dualvar[v] + dualvar[w] - 2 * adj[v][w]
 
-    def assign_label(w: int, t: int, v: int | None) -> None:
+    def assign_label(w: int, t: int, v: int) -> None:
         # Label the top-level blossom containing w with t, reached from v.
         b = inblossom[w]
         label[w] = label[b] = t
-        if v is not None:
-            labeledge[w] = labeledge[b] = (v, w)
-        else:
-            labeledge[w] = labeledge[b] = None
+        labeledge[w] = labeledge[b] = (v, w)
         bestedge[w] = bestedge[b] = None
         if t == 1:
             # b became an S-blossom: queue its vertices.
@@ -482,8 +479,8 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
         allowedge.clear()
         queue.clear()
 
-        # Single vertices become S and enter the queue (assign_label with
-        # no source edge, inlined: labeledge and bestedge are already None).
+        # Single vertices become S and enter the queue with no source edge
+        # (labeledge and bestedge are already None).
         for v in range(n):
             if mate[v] == -1:
                 b = inblossom[v]

@@ -5,10 +5,10 @@ canonical ``(min, max)`` pair.  All types here are immutable value objects;
 operations are pure functions, so instances can be shared freely between
 threads.  A graph's two cached structures are built lazily on first access
 and never mutated afterwards: the neighbor index
-(``ColoredGraph.neighbor_index``), and the per-color lists
-(``ColoredGraph.color_classes``), whose neighbor tuples are split from the
-index in one pass.  Two threads that reach one first at the same time at
-worst both build it, and one copy wins.
+(``ColoredGraph.neighbor_index``) and the per-color lists
+(``ColoredGraph.color_classes``).  Each is built in one pass over the
+sorted edge map ``colors``, and neither reads the other.  Two threads that
+reach one first at the same time at worst both build it, and one copy wins.
 
 The central weight scheme, relative to a reference perfect matching M:
 blue edges weigh 0, red matching edges weigh -1, red non-matching edges
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 RED = "red"
@@ -151,10 +150,8 @@ class ColoredGraph:
 
         The maps are filled in the sorted order of ``colors``, so each lists
         its neighbors ascending.  That order fixes the tie-breaks of the
-        blossom engine and, through the neighbor tuples of
-        ``color_classes``, which are split from it, those of completion.
-        Built on first access.  Shared and read-only: callers must copy before
-        changing anything.
+        blossom engine.  Built on first access.  Shared and read-only:
+        callers must copy before changing anything.
         """
         index: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
         for (u, v), c in self.colors.items():
@@ -166,29 +163,25 @@ class ColoredGraph:
         """The blue and the red ``ColorClass``, at the index of their flag in
         ``neighbor_index`` (0 blue, 1 red).
 
-        The neighbor tuples are split from ``neighbor_index`` in one pass and
-        keep its ascending order; the edge tuples keep the sorted order of
-        ``colors``.  Built on first access.  Shared and read-only, like the
-        index.
+        Built in one pass over the sorted ``colors``: each edge appends its
+        endpoints to its color's neighbor lists and its own key to its
+        color's edge list.  So the neighbor tuples come out ascending, which
+        fixes completion's tie-breaks, and the edge tuples sorted, which fixes
+        the guess order.  Built on first access.  Shared and read-only, like
+        the index.
         """
-        blue_nbrs: dict[int, tuple[int, ...]] = {}
-        red_nbrs: dict[int, tuple[int, ...]] = {}
-        for v, nbrs in enumerate(self.neighbor_index):
-            split: tuple[list[int], list[int]] = ([], [])
-            for w, flag in nbrs.items():
-                split[flag].append(w)
-            blue_nbrs[v] = tuple(split[0])
-            red_nbrs[v] = tuple(split[1])
-        # The edge tuples reuse the keys of ``colors``: making m new pairs
-        # instead made the build about 1.5 times slower on planted graphs
-        # with n 100-120.
-        colors = self.colors
-        return (ColorClass(blue_nbrs, tuple(compress(colors, map(BLUE.__eq__, colors.values())))),
-                ColorClass(red_nbrs, tuple(compress(colors, map(RED.__eq__, colors.values())))))
-
-    def adjacency(self) -> dict[int, list[int]]:
-        """Neighbor lists, each sorted ascending."""
-        return {v: list(nbrs) for v, nbrs in enumerate(self.neighbor_index)}
+        nbrs: tuple[list[list[int]], list[list[int]]] = (
+            [[] for _ in range(self.n)], [[] for _ in range(self.n)])
+        edges: tuple[list[Edge], list[Edge]] = ([], [])
+        for e, c in self.colors.items():
+            u, v = e
+            red = c == RED
+            split = nbrs[red]
+            split[u].append(v)
+            split[v].append(u)
+            edges[red].append(e)
+        return (ColorClass(dict(enumerate(map(tuple, nbrs[0]))), tuple(edges[0])),
+                ColorClass(dict(enumerate(map(tuple, nbrs[1]))), tuple(edges[1])))
 
     def side_of(self, v: int) -> int:
         """0 or 1 for the bipartition side of ``v``; requires a bipartition."""

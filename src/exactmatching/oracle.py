@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import RED, ColoredGraph, GraphError, PerfectMatching
+from .graphs import ColoredGraph, GraphError, PerfectMatching
 
 ENUMERATION_CAP = 16
 COUNTING_CAP = 20
@@ -27,6 +27,13 @@ def _check_cap(graph: ColoredGraph, max_n: int, what: str) -> None:
             f"instance too large for oracle {what}: n={graph.n} exceeds cap {max_n}")
 
 
+def _neighbor_masks(graph: ColoredGraph, red_only: bool = False) -> list[int]:
+    """Bit w of ``masks[v]`` is set when w is a neighbor of v (a red one,
+    with ``red_only``)."""
+    return [sum((red if red_only else 1) << w for w, red in nbrs.items())
+            for nbrs in graph.neighbor_index]
+
+
 def enumerate_perfect_matchings(
     graph: ColoredGraph, max_n: int = ENUMERATION_CAP
 ) -> Iterator[PerfectMatching]:
@@ -34,19 +41,17 @@ def enumerate_perfect_matchings(
     _check_cap(graph, max_n, "enumeration")
     if graph.n % 2 != 0:
         return
-    adj = graph.adjacency()
-    reds = {e for e, c in graph.colors.items() if c == RED}
+    index = graph.neighbor_index
     uncovered = set(range(graph.n))
     chosen: list[tuple[int, int]] = []
 
     def extend() -> Iterator[PerfectMatching]:
         if not uncovered:
-            edges = frozenset(chosen)
-            yield PerfectMatching(edges, sum(1 for e in edges if e in reds))
+            yield PerfectMatching(frozenset(chosen), sum(index[u][v] for u, v in chosen))
             return
         u = min(uncovered)
         uncovered.discard(u)
-        for v in adj[u]:
+        for v in index[u]:
             if v not in uncovered:
                 continue
             uncovered.discard(v)
@@ -71,10 +76,7 @@ def count_perfect_matchings(graph: ColoredGraph, max_n: int = COUNTING_CAP) -> i
         return 0
     if n == 0:
         return 1
-    nbr = [0] * n
-    for u, v in graph.colors:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbor_masks(graph)
     memo: dict[int, int] = {0: 1}
 
     def count(mask: int) -> int:
@@ -107,13 +109,8 @@ def perfect_matching_red_counts(graph: ColoredGraph, max_n: int = COUNTING_CAP) 
     n = graph.n
     if n % 2 != 0:
         return frozenset()
-    nbr = [0] * n
-    red = [0] * n
-    for (u, v), c in graph.colors.items():
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        if c == RED:
-            red[u] |= 1 << v
+    nbr = _neighbor_masks(graph)
+    red = _neighbor_masks(graph, red_only=True)
     memo: dict[int, int] = {0: 1}
 
     def reach(mask: int) -> int:
@@ -191,11 +188,7 @@ def max_independent_set_size(n: int, neighbor_masks: list[int]) -> int:
 def independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE_CAP) -> int:
     """Exact independence number (size of the largest independent set)."""
     _check_cap(graph, max_n, "independence number")
-    nbr = [0] * graph.n
-    for u, v in graph.colors:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return max_independent_set_size(graph.n, nbr)
+    return max_independent_set_size(graph.n, _neighbor_masks(graph))
 
 
 def bipartite_independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE_CAP) -> int:

@@ -97,7 +97,7 @@ def distance_d_independence_number(
         raise OracleLimitError(
             f"instance too large for oracle distance-{d} independence: "
             f"n={n} exceeds cap {max_n}")
-    adj = graph.adjacency()
+    index = graph.neighbor_index
     masks = [0] * n
     for start in range(n):
         dist = {start: 0}
@@ -107,7 +107,7 @@ def distance_d_independence_number(
             depth += 1
             nxt = []
             for v in frontier:
-                for w in adj[v]:
+                for w in index[v]:
                     if w not in dist:
                         dist[w] = depth
                         nxt.append(w)

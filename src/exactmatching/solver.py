@@ -261,17 +261,16 @@ def recover_from_color_guess(
     matching; the lexicographically first one completes the solution, which
     is returned (always with red count k), or None if there is none.
     """
-    if color not in (RED, BLUE):
-        raise GraphError(f"unknown color {color!r}")
     if not validate_matching(graph, matching):
         raise GraphError("matching is not a perfect matching of the graph")
+    ctx = _make_context(graph, matching, k, color)
     guess_set = set()
     for u, v in guess:
         e = edge_key(u, v)
         if graph.color(e) != color:
             raise GraphError(f"guess contains edge {e} of the wrong color")
         guess_set.add(e)
-    return _recover(_make_context(graph, matching, k, color), tuple(guess_set))
+    return _recover(ctx, tuple(guess_set))
 
 
 @dataclass(frozen=True)
@@ -349,6 +348,8 @@ class _RecoveryContext:
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
+    if color not in (RED, BLUE):
+        raise GraphError(f"unknown color {color!r}")
     flag = 1 if color == RED else 0         # the color's flag in the index
     classes = graph.color_classes
     color_edges = classes[flag].edges

@@ -278,7 +278,7 @@ def test_perfect_matching_on_ignores_outside_edges():
 def test_adjacency_variant_matches_edge_variant(seed, n, drop):
     """Both entry points return the identical matching on every remainder."""
     g = random_colored_graph(n, 0.6, seed)
-    adj = g.adjacency()
+    adj = dict(enumerate(g.neighbor_index))
     verts = [v for v in range(n) if v >= drop]
     edges = g.edges()
     assert (perfect_matching_on(verts, edges)
@@ -311,7 +311,7 @@ def test_completion_equals_backtracking():
         n = 2 * rng.randint(2, 20)
         make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
         g = make(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.95]), seed)
-        adj = g.adjacency()
+        adj = dict(enumerate(g.neighbor_index))
         verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
         got = perfect_matching_on_adjacency(adj, verts)
         try:
@@ -344,7 +344,7 @@ def test_completion_of_two_odd_cliques(a):
 
 def test_adjacency_variant_validity():
     g = random_colored_graph(12, 0.5, 99)
-    adj = g.adjacency()
+    adj = dict(enumerate(g.neighbor_index))
     for combo in itertools.combinations(range(12), 4):
         verts = [v for v in range(12) if v not in combo]
         got = perfect_matching_on_adjacency(adj, verts)

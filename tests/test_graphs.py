@@ -83,9 +83,9 @@ class TestColoredGraph:
             c4.side_of(0)
 
     def test_adjacency_sorted(self, k33):
-        adj = k33.adjacency()
-        assert adj[0] == [3, 4, 5]
-        assert adj[4] == [0, 1, 2]
+        index = k33.neighbor_index
+        assert list(index[0]) == [3, 4, 5]
+        assert list(index[4]) == [0, 1, 2]
 
     @pytest.mark.parametrize("bipartite", [False, True])
     def test_neighbor_index(self, bipartite):
@@ -103,17 +103,18 @@ class TestColoredGraph:
             assert flags == want
             assert all(type(red) is int for red in flags.values())
             assert all(list(nbrs) == sorted(nbrs) for nbrs in index)
-            assert g.adjacency() == {v: list(nbrs) for v, nbrs in enumerate(index)}
             assert g.neighbor_index is index
 
     @pytest.mark.parametrize("bipartite", [False, True])
     def test_color_classes(self, bipartite):
-        """The index split by flag, ascending, with the old edge scans' lists."""
+        """The index split by flag, ascending, with the full edge scans' lists,
+        built without building the index."""
         make = random_bipartite_colored_graph if bipartite else random_colored_graph
         for seed in range(40):
             n = 2 * (seed % 11)
             g = make(n, (0.1, 0.4, 0.8)[seed % 3], seed)
             classes = g.color_classes
+            assert "neighbor_index" not in vars(g)
             assert len(classes) == 2
             for flag, (neighbors, edges) in enumerate(classes):
                 assert sorted(neighbors) == list(range(n))

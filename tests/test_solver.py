@@ -236,6 +236,12 @@ class TestRecovery:
         with pytest.raises(GraphError):
             small_diff_search(c4, matching, 0, 2, RED)
 
+    def test_unknown_color_rejected(self, c4):
+        with pytest.raises(GraphError, match="unknown color 'green'"):
+            small_diff_search(c4, solver_mod.max_red_pm(c4), 0, 4, "green")
+        with pytest.raises(GraphError, match="unknown color 'green'"):
+            recover_from_color_guess(c4, solver_mod.max_red_pm(c4), [], "green", 0)
+
     def test_completion_agrees_with_enumeration(self):
         # Completion on opposite-color remainders against the oracles, which
         # see the remainder relabeled in order onto 0..len-1: the first
