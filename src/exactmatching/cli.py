@@ -38,11 +38,8 @@ from .reductions import lift_to_dense, lift_to_dense_bipartite
 from .skips import (
     SKIP_WEIGHTS,
     find_biskip,
-    find_bundles,
-    find_saps,
     find_skip,
     orient,
-    pair_decomposition,
 )
 from .solver import (
     NO_CERTIFIED,
@@ -195,20 +192,7 @@ def _cmd_analyze(args) -> int:
     view = orient(graph, first) if graph.bipartition is not None else None
     cycles = []
     for cycle in context:
-        pairs = pair_decomposition(cycle, graph, first)
-        entry: dict = {
-            "vertices": list(cycle.vertices),
-            "weight": cycle.weight,
-            "pair_labels": [p.label for p in pairs],
-            "bundles": [
-                {"sign": b.sign, "first": b.first_index, "second": b.second_index}
-                for b in find_bundles(pairs)
-            ],
-            "stretches": [
-                {"indices": list(s.indices), "weight": s.weight}
-                for s in find_saps(pairs)
-            ],
-        }
+        entry: dict = {"vertices": list(cycle.vertices), "weight": cycle.weight}
         skip = find_skip(graph, first, cycle, SKIP_WEIGHTS)
         entry["skip"] = None if skip is None else {
             "chords": [list(skip.e1), list(skip.e2)],

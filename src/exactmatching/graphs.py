@@ -137,12 +137,6 @@ class ColoredGraph:
     def is_red(self, e: Edge) -> bool:
         return self.color(e) == RED
 
-    def red_edges(self) -> list[Edge]:
-        return list(self.color_classes[1].edges)
-
-    def blue_edges(self) -> list[Edge]:
-        return list(self.color_classes[0].edges)
-
     @cached_property
     def neighbor_index(self) -> tuple[dict[int, int], ...]:
         """For each vertex, a map from every neighbor to 1 if the edge is red

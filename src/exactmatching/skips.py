@@ -1,4 +1,4 @@
-"""Cycle-shortcut machinery: edge pairs, bundles, skips, and biskips.
+"""Cycle-shortcut machinery: skips and biskips.
 
 A *skip* shortcuts an alternating cycle C through two non-matching chords,
 producing a strictly shorter alternating cycle C' on a subset of C's
@@ -65,120 +65,6 @@ def guaranteed_skip_weights(subpath_weight: int) -> frozenset[int]:
         return table[subpath_weight]
     except KeyError:
         raise ValueError(f"no guarantee for sub-path weight {subpath_weight}") from None
-
-
-# -- pair decomposition, bundles, sign-alternating stretches ------------------
-
-
-@dataclass(frozen=True)
-class EdgePair:
-    """One matching edge and the non-matching edge that follows it."""
-
-    matching_edge: Edge
-    nonmatching_edge: Edge
-    label: int  # weight of the duo, in {-1, 0, +1}
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """Two same-sign nonzero pairs separated only by zero-label pairs.
-
-    ``span`` lists the pair indices from the first to the second pair
-    inclusive, in cyclic order; the labels over the span sum to ``2 * sign``.
-    """
-
-    sign: int
-    first_index: int
-    second_index: int
-    span: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Stretch:
-    """Maximal bundle-free run of pairs; its labels sum to -1, 0, or +1."""
-
-    indices: tuple[int, ...]
-    weight: int
-
-
-def pair_decomposition(
-    cycle: AlternatingCycle, graph: ColoredGraph, matching: PerfectMatching
-) -> list[EdgePair]:
-    """Chop the cycle into consecutive (matching, non-matching) edge duos.
-
-    Pairing starts at the first matching edge of the canonical edge walk.
-    The pair labels sum to the cycle's weight.
-    """
-    edges = cycle.edges
-    if edges[0] in matching.edges:
-        start = 0
-    elif edges[1] in matching.edges:
-        start = 1
-    else:
-        raise GraphError("cycle does not alternate with the given matching")
-    pairs = []
-    for i in range(len(edges) // 2):
-        m_edge = edges[(start + 2 * i) % len(edges)]
-        nm_edge = edges[(start + 2 * i + 1) % len(edges)]
-        if m_edge not in matching.edges or nm_edge in matching.edges:
-            raise GraphError("cycle does not alternate with the given matching")
-        label = edge_weight(graph, matching, m_edge) + edge_weight(graph, matching, nm_edge)
-        pairs.append(EdgePair(m_edge, nm_edge, label))
-    return pairs
-
-
-def find_bundles(pairs: Sequence[EdgePair]) -> list[Bundle]:
-    """Greedy maximal set of disjoint bundles, scanning left to right.
-
-    The pair list is treated as cyclic; a final wrap-around bundle is formed
-    when the first and last surviving nonzero pairs agree in sign.  After the
-    scan no two remaining consecutive nonzero pairs share a sign.
-    """
-    total = len(pairs)
-    nonzero = [i for i in range(total) if pairs[i].label != 0]
-    bundles: list[Bundle] = []
-    consumed: set[int] = set()
-    prev: int | None = None
-    for t, idx in enumerate(nonzero):
-        if prev is not None and pairs[nonzero[prev]].label == pairs[idx].label:
-            first = nonzero[prev]
-            bundles.append(Bundle(pairs[idx].label, first, idx,
-                                  tuple(range(first, idx + 1))))
-            consumed.update((prev, t))
-            prev = None
-        else:
-            prev = t
-    if (len(nonzero) >= 2 and 0 not in consumed and prev == len(nonzero) - 1
-            and pairs[nonzero[-1]].label == pairs[nonzero[0]].label):
-        first, second = nonzero[-1], nonzero[0]
-        span = tuple(range(first, total)) + tuple(range(0, second + 1))
-        bundles.append(Bundle(pairs[first].label, first, second, span))
-    return bundles
-
-
-def find_saps(pairs: Sequence[EdgePair]) -> list[Stretch]:
-    """Maximal cyclic runs of pairs not covered by any greedy bundle."""
-    total = len(pairs)
-    if total == 0:
-        return []
-    covered: set[int] = set()
-    for b in find_bundles(pairs):
-        covered.update(b.span)
-    free = [i for i in range(total) if i not in covered]
-    if not free:
-        return []
-    if not covered:
-        weight = sum(p.label for p in pairs)
-        return [Stretch(tuple(range(total)), weight)]
-    runs: list[list[int]] = []
-    for i in free:
-        if runs and runs[-1][-1] == i - 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == total - 1:
-        runs[0] = runs.pop() + runs[0]
-    return [Stretch(tuple(r), sum(pairs[i].label for i in r)) for r in runs]
 
 
 # -- skips ---------------------------------------------------------------------

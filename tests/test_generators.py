@@ -8,6 +8,7 @@ from exactmatching import (
     BaseFamily,
     GenerationError,
     bipartite_independence_number,
+    edge_weight,
     em_decide_bruteforce,
     gen_bounded_alpha,
     gen_bounded_beta,
@@ -18,7 +19,6 @@ from exactmatching import (
     validate_matching,
 )
 from exactmatching.generators import gen_alternating_cycle_instance, gen_skip_extraction_instance
-from exactmatching.skips import pair_decomposition
 
 
 class TestBaseFamily:
@@ -160,11 +160,13 @@ class TestExtractionInstances:
     def test_subpath_labels(self, x):
         g, pm, cyc = gen_skip_extraction_instance(x, 6, 1)
         assert g.n == 24
-        pairs = pair_decomposition(cyc, g, pm)
-        # each four-edge period splits into two duos whose labels realize
-        # the sub-path weight
-        labels = sorted(p.label for p in pairs)
-        half = len(pairs) // 2
+        # from the first matching edge, each four-edge period splits into two
+        # (matching, non-matching) duos whose labels realize the sub-path weight
+        start = next(i for i, e in enumerate(cyc.edges) if e in pm.edges)
+        ring = cyc.edges[start:] + cyc.edges[:start]
+        labels = sorted(edge_weight(g, pm, ring[i]) + edge_weight(g, pm, ring[i + 1])
+                        for i in range(0, len(ring), 2))
+        half = len(labels) // 2
         per_period = {2: [1, 1], 1: [0, 1], 0: [-1, 1], -1: [-1, 0]}[x]
         assert labels == sorted(per_period * half)
         assert cyc.weight == x * 6

@@ -41,8 +41,6 @@ class TestColoredGraph:
         assert not c4.has_edge(0, 2)
         assert c4.color((0, 1)) == RED
         assert c4.is_red((0, 1))
-        assert c4.red_edges() == [(0, 1), (2, 3)]
-        assert c4.blue_edges() == [(0, 3), (1, 2)]
         assert c4.edges() == sorted(c4.edges())
 
     def test_unknown_edge_color_raises(self, c4):
@@ -125,8 +123,6 @@ class TestColoredGraph:
                 assert type(edges) is tuple
                 assert edges == tuple(e for e, c in g.colors.items() if c == color)
                 assert list(edges) == sorted(edges)
-            assert g.red_edges() == list(classes[1].edges)
-            assert g.blue_edges() == list(classes[0].edges)
             assert g.color_classes is classes
 
 

@@ -9,7 +9,6 @@ from exactmatching import (
     AlternatingCycle,
     ColoredGraph,
     CycleSet,
-    EdgePair,
     GraphError,
     NEGATIVE_WEIGHTS,
     POSITIVE_WEIGHTS,
@@ -19,13 +18,10 @@ from exactmatching import (
     apply_cycles,
     apply_skip,
     find_biskip,
-    find_bundles,
-    find_saps,
     find_skip,
     max_red_pm,
     min_red_pm,
     orient,
-    pair_decomposition,
     random_bipartite_colored_graph,
     random_colored_graph,
     symmetric_difference,
@@ -91,94 +87,6 @@ def test_weight_sets():
     assert NEGATIVE_WEIGHTS == {-4, -3, -2, -1}
     assert POSITIVE_WEIGHTS == {1, 2, 3, 4}
     assert set(SKIP_WEIGHTS) == NEGATIVE_WEIGHTS | {0} | POSITIVE_WEIGHTS
-
-
-# -- pair decomposition ---------------------------------------------------------
-
-
-def test_pair_decomposition_labels_sum_to_weight():
-    g, pm, cyc = ten_cycle(nm_reds=[(3, 4), (7, 8)])
-    pairs = pair_decomposition(cyc, g, pm)
-    assert len(pairs) == 5
-    assert all(p.matching_edge in pm.edges for p in pairs)
-    assert all(p.nonmatching_edge not in pm.edges for p in pairs)
-    assert sum(p.label for p in pairs) == cyc.weight == 2
-
-    for seed in range(25):
-        g, pm, cyc = gen_alternating_cycle_instance(12, 0.5, seed)
-        pairs = pair_decomposition(cyc, g, pm)
-        assert sum(p.label for p in pairs) == cyc.weight
-        assert all(p.label in (-1, 0, 1) for p in pairs)
-
-
-def test_pair_decomposition_rejects_nonalternating():
-    g, pm, cyc = ten_cycle()
-    with pytest.raises(GraphError):
-        pair_decomposition(cyc, g, PerfectMatching(frozenset(), 0))
-
-
-# -- bundles and stretches -------------------------------------------------------
-
-
-def mkpairs(labels):
-    return [EdgePair((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), lab)
-            for i, lab in enumerate(labels)]
-
-
-def test_bundle_across_zeros():
-    bundles = find_bundles(mkpairs([1, 0, 1]))
-    assert len(bundles) == 1
-    b = bundles[0]
-    assert (b.sign, b.first_index, b.second_index, b.span) == (1, 0, 2, (0, 1, 2))
-    assert find_saps(mkpairs([1, 0, 1])) == []
-
-
-def test_alternating_signs_make_no_bundles():
-    pairs = mkpairs([1, -1, 1, -1])
-    assert find_bundles(pairs) == []
-    stretches = find_saps(pairs)
-    assert len(stretches) == 1
-    assert stretches[0].indices == (0, 1, 2, 3)
-    assert stretches[0].weight == 0
-
-
-def test_wraparound_bundle():
-    pairs = mkpairs([1, -1, 1])
-    bundles = find_bundles(pairs)
-    assert len(bundles) == 1
-    assert (bundles[0].first_index, bundles[0].second_index) == (2, 0)
-    assert bundles[0].span == (2, 0)
-    stretches = find_saps(pairs)
-    assert len(stretches) == 1
-    assert stretches[0].indices == (1,)
-    assert stretches[0].weight == -1
-
-
-def test_all_zero_labels():
-    pairs = mkpairs([0, 0, 0])
-    assert find_bundles(pairs) == []
-    [stretch] = find_saps(pairs)
-    assert stretch.indices == (0, 1, 2) and stretch.weight == 0
-
-
-def test_stretch_invariants_on_random_instances():
-    for seed in range(40):
-        g, pm, cyc = gen_alternating_cycle_instance(16, 0.4, seed)
-        pairs = pair_decomposition(cyc, g, pm)
-        bundles = find_bundles(pairs)
-        stretches = find_saps(pairs)
-        covered = set()
-        for b in bundles:
-            assert abs(sum(pairs[i].label for i in b.span)) == 2
-            assert pairs[b.first_index].label == pairs[b.second_index].label == b.sign
-            assert not covered & set(b.span)
-            covered |= set(b.span)
-        for s in stretches:
-            assert abs(s.weight) <= 1
-            assert s.weight == sum(pairs[i].label for i in s.indices)
-            assert not covered & set(s.indices)
-            covered |= set(s.indices)
-        assert covered == set(range(len(pairs)))
 
 
 # -- skips ------------------------------------------------------------------------
