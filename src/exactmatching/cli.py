@@ -147,6 +147,7 @@ def _cmd_approx(args) -> int:
     doc = {
         "red_count": m.red_count,
         "target": args.k,
+        "red_range": list(result.red_range),
         "threshold": result.threshold,
         "bound": result.bound,
         "bipartite": result.bipartite,
@@ -156,7 +157,8 @@ def _cmd_approx(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
-        print(f"red_count: {m.red_count}  target: {args.k}")
+        lo, hi = result.red_range
+        print(f"red_count: {m.red_count}  target: {args.k}  red_range: [{lo}, {hi}]")
         print(f"threshold: {result.threshold}  bound: {result.bound}  "
               f"bipartite: {result.bipartite}  iterations: {result.iterations}")
         print("matching: " + " ".join(f"({u},{v})" for u, v in m.sorted_edges()))

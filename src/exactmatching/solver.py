@@ -14,13 +14,20 @@ with a smaller caller-imposed budget the result is merely unknown.  The paper
 certifies at radius min(n, f) with f = 1000 * (256 * 4^(2 alpha))^6, or
 1000 * (256 * 4^(4 beta + 4))^6 for the bipartite bound beta; f is at least
 1000 * 4096^6, far above any n that fits in memory, so the radius is always
-n.  Two prunings drop only guesses that cannot succeed, so they change no
+n.  Before any search, a k outside [r(min-red PM), r(max-red PM)], both
+computed by phase 1, is a certified no: every perfect matching's red count
+lies in that range.
+
+Three prunings drop only guesses that cannot succeed, so they change no
 verdict and no witness.  The search stops after size min(r + k, n - r - k),
 where r is the red count of the phase-1 matching: every solution is found by
-a guess no larger than that, so the sizes past it are provably empty.  And a
+a guess no larger than that, so the sizes past it are provably empty.  A
 guess whose remainder fails a parity test on the components of the
 opposite-color graph (Tutte 1947; Hall/Konig for bipartite components) is
-rejected before any completion is attempted.
+rejected before any completion is attempted.  And once a search has tried
+``_SIZE_TEST_AFTER`` guesses, a whole guess size is skipped when no multiset
+of edge types of that size could pass the parity test, vertex-disjoint or
+not (``_RecoveryContext.size_test``).
 """
 
 from __future__ import annotations
@@ -105,8 +112,9 @@ class Verdict:
     size of the successful recovery for yes verdicts found in phase 2, the
     certified radius n for a "no" from phase 2 (the search may stop earlier,
     since the sizes past its stop are provably empty), the cap for an
-    "unknown", and 0 otherwise.  ``phase1_r`` is the red count of the
-    phase-1 matching when one exists.
+    "unknown", and 0 otherwise, which includes a "no" certified before
+    phase 2 (no perfect matching, or k outside the red-count range).
+    ``phase1_r`` is the red count of the phase-1 matching when one exists.
     """
 
     status: str
@@ -130,11 +138,16 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Phase1Result:
+    """The walk's final matching (None when the graph has no PM) and its
+    bookkeeping.  ``red_range`` is (r(min-red PM), r(max-red PM)), the range
+    of every perfect matching's red count, or None when there is no PM."""
+
     matching: PerfectMatching | None
     iterations: int
     threshold: int
     bound: int
     bipartite: bool
+    red_range: tuple[int, int] | None = None
 
 
 def _resolve_bound(
@@ -191,6 +204,7 @@ def run_phase1(
         return Phase1Result(None, 0, threshold, bound, bipartite)
     high = max_red_pm(graph)
     assert high is not None
+    red_range = (low.red_count, high.red_count)
 
     # ``context`` is always symmetric_difference(graph, low, high), weighted
     # against low.  It is computed once and then carried forward: a skip or
@@ -229,7 +243,7 @@ def run_phase1(
             high, context = apply_skip(high, shortcut, context)
 
     final = high if high.red_count <= k else low
-    return Phase1Result(final, iterations, threshold, bound, bipartite)
+    return Phase1Result(final, iterations, threshold, bound, bipartite, red_range)
 
 
 def approx_em(
@@ -290,7 +304,8 @@ class _RecoveryContext:
     filled from the base edges alone.  ``parity``
     labels the components of the opposite-color graph for ``_parity_ok``;
     it is built on first use, so contexts that never reach a completion do
-    not pay for it.
+    not pay for it.  ``size_test`` relaxes that screen to whole guess sizes
+    for ``_size_ok``, and is built only when a search consults it.
     """
 
     graph: ColoredGraph
@@ -344,6 +359,87 @@ class _RecoveryContext:
         bad = sum(1 for x, m in zip(need, mask) if x & m)
         return component, side, need, mask, bad
 
+    @cached_property
+    def size_test(self) -> tuple[list[set], list[set]] | None:
+        """(base_sums, added_sums) for ``_size_ok``, or None when the sums
+        pass ``_SIZE_TEST_CAP`` vectors and nothing is pruned.
+
+        A vector has one coordinate per component of the opposite-color
+        graph: mod 2 for a non-bipartite component, an integer for a
+        bipartite one, as ``_parity_ok`` reads ``need & mask``.  It is
+        stored as a pair (odd, signed): bit i of ``odd`` holds the i-th
+        non-bipartite coordinate, and ``signed`` holds the bipartite ones as
+        balanced base-2**width digits.  No coordinate formed here exceeds n
+        in absolute value, less than half the digit base, so equal vectors
+        have equal pairs.  An edge's type is the vector of its
+        endpoints' sides.  ``base_sums[j]`` holds every sum of the types of
+        j base edges, and ``added_sums[j]`` of j other edges of the color
+        (a bounded-multiplicity subset-sum over the type counts).
+        """
+        component, side, _, mask, _ = self.parity
+        width = (self.graph.n + 1).bit_length() + 1
+        # The lowest bit of component c's coordinate in ``odd`` or ``signed``.
+        shift: list[int] = []
+        n_odd = n_signed = 0
+        for m in mask:
+            if m == 1:
+                shift.append(n_odd)
+                n_odd += 1
+            else:
+                shift.append(width * n_signed)
+                n_signed += 1
+        base_types: dict[tuple[int, int], int] = {}
+        added_types: dict[tuple[int, int], int] = {}
+        for e, in_base in zip(self.color_edges, self.is_base):
+            odd = signed = 0
+            for v in e:
+                c = component[v]
+                if mask[c] == 1:
+                    odd ^= 1 << shift[c]
+                else:
+                    signed += side[v] << shift[c]
+            counts = base_types if in_base else added_types
+            counts[odd, signed] = counts.get((odd, signed), 0) + 1
+        base_sums = _reachable_sums(base_types, len(self.base), _SIZE_TEST_CAP)
+        if base_sums is None:
+            return None
+        budget = _SIZE_TEST_CAP - sum(map(len, base_sums))
+        added_sums = _reachable_sums(added_types, self.target, budget)
+        if added_sums is None:
+            return None
+        return base_sums, added_sums
+
+
+def _reachable_sums(
+    types: dict[tuple[int, int], int], depth: int, budget: int
+) -> list[set[tuple[int, int]]] | None:
+    """``sums[j]`` for j <= depth: every sum of j types, each type used at
+    most its count times, or None once the sets hold more than ``budget``
+    vectors in all.
+
+    Each type's count is split into parts 1, 2, 4, ... and a remainder, whose
+    subsets sum to every multiplicity from 0 to the count, so each part is
+    one 0/1 item; the layers are updated top-down so that an item is used
+    at most once.
+    """
+    sums: list[set[tuple[int, int]]] = [set() for _ in range(depth + 1)]
+    sums[0].add((0, 0))
+    budget -= 1
+    for (t_odd, t_signed), count in types.items():
+        part = 1
+        while count:
+            w = min(part, count)
+            count -= w
+            part *= 2
+            w_odd, w_signed = (t_odd if w & 1 else 0), t_signed * w
+            for j in range(depth, w - 1, -1):
+                layer, before = sums[j], len(sums[j])
+                layer.update((o ^ w_odd, s + w_signed) for o, s in sums[j - w])
+                budget -= len(layer) - before
+            if budget < 0:
+                return None
+    return sums
+
 
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
@@ -365,6 +461,52 @@ def _make_context(
     return _RecoveryContext(graph, k, target, base, color_edges,
                             classes[1 - flag].neighbors, tuple(is_base), tuple(base_of),
                             base_left)
+
+
+# The size test is consulted once a search has tried this many guesses:
+# built for every context, it would cost the searches that succeed early
+# more than it saves.
+_SIZE_TEST_AFTER = 256
+# The most vectors the size test's sums may hold before it gives up.
+_SIZE_TEST_CAP = 4096
+
+
+def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
+    """(removals, additions) of a guess of ``size`` edges whose proposal
+    has the target size, or None when no such guess exists."""
+    n_base = ctx.base_left[0]
+    gap = ctx.target - n_base
+    if (size - gap) % 2 != 0:
+        return None
+    nb, nn = (size - gap) // 2, (size + gap) // 2
+    if not (0 <= nb <= n_base and 0 <= nn <= len(ctx.color_edges) - n_base):
+        return None
+    return nb, nn
+
+
+def _size_ok(ctx: _RecoveryContext, size: int) -> bool:
+    """False when no guess of ``size`` edges can pass ``_parity_ok``.
+
+    The size fixes how many base edges R a guess removes and how many other
+    edges A it adds.  When the proposal is vertex-disjoint, which it is for
+    every guess that reaches the screen, the screen sees the side sums of
+    the base vertices, minus sum(R), plus sum(A).  The base vertices alone
+    pass the screen, since the anchor's opposite-color edges match the rest
+    of the graph; so the guess passes exactly when sum(R) == sum(A) in the
+    screen's normalization.  This asks the same of any |R| base types and
+    |A| other types, each used at most as often as it occurs: dropping
+    disjointness only relaxes the screen, so a False here skips only guesses
+    the screen rejects.
+    """
+    split = _split(ctx, size)
+    if split is None:
+        return False
+    test = ctx.size_test
+    if test is None:
+        return True
+    base_sums, added_sums = test
+    nb, nn = split
+    return not base_sums[nb].isdisjoint(added_sums[nn])
 
 
 def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching | None:
@@ -427,16 +569,12 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
           search never skips (keeps) a forced edge, and cuts as soon as the
           distinct forced edges outnumber the removals still allowed.
     """
+    split = _split(ctx, size)
+    if split is None:
+        return
+    nb, nn = split                  # removals and additions still to choose
     edges, is_base, base_of, base_left = ctx.color_edges, ctx.is_base, ctx.base_of, ctx.base_left
     m = len(edges)
-    n_base = base_left[0]
-    gap = ctx.target - n_base
-    if (size - gap) % 2 != 0:
-        return
-    nb = (size - gap) // 2          # removals still to choose
-    nn = (size + gap) // 2          # additions still to choose
-    if not (0 <= nb <= n_base and 0 <= nn <= m - n_base):
-        return
     if size == 0:
         yield ()
         return
@@ -516,11 +654,22 @@ def _search(
     So the first success, if any, comes at a size no larger than any
     context's bound, and the sizes past the smallest bound are provably
     empty.  With the anchor's red count r this is min(r + k, n - r - k).
+
+    Once ``_SIZE_TEST_AFTER`` guesses have been tried, ``_size_ok`` is
+    consulted at the next guess, which abandons its (context, size) when
+    the test fails, and then before every later (context, size).  Checking
+    only where a size starts would miss a search whose cost is one huge size.
     """
     stop = min(limit, min(ctx.base_left[0] + ctx.target for ctx in contexts))
+    tried = 0
     for size in range(stop + 1):
         for ctx in contexts:
+            if tried > _SIZE_TEST_AFTER and not _size_ok(ctx, size):
+                continue
             for guess in _guesses(ctx, size):
+                tried += 1
+                if tried == _SIZE_TEST_AFTER + 1 and not _size_ok(ctx, size):
+                    break
                 pm = _recover(ctx, guess)
                 if pm is not None:
                     return size, pm
@@ -561,9 +710,11 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     """Decide whether some perfect matching has exactly k red edges.
 
     Yes verdicts carry a verified witness.  A no verdict is only emitted
-    when it is certain: trivial parity/range violations, no perfect
-    matching at all, or a phase-2 search that covers radius n, which it does
-    once it passes its early stop.  A caller-imposed ``L_cap`` below n turns
+    when it is certain: an odd n or a k outside [0, n/2], no perfect
+    matching at all, a k outside the red-count range of phase 1's min- and
+    max-red perfect matchings (whatever the cap, since no search is
+    involved), or a phase-2 search that covers radius n, which it does once
+    it passes its early stop.  A caller-imposed ``L_cap`` below n turns
     exhaustion into an unknown verdict instead, even when the search stopped
     early under the cap.
     """
@@ -583,6 +734,10 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     if m.red_count == k:
         return Verdict(YES, witness=_verified(graph, m, k, "phase 1"), L_used=0,
                        phase1_r=m.red_count, iterations=phase1.iterations)
+    lo, hi = phase1.red_range
+    if not lo <= k <= hi:
+        return Verdict(NO_CERTIFIED, reason=f"k outside the red-count range [{lo}, {hi}]",
+                       L_used=0, phase1_r=m.red_count, iterations=phase1.iterations)
 
     limit = n if params.L_cap is None else min(params.L_cap, n)
 

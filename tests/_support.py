@@ -35,6 +35,7 @@ from exactmatching import (
     PerfectMatching,
     Skip,
     SolverParams,
+    perfect_matching_red_counts,
     run_phase1,
 )
 from exactmatching import solver as solver_mod
@@ -363,9 +364,11 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     with an even vertex count, 0 <= k <= n/2 and n below the certified
     radius f(bound), which holds for every bound.
 
-    The phase-1 matching is the anchor; red guesses go before blue at each
-    size.  Exhausting radius n certifies a no, a smaller ``L_cap`` gives
-    unknown.
+    The phase-1 matching is the anchor.  A k outside the range of red
+    counts, read off the brute-force ``perfect_matching_red_counts``, is a
+    no with no search, whatever the cap.  Otherwise red guesses go before
+    blue at each size; exhausting radius n certifies a no, a smaller
+    ``L_cap`` gives unknown.
     """
     params = params or SolverParams()
     anchor = run_phase1(graph, k, params).matching
@@ -373,6 +376,9 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
         return NO_CERTIFIED, None, 0
     if anchor.red_count == k:
         return YES, anchor, 0
+    counts = perfect_matching_red_counts(graph)
+    if not min(counts) <= k <= max(counts):
+        return NO_CERTIFIED, None, 0
     limit = graph.n if params.L_cap is None else min(params.L_cap, graph.n)
     contexts = [solver_mod._make_context(graph, anchor, k, c) for c in (RED, BLUE)]
     hit = naive_first_success(contexts, limit)

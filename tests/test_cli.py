@@ -65,6 +65,16 @@ class TestSolve:
         assert out.startswith("no\n")
         assert "reason:" in out
 
+    def test_range_certificate(self, tmp_path, capsys):
+        # Both perfect matchings of the all-red 4-cycle have two red edges.
+        p = tmp_path / "red4.json"
+        p.write_text('{"n": 4, "edges": [[0, 1, "red"], [1, 2, "red"],'
+                     ' [2, 3, "red"], [0, 3, "red"]]}')
+        assert main(["solve", str(p), "-k", "1", "--json"]) == EXIT_NO
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["L_used"], doc["reason"]) == (
+            "no", 0, "k outside the red-count range [2, 2]")
+
     def test_unknown_under_budget(self, c4_file, capsys):
         assert main(["solve", c4_file, "-k", "1", "--L-cap", "0"]) == EXIT_UNKNOWN
         assert capsys.readouterr().out.startswith("unknown")
@@ -128,12 +138,13 @@ class TestApprox:
     def test_human_report(self, c4_file, capsys):
         assert main(["approx", c4_file, "-k", "2"]) == EXIT_YES
         out = capsys.readouterr().out
-        assert "red_count: 2  target: 2" in out
+        assert "red_count: 2  target: 2  red_range: [0, 2]" in out
 
     def test_json_report(self, c4_file, capsys):
         assert main(["approx", c4_file, "-k", "0", "--json"]) == EXIT_YES
         doc = json.loads(capsys.readouterr().out)
         assert doc["red_count"] == 0
+        assert doc["red_range"] == [0, 2]
         assert doc["bipartite"] is False
         assert doc["threshold"] == 2 * 4 ** doc["bound"]
 

@@ -441,6 +441,69 @@ class TestGuessStream:
         assert {(YES, True), (YES, False), (NO_CERTIFIED, True), (UNKNOWN, True)} <= outcomes
 
 
+class TestSizeTest:
+    def test_rejected_sizes_hold_no_guess_that_passes_the_screen(self):
+        # The size test drops only vertex-disjointness from the parity
+        # screen, so every guess of a size it rejects fails the screen.
+        rng = random.Random(23)
+        rejected = 0
+        for seed in range(120):
+            n = rng.choice((6, 8, 10, 12))
+            make = random_bipartite_colored_graph if seed % 3 == 0 else random_colored_graph
+            g = make(n, rng.choice((0.2, 0.3, 0.6, 0.9)), seed)
+            for pm in (solver_mod.min_red_pm(g), solver_mod.max_red_pm(g)):
+                if pm is None:
+                    continue
+                for color in (RED, BLUE):
+                    for k in range(n // 2 + 1):
+                        ctx = solver_mod._make_context(g, pm, k, color)
+                        assert ctx.size_test is not None
+                        # The test's premise: the anchor's opposite-color
+                        # edges match everything outside its base.
+                        assert solver_mod._parity_ok(ctx, {w for e in ctx.base for w in e})
+                        for size in range(n + 1):
+                            if solver_mod._size_ok(ctx, size):
+                                continue
+                            for guess in solver_mod._guesses(ctx, size):
+                                proposal = ctx.base.symmetric_difference(guess)
+                                used = {w for e in proposal for w in e}
+                                assert not solver_mod._parity_ok(ctx, used)
+                                rejected += 1
+        assert rejected > 1000
+
+    def test_gives_up_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_SIZE_TEST_CAP", 1)
+        g = parity_graph(12, 4)
+        ctx = solver_mod._make_context(g, solver_mod.min_red_pm(g), 3, RED)
+        assert ctx.size_test is None
+        assert solver_mod._size_ok(ctx, 3)
+        assert not solver_mod._size_ok(ctx, 2)     # no guess of that size exists
+
+    def test_results_do_not_depend_on_the_size_test(self, monkeypatch):
+        # The test consulted from the first guess on against the test never
+        # consulted: every Verdict field agrees.  Random graphs seldom give
+        # it a size to reject, so parity graphs (every split) are added.
+        size_ok = solver_mod._size_ok
+        pruned = []
+        monkeypatch.setattr(solver_mod, "_size_ok", lambda ctx, size: size_ok(ctx, size) or (
+            solver_mod._split(ctx, size) is not None and pruned.append(1)))
+        graphs = [make(n, p, seed) for n in (6, 8, 10, 12) for p in (0.3, 0.6, 0.9)
+                  for seed in range(12)
+                  for make in (random_colored_graph, random_bipartite_colored_graph)]
+        graphs += [parity_graph(n, split) for n in (6, 8, 10, 12) for split in range(1, n)]
+        cases = 0
+        for g in graphs:
+            for k in range(g.n // 2 + 1):
+                for params in (SolverParams(), SolverParams(L_cap=2)):
+                    monkeypatch.setattr(solver_mod, "_SIZE_TEST_AFTER", 0)
+                    always = solve_em(g, k, params)
+                    monkeypatch.setattr(solver_mod, "_SIZE_TEST_AFTER", float("inf"))
+                    assert always == solve_em(g, k, params)
+                    cases += 1
+        assert cases == 3168 + 372
+        assert len(pruned) > 100
+
+
 class TestSmallDiffSearch:
     def test_finds_witness_within_limit(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
@@ -533,21 +596,35 @@ class TestSolveEm:
                     assert v.witness.red_count == k
 
     def test_matches_red_count_oracle_beyond_enumeration(self):
-        exhausted = 0
-        for n in (14, 16, 18):
-            for p in (0.3, 0.6, 0.9):
-                for seed in range(4):
-                    g = random_colored_graph(n, p, seed)
-                    counts = perfect_matching_red_counts(g)
-                    for k in range(n // 2 + 1):
-                        v = solve_em(g, k)
-                        if k in counts:
-                            assert v.status == YES
-                            assert validate_matching(g, v.witness) and v.witness.red_count == k
-                        else:
-                            assert v.status == NO_CERTIFIED
-                            exhausted += v.reason == "exhausted the certified search radius"
+        # Dense random graphs have no k inside their red-count range that no
+        # perfect matching hits, so the in-range no-instances come from
+        # sparse random graphs and from parity graphs (odd k, even split).
+        graphs = [random_colored_graph(n, p, seed)
+                  for n in (14, 16, 18) for p in (0.3, 0.6, 0.9) for seed in range(4)]
+        graphs += [random_colored_graph(n, 0.2, seed) for n in (16, 18, 20) for seed in range(8)]
+        graphs += [parity_graph(n, split) for n in (14, 16, 18, 20)
+                   for split in range(2, n // 2 + 1, 2)]
+        exhausted = ranged = 0
+        for g in graphs:
+            counts = perfect_matching_red_counts(g)
+            for k in range(g.n // 2 + 1):
+                v = solve_em(g, k)
+                if k in counts:
+                    assert v.status == YES
+                    assert validate_matching(g, v.witness) and v.witness.red_count == k
+                elif not counts:
+                    assert (v.status, v.reason) == (NO_CERTIFIED, "graph has no perfect matching")
+                elif min(counts) <= k <= max(counts):
+                    assert (v.status, v.L_used, v.reason) == (
+                        NO_CERTIFIED, g.n, "exhausted the certified search radius")
+                    exhausted += 1
+                else:
+                    assert (v.status, v.L_used, v.reason) == (
+                        NO_CERTIFIED, 0,
+                        f"k outside the red-count range [{min(counts)}, {max(counts)}]")
+                    ranged += 1
         assert exhausted >= 10
+        assert ranged >= 150
 
     def test_deterministic_witness(self):
         g = gen_planted_yes(14, 3, BaseFamily("alpha", 2), 7)
@@ -572,7 +649,7 @@ class TestSolveEm:
         assert v.L_used == 14
 
     @pytest.mark.parametrize("n, split, k", [
-        (16, 4, 1), (16, 2, 3), (20, 6, 1), (20, 4, 3), (24, 8, 1), (28, 4, 1), (28, 14, 1)])
+        (16, 4, 1), (20, 6, 1), (20, 4, 3), (24, 8, 1), (28, 4, 1), (28, 14, 1)])
     def test_parity_no_instances_stop_early(self, n, split, k, monkeypatch):
         # Odd k with an even split.  The search stops after size
         # min(r + k, n - r - k), and every remainder fails the parity
@@ -592,6 +669,50 @@ class TestSolveEm:
         assert not completions
         if n <= 24:
             assert k not in perfect_matching_red_counts(g, max_n=n)
+
+    @pytest.mark.parametrize("n, split, k", [
+        (16, 2, 3), (24, 2, 5), (26, 2, 7), (32, 4, 7), (40, 6, 9), (40, 10, 12)])
+    def test_out_of_range_instances_are_certified_before_phase_2(self, n, split, k, monkeypatch):
+        # Every perfect matching of the parity graph has at most
+        # min(split, n - split) red edges, and k lies above that.
+        calls = []
+        guesses = solver_mod._guesses
+        monkeypatch.setattr(solver_mod, "_guesses",
+                            lambda ctx, size: calls.append(size) or guesses(ctx, size))
+        v = solve_em(parity_graph(n, split), k, SolverParams(alpha_hint=1))
+        assert (v.status, v.L_used, v.reason, v.witness) == (
+            NO_CERTIFIED, 0, f"k outside the red-count range [0, {split}]", None)
+        assert v.phase1_r == split
+        assert not calls
+
+    def test_range_certificate_holds_under_a_cap(self):
+        # No search is involved, so a cap does not turn it into unknown.
+        g = parity_graph(16, 2)
+        for cap in (0, 2, 16):
+            v = solve_em(g, 3, SolverParams(alpha_hint=1, L_cap=cap))
+            assert (v.status, v.L_used) == (NO_CERTIFIED, 0)
+
+    @pytest.mark.parametrize("n, split, k", [
+        (20, 6, 5), (24, 6, 5), (28, 8, 5), (40, 8, 7), (60, 10, 7)])
+    def test_in_range_parity_no_instances_stop_at_the_size_test(self, n, split, k, monkeypatch):
+        # Every guess fails the parity screen.  Once the search has tried
+        # _SIZE_TEST_AFTER guesses, the size test rejects the size it is in
+        # and every later one, so recovery runs a bounded number of times
+        # where the full search would enumerate millions of guesses.
+        calls = 0
+        bound = solver_mod._SIZE_TEST_AFTER + 2 * (n + 1)
+        recover = solver_mod._recover
+
+        def counted(ctx, guess):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound
+            return recover(ctx, guess)
+
+        monkeypatch.setattr(solver_mod, "_recover", counted)
+        v = solve_em(parity_graph(n, split), k, SolverParams(alpha_hint=1))
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, n, "exhausted the certified search radius")
 
     def test_bipartite_instances(self):
         for seed in range(10):
