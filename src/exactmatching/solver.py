@@ -18,16 +18,20 @@ n.  Before any search, a k outside [r(min-red PM), r(max-red PM)], both
 computed by phase 1, is a certified no: every perfect matching's red count
 lies in that range.
 
-Three prunings drop only guesses that cannot succeed, so they change no
+Inside the range, a second certificate cuts phase 2 short.  Once a search
+has tried more than ``_CERTIFY_AFTER`` guesses, a k outside
+``red_count_lattice`` (the red counts that a mod-d vertex potential allows
+on each component, summed over the components) is a certified no; a search
+capped below n consults the lattice before it answers unknown.  Searches
+that succeed within the trigger never build the lattice.
+
+Two prunings drop only guesses that cannot succeed, so they change no
 verdict and no witness.  The search stops after size min(r + k, n - r - k),
 where r is the red count of the phase-1 matching: every solution is found by
-a guess no larger than that, so the sizes past it are provably empty.  A
-guess whose remainder fails a parity test on the components of the
+a guess no larger than that, so the sizes past it are provably empty.  And
+a guess whose remainder fails a parity test on the components of the
 opposite-color graph (Tutte 1947; Hall/Konig for bipartite components) is
-rejected before any completion is attempted.  And once a search has tried
-``_SIZE_TEST_AFTER`` guesses, a whole guess size is skipped when no multiset
-of edge types of that size could pass the parity test, vertex-disjoint or
-not (``_RecoveryContext.size_test``).
+rejected before any completion is attempted.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 # perfect_matching_on is not called here, but perfbench/tracing.py wraps it
@@ -110,10 +115,11 @@ class Verdict:
     ``status`` is "yes" (witness attached), "no" (certified absence), or
     "unknown" (caller-imposed budget exhausted).  ``L_used`` is the guess
     size of the successful recovery for yes verdicts found in phase 2, the
-    certified radius n for a "no" from phase 2 (the search may stop earlier,
-    since the sizes past its stop are provably empty), the cap for an
-    "unknown", and 0 otherwise, which includes a "no" certified before
-    phase 2 (no perfect matching, or k outside the red-count range).
+    certified radius n for a "no" from exhausting phase 2 (the search may
+    stop earlier, since the sizes past its stop are provably empty), the cap
+    for an "unknown", and 0 otherwise.  That includes a "no" certified
+    without exhausting phase 2: no perfect matching, k outside the red-count
+    range, or k outside the red-count lattice.
     ``phase1_r`` is the red count of the phase-1 matching when one exists.
     """
 
@@ -139,15 +145,24 @@ class Verdict:
 @dataclass(frozen=True)
 class Phase1Result:
     """The walk's final matching (None when the graph has no PM) and its
-    bookkeeping.  ``red_range`` is (r(min-red PM), r(max-red PM)), the range
-    of every perfect matching's red count, or None when there is no PM."""
+    bookkeeping.  ``low`` and ``high`` are the min-red and max-red perfect
+    matchings the walk started from, None when there is no PM."""
 
     matching: PerfectMatching | None
     iterations: int
     threshold: int
     bound: int
     bipartite: bool
-    red_range: tuple[int, int] | None = None
+    low: PerfectMatching | None = None
+    high: PerfectMatching | None = None
+
+    @property
+    def red_range(self) -> tuple[int, int] | None:
+        """(r(min-red PM), r(max-red PM)), the range of every perfect
+        matching's red count, or None when there is no PM."""
+        if self.low is None or self.high is None:
+            return None
+        return self.low.red_count, self.high.red_count
 
 
 def _resolve_bound(
@@ -204,7 +219,7 @@ def run_phase1(
         return Phase1Result(None, 0, threshold, bound, bipartite)
     high = max_red_pm(graph)
     assert high is not None
-    red_range = (low.red_count, high.red_count)
+    start = (low, high)
 
     # ``context`` is always symmetric_difference(graph, low, high), weighted
     # against low.  It is computed once and then carried forward: a skip or
@@ -243,7 +258,7 @@ def run_phase1(
             high, context = apply_skip(high, shortcut, context)
 
     final = high if high.red_count <= k else low
-    return Phase1Result(final, iterations, threshold, bound, bipartite, red_range)
+    return Phase1Result(final, iterations, threshold, bound, bipartite, *start)
 
 
 def approx_em(
@@ -253,6 +268,73 @@ def approx_em(
     has no PM.  The walk is bipartite exactly when the graph carries a
     bipartition; pass the graph without it to run the general walk."""
     return run_phase1(graph, k, params).matching
+
+
+# -- the red-count lattice ----------------------------------------------------
+
+
+def red_count_lattice(graph: ColoredGraph, low: PerfectMatching, high: PerfectMatching) -> int:
+    """A bitmask whose bit r is set for every red count r of a perfect
+    matching of ``graph``, and possibly for more.  ``low`` and ``high`` are a
+    min-red and a max-red perfect matching.
+
+    A perfect matching of the graph is one of each component C, so its red
+    count is a sum of one count per component.  Suppose some d, a potential
+    pi: C -> Z_d and a constant c satisfy red(uv) = pi(u) + pi(v) + c (mod d)
+    on every edge uv of C.  Then every perfect matching M of C has
+    r(M) = sum(pi) + (|C|/2) c (mod d), so C's counts lie in lo_C, lo_C + d,
+    ..., hi_C, where lo_C and hi_C are the red counts of ``low`` and ``high``
+    on C: a min-red perfect matching restricted to C is min-red on C.  This
+    is the mod-d potential of the matching lattice (Lovasz, "Matching
+    structure and the matching lattice", JCTB 1987).  The mask is the sumset
+    of these progressions.
+
+    One depth-first search per component finds the largest such d.  Shifting
+    pi by t and c by -2t keeps a solution, so pi(root) = 0, and the tree
+    edges then fix pi(v) = a_v - p_v c, where p_v is the depth parity of v.
+    An edge uv with p_u != p_v asks d | a_u + a_v - red(uv); one with
+    p_u == p_v fixes c = +-(red(uv) - a_u - a_v), and any two such values
+    must agree mod d.  So the valid moduli are the divisors of the gcd of
+    these numbers and hi_C - lo_C, and d is that gcd.
+    """
+    index = graph.neighbor_index
+    root_of = [-1] * graph.n
+    a = [0] * graph.n
+    parity = [0] * graph.n
+    moduli: dict[int, int] = {}
+    for root in range(graph.n):
+        if root_of[root] >= 0:
+            continue
+        root_of[root] = root
+        d, fixed = 0, None          # fixed: the first value of c an edge fixes
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            av, pv = a[v], parity[v]
+            for w, red in index[v].items():
+                if root_of[w] < 0:
+                    root_of[w], a[w], parity[w] = root, red - av, 1 - pv
+                    stack.append(w)
+                elif parity[w] != pv:
+                    d = gcd(d, av + a[w] - red)
+                else:
+                    c = red - av - a[w] if pv == 0 else av + a[w] - red
+                    if fixed is None:
+                        fixed = c
+                    d = gcd(d, c - fixed)
+        moduli[root] = d
+    lo = dict.fromkeys(moduli, 0)
+    hi = dict.fromkeys(moduli, 0)
+    for matching, counts in ((low, lo), (high, hi)):
+        for u, v in matching.edges:
+            counts[root_of[u]] += index[u][v]
+    mask = 1
+    for root, d in moduli.items():
+        sums = 0
+        for r in range(lo[root], hi[root] + 1, gcd(d, hi[root] - lo[root]) or 1):
+            sums |= mask << r
+        mask = sums
+    return mask
 
 
 # -- phase 2: guess-and-complete -----------------------------------------------
@@ -304,8 +386,7 @@ class _RecoveryContext:
     filled from the base edges alone.  ``parity``
     labels the components of the opposite-color graph for ``_parity_ok``;
     it is built on first use, so contexts that never reach a completion do
-    not pay for it.  ``size_test`` relaxes that screen to whole guess sizes
-    for ``_size_ok``, and is built only when a search consults it.
+    not pay for it.
     """
 
     graph: ColoredGraph
@@ -359,87 +440,6 @@ class _RecoveryContext:
         bad = sum(1 for x, m in zip(need, mask) if x & m)
         return component, side, need, mask, bad
 
-    @cached_property
-    def size_test(self) -> tuple[list[set], list[set]] | None:
-        """(base_sums, added_sums) for ``_size_ok``, or None when the sums
-        pass ``_SIZE_TEST_CAP`` vectors and nothing is pruned.
-
-        A vector has one coordinate per component of the opposite-color
-        graph: mod 2 for a non-bipartite component, an integer for a
-        bipartite one, as ``_parity_ok`` reads ``need & mask``.  It is
-        stored as a pair (odd, signed): bit i of ``odd`` holds the i-th
-        non-bipartite coordinate, and ``signed`` holds the bipartite ones as
-        balanced base-2**width digits.  No coordinate formed here exceeds n
-        in absolute value, less than half the digit base, so equal vectors
-        have equal pairs.  An edge's type is the vector of its
-        endpoints' sides.  ``base_sums[j]`` holds every sum of the types of
-        j base edges, and ``added_sums[j]`` of j other edges of the color
-        (a bounded-multiplicity subset-sum over the type counts).
-        """
-        component, side, _, mask, _ = self.parity
-        width = (self.graph.n + 1).bit_length() + 1
-        # The lowest bit of component c's coordinate in ``odd`` or ``signed``.
-        shift: list[int] = []
-        n_odd = n_signed = 0
-        for m in mask:
-            if m == 1:
-                shift.append(n_odd)
-                n_odd += 1
-            else:
-                shift.append(width * n_signed)
-                n_signed += 1
-        base_types: dict[tuple[int, int], int] = {}
-        added_types: dict[tuple[int, int], int] = {}
-        for e, in_base in zip(self.color_edges, self.is_base):
-            odd = signed = 0
-            for v in e:
-                c = component[v]
-                if mask[c] == 1:
-                    odd ^= 1 << shift[c]
-                else:
-                    signed += side[v] << shift[c]
-            counts = base_types if in_base else added_types
-            counts[odd, signed] = counts.get((odd, signed), 0) + 1
-        base_sums = _reachable_sums(base_types, len(self.base), _SIZE_TEST_CAP)
-        if base_sums is None:
-            return None
-        budget = _SIZE_TEST_CAP - sum(map(len, base_sums))
-        added_sums = _reachable_sums(added_types, self.target, budget)
-        if added_sums is None:
-            return None
-        return base_sums, added_sums
-
-
-def _reachable_sums(
-    types: dict[tuple[int, int], int], depth: int, budget: int
-) -> list[set[tuple[int, int]]] | None:
-    """``sums[j]`` for j <= depth: every sum of j types, each type used at
-    most its count times, or None once the sets hold more than ``budget``
-    vectors in all.
-
-    Each type's count is split into parts 1, 2, 4, ... and a remainder, whose
-    subsets sum to every multiplicity from 0 to the count, so each part is
-    one 0/1 item; the layers are updated top-down so that an item is used
-    at most once.
-    """
-    sums: list[set[tuple[int, int]]] = [set() for _ in range(depth + 1)]
-    sums[0].add((0, 0))
-    budget -= 1
-    for (t_odd, t_signed), count in types.items():
-        part = 1
-        while count:
-            w = min(part, count)
-            count -= w
-            part *= 2
-            w_odd, w_signed = (t_odd if w & 1 else 0), t_signed * w
-            for j in range(depth, w - 1, -1):
-                layer, before = sums[j], len(sums[j])
-                layer.update((o ^ w_odd, s + w_signed) for o, s in sums[j - w])
-                budget -= len(layer) - before
-            if budget < 0:
-                return None
-    return sums
-
 
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
@@ -463,14 +463,6 @@ def _make_context(
                             base_left)
 
 
-# The size test is consulted once a search has tried this many guesses:
-# built for every context, it would cost the searches that succeed early
-# more than it saves.
-_SIZE_TEST_AFTER = 256
-# The most vectors the size test's sums may hold before it gives up.
-_SIZE_TEST_CAP = 4096
-
-
 def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
     """(removals, additions) of a guess of ``size`` edges whose proposal
     has the target size, or None when no such guess exists."""
@@ -482,31 +474,6 @@ def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
     if not (0 <= nb <= n_base and 0 <= nn <= len(ctx.color_edges) - n_base):
         return None
     return nb, nn
-
-
-def _size_ok(ctx: _RecoveryContext, size: int) -> bool:
-    """False when no guess of ``size`` edges can pass ``_parity_ok``.
-
-    The size fixes how many base edges R a guess removes and how many other
-    edges A it adds.  When the proposal is vertex-disjoint, which it is for
-    every guess that reaches the screen, the screen sees the side sums of
-    the base vertices, minus sum(R), plus sum(A).  The base vertices alone
-    pass the screen, since the anchor's opposite-color edges match the rest
-    of the graph; so the guess passes exactly when sum(R) == sum(A) in the
-    screen's normalization.  This asks the same of any |R| base types and
-    |A| other types, each used at most as often as it occurs: dropping
-    disjointness only relaxes the screen, so a False here skips only guesses
-    the screen rejects.
-    """
-    split = _split(ctx, size)
-    if split is None:
-        return False
-    test = ctx.size_test
-    if test is None:
-        return True
-    base_sums, added_sums = test
-    nb, nn = split
-    return not base_sums[nb].isdisjoint(added_sums[nn])
 
 
 def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching | None:
@@ -641,11 +608,19 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
         j += 1
 
 
+# The red-count lattice is consulted once a search has tried more than this
+# many guesses.  No successful search on the benchmark pools tries more than
+# 37, so the solves that succeed never pay for the lattice.
+_CERTIFY_AFTER = 64
+
+
 def _search(
-    contexts: tuple[_RecoveryContext, ...], limit: int
+    contexts: tuple[_RecoveryContext, ...], limit: int,
+    excluded: Callable[[], bool] = lambda: False,
 ) -> tuple[int, PerfectMatching] | None:
     """First successful recovery as (guess size, solution): guesses go by
-    size up to ``limit``, then by context order, then lex.
+    size up to ``limit``, then by context order, then lex.  None when there
+    is none.
 
     The search stops early, after size min(base + target) over the
     contexts.  If a solution S exists, each context's guess ``base xor
@@ -655,21 +630,18 @@ def _search(
     context's bound, and the sizes past the smallest bound are provably
     empty.  With the anchor's red count r this is min(r + k, n - r - k).
 
-    Once ``_SIZE_TEST_AFTER`` guesses have been tried, ``_size_ok`` is
-    consulted at the next guess, which abandons its (context, size) when
-    the test fails, and then before every later (context, size).  Checking
-    only where a size starts would miss a search whose cost is one huge size.
+    When more than ``_CERTIFY_AFTER`` guesses have been tried, ``excluded``
+    is called once, and the search gives up when it returns True: the
+    caller has then certified that no solution exists.
     """
     stop = min(limit, min(ctx.base_left[0] + ctx.target for ctx in contexts))
     tried = 0
     for size in range(stop + 1):
         for ctx in contexts:
-            if tried > _SIZE_TEST_AFTER and not _size_ok(ctx, size):
-                continue
             for guess in _guesses(ctx, size):
                 tried += 1
-                if tried == _SIZE_TEST_AFTER + 1 and not _size_ok(ctx, size):
-                    break
+                if tried == _CERTIFY_AFTER + 1 and excluded():
+                    return None
                 pm = _recover(ctx, guess)
                 if pm is not None:
                     return size, pm
@@ -712,11 +684,13 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     Yes verdicts carry a verified witness.  A no verdict is only emitted
     when it is certain: an odd n or a k outside [0, n/2], no perfect
     matching at all, a k outside the red-count range of phase 1's min- and
-    max-red perfect matchings (whatever the cap, since no search is
-    involved), or a phase-2 search that covers radius n, which it does once
-    it passes its early stop.  A caller-imposed ``L_cap`` below n turns
-    exhaustion into an unknown verdict instead, even when the search stopped
-    early under the cap.
+    max-red perfect matchings, a k outside ``red_count_lattice`` (consulted
+    once phase 2 passes ``_CERTIFY_AFTER`` guesses, or when a capped search
+    ends without a hit), or a phase-2 search that covers radius n, which it
+    does once it passes its early stop.  The range and the lattice certify
+    whatever the cap.  Otherwise a caller-imposed ``L_cap`` below n turns
+    exhaustion into an unknown verdict, even when the search stopped early
+    under the cap.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:
@@ -741,10 +715,24 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     limit = n if params.L_cap is None else min(params.L_cap, n)
 
-    hit = _search((_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE)), limit)
+    lattice = None
+
+    def excluded() -> bool:
+        nonlocal lattice
+        if lattice is None:
+            lattice = red_count_lattice(graph, phase1.low, phase1.high)
+        return not lattice >> k & 1
+
+    contexts = (_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE))
+    hit = _search(contexts, limit, excluded)
     if hit is not None:
         size, pm = hit
         return Verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size,
+                       phase1_r=m.red_count, iterations=phase1.iterations)
+    # The lattice is a certificate whatever the cap, so a capped search
+    # consults it before answering unknown, even below the trigger.
+    if (lattice is not None or limit < n) and excluded():
+        return Verdict(NO_CERTIFIED, reason="k outside the red-count lattice", L_used=0,
                        phase1_r=m.red_count, iterations=phase1.iterations)
     if limit == n:
         return Verdict(NO_CERTIFIED, reason="exhausted the certified search radius",

@@ -12,9 +12,10 @@ from it rather than from the library's derived view.
 ``naive_find_skip`` and ``naive_find_biskip`` are the straightforward
 shortcut searches that rebuild every candidate cycle, kept as the
 reference the library's searches are tested against.  ``naive_solve`` is
-the witness contract of ``solve_em`` spelled out with plain combinations,
-and ``backtrack_match`` is the lexicographically first perfect matching by
-plain backtracking, the reference for completion.
+the witness contract of ``solve_em`` spelled out with plain combinations;
+``naive_lattice`` is the red-count lattice by its definition, modulus by
+modulus; and ``backtrack_match`` is the lexicographically first perfect
+matching by plain backtracking, the reference for completion.
 """
 
 from __future__ import annotations
@@ -359,6 +360,75 @@ def naive_first_success(contexts, limit):
     return None
 
 
+def naive_lattice(graph: ColoredGraph) -> set[int]:
+    """Every red count that a mod-d vertex potential allows, by definition.
+
+    For each connected component C, with lo_C and hi_C its least and
+    greatest brute-force red counts, d is the largest divisor of
+    hi_C - lo_C for which some c in Z_d and some potential pi with
+    pi(root) = 0 satisfy red(uv) = pi(u) + pi(v) + c (mod d) on every edge
+    of C, tried divisor by divisor and c by c.  C then allows lo_C, lo_C + d,
+    ..., hi_C, and the graph allows their sums over the components.
+    """
+    adjacency: dict[int, list[int]] = {v: [] for v in range(graph.n)}
+    for u, v in graph.colors:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen: set[int] = set()
+    allowed = {0}
+    for root in range(graph.n):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        at = {v: i for i, v in enumerate(sorted(comp))}
+        sub = ColoredGraph(len(comp), {_key(at[u], at[v]): c
+                                       for (u, v), c in graph.colors.items() if u in at})
+        counts = perfect_matching_red_counts(sub)
+        lo, hi = min(counts), max(counts)
+        d = next((d for d in range(hi - lo, 1, -1)
+                  if (hi - lo) % d == 0 and _has_potential(sub, d)), 1)
+        allowed = {s + r for s in allowed for r in range(lo, hi + 1, d)}
+    return allowed
+
+
+def _has_potential(graph: ColoredGraph, d: int) -> bool:
+    """Whether a connected ``graph`` has pi and c with
+    red(uv) = pi(u) + pi(v) + c (mod d) on every edge."""
+    for c in range(d):
+        pi = {0: 0}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for (x, y), color in graph.colors.items():
+                if v not in (x, y):
+                    continue
+                w = y if v == x else x
+                want = ((color == RED) - c - pi[v]) % d
+                if w not in pi:
+                    pi[w] = want
+                    stack.append(w)
+        if all(((color == RED) - pi[x] - pi[y] - c) % d == 0
+               for (x, y), color in graph.colors.items()):
+            return True
+    return False
+
+
+def _proposes(ctx, guess) -> bool:
+    """Whether recovery would hand ``guess`` to the parity screen: its
+    proposal has the target size and shares no vertex."""
+    proposal = ctx.base.symmetric_difference(guess)
+    ends = [w for e in proposal for w in e]
+    return len(proposal) == ctx.target and len(ends) == len(set(ends))
+
+
 def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None):
     """(status, witness, L_used) that ``solve_em`` must return on a graph
     with an even vertex count, 0 <= k <= n/2 and n below the certified
@@ -367,8 +437,12 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     The phase-1 matching is the anchor.  A k outside the range of red
     counts, read off the brute-force ``perfect_matching_red_counts``, is a
     no with no search, whatever the cap.  Otherwise red guesses go before
-    blue at each size; exhausting radius n certifies a no, a smaller
-    ``L_cap`` gives unknown.
+    blue at each size.  With no success, the search has tried every guess
+    whose proposal has the target size and shares no vertex, up to size
+    min(r + k, n - r - k) for the anchor's red count r.  When that is more
+    than ``_CERTIFY_AFTER`` guesses, or the search is capped, a k outside
+    ``naive_lattice`` is a no with L_used 0.  Otherwise exhausting radius n
+    certifies a no, and a smaller ``L_cap`` gives unknown.
     """
     params = params or SolverParams()
     anchor = run_phase1(graph, k, params).matching
@@ -384,6 +458,13 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     hit = naive_first_success(contexts, limit)
     if hit is not None:
         return YES, hit[1], hit[0]
+    stop = min(limit, anchor.red_count + k, graph.n - anchor.red_count - k)
+    guesses = (guess for size in range(stop + 1) for ctx in contexts
+               for guess in itertools.combinations(ctx.color_edges, size)
+               if _proposes(ctx, guess))
+    tried = sum(1 for _ in itertools.islice(guesses, solver_mod._CERTIFY_AFTER + 1))
+    if (limit < graph.n or tried > solver_mod._CERTIFY_AFTER) and k not in naive_lattice(graph):
+        return NO_CERTIFIED, None, 0
     return (NO_CERTIFIED if limit == graph.n else UNKNOWN), None, limit
 
 

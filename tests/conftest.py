@@ -12,6 +12,15 @@ def c4() -> ColoredGraph:
 
 
 @pytest.fixture
+def k4_mixed() -> ColoredGraph:
+    """Complete graph on four vertices whose three perfect matchings have
+    0, 1 and 2 red edges."""
+    return ColoredGraph.from_edges(4, [
+        (0, 1, RED), (2, 3, BLUE), (0, 2, RED), (1, 3, RED), (0, 3, BLUE), (1, 2, BLUE),
+    ])
+
+
+@pytest.fixture
 def k4_red() -> ColoredGraph:
     """Complete graph on four vertices, every edge red."""
     edges = [(u, v, RED) for u in range(4) for v in range(u + 1, 4)]

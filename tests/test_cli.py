@@ -75,9 +75,21 @@ class TestSolve:
         assert (doc["verdict"], doc["L_used"], doc["reason"]) == (
             "no", 0, "k outside the red-count range [2, 2]")
 
-    def test_unknown_under_budget(self, c4_file, capsys):
-        assert main(["solve", c4_file, "-k", "1", "--L-cap", "0"]) == EXIT_UNKNOWN
+    def test_unknown_under_budget(self, k4_mixed, tmp_path, capsys):
+        # k=1 is in the red-count lattice, so no certificate decides it, and
+        # the guess that finds it is larger than the cap.
+        p = tmp_path / "k4.json"
+        p.write_text(serialize_graph(k4_mixed))
+        assert main(["solve", str(p), "-k", "1", "--L-cap", "0"]) == EXIT_UNKNOWN
         assert capsys.readouterr().out.startswith("unknown")
+
+    def test_lattice_certificate_under_budget(self, c4_file, capsys):
+        # The 4-cycle's red counts are 0 and 2: a capped search that ends
+        # without a hit consults the lattice before answering unknown.
+        assert main(["solve", c4_file, "-k", "1", "--L-cap", "0", "--json"]) == EXIT_NO
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["L_used"], doc["reason"]) == (
+            "no", 0, "k outside the red-count lattice")
 
     def test_json_output(self, c4_file, capsys):
         assert main(["solve", c4_file, "-k", "2", "--json"]) == EXIT_YES

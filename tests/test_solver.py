@@ -36,7 +36,7 @@ from exactmatching import (
 from exactmatching import BaseFamily
 from exactmatching import solver as solver_mod
 
-from ._support import naive_first_success, naive_solve
+from ._support import naive_first_success, naive_lattice, naive_solve
 
 
 def double_c4(bipartite=False):
@@ -441,67 +441,87 @@ class TestGuessStream:
         assert {(YES, True), (YES, False), (NO_CERTIFIED, True), (UNKNOWN, True)} <= outcomes
 
 
-class TestSizeTest:
-    def test_rejected_sizes_hold_no_guess_that_passes_the_screen(self):
-        # The size test drops only vertex-disjointness from the parity
-        # screen, so every guess of a size it rejects fails the screen.
-        rng = random.Random(23)
-        rejected = 0
-        for seed in range(120):
-            n = rng.choice((6, 8, 10, 12))
-            make = random_bipartite_colored_graph if seed % 3 == 0 else random_colored_graph
-            g = make(n, rng.choice((0.2, 0.3, 0.6, 0.9)), seed)
-            for pm in (solver_mod.min_red_pm(g), solver_mod.max_red_pm(g)):
-                if pm is None:
-                    continue
-                for color in (RED, BLUE):
-                    for k in range(n // 2 + 1):
-                        ctx = solver_mod._make_context(g, pm, k, color)
-                        assert ctx.size_test is not None
-                        # The test's premise: the anchor's opposite-color
-                        # edges match everything outside its base.
-                        assert solver_mod._parity_ok(ctx, {w for e in ctx.base for w in e})
-                        for size in range(n + 1):
-                            if solver_mod._size_ok(ctx, size):
-                                continue
-                            for guess in solver_mod._guesses(ctx, size):
-                                proposal = ctx.base.symmetric_difference(guess)
-                                used = {w for e in proposal for w in e}
-                                assert not solver_mod._parity_ok(ctx, used)
-                                rejected += 1
-        assert rejected > 1000
+def cycle_union(halves, bridged=False):
+    """Disjoint alternating cycles C_2a, one per half-length a in ``halves``,
+    on consecutive vertices, each starting with a red edge from its first
+    vertex.  Its red counts are the subset sums of ``halves``.  With
+    ``bridged``, a blue edge joins the first vertices of consecutive cycles:
+    no perfect matching uses it, since its endpoints would leave each cycle
+    odd, but it makes the graph connected."""
+    triples, starts, off = [], [], 0
+    for a in halves:
+        starts.append(off)
+        triples += [(off + i, off + (i + 1) % (2 * a), RED if i % 2 == 0 else BLUE)
+                    for i in range(2 * a)]
+        off += 2 * a
+    if bridged:
+        triples += [(s, t, BLUE) for s, t in zip(starts, starts[1:])]
+    return ColoredGraph.from_edges(off, triples)
 
-    def test_gives_up_past_its_cap(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "_SIZE_TEST_CAP", 1)
-        g = parity_graph(12, 4)
-        ctx = solver_mod._make_context(g, solver_mod.min_red_pm(g), 3, RED)
-        assert ctx.size_test is None
-        assert solver_mod._size_ok(ctx, 3)
-        assert not solver_mod._size_ok(ctx, 2)     # no guess of that size exists
 
-    def test_results_do_not_depend_on_the_size_test(self, monkeypatch):
-        # The test consulted from the first guess on against the test never
-        # consulted: every Verdict field agrees.  Random graphs seldom give
-        # it a size to reject, so parity graphs (every split) are added.
-        size_ok = solver_mod._size_ok
-        pruned = []
-        monkeypatch.setattr(solver_mod, "_size_ok", lambda ctx, size: size_ok(ctx, size) or (
-            solver_mod._split(ctx, size) is not None and pruned.append(1)))
-        graphs = [make(n, p, seed) for n in (6, 8, 10, 12) for p in (0.3, 0.6, 0.9)
-                  for seed in range(12)
+def lattice_set(g):
+    low, high = solver_mod.min_red_pm(g), solver_mod.max_red_pm(g)
+    mask = solver_mod.red_count_lattice(g, low, high)
+    assert mask < 1 << (g.n // 2 + 1)
+    return {r for r in range(g.n // 2 + 1) if mask >> r & 1}
+
+
+class TestRedCountLattice:
+    def test_holds_every_red_count(self):
+        # Sound on every graph; on these it certifies 27 of the 72 counts
+        # strictly between the least and the greatest that no perfect
+        # matching has.
+        graphs = holes = certified = 0
+        for n in (6, 8, 10, 12):
+            for p in (0.25, 0.45, 0.7):
+                for seed in range(120):
+                    for make in (random_colored_graph, random_bipartite_colored_graph):
+                        g = make(n, p, seed)
+                        counts = perfect_matching_red_counts(g)
+                        if not counts:
+                            continue
+                        allowed = lattice_set(g)
+                        assert counts <= allowed
+                        graphs += 1
+                        gaps = set(range(min(counts), max(counts) + 1)) - counts
+                        holes += len(gaps)
+                        certified += len(gaps - allowed)
+        assert (graphs, holes) == (1781, 72)
+        assert certified >= 27
+
+    def test_matches_its_definition(self):
+        # The one-pass gcd against trying each modulus and each constant.
+        graphs = [make(n, p, seed) for n in (6, 8, 10) for p in (0.25, 0.45, 0.7)
+                  for seed in range(10)
                   for make in (random_colored_graph, random_bipartite_colored_graph)]
-        graphs += [parity_graph(n, split) for n in (6, 8, 10, 12) for split in range(1, n)]
-        cases = 0
+        graphs += [parity_graph(n, split) for n in (6, 8, 10) for split in range(1, n)]
+        graphs += [cycle_union(h, bridged) for h in ((2,), (3,), (5,), (2, 3), (2, 2, 3))
+                   for bridged in (False, True)]
+        checked = 0
         for g in graphs:
-            for k in range(g.n // 2 + 1):
-                for params in (SolverParams(), SolverParams(L_cap=2)):
-                    monkeypatch.setattr(solver_mod, "_SIZE_TEST_AFTER", 0)
-                    always = solve_em(g, k, params)
-                    monkeypatch.setattr(solver_mod, "_SIZE_TEST_AFTER", float("inf"))
-                    assert always == solve_em(g, k, params)
-                    cases += 1
-        assert cases == 3168 + 372
-        assert len(pruned) > 100
+            if solver_mod.min_red_pm(g) is None:
+                continue
+            assert lattice_set(g) == naive_lattice(g)
+            checked += 1
+        assert checked > 100
+
+    def test_cycle_unions_give_their_subset_sums(self):
+        assert lattice_set(cycle_union((500,))) == {0, 500}
+        assert lattice_set(cycle_union((3, 5, 7))) == {0, 3, 5, 7, 8, 10, 12, 15}
+        assert lattice_set(parity_graph(100, 10)) == set(range(0, 11, 2))
+        # The bridges take no part in a perfect matching, but they break
+        # every potential, so only the range is left.
+        assert lattice_set(cycle_union((3, 5, 7), bridged=True)) == set(range(16))
+
+    def test_same_side_edges_fix_the_constant_with_opposite_signs(self):
+        # Its DFS tree puts edge (1, 2) between two even-depth vertices and
+        # (3, 5) between two odd-depth ones, which fix c with opposite
+        # signs; taken with one sign, they would agree only mod 1.
+        g = ColoredGraph.from_edges(6, [
+            (0, 3, RED), (0, 4, BLUE), (0, 5, RED), (1, 2, BLUE),
+            (1, 3, RED), (1, 4, BLUE), (2, 4, RED), (3, 5, BLUE)])
+        assert perfect_matching_red_counts(g) == {0, 3}
+        assert lattice_set(g) == naive_lattice(g) == {0, 3}
 
 
 class TestSmallDiffSearch:
@@ -521,6 +541,22 @@ class TestSmallDiffSearch:
 
 
 # -- the full solver ----------------------------------------------------------------
+
+
+def assert_certified_by_the_lattice(monkeypatch, g, k, alpha):
+    calls = 0
+    recover = solver_mod._recover
+
+    def counted(ctx, guess):
+        nonlocal calls
+        calls += 1
+        assert calls <= solver_mod._CERTIFY_AFTER
+        return recover(ctx, guess)
+
+    monkeypatch.setattr(solver_mod, "_recover", counted)
+    v = solve_em(g, k, SolverParams(alpha_hint=alpha))
+    assert (v.status, v.L_used, v.reason, v.witness) == (
+        NO_CERTIFIED, 0, "k outside the red-count lattice", None)
 
 
 class TestSolveEm:
@@ -551,10 +587,12 @@ class TestSolveEm:
         assert v.status == NO_CERTIFIED
         assert v.reason == "graph has no perfect matching"
 
-    def test_budget_exhaustion_is_unknown(self, c4):
-        v = solve_em(c4, 1, SolverParams(L_cap=0))
+    def test_budget_exhaustion_is_unknown(self, k4_mixed):
+        # k=1 lies in the lattice, and its witness needs a guess of size 2.
+        v = solve_em(k4_mixed, 1, SolverParams(L_cap=0))
         assert v.status == UNKNOWN
         assert v.L_used == 0
+        assert solve_em(k4_mixed, 1, SolverParams(L_cap=2)).status == YES
 
     def test_uncapped_exhaustion_is_certified(self, c4):
         v = solve_em(c4, 1)
@@ -599,31 +637,53 @@ class TestSolveEm:
         # Dense random graphs have no k inside their red-count range that no
         # perfect matching hits, so the in-range no-instances come from
         # sparse random graphs and from parity graphs (odd k, even split).
+        # Each gets exactly one reason: the lattice when the search passed
+        # its trigger and the lattice excludes k, exhaustion otherwise.
         graphs = [random_colored_graph(n, p, seed)
                   for n in (14, 16, 18) for p in (0.3, 0.6, 0.9) for seed in range(4)]
         graphs += [random_colored_graph(n, 0.2, seed) for n in (16, 18, 20) for seed in range(8)]
         graphs += [parity_graph(n, split) for n in (14, 16, 18, 20)
                    for split in range(2, n // 2 + 1, 2)]
-        exhausted = ranged = 0
-        for g in graphs:
-            counts = perfect_matching_red_counts(g)
-            for k in range(g.n // 2 + 1):
-                v = solve_em(g, k)
-                if k in counts:
-                    assert v.status == YES
-                    assert validate_matching(g, v.witness) and v.witness.red_count == k
-                elif not counts:
-                    assert (v.status, v.reason) == (NO_CERTIFIED, "graph has no perfect matching")
-                elif min(counts) <= k <= max(counts):
-                    assert (v.status, v.L_used, v.reason) == (
-                        NO_CERTIFIED, g.n, "exhausted the certified search radius")
-                    exhausted += 1
-                else:
-                    assert (v.status, v.L_used, v.reason) == (
-                        NO_CERTIFIED, 0,
-                        f"k outside the red-count range [{min(counts)}, {max(counts)}]")
-                    ranged += 1
+        tried = 0
+        guesses = solver_mod._guesses
+
+        def counted(ctx, size):
+            nonlocal tried
+            for guess in guesses(ctx, size):
+                tried += 1
+                yield guess
+
+        exhausted = latticed = ranged = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_guesses", counted)
+            for g in graphs:
+                counts = perfect_matching_red_counts(g)
+                allowed = naive_lattice(g) if counts else set()
+                for k in range(g.n // 2 + 1):
+                    tried = 0
+                    v = solve_em(g, k)
+                    if k in counts:
+                        assert v.status == YES
+                        assert validate_matching(g, v.witness) and v.witness.red_count == k
+                    elif not counts:
+                        assert (v.status, v.reason) == (
+                            NO_CERTIFIED, "graph has no perfect matching")
+                    elif not min(counts) <= k <= max(counts):
+                        assert (v.status, v.L_used, v.reason) == (
+                            NO_CERTIFIED, 0,
+                            f"k outside the red-count range [{min(counts)}, {max(counts)}]")
+                        ranged += 1
+                    elif k not in allowed and tried > solver_mod._CERTIFY_AFTER:
+                        assert (v.status, v.L_used, v.reason) == (
+                            NO_CERTIFIED, 0, "k outside the red-count lattice")
+                        assert tried == solver_mod._CERTIFY_AFTER + 1
+                        latticed += 1
+                    else:
+                        assert (v.status, v.L_used, v.reason) == (
+                            NO_CERTIFIED, g.n, "exhausted the certified search radius")
+                        exhausted += 1
         assert exhausted >= 10
+        assert latticed >= 30
         assert ranged >= 150
 
     def test_deterministic_witness(self):
@@ -651,9 +711,10 @@ class TestSolveEm:
     @pytest.mark.parametrize("n, split, k", [
         (16, 4, 1), (20, 6, 1), (20, 4, 3), (24, 8, 1), (28, 4, 1), (28, 14, 1)])
     def test_parity_no_instances_stop_early(self, n, split, k, monkeypatch):
-        # Odd k with an even split.  The search stops after size
-        # min(r + k, n - r - k), and every remainder fails the parity
-        # screen, so no completion is attempted.
+        # Odd k with an even split: every remainder fails the parity screen,
+        # so no completion is attempted.  K_16 exhausts within the trigger,
+        # after size min(r + k, n - r - k); the others pass the trigger,
+        # and the lattice (d = 2) certifies them there.
         sizes, completions = [], []
         guesses, complete = solver_mod._guesses, solver_mod.perfect_matching_on_adjacency
         monkeypatch.setattr(solver_mod, "_guesses",
@@ -662,13 +723,38 @@ class TestSolveEm:
                             lambda *args: completions.append(1) or complete(*args))
         g = parity_graph(n, split)
         v = solve_em(g, k, SolverParams(alpha_hint=1))
-        assert (v.status, v.L_used, v.reason) == (
-            NO_CERTIFIED, n, "exhausted the certified search radius")
         r = v.phase1_r
-        assert max(sizes) == min(r + k, n - r - k)
+        if n == 16:
+            assert (v.status, v.L_used, v.reason) == (
+                NO_CERTIFIED, n, "exhausted the certified search radius")
+            assert max(sizes) == min(r + k, n - r - k)
+        else:
+            assert (v.status, v.L_used, v.reason) == (
+                NO_CERTIFIED, 0, "k outside the red-count lattice")
+            assert max(sizes) <= min(r + k, n - r - k)
         assert not completions
         if n <= 24:
             assert k not in perfect_matching_red_counts(g, max_n=n)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_bridged_unions_exhaust_past_the_trigger(self, k, monkeypatch):
+        # The (3, 5, 7) union's red counts are its subset sums, which miss 4
+        # and 6, but its bridges break every potential, so the lattice
+        # consulted at the trigger excludes nothing and the search runs to
+        # its early stop, size min(r + k, n - r - k).
+        sizes, calls = [], []
+        guesses, recover = solver_mod._guesses, solver_mod._recover
+        monkeypatch.setattr(solver_mod, "_guesses",
+                            lambda ctx, size: sizes.append(size) or guesses(ctx, size))
+        monkeypatch.setattr(solver_mod, "_recover",
+                            lambda ctx, guess: calls.append(1) or recover(ctx, guess))
+        g = cycle_union((3, 5, 7), bridged=True)
+        v = solve_em(g, k, SolverParams(alpha_hint=7))
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, g.n, "exhausted the certified search radius")
+        n, r = g.n, v.phase1_r
+        assert max(sizes) == min(r + k, n - r - k)
+        assert len(calls) > solver_mod._CERTIFY_AFTER
 
     @pytest.mark.parametrize("n, split, k", [
         (16, 2, 3), (24, 2, 5), (26, 2, 7), (32, 4, 7), (40, 6, 9), (40, 10, 12)])
@@ -693,26 +779,34 @@ class TestSolveEm:
             assert (v.status, v.L_used) == (NO_CERTIFIED, 0)
 
     @pytest.mark.parametrize("n, split, k", [
-        (20, 6, 5), (24, 6, 5), (28, 8, 5), (40, 8, 7), (60, 10, 7)])
-    def test_in_range_parity_no_instances_stop_at_the_size_test(self, n, split, k, monkeypatch):
+        (20, 6, 5), (24, 6, 5), (28, 8, 5), (40, 8, 7), (60, 10, 7), (100, 10, 9),
+        (100, 50, 25)])
+    def test_in_range_parity_no_instances_certify_by_the_lattice(self, n, split, k, monkeypatch):
         # Every guess fails the parity screen.  Once the search has tried
-        # _SIZE_TEST_AFTER guesses, the size test rejects the size it is in
-        # and every later one, so recovery runs a bounded number of times
-        # where the full search would enumerate millions of guesses.
-        calls = 0
-        bound = solver_mod._SIZE_TEST_AFTER + 2 * (n + 1)
-        recover = solver_mod._recover
+        # _CERTIFY_AFTER guesses, the lattice (d = 2) certifies the no, so
+        # recovery runs a bounded number of times where the full search
+        # would enumerate millions of guesses.
+        assert_certified_by_the_lattice(monkeypatch, parity_graph(n, split), k, 1)
 
-        def counted(ctx, guess):
-            nonlocal calls
-            calls += 1
-            assert calls <= bound
-            return recover(ctx, guess)
+    @pytest.mark.parametrize("halves, k", [
+        ((13,), 6), ((21,), 10), ((50,), 1), ((100,), 37), ((500,), 1), ((500,), 250),
+        ((5, 7, 9), 6), ((7, 9, 11), 10), ((5, 7, 9, 11), 13)],
+        ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else str(x))
+    def test_cycle_unions_certify_by_the_lattice(self, halves, k, monkeypatch):
+        # C_2a has d = a, so a union's lattice is the subset sums of its
+        # half-lengths.  C_42 alone takes 705,432 recoveries to exhaust.
+        assert_certified_by_the_lattice(monkeypatch, cycle_union(halves), k, max(halves))
 
-        monkeypatch.setattr(solver_mod, "_recover", counted)
-        v = solve_em(parity_graph(n, split), k, SolverParams(alpha_hint=1))
-        assert (v.status, v.L_used, v.reason) == (
-            NO_CERTIFIED, n, "exhausted the certified search radius")
+    def test_lattice_certificate_holds_under_a_cap(self):
+        # A capped search that ends without a hit consults the lattice
+        # before answering unknown, whether or not it reached the trigger.
+        g = cycle_union((13,))
+        for cap in (0, 2, 6, 26):
+            v = solve_em(g, 6, SolverParams(alpha_hint=13, L_cap=cap))
+            assert (v.status, v.L_used, v.reason) == (
+                NO_CERTIFIED, 0, "k outside the red-count lattice")
+        v = solve_em(cycle_union((3, 5, 7), bridged=True), 4, SolverParams(alpha_hint=7, L_cap=2))
+        assert (v.status, v.L_used) == (UNKNOWN, 2)
 
     def test_bipartite_instances(self):
         for seed in range(10):
