@@ -17,9 +17,17 @@ What changes against networkx is the representation, not the choices:
   visits blossoms in the same order;
 - neighbors are visited in the caller's ``adj[v]`` order, which plays the
   part of networkx's adjacency order;
+- with ``negate`` every weight is read as its negation, in the largest
+  weight, the greedy tight-edge test, every slack and the optimality check,
+  so a minimizing caller passes its map as it is instead of a negated copy;
 - the delta2 and delta3 scans over the vertices share one pass that keeps
   each one's first minimum, least-slack comparisons compute their slacks
   inline, and the internal ``assert`` checks are gone;
+- ``add_blossom`` scans a sub-blossom that has no best-edge list straight
+  from its leaves' neighbor maps, taking each slack from the weight it
+  iterates and building the edge tuple only for a new least-slack edge; an
+  edge to a vertex inside the new blossom is skipped, as networkx skips it
+  after swapping the ends;
 - until the duals first move, a stage first looks for the first ``w`` in
   ``adj[v]``, for ``v`` the highest single vertex, that is single and joined
   to ``v`` by an edge of the largest weight; if there is one, the stage just
@@ -35,9 +43,11 @@ What changes against networkx is the representation, not the choices:
   blossoms take, but ids only name blossoms: every loop over live
   blossoms runs in creation order.  Without such a ``w`` the full stage
   runs from the untouched state;
-- the optimality check skips the per-edge slack pass at vertex ``i`` when
-  ``dualvar[i] + min(dualvar) - 2 * max(adj[i].values()) >= 0``, a lower
-  bound on every slack at ``i``; every condition is still checked.
+- the largest weight is the largest of the per-vertex tops, each
+  vertex's heaviest weight as read, and the optimality check reuses them:
+  it skips the per-edge slack pass at vertex ``i`` when
+  ``dualvar[i] + min(dualvar) - 2 * tops[i] >= 0``, a lower bound on every
+  slack at ``i``; every condition is still checked.
 
 Every stage, scan and delta loop therefore breaks ties as networkx does, and
 on the same graph (same node order, same neighbor order, same integer
@@ -93,23 +103,29 @@ class OptimalityError(RuntimeError):
     """The matching failed its dual optimality check: a bug, not bad input."""
 
 
-def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
+def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = False) -> list[int]:
     """A maximum-cardinality matching of maximum total weight.
 
     ``adj[v]`` maps each neighbor ``w`` of vertex ``v`` to the integer weight
-    of edge ``vw``; it must be symmetric and have no self-loops.  Returns
+    of edge ``vw``; it must be symmetric and have no self-loops.  With
+    ``negate`` every weight is read as its negation, so the matching is the
+    one the negated ``adj`` would give.  ``adj`` is only read.  Returns
     ``mate`` with ``mate[v]`` the partner of ``v``, or -1 if ``v`` is single.
     """
     n = len(adj)
     if n == 0:
         return []
     nb = 2 * n      # vertex ids 0..n-1, blossom ids n..2n-1
+    # Every weight is read as sign * wt; tw = 2 * sign scales it in a slack.
+    sign = -1 if negate else 1
+    tw = 2 * sign
 
-    maxweight = 0
-    for nbrs in adj:
-        for wt in nbrs.values():
-            if wt > maxweight:
-                maxweight = wt
+    # tops[v] is the largest weight at v as read (0 if v has no edge).
+    if negate:
+        tops = [-min(nbrs.values(), default=0) for nbrs in adj]
+    else:
+        tops = [max(nbrs.values(), default=0) for nbrs in adj]
+    maxweight = max(0, max(tops))
 
     # mate[v] is v's partner, or -1 if v is single.
     mate = [-1] * n
@@ -163,7 +179,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
 
     def slack(v: int, w: int) -> int:
         # 2 * slack of edge vw (not valid inside blossoms).
-        return dualvar[v] + dualvar[w] - 2 * adj[v][w]
+        return dualvar[v] + dualvar[w] - tw * adj[v][w]
 
     def assign_label(w: int, t: int, v: int) -> None:
         # Label the top-level blossom containing w with t, reached from v.
@@ -252,24 +268,30 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
         bestedgeto: dict[int, tuple[int, int]] = {}
         bestslackto: dict[int, int] = {}
         for bv in path:
-            if bv >= n:
-                if mybestedges[bv] is not None:
-                    nblist = mybestedges[bv]
-                    mybestedges[bv] = None
-                else:
-                    nblist = [(v, w) for v in leaves(bv) for w in adj[v]]
+            if mybestedges[bv] is not None:
+                for k in mybestedges[bv]:
+                    i, j = k
+                    if inblossom[j] == b:
+                        i, j = j, i
+                    bj = inblossom[j]
+                    if bj != b and label[bj] == 1:
+                        kslack = dualvar[i] + dualvar[j] - tw * adj[i][j]
+                        if bj not in bestedgeto or kslack < bestslackto[bj]:
+                            bestedgeto[bj] = k
+                            bestslackto[bj] = kslack
+                mybestedges[bv] = None
             else:
-                nblist = [(bv, w) for w in adj[bv]]
-            for k in nblist:
-                i, j = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if bj != b and label[bj] == 1:
-                    kslack = dualvar[i] + dualvar[j] - 2 * adj[i][j]
-                    if bj not in bestedgeto or kslack < bestslackto[bj]:
-                        bestedgeto[bj] = k
-                        bestslackto[bj] = kslack
+                # Straight from the leaves' neighbor maps: every leaf is in
+                # b now, so an edge to a vertex in b is internal and skipped.
+                for i in (leaves(bv) if bv >= n else (bv,)):
+                    di = dualvar[i]
+                    for j, wt in adj[i].items():
+                        bj = inblossom[j]
+                        if bj != b and label[bj] == 1:
+                            kslack = di + dualvar[j] - tw * wt
+                            if bj not in bestedgeto or kslack < bestslackto[bj]:
+                                bestedgeto[bj] = (i, j)
+                                bestslackto[bj] = kslack
             bestedge[bv] = None
         mybestedges[b] = list(bestedgeto.values())
         mybestedge = None
@@ -456,6 +478,8 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
     # The highest single vertex, once the greedy stages have looked for it:
     # vertices never become single again, so it only moves down.
     top = n - 1
+    # The stored weight that reads as maxweight.
+    tightweight = sign * maxweight
     while True:
         if not dualsmoved:
             # A greedy stage (see the module docstring): match the highest
@@ -464,7 +488,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
                 top -= 1
             if top >= 0:
                 w = next((w for w, wt in adj[top].items()
-                          if wt == maxweight and mate[w] == -1), -1)
+                          if wt == tightweight and mate[w] == -1), -1)
                 if w != -1:
                     mate[top] = w
                     mate[w] = top
@@ -500,14 +524,14 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
                 bv = inblossom[v]
                 adjv = adj[v]
                 dv = dualvar[v]
-                for w in adjv:
+                for w, wt in adjv.items():
                     bw = inblossom[w]
                     if bv == bw:
                         # Internal to a blossom.
                         continue
                     allowed = v * n + w in allowedge
                     if not allowed:
-                        kslack = dv + dualvar[w] - 2 * adjv[w]
+                        kslack = dv + dualvar[w] - tw * wt
                         if kslack <= 0:
                             allowedge.add(v * n + w)
                             allowedge.add(w * n + v)
@@ -536,13 +560,13 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
                         # Least-slack edge to a different S-blossom.
                         be = bestedge[bv]
                         if be is None or kslack < (dualvar[be[0]] + dualvar[be[1]]
-                                                   - 2 * adj[be[0]][be[1]]):
+                                                   - tw * adj[be[0]][be[1]]):
                             bestedge[bv] = (v, w)
                     elif label[w] == 0:
                         # Least-slack edge to a vertex not reachable yet.
                         be = bestedge[w]
                         if be is None or kslack < (dualvar[be[0]] + dualvar[be[1]]
-                                                   - 2 * adj[be[0]][be[1]]):
+                                                   - tw * adj[be[0]][be[1]]):
                             bestedge[w] = (v, w)
 
             if augmented:
@@ -639,7 +663,8 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]]) -> list[int]:
             if blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    _verify_optimum(adj, mate, dualvar, blossomparent, blossomdual, childedges)
+    _verify_optimum(adj, mate, dualvar, blossomparent, blossomdual, childedges,
+                    sign, tops)
     return mate
 
 
@@ -650,12 +675,17 @@ def _verify_optimum(
     blossomparent: list[int],
     blossomdual: Mapping[int, int],
     childedges: list[list[tuple[int, int]]],
+    sign: int,
+    tops: list[int],
 ) -> None:
     """Check the complementary-slackness conditions of the optimum.
 
-    Raises ``OptimalityError`` at the first condition that fails.
+    Each weight is read as ``sign`` times its value in ``adj``, and
+    ``tops[v]`` is the largest weight at ``v`` as read.  Raises
+    ``OptimalityError`` at the first condition that fails.
     """
     n = len(adj)
+    tw = 2 * sign
     # Vertex duals may be negative: shift them all by one non-negative
     # constant.
     mindual = min(dualvar)
@@ -680,7 +710,7 @@ def _verify_optimum(
 
     def edge_slack(i: int, j: int, wt: int) -> int:
         # 2 * slack of edge ij, with the duals of the blossoms around both.
-        s = dualvar[i] + dualvar[j] - 2 * wt
+        s = dualvar[i] + dualvar[j] - tw * wt
         for bi, bj in zip(chains[i], chains[j]):
             if bi != bj:
                 break
@@ -691,16 +721,15 @@ def _verify_optimum(
     # 1. all matched edges have zero slack.  Blossom duals are non-negative,
     # so when no edge at i has negative slack without them, none has with
     # them, and only then is each edge's slack taken exactly.  Without them
-    # every slack at i is at least dualvar[i] + min(dualvar) - 2 * (i's
-    # heaviest weight); when that bound is non-negative the per-edge pass
-    # is skipped.
+    # every slack at i is at least dualvar[i] + min(dualvar) - 2 * tops[i];
+    # when that bound is non-negative the per-edge pass is skipped.
     for i in range(n):
         nbrs = adj[i]
         if not nbrs:
             continue
         di = dualvar[i]
-        if (di + mindual - 2 * max(nbrs.values()) < 0
-                and di + min([dualvar[j] - 2 * wt for j, wt in nbrs.items()]) < 0):
+        if (di + mindual - 2 * tops[i] < 0
+                and di + min([dualvar[j] - tw * wt for j, wt in nbrs.items()]) < 0):
             for j, wt in nbrs.items():
                 if edge_slack(i, j, wt) < 0:
                     raise OptimalityError(f"edge ({i}, {j}) has negative slack")

@@ -42,9 +42,10 @@ def max_weight_perfect_matching(
 
 
 def min_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
-    """A perfect matching with as few red edges as possible."""
-    return _best_perfect(graph, [{w: -red for w, red in nbrs.items()}
-                                 for nbrs in graph.neighbor_index])
+    """A perfect matching with as few red edges as possible: the blossom
+    engine reads ``graph.neighbor_index`` with every weight negated, so no
+    negated copy of the index is built."""
+    return _best_perfect(graph, graph.neighbor_index, negate=True)
 
 
 def max_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
@@ -52,17 +53,20 @@ def max_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     return _best_perfect(graph, graph.neighbor_index)
 
 
-def _best_perfect(graph: ColoredGraph, adj: Sequence[Mapping[int, int]]) -> PerfectMatching | None:
+def _best_perfect(
+    graph: ColoredGraph, adj: Sequence[Mapping[int, int]], *, negate: bool = False
+) -> PerfectMatching | None:
     """Blossom on ``graph`` with ``adj[v]`` mapping each neighbor of ``v`` to
-    the edge weight.  Every neighbor map must list its neighbors ascending,
-    as ``graph.neighbor_index`` does, which ``max_red_pm`` passes as it is
-    and ``min_red_pm`` negated; networkx's adjacency is in that order when a
-    graph is built edge by edge in sorted order.  ``adj`` is only read."""
+    the edge weight, read negated when ``negate`` is set.  Every neighbor map
+    must list its neighbors ascending, as ``graph.neighbor_index`` does,
+    which both ``max_red_pm`` and ``min_red_pm`` pass as it is, the latter
+    with ``negate``; networkx's adjacency is in that order when a graph is
+    built edge by edge in sorted order.  ``adj`` is only read."""
     if graph.n % 2 != 0:
         return None
     if graph.n == 0:
         return PerfectMatching(frozenset(), 0)
-    mate = max_weight_matching(adj)
+    mate = max_weight_matching(adj, negate=negate)
     if -1 in mate:
         return None
     return PerfectMatching.from_edges(

@@ -146,23 +146,33 @@ WEIGHT_RANGES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(WEIGHT_RANGES))
-def test_blossom_equals_networkx(kind):
-    """Edge for edge networkx's matching, perfect or not, on random graphs."""
+def _with_negate(*axes):
+    """Parameters over the product of ``axes`` and ``negate`` in (False,
+    True); the ``negate=False`` cases keep the ids they had without it."""
+    return [pytest.param(*values, negate,
+                         id="-".join(map(str, values)) + "-negate" * negate)
+            for negate in (False, True) for values in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("kind, negate", _with_negate(sorted(WEIGHT_RANGES)))
+def test_blossom_equals_networkx(kind, negate):
+    """Edge for edge networkx's matching, perfect or not, on random graphs;
+    with ``negate``, networkx's matching on the negated weights."""
     draw_weight = WEIGHT_RANGES[kind]
+    sign = -1 if negate else 1
     imperfect = 0
     for seed in range(120):
         rng = random.Random(f"{kind}-{seed}")
         n = rng.randint(0, 40)
         g = random_colored_graph(n, rng.choice([0.05, 0.1, 0.2, 0.4, 0.8]), seed)
         weights = {e: draw_weight(rng) for e in g.edges()}
-        want = _nx_matching(n, [(u, v, weights[u, v]) for u, v in g.edges()])
+        want = _nx_matching(n, [(u, v, sign * weights[u, v]) for u, v in g.edges()])
         adj = [{} for _ in range(n)]
         for (u, v), w in weights.items():
             adj[u][v] = adj[v][u] = w
-        mate = blossom.max_weight_matching(adj)
+        mate = blossom.max_weight_matching(adj, negate=negate)
         assert {(u, v) for u, v in enumerate(mate) if u < v} == want, (kind, seed)
-        pm = max_weight_perfect_matching(g, weights)
+        pm = max_weight_perfect_matching(g, {e: sign * w for e, w in weights.items()})
         if n % 2 == 0 and 2 * len(want) == n:
             assert pm is not None and pm.edges == want, (kind, seed)
         else:
@@ -199,11 +209,13 @@ DENSE_WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("density", [1.0, 0.5])
-@pytest.mark.parametrize("kind", sorted(DENSE_WEIGHTS))
-def test_blossom_equals_networkx_dense(kind, density):
-    """Edge for edge networkx's matching on K_n and G(n, 0.5), n 60-128."""
+@pytest.mark.parametrize("kind, density, negate",
+                         _with_negate(sorted(DENSE_WEIGHTS), [1.0, 0.5]))
+def test_blossom_equals_networkx_dense(kind, density, negate):
+    """Edge for edge networkx's matching on K_n and G(n, 0.5), n 60-128;
+    with ``negate``, networkx's matching on the negated weights."""
     draw_weight = DENSE_WEIGHTS[kind]
+    sign = -1 if negate else 1
     for seed in range(3):
         rng = random.Random(f"dense-{kind}-{density}-{seed}")
         n = rng.randint(60, 128)
@@ -214,8 +226,9 @@ def test_blossom_equals_networkx_dense(kind, density):
         adj = [{} for _ in range(n)]
         for u, v, w in edges:
             adj[u][v] = adj[v][u] = w
-        mate = blossom.max_weight_matching(adj)
-        assert {(u, v) for u, v in enumerate(mate) if u < v} == _nx_matching(n, edges), seed
+        mate = blossom.max_weight_matching(adj, negate=negate)
+        want = _nx_matching(n, [(u, v, sign * w) for u, v, w in edges])
+        assert {(u, v) for u, v in enumerate(mate) if u < v} == want, seed
 
 
 @pytest.mark.parametrize("color", [RED, BLUE])
@@ -226,6 +239,37 @@ def test_red_engines_equal_networkx_monochrome(color):
         for engine, red in ((min_red_pm, -1), (max_red_pm, 1)):
             want = _nx_matching(n, [(u, v, red if color == RED else 0) for u, v in g.edges()])
             assert engine(g).edges == want, (engine.__name__, n)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5])
+def test_red_engines_equal_networkx_dense(density):
+    """min/max-red on mixed-color K_n and G(n, 0.5), n 60-128, where both
+    engines run the stages that form and expand blossoms."""
+    for seed in range(3):
+        rng = random.Random(f"red-dense-{density}-{seed}")
+        n = 2 * rng.randint(30, 64)
+        red_frac = rng.choice([0.3, 0.5, 0.7])
+        g = ColoredGraph(n, {e: RED if rng.random() < red_frac else BLUE
+                             for e in itertools.combinations(range(n), 2)
+                             if rng.random() < density})
+        for engine, red in ((min_red_pm, -1), (max_red_pm, 1)):
+            want = _nx_matching(n, [(u, v, red if c == RED else 0)
+                                    for (u, v), c in g.colors.items()])
+            assert engine(g).edges == want, (engine.__name__, density, seed)
+
+
+def test_red_engines_leave_the_shared_index_as_it_was():
+    """Both engines read ``neighbor_index`` in place: same object, same
+    contents, same key order afterwards."""
+    rng = random.Random("index")
+    g = ColoredGraph(40, {e: RED if rng.random() < 0.4 else BLUE
+                          for e in itertools.combinations(range(40), 2)
+                          if rng.random() < 0.5})
+    index = g.neighbor_index
+    before = [list(nbrs.items()) for nbrs in index]
+    assert min_red_pm(g) is not None and max_red_pm(g) is not None
+    assert g.neighbor_index is index
+    assert [list(nbrs.items()) for nbrs in index] == before
 
 
 def test_import_does_not_load_networkx():
