@@ -61,11 +61,9 @@ def _best_perfect(
     must list its neighbors ascending, as ``graph.neighbor_index`` does,
     which both ``max_red_pm`` and ``min_red_pm`` pass as it is, the latter
     with ``negate``; networkx's adjacency is in that order when a graph is
-    built edge by edge in sorted order.  ``adj`` is only read."""
-    if graph.n % 2 != 0:
-        return None
-    if graph.n == 0:
-        return PerfectMatching(frozenset(), 0)
+    built edge by edge in sorted order.  ``adj`` is only read.  An odd
+    vertex count always leaves some vertex single, so it gives None; the
+    empty graph gives the empty matching."""
     mate = max_weight_matching(adj, negate=negate)
     if -1 in mate:
         return None

@@ -1,4 +1,5 @@
-"""Reading and writing colored graphs (JSON and DOT) and matchings (JSON).
+"""Reading and writing colored graphs (JSON and DOT), and reading matchings
+(JSON).
 
 JSON graph document::
 
@@ -66,10 +67,6 @@ def parse_matching(data: str | bytes, graph: ColoredGraph) -> PerfectMatching:
             raise ParseError(f"matching entry {item!r} is not an [u, v] pair of integers")
         edges.append((item[0], item[1]))
     return PerfectMatching.from_edges(graph, edges)
-
-
-def serialize_matching(matching: PerfectMatching) -> str:
-    return json.dumps([list(e) for e in matching.sorted_edges()])
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -134,9 +134,6 @@ class ColoredGraph:
         except KeyError:
             raise GraphError(f"unknown edge {e}") from None
 
-    def is_red(self, e: Edge) -> bool:
-        return self.color(e) == RED
-
     @cached_property
     def neighbor_index(self) -> tuple[dict[int, int], ...]:
         """For each vertex, a map from every neighbor to 1 if the edge is red
@@ -177,12 +174,6 @@ class ColoredGraph:
         return (ColorClass(dict(enumerate(map(tuple, nbrs[0]))), tuple(edges[0])),
                 ColorClass(dict(enumerate(map(tuple, nbrs[1]))), tuple(edges[1])))
 
-    def side_of(self, v: int) -> int:
-        """0 or 1 for the bipartition side of ``v``; requires a bipartition."""
-        if self.bipartition is None:
-            raise GraphError("graph has no bipartition")
-        return 0 if v in self.bipartition[0] else 1
-
 
 @dataclass(frozen=True)
 class PerfectMatching:
@@ -202,16 +193,6 @@ class PerfectMatching:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def partner_map(self) -> dict[int, int]:
-        partner: dict[int, int] = {}
-        for u, v in self.edges:
-            partner[u] = v
-            partner[v] = u
-        return partner
-
-    def covers(self, v: int) -> bool:
-        return any(v in e for e in self.edges)
 
     def __contains__(self, e: Edge) -> bool:
         return e in self.edges

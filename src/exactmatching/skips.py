@@ -253,12 +253,6 @@ class MatchingOrientation:
     graph: ColoredGraph
     matching: PerfectMatching
 
-    def has_arc(self, u: int, v: int) -> bool:
-        graph = self.graph
-        if not graph.has_edge(u, v):
-            return False
-        return (u in graph.bipartition[0]) == (edge_key(u, v) in self.matching.edges)
-
 
 def orient(graph: ColoredGraph, matching: PerfectMatching) -> MatchingOrientation:
     """The orientation of ``graph`` by ``matching``, checked in O(n)."""

@@ -41,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 # perfect_matching_on is not called here, but perfbench/tracing.py wraps it
 # under this module's name, so it stays importable from here.
@@ -57,10 +57,8 @@ from .graphs import (
     ColoredGraph,
     CycleSet,
     Edge,
-    GraphError,
     PerfectMatching,
     apply_cycles,
-    edge_key,
     symmetric_difference,
     validate_matching,
 )
@@ -340,35 +338,6 @@ def red_count_lattice(graph: ColoredGraph, low: PerfectMatching, high: PerfectMa
 # -- phase 2: guess-and-complete -----------------------------------------------
 
 
-def recover_from_color_guess(
-    graph: ColoredGraph,
-    matching: PerfectMatching,
-    guess: Iterable[tuple[int, int]],
-    color: str,
-    k: int,
-) -> PerfectMatching | None:
-    """Try one guess of how a solution's ``color`` class differs from ``matching``.
-
-    The guess is a set of ``color``-colored edges; xor-ing it with the
-    matching's own ``color`` class proposes the solution's full ``color``
-    class.  For red, the proposal must have exactly k edges; for blue,
-    exactly n/2 - k.  The proposal's endpoints are removed and the rest of
-    the graph, restricted to the opposite color, must carry a perfect
-    matching; the lexicographically first one completes the solution, which
-    is returned (always with red count k), or None if there is none.
-    """
-    if not validate_matching(graph, matching):
-        raise GraphError("matching is not a perfect matching of the graph")
-    ctx = _make_context(graph, matching, k, color)
-    guess_set = set()
-    for u, v in guess:
-        e = edge_key(u, v)
-        if graph.color(e) != color:
-            raise GraphError(f"guess contains edge {e} of the wrong color")
-        guess_set.add(e)
-    return _recover(ctx, tuple(guess_set))
-
-
 @dataclass(frozen=True)
 class _RecoveryContext:
     """Per-(matching, color) state shared by every guess and recovery attempt.
@@ -444,8 +413,6 @@ class _RecoveryContext:
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
-    if color not in (RED, BLUE):
-        raise GraphError(f"unknown color {color!r}")
     flag = 1 if color == RED else 0         # the color's flag in the index
     classes = graph.color_classes
     color_edges = classes[flag].edges
@@ -477,15 +444,18 @@ def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
 
 
 def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching | None:
-    """``recover_from_color_guess`` minus input validation, on shared state."""
+    """Complete one guess that ``_guesses(ctx, size)`` yielded, or None.
+
+    Xor-ing the guess with the base proposes the solution's whole color
+    class.  ``_guesses`` yields only guesses whose proposal has the target
+    size and shares no vertex, so neither is checked again here.  The
+    proposal's endpoints are removed, and the lexicographically first
+    perfect matching of the rest of the opposite-color graph completes the
+    solution, which then has red count k.  None when the parity screen or
+    completion finds no such matching.
+    """
     proposal = ctx.base.symmetric_difference(guess)
-    if len(proposal) != ctx.target:
-        return None
-    used: set[int] = set()
-    for u, v in proposal:
-        if u in used or v in used:
-            return None
-        used.update((u, v))
+    used = {w for e in proposal for w in e}
     if not _parity_ok(ctx, used):
         return None
     free = [w for w in range(ctx.graph.n) if w not in used]
@@ -523,8 +493,9 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
     must have the exact target size and share no vertex.  So the size fixes
     how many base edges a guess removes and how many other edges it adds,
     and this yields exactly the subsets of the sorted color class with that
-    split whose proposal is vertex-disjoint.  Only guesses that recovery
-    rejects are left out, so this never changes which guess succeeds first.
+    split whose proposal is vertex-disjoint.  Every guess left out proposes
+    a class that no solution has, so this never changes which guess succeeds
+    first.  ``_recover`` relies on it and checks neither property again.
 
     An explicit-stack search extends a partial guess by its next included
     edge, in index order, so the stack holds one frame per guess edge
@@ -646,28 +617,6 @@ def _search(
                 if pm is not None:
                     return size, pm
     return None
-
-
-def small_diff_search(
-    graph: ColoredGraph,
-    matching: PerfectMatching,
-    k: int,
-    limit: int,
-    color: str,
-) -> PerfectMatching | None:
-    """First successful recovery over guesses of size at most ``limit``.
-
-    Guesses are subsets of the graph's ``color`` class, tried in increasing
-    size and lexicographically within a size.  If some solution's ``color``
-    class differs from the matching's by at most ``limit`` edges, this
-    finds a solution.
-    """
-    if limit < 0:
-        raise ConfigurationError(f"subset budget must be >= 0, got {limit}")
-    if not validate_matching(graph, matching):
-        raise GraphError("matching is not a perfect matching of the graph")
-    hit = _search((_make_context(graph, matching, k, color),), limit)
-    return hit[1] if hit is not None else None
 
 
 def _verified(graph: ColoredGraph, pm: PerfectMatching, k: int, phase: str) -> PerfectMatching:

@@ -349,11 +349,14 @@ def naive_first_success(contexts, limit):
 
     Guesses go by size ascending, then context order, then
     ``itertools.combinations`` order of the sorted color class; every
-    combination is handed to recovery, with no pruning.
+    combination that ``_proposes`` is handed to recovery, with no other
+    pruning.
     """
     for size in range(limit + 1):
         for ctx in contexts:
             for guess in itertools.combinations(ctx.color_edges, size):
+                if not _proposes(ctx, guess):
+                    continue
                 pm = solver_mod._recover(ctx, guess)
                 if pm is not None:
                     return size, pm
@@ -422,8 +425,8 @@ def _has_potential(graph: ColoredGraph, d: int) -> bool:
 
 
 def _proposes(ctx, guess) -> bool:
-    """Whether recovery would hand ``guess`` to the parity screen: its
-    proposal has the target size and shares no vertex."""
+    """Whether ``guess`` is one recovery accepts: its proposal has the
+    target size and shares no vertex."""
     proposal = ctx.base.symmetric_difference(guess)
     ends = [w for e in proposal for w in e]
     return len(proposal) == ctx.target and len(ends) == len(set(ends))

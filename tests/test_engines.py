@@ -44,14 +44,18 @@ def test_all_red_graph(k4_red):
 
 
 def test_odd_vertex_count_has_no_pm():
+    # The blossom engine matches one of the two edges and leaves a vertex
+    # single, so every engine reports no perfect matching.
     g = ColoredGraph.from_edges(3, [(0, 1, RED), (1, 2, BLUE)])
     assert min_red_pm(g) is None
+    assert max_red_pm(g) is None
+    assert max_weight_perfect_matching(g, {(0, 1): 5, (1, 2): -2}) is None
 
 
 def test_empty_graph_has_empty_pm():
     g = ColoredGraph.from_edges(0, [])
-    pm = min_red_pm(g)
-    assert pm is not None and len(pm) == 0
+    for pm in (min_red_pm(g), max_red_pm(g), max_weight_perfect_matching(g, {})):
+        assert pm is not None and len(pm) == 0 and pm.red_count == 0
 
 
 def test_no_pm_returns_none():

@@ -116,7 +116,7 @@ class TestRandomGraphs:
     def test_bipartite_structure(self):
         g = random_bipartite_colored_graph(10, 0.7, 3)
         assert g.bipartition == (frozenset(range(5)), frozenset(range(5, 10)))
-        assert all(g.side_of(u) != g.side_of(v) for u, v in g.edges())
+        assert all((u in g.bipartition[0]) != (v in g.bipartition[0]) for u, v in g.edges())
 
     def test_rejects_odd_bipartite(self):
         with pytest.raises(GenerationError):
@@ -142,7 +142,7 @@ class TestCycleInstances:
     def test_bipartite_chords_cross(self):
         g, pm, cyc = gen_alternating_cycle_instance(10, 1.0, 3, bipartite=True)
         assert g.bipartition is not None
-        assert all(g.side_of(u) != g.side_of(v) for u, v in g.edges())
+        assert all((u in g.bipartition[0]) != (v in g.bipartition[0]) for u, v in g.edges())
 
     def test_deterministic(self):
         assert (gen_alternating_cycle_instance(10, 0.5, 11)[0]

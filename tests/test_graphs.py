@@ -40,7 +40,7 @@ class TestColoredGraph:
         assert c4.has_edge(1, 0)
         assert not c4.has_edge(0, 2)
         assert c4.color((0, 1)) == RED
-        assert c4.is_red((0, 1))
+        assert c4.colors[(0, 1)] == RED
         assert c4.edges() == sorted(c4.edges())
 
     def test_unknown_edge_color_raises(self, c4):
@@ -73,12 +73,8 @@ class TestColoredGraph:
                 4, [(0, 1, RED)], bipartition=([0, 1], [2, 3]))
 
     def test_side_of(self, k33):
-        assert k33.side_of(0) == 0
-        assert k33.side_of(5) == 1
-
-    def test_side_of_without_bipartition(self, c4):
-        with pytest.raises(GraphError):
-            c4.side_of(0)
+        assert 0 in k33.bipartition[0]
+        assert 5 in k33.bipartition[1]
 
     def test_adjacency_sorted(self, k33):
         index = k33.neighbor_index
@@ -134,11 +130,7 @@ class TestPerfectMatching:
         assert (0, 1) in pm
         assert (1, 2) not in pm
         assert len(pm) == 2
-        assert pm.covers(3)
-
-    def test_partner_map(self, c4):
-        pm = PerfectMatching.from_edges(c4, [(0, 1), (2, 3)])
-        assert pm.partner_map() == {0: 1, 1: 0, 2: 3, 3: 2}
+        assert {w for e in pm.edges for w in e} == {0, 1, 2, 3}
 
     def test_rejects_nonperfect(self, c4):
         with pytest.raises(GraphError):

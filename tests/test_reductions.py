@@ -66,8 +66,8 @@ class TestBipartiteLift:
         lifted = lift_to_dense_bipartite(k33)
         assert lifted.n == 10
         # hub 6 on side A sees side B and pendant 9; hub 8 sees side A and 7
-        assert lifted.side_of(6) == 0 and lifted.side_of(7) == 0
-        assert lifted.side_of(8) == 1 and lifted.side_of(9) == 1
+        assert {6, 7} <= lifted.bipartition[0]
+        assert {8, 9} <= lifted.bipartition[1]
         assert all(lifted.has_edge(6, b) for b in (3, 4, 5, 9))
         assert all(lifted.has_edge(a, 8) for a in (0, 1, 2, 7))
         assert not lifted.has_edge(6, 8)

@@ -35,7 +35,6 @@ from ._support import (
     cycle_weight,
     naive_find_biskip,
     naive_find_skip,
-    orientation_arcs,
 )
 
 # -- fixtures: a 10-cycle with matching (2i, 2i+1) and optional chords ---------
@@ -214,35 +213,6 @@ def test_apply_biskip():
     assert len(new_ctx) == 2
     rebuilt = symmetric_difference(g, pm, new_pm)
     assert rebuilt.all_edges() == new_ctx.all_edges()
-
-
-def test_orientation_structure():
-    g, pm, _ = ten_cycle(bipartite=True)
-    view = orient(g, pm)
-    assert view.has_arc(0, 1)      # matching edge, first side to second
-    assert not view.has_arc(1, 0)
-    assert view.has_arc(1, 2)      # non-matching edge, second side to first
-    assert not view.has_arc(2, 1)
-    assert not view.has_arc(0, 2)  # no edge at all
-
-
-def test_has_arc_holds_exactly_on_the_full_arc_set():
-    arcs_seen = 0
-    for n in (4, 8, 12, 16):
-        for prob in (0.3, 0.6, 1.0):
-            for seed in range(4):
-                g = random_bipartite_colored_graph(n, prob, seed)
-                for pm in (min_red_pm(g), max_red_pm(g)):
-                    if pm is None:
-                        continue
-                    view = orient(g, pm)
-                    arcs = orientation_arcs(g, pm)
-                    assert len(arcs) == g.m
-                    for u in range(n):
-                        for v in range(n):
-                            assert view.has_arc(u, v) == ((u, v) in arcs)
-                    arcs_seen += len(arcs)
-    assert arcs_seen > 1000
 
 
 def test_orient_requires_bipartition():

@@ -14,7 +14,6 @@ from exactmatching import (
     YES,
     ColoredGraph,
     ConfigurationError,
-    GraphError,
     PerfectMatching,
     SkipSearchError,
     SolverError,
@@ -27,9 +26,7 @@ from exactmatching import (
     perfect_matching_red_counts,
     random_bipartite_colored_graph,
     random_colored_graph,
-    recover_from_color_guess,
     run_phase1,
-    small_diff_search,
     solve_em,
     validate_matching,
 )
@@ -196,51 +193,40 @@ class TestPhase1:
 class TestRecovery:
     def test_successful_red_guess(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        got = recover_from_color_guess(c4, blue_pm, [(0, 1), (2, 3)], RED, 2)
+        ctx = solver_mod._make_context(c4, blue_pm, 2, RED)
+        got = solver_mod._recover(ctx, ((0, 1), (2, 3)))
         assert got is not None
         assert got.red_count == 2
         assert validate_matching(c4, got)
 
     def test_successful_blue_guess(self, c4):
         red_pm = PerfectMatching.from_edges(c4, [(0, 1), (2, 3)])
-        got = recover_from_color_guess(c4, red_pm, [(0, 3), (1, 2)], BLUE, 0)
+        ctx = solver_mod._make_context(c4, red_pm, 0, BLUE)
+        got = solver_mod._recover(ctx, ((0, 3), (1, 2)))
         assert got is not None and got.red_count == 0
 
     def test_wrong_size_returns_none(self, c4):
+        # Recovery never sees a guess whose proposal misses the target size:
+        # the stream yields none at the sizes that cannot reach it.
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        assert recover_from_color_guess(c4, blue_pm, [(0, 1)], RED, 2) is None
+        ctx = solver_mod._make_context(c4, blue_pm, 2, RED)
+        assert [list(solver_mod._guesses(ctx, size)) for size in range(4)] == [
+            [], [], [((0, 1), (2, 3))], []]
 
     def test_clashing_proposal_returns_none(self, k4_red):
-        # proposal = base symmetric-difference guess = {(0,1), (0,2)},
-        # right size but two edges share vertex 0
+        # The guess ((0, 2), (2, 3)) proposes {(0, 1), (0, 2)}: the right size,
+        # but two edges share vertex 0, so the stream never yields it.
         pm = PerfectMatching.from_edges(k4_red, [(0, 1), (2, 3)])
-        assert recover_from_color_guess(
-            k4_red, pm, [(2, 3), (0, 2)], RED, 2) is None
+        ctx = solver_mod._make_context(k4_red, pm, 2, RED)
+        assert list(solver_mod._guesses(ctx, 2)) == []
+        assert list(solver_mod._guesses(ctx, 4)) == [
+            ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 1), (0, 3), (1, 2), (2, 3))]
 
     def test_incompletable_returns_none(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        assert recover_from_color_guess(c4, blue_pm, [(0, 1)], RED, 1) is None
-
-    def test_wrong_color_guess_rejected(self, c4):
-        blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        with pytest.raises(GraphError):
-            recover_from_color_guess(c4, blue_pm, [(1, 2)], RED, 2)
-        with pytest.raises(GraphError):
-            recover_from_color_guess(c4, blue_pm, [(0, 5)], RED, 2)
-
-    @pytest.mark.parametrize("anchor", [{(0, 2)}, {(0, 1)}], ids=["non-edge", "non-perfect"])
-    def test_bad_anchor_rejected(self, c4, anchor):
-        matching = PerfectMatching(frozenset(anchor), 0)
-        with pytest.raises(GraphError):
-            recover_from_color_guess(c4, matching, [], RED, 0)
-        with pytest.raises(GraphError):
-            small_diff_search(c4, matching, 0, 2, RED)
-
-    def test_unknown_color_rejected(self, c4):
-        with pytest.raises(GraphError, match="unknown color 'green'"):
-            small_diff_search(c4, solver_mod.max_red_pm(c4), 0, 4, "green")
-        with pytest.raises(GraphError, match="unknown color 'green'"):
-            recover_from_color_guess(c4, solver_mod.max_red_pm(c4), [], "green", 0)
+        ctx = solver_mod._make_context(c4, blue_pm, 1, RED)
+        assert ((0, 1),) in solver_mod._guesses(ctx, 1)
+        assert solver_mod._recover(ctx, ((0, 1),)) is None
 
     def test_completion_agrees_with_enumeration(self):
         # Completion on opposite-color remainders against the oracles, which
@@ -409,17 +395,18 @@ class TestGuessStream:
                 continue
             ctx = solver_mod._make_context(g, pm, 2, RED)
             recovered = (solver_mod._recover(ctx, guess)
-                         for _, guess in naive_guesses(ctx, g.n))
+                         for _, guess in naive_guesses(ctx, g.n)
+                         if disjoint_proposal(ctx, guess))
             want = next((got for got in recovered if got is not None), None)
-            got = small_diff_search(g, pm, 2, g.n, RED)
-            assert got is not None and got.red_count == 2
+            _, got = solver_mod._search((ctx,), g.n)
+            assert got.red_count == 2
             assert got == want
             hits += 1
         assert hits > 0
 
     def test_witness_contract_matches_naive_reference(self):
-        # solve_em: guesses by size, red before blue, lex; small_diff_search:
-        # the same over one color.  Both against unpruned combinations.
+        # solve_em: guesses by size, red before blue, lex; _search on one
+        # context: the same over one color.  Both against plain combinations.
         outcomes = set()
         for n, p in ((6, 0.6), (8, 0.5), (10, 0.4)):
             for seed in range(6):
@@ -435,9 +422,7 @@ class TestGuessStream:
                         continue
                     for color in (RED, BLUE):
                         ctx = solver_mod._make_context(g, pm, k, color)
-                        hit = naive_first_success([ctx], n)
-                        assert small_diff_search(g, pm, k, n, color) == (
-                            hit[1] if hit is not None else None)
+                        assert solver_mod._search((ctx,), n) == naive_first_success([ctx], n)
         assert {(YES, True), (YES, False), (NO_CERTIFIED, True), (UNKNOWN, True)} <= outcomes
 
 
@@ -525,19 +510,16 @@ class TestRedCountLattice:
 
 
 class TestSmallDiffSearch:
+    """``_search`` on one context: the first success within a size limit."""
+
     def test_finds_witness_within_limit(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        got = small_diff_search(c4, blue_pm, 2, 2, RED)
-        assert got is not None and got.red_count == 2
+        size, got = solver_mod._search((solver_mod._make_context(c4, blue_pm, 2, RED),), 2)
+        assert size == 2 and got.red_count == 2
 
     def test_respects_limit(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        assert small_diff_search(c4, blue_pm, 2, 1, RED) is None
-
-    def test_rejects_negative_limit(self, c4):
-        blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        with pytest.raises(ConfigurationError):
-            small_diff_search(c4, blue_pm, 2, -1, RED)
+        assert solver_mod._search((solver_mod._make_context(c4, blue_pm, 2, RED),), 1) is None
 
 
 # -- the full solver ----------------------------------------------------------------
