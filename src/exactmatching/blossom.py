@@ -52,10 +52,11 @@ What changes against networkx is the representation, not the choices:
 Every stage, scan and delta loop therefore breaks ties as networkx does, and
 on the same graph (same node order, same neighbor order, same integer
 weights) the matching is networkx's own.  ``expand_blossom`` and
-``augment_blossom`` keep networkx's trampolines, so nesting depth is not
-bounded by the interpreter's recursion limit.  The optimality check stays,
-builds each vertex's chain of enclosing blossoms once instead of once per
-edge, and raises ``OptimalityError`` rather than using ``assert``.
+``augment_blossom`` share one copy of networkx's trampoline,
+``_trampoline``, so nesting depth is not bounded by the interpreter's
+recursion limit.  The optimality check stays, builds each vertex's chain of
+enclosing blossoms once instead of once per edge, and raises
+``OptimalityError`` rather than using ``assert``.
 
 The networkx original is distributed under the 3-clause BSD license:
 
@@ -96,11 +97,24 @@ The networkx original is distributed under the 3-clause BSD license:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class OptimalityError(RuntimeError):
     """The matching failed its dual optimality check: a bug, not bad input."""
+
+
+def _trampoline(step: Callable[..., Iterator[tuple]], *args) -> None:
+    """Run the recursion ``step(*args)`` on an explicit stack: each argument
+    tuple the generator yields is a recursive call, run to its end before
+    the generator resumes."""
+    stack = [step(*args)]
+    while stack:
+        for args in stack[-1]:
+            stack.append(step(*args))
+            break
+        else:
+            stack.pop()
 
 
 def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = False) -> list[int]:
@@ -304,15 +318,14 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
 
     def expand_blossom(b: int, endstage: bool) -> None:
         # Turn the sub-blossoms of top-level blossom b into top-level
-        # blossoms, through a trampoline of generators that yield the
-        # sub-blossoms to expand recursively.
+        # blossoms, yielding the sub-blossoms to expand recursively.
 
         def _recurse(b: int, endstage: bool):
             for s in childs[b]:
                 blossomparent[s] = -1
                 if s >= n:
                     if endstage and blossomdual[s] == 0:
-                        yield s
+                        yield (s, endstage)
                     else:
                         for v in leaves(s):
                             inblossom[v] = s
@@ -390,14 +403,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
             del blossomdual[b]
             unused.append(b)
 
-        stack = [_recurse(b, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
-            else:
-                stack.pop()
+        _trampoline(_recurse, b, endstage)
 
     def augment_blossom(b: int, v: int) -> None:
         # Swap matched and unmatched edges on the alternating path through
@@ -443,14 +449,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
             childedges[b] = ce[i:] + ce[:i]
             blossombase[b] = blossombase[childs[b][0]]
 
-        stack = [_recurse(b, v)]
-        while stack:
-            top = stack[-1]
-            for args in top:
-                stack.append(_recurse(*args))
-                break
-            else:
-                stack.pop()
+        _trampoline(_recurse, b, v)
 
     def augment_matching(v: int, w: int) -> None:
         # Augment along the path through S-vertices v and w between two

@@ -84,15 +84,13 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
 
 
 def _sniff_format(path: str, explicit: str | None) -> str:

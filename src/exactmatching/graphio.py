@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable
 
-from .graphs import BLUE, COLORS, RED, ColoredGraph, GraphError, PerfectMatching
+from .graphs import ColoredGraph, GraphError, PerfectMatching
 
 JSON = "json"
 DOT = "dot"
@@ -91,8 +90,6 @@ def _parse_json(text: str) -> ColoredGraph:
                 or type(item[0]) is not int or type(item[1]) is not int
                 or not isinstance(item[2], str)):
             raise ParseError(f"edge entry {item!r} is not an [u, v, color] triple")
-        if item[2] not in COLORS:
-            raise ParseError(f"edge [{item[0]}, {item[1]}] has unknown color {item[2]!r}")
         triples.append((item[0], item[1], item[2]))
     bip = None
     if doc.get("bipartition") is not None:
@@ -228,8 +225,6 @@ def _parse_dot(text: str) -> ColoredGraph:
             color = attrs.get("color")
             if color is None:
                 raise ParseError(f"edge {chain[0]}--{chain[1]} has no color attribute")
-            if color not in COLORS:
-                raise ParseError(f"edge {chain[0]}--{chain[1]} has unknown color {color!r}")
             for a, b in zip(chain, chain[1:]):
                 triples.append((a, b, color))
     if reader.peek() is not None:

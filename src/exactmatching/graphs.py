@@ -108,10 +108,7 @@ class ColoredGraph:
             if e in colors:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             colors[e] = c
-        bip = None
-        if bipartition is not None:
-            bip = (frozenset(bipartition[0]), frozenset(bipartition[1]))
-        return cls(n, colors, bip)
+        return cls(n, colors, bipartition)
 
     # -- queries ------------------------------------------------------------
 
@@ -124,8 +121,6 @@ class ColoredGraph:
         return list(self.colors)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
         return ((u, v) if u < v else (v, u)) in self.colors
 
     def color(self, e: Edge) -> str:
@@ -214,8 +209,6 @@ def validate_matching(graph: ColoredGraph, matching: Iterable[tuple[int, int]] |
     seen: set[int] = set()
     count = 0
     for u, v in edges:
-        if u == v:
-            return False
         e = (u, v) if u < v else (v, u)
         if e not in graph.colors:
             return False

@@ -74,8 +74,6 @@ def count_perfect_matchings(graph: ColoredGraph, max_n: int = COUNTING_CAP) -> i
     n = graph.n
     if n % 2 != 0:
         return 0
-    if n == 0:
-        return 1
     nbr = _neighbor_masks(graph)
     memo: dict[int, int] = {0: 1}
 
@@ -149,8 +147,6 @@ def max_independent_set_size(n: int, neighbor_masks: list[int]) -> int:
     Branch and bound on the complement's cliques with a greedy-coloring
     bound (an independent set of the graph is a clique of the complement).
     """
-    if n == 0:
-        return 0
     full = (1 << n) - 1
     comp = [full & ~(neighbor_masks[v] | (1 << v)) for v in range(n)]
     best = 0
@@ -202,8 +198,6 @@ def bipartite_independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE
         raise GraphError("bipartite independence number needs a bipartition")
     side_a = sorted(graph.bipartition[0])
     side_b = sorted(graph.bipartition[1])
-    if not side_a or not side_b:
-        return 0
     index_b = {v: i for i, v in enumerate(side_b)}
     full_b = (1 << len(side_b)) - 1
     # nonadj[i] = bitmask over side_b of vertices NOT adjacent to side_a[i]

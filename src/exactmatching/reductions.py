@@ -9,8 +9,8 @@ of each other, which collapses distance-based independence measures.
 
 from __future__ import annotations
 
-from .graphs import BLUE, ColoredGraph, Edge, GraphError, PerfectMatching, edge_key
-from .oracle import INDEPENDENCE_CAP, OracleLimitError, max_independent_set_size
+from .graphs import BLUE, ColoredGraph, GraphError, PerfectMatching, edge_key
+from .oracle import INDEPENDENCE_CAP, _check_cap, max_independent_set_size
 
 
 def lift_to_dense(graph: ColoredGraph) -> ColoredGraph:
@@ -92,11 +92,8 @@ def distance_d_independence_number(
     """
     if d < 1:
         raise ValueError(f"distance must be >= 1, got {d}")
+    _check_cap(graph, max_n, f"distance-{d} independence")
     n = graph.n
-    if n > max_n:
-        raise OracleLimitError(
-            f"instance too large for oracle distance-{d} independence: "
-            f"n={n} exceeds cap {max_n}")
     index = graph.neighbor_index
     masks = [0] * n
     for start in range(n):

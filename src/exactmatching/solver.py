@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from typing import Callable, Iterator
 
@@ -462,7 +462,7 @@ def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching 
     completion = perfect_matching_on_adjacency(ctx.other_adjacency, free)
     if completion is None:
         return None
-    return PerfectMatching(frozenset(proposal) | frozenset(completion), ctx.k)
+    return PerfectMatching(proposal | frozenset(completion), ctx.k)
 
 
 def _parity_ok(ctx: _RecoveryContext, removed: set[int]) -> bool:
@@ -584,11 +584,14 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
 # 37, so the solves that succeed never pay for the lattice.
 _CERTIFY_AFTER = 64
 
+# What ``_search`` returns when ``excluded`` stopped it.
+_EXCLUDED = object()
+
 
 def _search(
     contexts: tuple[_RecoveryContext, ...], limit: int,
     excluded: Callable[[], bool] = lambda: False,
-) -> tuple[int, PerfectMatching] | None:
+) -> tuple[int, PerfectMatching] | object | None:
     """First successful recovery as (guess size, solution): guesses go by
     size up to ``limit``, then by context order, then lex.  None when there
     is none.
@@ -602,8 +605,9 @@ def _search(
     empty.  With the anchor's red count r this is min(r + k, n - r - k).
 
     When more than ``_CERTIFY_AFTER`` guesses have been tried, ``excluded``
-    is called once, and the search gives up when it returns True: the
-    caller has then certified that no solution exists.
+    is called once, and when it returns True the search gives up and
+    returns the sentinel ``_EXCLUDED``: the caller has then certified that
+    no solution exists.
     """
     stop = min(limit, min(ctx.base_left[0] + ctx.target for ctx in contexts))
     tried = 0
@@ -612,7 +616,7 @@ def _search(
             for guess in _guesses(ctx, size):
                 tried += 1
                 if tried == _CERTIFY_AFTER + 1 and excluded():
-                    return None
+                    return _EXCLUDED
                 pm = _recover(ctx, guess)
                 if pm is not None:
                     return size, pm
@@ -654,17 +658,16 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     if phase1.matching is None:
         return Verdict(NO_CERTIFIED, reason="graph has no perfect matching")
     m = phase1.matching
+    verdict = partial(Verdict, phase1_r=m.red_count, iterations=phase1.iterations)
     if m.red_count == k:
-        return Verdict(YES, witness=_verified(graph, m, k, "phase 1"), L_used=0,
-                       phase1_r=m.red_count, iterations=phase1.iterations)
+        return verdict(YES, witness=_verified(graph, m, k, "phase 1"))
     lo, hi = phase1.red_range
     if not lo <= k <= hi:
-        return Verdict(NO_CERTIFIED, reason=f"k outside the red-count range [{lo}, {hi}]",
-                       L_used=0, phase1_r=m.red_count, iterations=phase1.iterations)
+        return verdict(NO_CERTIFIED, reason=f"k outside the red-count range [{lo}, {hi}]")
 
     limit = n if params.L_cap is None else min(params.L_cap, n)
 
-    lattice = None
+    lattice = None      # built at most once, by the first call of excluded()
 
     def excluded() -> bool:
         nonlocal lattice
@@ -674,17 +677,13 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     contexts = (_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE))
     hit = _search(contexts, limit, excluded)
-    if hit is not None:
-        size, pm = hit
-        return Verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size,
-                       phase1_r=m.red_count, iterations=phase1.iterations)
     # The lattice is a certificate whatever the cap, so a capped search
     # consults it before answering unknown, even below the trigger.
-    if (lattice is not None or limit < n) and excluded():
-        return Verdict(NO_CERTIFIED, reason="k outside the red-count lattice", L_used=0,
-                       phase1_r=m.red_count, iterations=phase1.iterations)
+    if hit is _EXCLUDED or (hit is None and limit < n and excluded()):
+        return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
+    if hit is not None:
+        size, pm = hit
+        return verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size)
     if limit == n:
-        return Verdict(NO_CERTIFIED, reason="exhausted the certified search radius",
-                       L_used=limit, phase1_r=m.red_count, iterations=phase1.iterations)
-    return Verdict(UNKNOWN, reason=f"search exhausted at guess-size budget {limit}",
-                   L_used=limit, phase1_r=m.red_count, iterations=phase1.iterations)
+        return verdict(NO_CERTIFIED, reason="exhausted the certified search radius", L_used=limit)
+    return verdict(UNKNOWN, reason=f"search exhausted at guess-size budget {limit}", L_used=limit)

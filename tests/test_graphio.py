@@ -47,6 +47,7 @@ class TestJson:
         '{"n": "two", "edges": []}',
         '{"n": 2, "edges": [[0, 1]]}',
         '{"n": 2, "edges": [[0, 1, "red", 4]]}',
+        '{"n": 2, "edges": [[0, 1, "green"]]}',
         '{"n": 2, "edges": [["a", 1, "red"]]}',
         '{"n": 4, "edges": [[0, true, "red"], [2, 3, "blue"]]}',
         '{"n": 2, "edges": [[false, 1, "red"]]}',

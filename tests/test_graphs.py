@@ -39,6 +39,7 @@ class TestColoredGraph:
         assert c4.m == 4
         assert c4.has_edge(1, 0)
         assert not c4.has_edge(0, 2)
+        assert not c4.has_edge(0, 0)
         assert c4.color((0, 1)) == RED
         assert c4.colors[(0, 1)] == RED
         assert c4.edges() == sorted(c4.edges())
@@ -150,6 +151,7 @@ def test_validate_matching_is_total(c4):
     assert not validate_matching(c4, [(0, 1)])
     assert not validate_matching(c4, [(0, 2), (1, 3)])
     assert not validate_matching(c4, [(0, 1), (1, 2)])
+    assert not validate_matching(c4, [(0, 0), (2, 3)])
 
 
 def test_edge_weight_scheme(c4):

@@ -59,7 +59,7 @@ class TestEnumeration:
 
 
 class TestCounting:
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_double_factorial(self, m):
         want = math.prod(range(1, 2 * m, 2))
         assert count_perfect_matchings(complete(2 * m)) == want
@@ -130,6 +130,7 @@ class TestIndependence:
 
     def test_edgeless(self):
         assert independence_number(ColoredGraph.from_edges(6, [])) == 6
+        assert independence_number(ColoredGraph.from_edges(0, [])) == 0
 
     def test_direct_mask_search(self):
         masks = [0b110, 0b101, 0b011]  # triangle
@@ -159,6 +160,8 @@ class TestBipartiteIndependence:
     def test_unbalanced_sides(self):
         g = complete_bipartite(2, 4)
         assert bipartite_independence_number(g) == 0
+        assert bipartite_independence_number(complete_bipartite(0, 3)) == 0
+        assert bipartite_independence_number(complete_bipartite(3, 0)) == 0
 
     def test_requires_bipartition(self, c4):
         with pytest.raises(GraphError):

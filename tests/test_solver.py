@@ -509,7 +509,7 @@ class TestRedCountLattice:
         assert lattice_set(g) == naive_lattice(g) == {0, 3}
 
 
-class TestSmallDiffSearch:
+class TestSearch:
     """``_search`` on one context: the first success within a size limit."""
 
     def test_finds_witness_within_limit(self, c4):
@@ -520,6 +520,17 @@ class TestSmallDiffSearch:
     def test_respects_limit(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
         assert solver_mod._search((solver_mod._make_context(c4, blue_pm, 2, RED),), 1) is None
+
+    def test_excluded_stops_with_the_sentinel(self):
+        # C_26's perfect matchings have 0 and 13 red edges, so no size-6
+        # guess of the 1,716 succeeds, and the search passes its trigger.
+        g = cycle_union((13,))
+        ctx = solver_mod._make_context(g, solver_mod.min_red_pm(g), 6, RED)
+        calls = []
+        assert solver_mod._search(
+            (ctx,), g.n, lambda: calls.append(1) or True) is solver_mod._EXCLUDED
+        assert solver_mod._search((ctx,), g.n, lambda: calls.append(1) or False) is None
+        assert len(calls) == 2
 
 
 # -- the full solver ----------------------------------------------------------------
