@@ -2,15 +2,17 @@
 
 A *skip* shortcuts an alternating cycle C through two non-matching chords,
 producing a strictly shorter alternating cycle C' on a subset of C's
-vertices whose weight differs from C's by at most 4.  Swapping C for C' in
-the symmetric difference of two perfect matchings nudges the red count of
-the second matching by exactly that weight difference, which is how the
-approximation loop walks the red count toward its target.
+vertices whose weight differs from C's by at most 4.  That difference, C'
+minus C, is the skip's ``weight`` and its red-count shift: swapping C for C'
+in the symmetric difference of two perfect matchings moves the second
+matching's red count by exactly ``weight``, which is how the approximation
+loop walks the red count toward its target.
 
 A *biskip* is the bipartite counterpart.  Orienting matching edges from
 side A to side B and all other edges the opposite way turns alternating
 cycles into directed cycles; a biskip replaces one directed cycle with two
-shorter vertex-disjoint ones closed off by two chord arcs.
+shorter vertex-disjoint ones closed off by two chord arcs; its ``weight``,
+the replacements' weight minus the host's, is the same red-count shift.
 
 All searches are exhaustive and deterministic: candidate chords are scanned
 in lexicographic order and the first valid shortcut whose weight lies in
@@ -72,7 +74,8 @@ def guaranteed_skip_weights(subpath_weight: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Skip:
-    """A pair of chords shortcutting ``host_cycle`` into ``shortcut_cycle``."""
+    """A pair of chords shortcutting ``host_cycle`` into ``shortcut_cycle``.
+    ``weight`` is the red-count shift: the shortcut's weight minus the host's."""
 
     e1: Edge
     e2: Edge
@@ -197,44 +200,31 @@ def find_skip(
 
 
 def _swap_host(
-    matching2: PerfectMatching,
     host: AlternatingCycle,
     replacements: Sequence[AlternatingCycle],
-    weight: int,
     context: CycleSet,
     what: str,
-) -> tuple[PerfectMatching, CycleSet]:
-    """Replace ``host`` by ``replacements`` in ``context`` and flip ``matching2``
-    to match, after checking membership, alternation, shrink and size."""
+) -> CycleSet:
+    """``context`` with ``host`` replaced by ``replacements``, after checking
+    membership, vertex-disjointness and shrink."""
     if host not in context.cycles:
         raise GraphError(f"{what} does not belong to any cycle of the context")
-    if not alternates(host.edges, matching2):
-        raise GraphError("context cycle does not alternate with the second matching")
     rest = [c for c in context.cycles if c != host]
     new_context = CycleSet.from_cycles(rest + list(replacements))
     if not new_context.edge_count() < context.edge_count():
         raise GraphError(f"{what} application failed to shrink the context")
-    flip = host.edge_set()
-    for c in replacements:
-        flip ^= c.edge_set()
-    flipped = matching2.edges ^ flip
-    if len(flipped) != len(matching2.edges):
-        raise GraphError(f"{what} application broke the matching")
-    return PerfectMatching(frozenset(flipped), matching2.red_count + weight), new_context
+    return new_context
 
 
-def apply_skip(
-    matching2: PerfectMatching, skip: Skip, context: CycleSet
-) -> tuple[PerfectMatching, CycleSet]:
+def apply_skip(skip: Skip, context: CycleSet) -> CycleSet:
     """Swap the skip's host cycle for its shortcut inside ``context``.
 
-    ``context`` must be the symmetric difference of a reference matching
-    with ``matching2``, containing the host cycle.  Returns the updated
-    second matching (red count shifted by the skip weight) and the updated
-    context, whose total edge count strictly decreases.
+    ``context``, the symmetric difference of a reference matching M with a
+    perfect matching M' weighted against M, must contain the host cycle.
+    M flipped along the result is then a perfect matching with
+    ``skip.weight`` more red edges than M', and the result has fewer edges.
     """
-    return _swap_host(matching2, skip.host_cycle, (skip.shortcut_cycle,), skip.weight,
-                      context, "skip")
+    return _swap_host(skip.host_cycle, (skip.shortcut_cycle,), context, "skip")
 
 
 # -- the bipartite directed view and biskips -----------------------------------
@@ -265,7 +255,8 @@ def orient(graph: ColoredGraph, matching: PerfectMatching) -> MatchingOrientatio
 
 @dataclass(frozen=True)
 class Biskip:
-    """Two chord arcs splitting a directed cycle into two shorter ones."""
+    """Two chord arcs splitting a directed cycle into two shorter ones.
+    ``weight`` is the red-count shift: the two cycles' weight minus the host's."""
 
     a1: Arc
     a2: Arc
@@ -350,9 +341,7 @@ def find_biskip(
     return None
 
 
-def apply_biskip(
-    matching2: PerfectMatching, biskip: Biskip, context: CycleSet
-) -> tuple[PerfectMatching, CycleSet]:
-    """Swap the biskip's host cycle for its two replacement cycles."""
-    return _swap_host(matching2, biskip.host_cycle, biskip.cycles, biskip.weight,
-                      context, "biskip")
+def apply_biskip(biskip: Biskip, context: CycleSet) -> CycleSet:
+    """Swap the biskip's host cycle for its two replacement cycles inside
+    ``context``, as ``apply_skip`` does for a skip."""
+    return _swap_host(biskip.host_cycle, biskip.cycles, context, "biskip")

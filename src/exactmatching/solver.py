@@ -57,6 +57,7 @@ from .graphs import (
     ColoredGraph,
     CycleSet,
     Edge,
+    GraphError,
     PerfectMatching,
     apply_cycles,
     symmetric_difference,
@@ -198,7 +199,8 @@ def run_phase1(
     ``k - threshold <= r(M) <= k`` where threshold is 2 * 4^alpha
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
-    Raises ``ConfigurationError`` for an odd n or k outside [0, n/2].
+    Raises ``ConfigurationError`` for an odd n or k outside [0, n/2], and
+    ``SolverError`` (``SkipSearchError`` when a shortcut is missing) otherwise.
     """
     _check_k(graph, k)
     params = params or SolverParams()
@@ -206,9 +208,19 @@ def run_phase1(
     if bipartite:
         bound = _resolve_bound(graph, params.beta_hint, bipartite_independence_number, "beta")
         threshold = 2 * 4 ** (2 * bound + 2)
+
+        def search(low, cycle):
+            return find_biskip(orient(graph, low), cycle, NEGATIVE_WEIGHTS)
+        apply, missing = apply_biskip, ("no negative biskip on a heavy cycle; "
+                                        "the bipartite independence bound hint is too small")
     else:
         bound = _resolve_bound(graph, params.alpha_hint, independence_number, "alpha")
         threshold = 2 * 4 ** bound
+
+        def search(low, cycle):
+            return find_skip(graph, low, cycle, NEGATIVE_WEIGHTS)
+        apply, missing = apply_skip, ("no negative skip on a heavy cycle; "
+                                      "the independence bound hint is too small")
     if params.t_override is not None:
         threshold = params.t_override
 
@@ -219,43 +231,39 @@ def run_phase1(
     assert high is not None
     start = (low, high)
 
-    # ``context`` is always symmetric_difference(graph, low, high), weighted
-    # against low.  It is computed once and then carried forward: a skip or
-    # biskip returns the updated context, and flipping one cycle onto low
-    # just drops that cycle, since the others are vertex-disjoint from it and
-    # keep their weights.
+    # Invariant: high = low ^ context (low flipped along the context's cycles)
+    # and r_high = r(low) + context.total_weight, the context being weighted
+    # against low.  A skip or biskip rewrites only the context; flipping a
+    # cycle onto low drops it, and the other cycles keep their weights.  The
+    # graph was validated when it was built, so a GraphError from a walk step
+    # is a broken invariant.
+    r_high = high.red_count
     context = None
     iterations = 0
-    while low.red_count <= k - threshold and high.red_count > k:
-        iterations += 1
-        if iterations > graph.n:
-            raise SolverError("phase-1 walk exceeded its iteration bound")
-        if context is None:
-            context = symmetric_difference(graph, low, high)
-        elif not (validate_matching(graph, low) and validate_matching(graph, high)):
-            raise SolverError("phase-1 walk produced an invalid matching")
-        cycle = next((c for c in context if c.weight > 0), None)
-        if cycle is None:
-            raise SolverError("no positive cycle although red counts differ")
-        if cycle.weight <= threshold:
-            low = apply_cycles(low, CycleSet.from_cycles([cycle]))
-            context = CycleSet.from_cycles(c for c in context if c is not cycle)
-        elif bipartite:
-            shortcut = find_biskip(orient(graph, low), cycle, NEGATIVE_WEIGHTS)
-            if shortcut is None:
-                raise SkipSearchError(
-                    "no negative biskip on a heavy cycle; "
-                    "the bipartite independence bound hint is too small")
-            high, context = apply_biskip(high, shortcut, context)
-        else:
-            shortcut = find_skip(graph, low, cycle, NEGATIVE_WEIGHTS)
-            if shortcut is None:
-                raise SkipSearchError(
-                    "no negative skip on a heavy cycle; "
-                    "the independence bound hint is too small")
-            high, context = apply_skip(high, shortcut, context)
-
-    final = high if high.red_count <= k else low
+    try:
+        while low.red_count <= k - threshold and r_high > k:
+            iterations += 1
+            if iterations > graph.n:
+                raise SolverError("phase-1 walk exceeded its iteration bound")
+            if context is None:
+                context = symmetric_difference(graph, low, high)
+            cycle = next((c for c in context if c.weight > 0), None)
+            if cycle is None:
+                raise SolverError("no positive cycle although red counts differ")
+            if cycle.weight <= threshold:
+                low = apply_cycles(low, CycleSet.from_cycles([cycle]))
+                context = CycleSet.from_cycles(c for c in context if c is not cycle)
+            else:
+                shortcut = search(low, cycle)
+                if shortcut is None:
+                    raise SkipSearchError(missing)
+                context = apply(shortcut, context)
+            r_high = low.red_count + context.total_weight
+        if r_high <= k and context is not None:
+            high = apply_cycles(low, context)
+    except GraphError as exc:
+        raise SolverError(f"phase-1 walk broke an invariant: {exc}") from exc
+    final = high if r_high <= k else low
     return Phase1Result(final, iterations, threshold, bound, bipartite, *start)
 
 

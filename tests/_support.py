@@ -32,12 +32,16 @@ from exactmatching import (
     AlternatingCycle,
     Biskip,
     ColoredGraph,
+    CycleSet,
     GraphError,
     PerfectMatching,
     Skip,
     SolverParams,
+    apply_cycles,
     perfect_matching_red_counts,
     run_phase1,
+    symmetric_difference,
+    validate_matching,
 )
 from exactmatching import solver as solver_mod
 
@@ -150,6 +154,35 @@ def check_skip(graph: ColoredGraph, matching: PerfectMatching, skip: Skip) -> li
         out.append(f"weight {skip.weight} != recomputed {expected}")
     if abs(skip.weight) > 4:
         out.append("weight outside [-4, 4]")
+    return out
+
+
+def check_application(
+    graph: ColoredGraph,
+    reference: PerfectMatching,
+    context: CycleSet,
+    shortcut: Skip | Biskip,
+    new_context: CycleSet,
+) -> list[str]:
+    """Invariants of swapping ``shortcut`` into ``context``, the symmetric
+    difference of ``reference`` with a second matching, read through the
+    matchings ``reference`` flipped along each context stands for.  Red
+    edges are counted from the graph.  Empty list = valid."""
+    try:
+        after = apply_cycles(reference, new_context)
+    except GraphError:
+        return ["apply broke the matching"]
+    if not validate_matching(graph, after):
+        return ["apply broke the matching"]
+    out = []
+    before = apply_cycles(reference, context)
+    reds = [sum(graph.colors[e] == RED for e in m.edges) for m in (before, after)]
+    if reds[1] != reds[0] + shortcut.weight:
+        out.append("red shift != weight")
+    if not new_context.edge_count() < context.edge_count():
+        out.append("context did not shrink")
+    if symmetric_difference(graph, reference, after) != new_context:
+        out.append("context out of sync")
     return out
 
 

@@ -55,7 +55,7 @@ from exactmatching.generators import gen_alternating_cycle_instance, gen_skip_ex
 from exactmatching.reductions import distance_d_independence_number
 from exactmatching.skips import guaranteed_skip_weights
 
-from ._support import check_biskip, check_skip
+from ._support import check_application, check_biskip, check_skip
 
 RESULTS: list[str] = []
 
@@ -178,18 +178,10 @@ def test_criterion_4_every_shortcut_is_valid():
                     tag = f"skip len={length} p={prob} seed={seed}"
                     for msg in check_skip(g, pm, skip):
                         violations.append(f"{tag}: {msg}")
-                    m2 = _flip(pm, cyc)
-                    ctx = symmetric_difference(g, pm, m2)
-                    new_m2, new_ctx = apply_skip(m2, skip, ctx)
-                    if not validate_matching(g, new_m2):
-                        violations.append(f"{tag}: apply broke the matching")
-                    if new_m2.red_count != m2.red_count + skip.weight:
-                        violations.append(f"{tag}: red shift != weight")
-                    if not new_ctx.edge_count() < ctx.edge_count():
-                        violations.append(f"{tag}: context did not shrink")
-                    if symmetric_difference(g, pm, new_m2).all_edges() \
-                            != new_ctx.all_edges():
-                        violations.append(f"{tag}: context out of sync")
+                    ctx = symmetric_difference(g, pm, _flip(pm, cyc))
+                    new_ctx = apply_skip(skip, ctx)
+                    for msg in check_application(g, pm, ctx, skip, new_ctx):
+                        violations.append(f"{tag}: {msg}")
 
                 configs += 1
                 g, pm, cyc = gen_alternating_cycle_instance(
@@ -200,18 +192,10 @@ def test_criterion_4_every_shortcut_is_valid():
                     tag = f"biskip len={length} p={prob} seed={seed}"
                     for msg in check_biskip(g, pm, bis):
                         violations.append(f"{tag}: {msg}")
-                    m2 = _flip(pm, cyc)
-                    ctx = symmetric_difference(g, pm, m2)
-                    new_m2, new_ctx = apply_biskip(m2, bis, ctx)
-                    if not validate_matching(g, new_m2):
-                        violations.append(f"{tag}: apply broke the matching")
-                    if new_m2.red_count != m2.red_count + bis.weight:
-                        violations.append(f"{tag}: red shift != weight")
-                    if not new_ctx.edge_count() < ctx.edge_count():
-                        violations.append(f"{tag}: context did not shrink")
-                    if symmetric_difference(g, pm, new_m2).all_edges() \
-                            != new_ctx.all_edges():
-                        violations.append(f"{tag}: context out of sync")
+                    ctx = symmetric_difference(g, pm, _flip(pm, cyc))
+                    new_ctx = apply_biskip(bis, ctx)
+                    for msg in check_application(g, pm, ctx, bis, new_ctx):
+                        violations.append(f"{tag}: {msg}")
     if configs < 1000:
         violations.append(f"only {configs} configurations")
     if skip_hits < 200 or biskip_hits < 200:

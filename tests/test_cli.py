@@ -139,6 +139,19 @@ class TestSolve:
         assert main(["solve", c4_file, "-k", "2"]) == EXIT_INTERNAL
         assert "emsolve: internal error: OptimalityError" in capsys.readouterr().err
 
+    def test_broken_walk_step_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        from exactmatching import GraphError, solver
+
+        def broken(*args):
+            raise GraphError("cycle flip did not preserve matching size")
+
+        path = str(tmp_path / "w.json")
+        assert main(["gen", "planted-alpha", "-n", "128", "-k", "32", "--seed", "1",
+                     "-o", path]) == 0
+        monkeypatch.setattr(solver, "apply_cycles", broken)
+        assert main(["solve", path, "-k", "42", "--alpha", "1"]) == EXIT_INTERNAL
+        assert "emsolve: internal error: phase-1 walk" in capsys.readouterr().err
+
     def test_dot_format_sniffing(self, tmp_path, capsys):
         g = parse_graph(C4_JSON)
         p = tmp_path / "c4.dot"
