@@ -17,9 +17,9 @@ What changes against networkx is the representation, not the choices:
   visits blossoms in the same order;
 - neighbors are visited in the caller's ``adj[v]`` order, which plays the
   part of networkx's adjacency order;
-- with ``negate`` every weight is read as its negation, in the largest
-  weight, the greedy tight-edge test, every slack and the optimality check,
-  so a minimizing caller passes its map as it is instead of a negated copy;
+- with ``negate`` every weight is read as its negation, in the greedy
+  tight-edge test, every slack and the optimality check, so a minimizing
+  caller passes its map as it is instead of a negated copy;
 - the delta2 and delta3 scans over the vertices share one pass that keeps
   each one's first minimum, least-slack comparisons compute their slacks
   inline, and the internal ``assert`` checks are gone;
@@ -43,11 +43,11 @@ What changes against networkx is the representation, not the choices:
   blossoms take, but ids only name blossoms: every loop over live
   blossoms runs in creation order.  Without such a ``w`` the full stage
   runs from the untouched state;
-- the largest weight is the largest of the per-vertex tops, each
-  vertex's heaviest weight as read, and the optimality check reuses them:
-  it skips the per-edge slack pass at vertex ``i`` when
-  ``dualvar[i] + min(dualvar) - 2 * tops[i] >= 0``, a lower bound on every
-  slack at ``i``; every condition is still checked.
+- the largest weight as read, networkx's ``maxweight``, is the caller's
+  ``top``, not a pass over every neighbor map; the optimality check skips
+  the per-edge slack pass at vertex ``i`` when
+  ``dualvar[i] + min(dualvar) - 2 * top >= 0``, a lower bound on every slack
+  at ``i`` as no weight exceeds ``top``; every condition is still checked.
 
 Every stage, scan and delta loop therefore breaks ties as networkx does, and
 on the same graph (same node order, same neighbor order, same integer
@@ -117,14 +117,17 @@ def _trampoline(step: Callable[..., Iterator[tuple]], *args) -> None:
             stack.pop()
 
 
-def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = False) -> list[int]:
+def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
+                        negate: bool = False) -> list[int]:
     """A maximum-cardinality matching of maximum total weight.
 
     ``adj[v]`` maps each neighbor ``w`` of vertex ``v`` to the integer weight
     of edge ``vw``; it must be symmetric and have no self-loops.  With
     ``negate`` every weight is read as its negation, so the matching is the
-    one the negated ``adj`` would give.  ``adj`` is only read.  Returns
-    ``mate`` with ``mate[v]`` the partner of ``v``, or -1 if ``v`` is single.
+    one the negated ``adj`` would give.  ``top`` must be ``max(0, largest
+    weight as read)``, networkx's ``maxweight``: the initial duals and the
+    optimality check rely on it.  ``adj`` is only read.  Returns ``mate``
+    with ``mate[v]`` the partner of ``v``, or -1 if ``v`` is single.
     """
     n = len(adj)
     if n == 0:
@@ -133,13 +136,6 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
     # Every weight is read as sign * wt; tw = 2 * sign scales it in a slack.
     sign = -1 if negate else 1
     tw = 2 * sign
-
-    # tops[v] is the largest weight at v as read (0 if v has no edge).
-    if negate:
-        tops = [-min(nbrs.values(), default=0) for nbrs in adj]
-    else:
-        tops = [max(nbrs.values(), default=0) for nbrs in adj]
-    maxweight = max(0, max(tops))
 
     # mate[v] is v's partner, or -1 if v is single.
     mate = [-1] * n
@@ -162,7 +158,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
     # S-blossom is its least-slack edge to a different S-blossom.
     bestedge: list[tuple[int, int] | None] = [None] * nb
     # dualvar[v] = 2 u(v), so that all duals stay integers.
-    dualvar = [maxweight] * n
+    dualvar = [top] * n
     # blossomdual[b] = z(b) of each live non-trivial blossom, in creation
     # order: this dict is also the live-blossom list.
     blossomdual: dict[int, int] = {}
@@ -476,21 +472,21 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
     dualsmoved = False
     # The highest single vertex, once the greedy stages have looked for it:
     # vertices never become single again, so it only moves down.
-    top = n - 1
-    # The stored weight that reads as maxweight.
-    tightweight = sign * maxweight
+    highest = n - 1
+    # The stored weight that reads as top.
+    tightweight = sign * top
     while True:
         if not dualsmoved:
             # A greedy stage (see the module docstring): match the highest
             # single vertex to its first single neighbor over a tight edge.
-            while top >= 0 and mate[top] != -1:
-                top -= 1
-            if top >= 0:
-                w = next((w for w, wt in adj[top].items()
+            while highest >= 0 and mate[highest] != -1:
+                highest -= 1
+            if highest >= 0:
+                w = next((w for w, wt in adj[highest].items()
                           if wt == tightweight and mate[w] == -1), -1)
                 if w != -1:
-                    mate[top] = w
-                    mate[w] = top
+                    mate[highest] = w
+                    mate[w] = highest
                     continue
 
         # A stage: find one augmenting path.
@@ -663,7 +659,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], *, negate: bool = Fals
                 expand_blossom(b, True)
 
     _verify_optimum(adj, mate, dualvar, blossomparent, blossomdual, childedges,
-                    sign, tops)
+                    sign, top)
     return mate
 
 
@@ -675,12 +671,13 @@ def _verify_optimum(
     blossomdual: Mapping[int, int],
     childedges: list[list[tuple[int, int]]],
     sign: int,
-    tops: list[int],
+    top: int,
 ) -> None:
     """Check the complementary-slackness conditions of the optimum.
 
-    Each weight is read as ``sign`` times its value in ``adj``, and
-    ``tops[v]`` is the largest weight at ``v`` as read.  Raises
+    Each weight is read as ``sign`` times its value in ``adj``, and none
+    exceeds ``top`` (the precondition of ``max_weight_matching``), which
+    keeps the per-vertex slack screen below sound.  Raises
     ``OptimalityError`` at the first condition that fails.
     """
     n = len(adj)
@@ -720,14 +717,14 @@ def _verify_optimum(
     # 1. all matched edges have zero slack.  Blossom duals are non-negative,
     # so when no edge at i has negative slack without them, none has with
     # them, and only then is each edge's slack taken exactly.  Without them
-    # every slack at i is at least dualvar[i] + min(dualvar) - 2 * tops[i];
-    # when that bound is non-negative the per-edge pass is skipped.
+    # every slack at i is at least dualvar[i] + min(dualvar) - 2 * top; when
+    # that bound is non-negative the per-edge pass is skipped.
     for i in range(n):
         nbrs = adj[i]
         if not nbrs:
             continue
         di = dualvar[i]
-        if (di + mindual - 2 * tops[i] < 0
+        if (di + mindual - 2 * top < 0
                 and di + min([dualvar[j] - tw * wt for j, wt in nbrs.items()]) < 0):
             for j, wt in nbrs.items():
                 if edge_slack(i, j, wt) < 0:

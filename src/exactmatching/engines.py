@@ -16,7 +16,7 @@ from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from .blossom import max_weight_matching
-from .graphs import ColoredGraph, Edge, GraphError, PerfectMatching
+from .graphs import RED, ColoredGraph, Edge, GraphError, PerfectMatching
 
 
 def max_weight_perfect_matching(
@@ -29,42 +29,51 @@ def max_weight_perfect_matching(
     equal-weight optima the choice is deterministic but otherwise arbitrary.
     """
     adj: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    top = 0
     for e in graph.colors:
         if e not in weights:
             raise GraphError(f"no weight given for edge {e}")
         w = weights[e]
         if type(w) is not int:
             raise GraphError(f"weight {w!r} of edge {e} is not an int")
+        if w > top:
+            top = w
         u, v = e
         adj[u][v] = w
         adj[v][u] = w
-    return _best_perfect(graph, adj)
+    return _best_perfect(graph, adj, top)
 
 
 def min_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as few red edges as possible: the blossom
     engine reads ``graph.neighbor_index`` with every weight negated, so no
-    negated copy of the index is built."""
-    return _best_perfect(graph, graph.neighbor_index, negate=True)
+    negated copy of the index is built.  Read negated, every weight is 0 or
+    -1, so the largest weight it is given is 0."""
+    return _best_perfect(graph, graph.neighbor_index, 0, negate=True)
 
 
 def max_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
-    """A perfect matching with as many red edges as possible."""
-    return _best_perfect(graph, graph.neighbor_index)
+    """A perfect matching with as many red edges as possible.  The largest
+    weight the blossom engine is given is 1 if some edge is red and 0
+    otherwise; the test stops at the first red edge."""
+    return _best_perfect(graph, graph.neighbor_index, 1 if RED in graph.colors.values() else 0)
 
 
 def _best_perfect(
-    graph: ColoredGraph, adj: Sequence[Mapping[int, int]], *, negate: bool = False
+    graph: ColoredGraph, adj: Sequence[Mapping[int, int]], top: int, *, negate: bool = False
 ) -> PerfectMatching | None:
     """Blossom on ``graph`` with ``adj[v]`` mapping each neighbor of ``v`` to
-    the edge weight, read negated when ``negate`` is set.  Every neighbor map
-    must list its neighbors ascending, as ``graph.neighbor_index`` does,
-    which both ``max_red_pm`` and ``min_red_pm`` pass as it is, the latter
-    with ``negate``; networkx's adjacency is in that order when a graph is
-    built edge by edge in sorted order.  ``adj`` is only read.  An odd
-    vertex count always leaves some vertex single, so it gives None; the
-    empty graph gives the empty matching."""
-    mate = max_weight_matching(adj, negate=negate)
+    the edge weight, read negated when ``negate`` is set.  ``top`` must be
+    the largest weight as read, or 0 if that is negative or there is no
+    edge; the engine starts its duals there instead of scanning ``adj``.
+    Every neighbor map must list its neighbors ascending, as
+    ``graph.neighbor_index`` does, which both ``max_red_pm`` and
+    ``min_red_pm`` pass as it is, the latter with ``negate``; networkx's
+    adjacency is in that order when a graph is built edge by edge in sorted
+    order.  ``adj`` is only read.  An odd vertex count always leaves some
+    vertex single, so it gives None; the empty graph gives the empty
+    matching."""
+    mate = max_weight_matching(adj, top, negate=negate)
     if -1 in mate:
         return None
     return PerfectMatching.from_edges(

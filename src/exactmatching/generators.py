@@ -59,9 +59,13 @@ class BaseFamily:
             raise GenerationError(f"unknown base family kind {self.kind!r}")
         if self.bound < 1:
             raise GenerationError(f"family bound must be >= 1, got {self.bound}")
-        if not 0.0 <= self.edge_keep_prob <= 1.0:
-            raise GenerationError(
-                f"edge keep probability must lie in [0, 1], got {self.edge_keep_prob}")
+        _check_prob(self.edge_keep_prob)
+
+
+def _check_prob(p: float) -> None:
+    """Reject an edge probability outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise GenerationError(f"edge keep probability must lie in [0, 1], got {p}")
 
 
 def _random_colors(rng: random.Random, pairs: list[Edge]) -> dict[Edge, str]:
@@ -74,7 +78,7 @@ def gen_bounded_alpha(
     """Random graph with independence number at most ``alpha_max``.
 
     alpha_max 1 is the complete graph (density is forced, so the keep
-    probability is ignored).  alpha_max 2 takes the complement of a random
+    probability is unused).  alpha_max 2 takes the complement of a random
     triangle-free graph: independent sets of the result are cliques of the
     complement, hence have at most two vertices.  Larger bounds cover the
     vertices by ``alpha_max`` cliques and sprinkle cross edges, which caps
@@ -86,6 +90,7 @@ def gen_bounded_alpha(
         raise GenerationError(f"vertex count must be >= 0, got {n}")
     if alpha_max < 1:
         raise GenerationError(f"alpha_max must be >= 1, got {alpha_max}")
+    _check_prob(edge_keep_prob)
     rng = random.Random(seed)
     all_pairs = list(itertools.combinations(range(n), 2))
     if alpha_max == 1:
@@ -146,6 +151,7 @@ def gen_bounded_beta(
         raise GenerationError(f"vertex count must be even and >= 0, got {n}")
     if beta_max < 1:
         raise GenerationError(f"beta_max must be >= 1, got {beta_max}")
+    _check_prob(edge_keep_prob)
     half = n // 2
     side_a = range(half)
     side_b = range(half, n)
@@ -243,6 +249,7 @@ def gen_planted_yes(n: int, k: int, family: BaseFamily, seed: int) -> ColoredGra
 
 def random_colored_graph(n: int, edge_prob: float, seed: int) -> ColoredGraph:
     """Uniform random graph with uniform random edge colors."""
+    _check_prob(edge_prob)
     rng = random.Random(seed)
     pairs = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < edge_prob]
@@ -253,6 +260,7 @@ def random_bipartite_colored_graph(n: int, edge_prob: float, seed: int) -> Color
     """Uniform random bipartite graph on two equal sides, colored uniformly."""
     if n % 2 != 0:
         raise GenerationError(f"vertex count must be even, got {n}")
+    _check_prob(edge_prob)
     half = n // 2
     rng = random.Random(seed)
     pairs = [(a, b) for a in range(half) for b in range(half, n)

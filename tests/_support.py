@@ -16,6 +16,8 @@ the witness contract of ``solve_em`` spelled out with plain combinations;
 ``naive_lattice`` is the red-count lattice by its definition, modulus by
 modulus; and ``backtrack_match`` is the lexicographically first perfect
 matching by plain backtracking, the reference for completion.
+``largest_read_weight`` is the ``top`` the blossom engine's precondition
+asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from exactmatching import (
     symmetric_difference,
     validate_matching,
 )
+from exactmatching import blossom
 from exactmatching import solver as solver_mod
 
 
@@ -558,3 +561,16 @@ def backtrack_match(adjacency, verts, budget):
         u = verts[pos]
         uncovered.discard(u)
         untried = iter(adjacency.get(u, ()))
+
+
+def largest_read_weight(adj, negate: bool = False) -> int:
+    """``max(0, largest weight as read)`` over the neighbor maps ``adj``,
+    each weight negated when ``negate`` is set; 0 without edges."""
+    sign = -1 if negate else 1
+    return max([0] + [sign * wt for nbrs in adj for wt in nbrs.values()])
+
+
+def blossom_mate(adj, negate: bool = False) -> list[int]:
+    """``blossom.max_weight_matching`` on ``adj`` with its ``top`` from
+    ``largest_read_weight``."""
+    return blossom.max_weight_matching(adj, largest_read_weight(adj, negate), negate=negate)

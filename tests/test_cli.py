@@ -332,6 +332,21 @@ class TestGen:
         # beta bound 3 on a large graph needs rejection sampling over the cap
         assert main(["gen", "beta", "-n", "44", "--bound", "3"]) == EXIT_LIMIT
 
+    FAMILIES = [["alpha"], ["beta"], ["planted-alpha", "-k", "2"],
+                ["planted-beta", "-k", "2"], ["random"], ["random-bipartite"]]
+
+    @pytest.mark.parametrize("prob", ["7", "-0.5", "nan"])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+    def test_edge_prob_outside_unit_interval_is_limit_error(self, family, prob, capsys):
+        assert main(["gen", *family, "-n", "8", "--edge-prob", prob]) == EXIT_LIMIT
+        assert "edge keep probability must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prob", ["0", "1"])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+    def test_edge_prob_at_the_ends_is_accepted(self, family, prob, capsys):
+        assert main(["gen", *family, "-n", "8", "--edge-prob", prob]) == EXIT_YES
+        assert parse_graph(capsys.readouterr().out).n == 8
+
 
 class TestReduce:
     def test_general_lift(self, c4_file, capsys):

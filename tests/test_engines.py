@@ -21,7 +21,7 @@ from exactmatching import (
     random_bipartite_colored_graph,
     random_colored_graph,
 )
-from exactmatching import blossom
+from exactmatching import blossom, engines
 from exactmatching.blossom import OptimalityError
 from exactmatching.engines import (
     max_red_pm,
@@ -30,7 +30,7 @@ from exactmatching.engines import (
     perfect_matching_on_adjacency,
 )
 
-from ._support import BudgetExhausted, backtrack_match
+from ._support import BudgetExhausted, backtrack_match, blossom_mate, largest_read_weight
 
 
 def test_min_and_max_red(c4):
@@ -131,6 +131,57 @@ def test_optimality_screen_keeps_every_condition(c4, monkeypatch, corrupt, messa
     assert seen == [[1, 1, 1, 1]]
 
 
+def _record_blossom_calls(monkeypatch):
+    """Record ``(adj, top, negate)`` for every blossom call the engines make."""
+    calls = []
+    run = engines.max_weight_matching
+
+    def recording(adj, top, *, negate=False):
+        calls.append((adj, top, negate))
+        return run(adj, top, negate=negate)
+
+    monkeypatch.setattr(engines, "max_weight_matching", recording)
+    return calls
+
+
+K6_PAIRS = list(itertools.combinations(range(6), 2))
+RED_TOP_GRAPHS = {
+    "edgeless": ColoredGraph(4, {}),
+    "all-red": ColoredGraph(6, {e: RED for e in K6_PAIRS}),
+    "all-blue": ColoredGraph(6, {e: BLUE for e in K6_PAIRS}),
+    "mixed": ColoredGraph(6, {e: RED if sum(e) % 3 == 0 else BLUE for e in K6_PAIRS}),
+    # Every edge at vertex 3 is blue, every other edge red.
+    "blue-vertex": ColoredGraph(4, {e: BLUE if 3 in e else RED
+                                    for e in itertools.combinations(range(4), 2)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RED_TOP_GRAPHS))
+@pytest.mark.parametrize("engine", [min_red_pm, max_red_pm])
+def test_red_engines_pass_the_largest_weight(monkeypatch, engine, name):
+    """Each red engine hands blossom the largest weight as read, by a plain
+    scan of the map it passes: 0 for min-red, 1 or 0 for max-red."""
+    calls = _record_blossom_calls(monkeypatch)
+    engine(RED_TOP_GRAPHS[name])
+    [(adj, top, negate)] = calls
+    assert negate == (engine is min_red_pm)
+    assert top == largest_read_weight(adj, negate), (engine.__name__, name)
+
+
+@pytest.mark.parametrize("weights", [
+    {(0, 1): -3, (0, 2): -1, (0, 3): -7, (1, 2): -2, (1, 3): -5, (2, 3): -4},
+    {(0, 1): -3, (0, 2): 6, (0, 3): 0, (1, 2): 2, (1, 3): -5, (2, 3): 9},
+    {},
+], ids=["all-negative", "mixed", "edgeless"])
+def test_max_weight_passes_the_largest_weight(monkeypatch, weights):
+    calls = _record_blossom_calls(monkeypatch)
+    g = ColoredGraph(4, {e: RED for e in weights})
+    max_weight_perfect_matching(g, weights)
+    [(adj, top, negate)] = calls
+    assert not negate
+    assert top == largest_read_weight(adj) == max([0, *weights.values()])
+
+
 def _nx_matching(n, weighted_edges, nodes=None):
     """networkx's max-cardinality max-weight matching as a set of (min, max)."""
     g = nx.Graph()
@@ -174,7 +225,7 @@ def test_blossom_equals_networkx(kind, negate):
         adj = [{} for _ in range(n)]
         for (u, v), w in weights.items():
             adj[u][v] = adj[v][u] = w
-        mate = blossom.max_weight_matching(adj, negate=negate)
+        mate = blossom_mate(adj, negate)
         assert {(u, v) for u, v in enumerate(mate) if u < v} == want, (kind, seed)
         pm = max_weight_perfect_matching(g, {e: sign * w for e, w in weights.items()})
         if n % 2 == 0 and 2 * len(want) == n:
@@ -230,7 +281,7 @@ def test_blossom_equals_networkx_dense(kind, density, negate):
         adj = [{} for _ in range(n)]
         for u, v, w in edges:
             adj[u][v] = adj[v][u] = w
-        mate = blossom.max_weight_matching(adj, negate=negate)
+        mate = blossom_mate(adj, negate)
         want = _nx_matching(n, [(u, v, sign * w) for u, v, w in edges])
         assert {(u, v) for u, v in enumerate(mate) if u < v} == want, seed
 
@@ -345,7 +396,7 @@ def _has_perfect_matching(adjacency, verts):
     adj = [{} for _ in verts]
     for a, b in pairs:
         adj[a][b] = adj[b][a] = 1
-    return -1 not in blossom.max_weight_matching(adj)
+    return -1 not in blossom_mate(adj)
 
 
 def test_completion_equals_backtracking():
