@@ -193,20 +193,23 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
 
     def assign_label(w: int, t: int, v: int) -> None:
         # Label the top-level blossom containing w with t, reached from v.
-        b = inblossom[w]
-        label[w] = label[b] = t
-        labeledge[w] = labeledge[b] = (v, w)
-        bestedge[w] = bestedge[b] = None
-        if t == 1:
-            # b became an S-blossom: queue its vertices.
-            if b >= n:
-                queue.extend(leaves(b))
-            else:
-                queue.append(b)
-        elif t == 2:
+        # A T label hands S to its base's mate, one level deep, so this is a
+        # loop: a closure that called itself would keep a reference cycle.
+        while True:
+            b = inblossom[w]
+            label[w] = label[b] = t
+            labeledge[w] = labeledge[b] = (v, w)
+            bestedge[w] = bestedge[b] = None
+            if t == 1:
+                # b became an S-blossom: queue its vertices.
+                if b >= n:
+                    queue.extend(leaves(b))
+                else:
+                    queue.append(b)
+                return
             # b became a T-blossom: its base's mate becomes S.
-            base = blossombase[b]
-            assign_label(mate[base], 1, base)
+            v = blossombase[b]
+            w, t = mate[v], 1
 
     def scan_blossom(v: int, w: int) -> int:
         # Trace back from v and w; the base of a new blossom, or -1 if

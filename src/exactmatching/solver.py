@@ -37,7 +37,7 @@ rejected before any completion is attempted.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
@@ -350,20 +350,16 @@ def red_count_lattice(graph: ColoredGraph, low: PerfectMatching, high: PerfectMa
 class _RecoveryContext:
     """Per-(matching, color) state shared by every guess and recovery attempt.
 
-    Precomputing the color class, the matching's share of it, and the
-    opposite-color adjacency keeps the per-guess cost independent of the
-    graph size.  ``color_edges`` (the sorted color class, which fixes the
-    guess order) and ``other_adjacency`` (ascending neighbor tuples, which
+    Made in O(n): ``base`` is the matching's edges of this color, and
+    ``color_edges`` (the sorted color class, which fixes the guess order),
+    ``color_neighbors`` (each vertex's neighbors in that class, ascending)
+    and ``other_adjacency`` (ascending opposite-color neighbor tuples, which
     fix completion's lexicographic order) are the graph's cached
     ``ColoredGraph.color_classes`` entries, shared by every context of the
-    graph, not copies.  ``base`` is the matching's edges of this color.
-    ``is_base[j]`` tells whether ``color_edges[j]`` is in the base,
-    ``base_of[v]`` is the index of the base edge at vertex v (or -1), and
-    ``base_left[j]`` counts the base edges at index >= j; the first two are
-    filled from the base edges alone.  ``parity``
-    labels the components of the opposite-color graph for ``_parity_ok``;
-    it is built on first use, so contexts that never reach a completion do
-    not pay for it.
+    graph, not copies.  Everything that costs O(m) is built on first use:
+    ``layout`` by the first guess enumeration that gets past ``_split``, and
+    ``parity`` by the first parity screen.  So a context that the search
+    never enters, or that never reaches a completion, pays for neither.
     """
 
     graph: ColoredGraph
@@ -371,10 +367,27 @@ class _RecoveryContext:
     target: int
     base: frozenset[Edge]
     color_edges: tuple[Edge, ...]
+    color_neighbors: dict[int, tuple[int, ...]]
     other_adjacency: dict[int, tuple[int, ...]]
-    is_base: tuple[bool, ...]
-    base_of: tuple[int, ...]
-    base_left: tuple[int, ...]
+
+    @cached_property
+    def layout(self) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...]]:
+        """(is_base, base_of, base_left) over the color class.
+
+        ``is_base[j]`` tells whether ``color_edges[j]`` is in the base,
+        ``base_of[v]`` is the index of the base edge at vertex v (or -1), and
+        ``base_left[j]`` counts the base edges at index >= j.  The first two
+        are filled from the base edges alone.
+        """
+        color_edges = self.color_edges
+        is_base = [False] * len(color_edges)
+        base_of = [-1] * self.graph.n
+        for e in self.base:
+            j = bisect_left(color_edges, e)
+            is_base[j] = True
+            base_of[e[0]] = base_of[e[1]] = j
+        base_left = tuple(itertools.accumulate(reversed(is_base), initial=0))[::-1]
+        return tuple(is_base), tuple(base_of), base_left
 
     @cached_property
     def parity(self) -> tuple[list[int], list[int], list[int], list[int], int]:
@@ -389,29 +402,41 @@ class _RecoveryContext:
         ``need[c] & mask[c]`` is nonzero exactly when the component can have
         no perfect matching: odd, or bipartite with unequal sides.  ``bad``
         counts those components.
+
+        Once every vertex is labeled, a scan can only find that the current
+        component is not bipartite.  So the remaining vertices skip their
+        scans when that is already known, or when the graph carries a
+        bipartition and every component is bipartite.  The labels are those
+        of the full scan.
         """
         adjacency = self.other_adjacency
-        component = [-1] * self.graph.n
-        side = [0] * self.graph.n
+        n = self.graph.n
+        split = self.graph.bipartition is not None
+        component = [-1] * n
+        side = [0] * n
         need: list[int] = []
         mask: list[int] = []
-        for root in range(self.graph.n):
+        unlabeled = n
+        for root in range(n):
             if component[root] >= 0:
                 continue
             c = len(need)
             component[root], side[root] = c, 1
+            unlabeled -= 1
             stack = [root]
             total, bipartite = 0, True
             while stack:
                 v = stack.pop()
                 s = side[v]
                 total += s
-                for w in adjacency[v]:
-                    if component[w] < 0:
-                        component[w], side[w] = c, -s
-                        stack.append(w)
-                    elif side[w] == s:
-                        bipartite = False
+                if unlabeled or (bipartite and not split):
+                    for w in adjacency[v]:
+                        if component[w] < 0:
+                            component[w], side[w] = c, -s
+                            unlabeled -= 1
+                            stack.append(w)
+                        elif side[w] == s:
+                            bipartite = False
             need.append(total)
             mask.append(-1 if bipartite else 1)
         bad = sum(1 for x, m in zip(need, mask) if x & m)
@@ -422,26 +447,16 @@ def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
     flag = 1 if color == RED else 0         # the color's flag in the index
-    classes = graph.color_classes
-    color_edges = classes[flag].edges
+    own, other = graph.color_classes[flag], graph.color_classes[1 - flag]
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     target = k if color == RED else graph.n // 2 - k
-    is_base = [False] * len(color_edges)
-    base_of = [-1] * graph.n
-    for e in base:
-        j = bisect_left(color_edges, e)
-        is_base[j] = True
-        base_of[e[0]] = base_of[e[1]] = j
-    base_left = tuple(itertools.accumulate(reversed(is_base), initial=0))[::-1]
-    return _RecoveryContext(graph, k, target, base, color_edges,
-                            classes[1 - flag].neighbors, tuple(is_base), tuple(base_of),
-                            base_left)
+    return _RecoveryContext(graph, k, target, base, own.edges, own.neighbors, other.neighbors)
 
 
 def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
     """(removals, additions) of a guess of ``size`` edges whose proposal
     has the target size, or None when no such guess exists."""
-    n_base = ctx.base_left[0]
+    n_base = len(ctx.base)
     gap = ctx.target - n_base
     if (size - gap) % 2 != 0:
         return None
@@ -514,16 +529,24 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
       (c) touches a later base edge, which forces that edge's removal: the
           search never skips (keeps) a forced edge, and cuts as soon as the
           distinct forced edges outnumber the removals still allowed.
+    The class is sorted, so the edges (u, .) form one block.  When (a)
+    rejects an edge because u is used, it rejects the rest of u's block
+    too, and the scan jumps past it, found from u's ascending neighbors in
+    the class.  u's base edge, if it has one in the class, is taken or
+    forced, so the jump stops at the first forced edge; the loop's exit
+    tests only weaken as the index grows, so the jump changes no outcome.
+    ``ctx.layout`` is built by the first call that gets past ``_split``.
     """
     split = _split(ctx, size)
     if split is None:
         return
-    nb, nn = split                  # removals and additions still to choose
-    edges, is_base, base_of, base_left = ctx.color_edges, ctx.is_base, ctx.base_of, ctx.base_left
-    m = len(edges)
     if size == 0:
         yield ()
         return
+    nb, nn = split                  # removals and additions still to choose
+    edges, neighbors = ctx.color_edges, ctx.color_neighbors
+    is_base, base_of, base_left = ctx.layout
+    m = len(edges)
     chosen: list[int] = []
     undo: list = []                 # per chosen index: what to restore on pop
     taken = [False] * m
@@ -541,7 +564,14 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
                     break
             elif nn:
                 u, v = edges[j]
-                if u not in used and v not in used:                     # (a)
+                if u in used:
+                    # (a) rejects the rest of u's block; u's base edge is
+                    # taken or pending, so the jump stops short of it.
+                    nbrs = neighbors[u]
+                    end = j + 1 + len(nbrs) - bisect_right(nbrs, v)
+                    j = end if end <= stop else (stop if stop > j else j + 1)
+                    continue
+                if v not in used:                                       # (a)
                     new = []
                     for b in (base_of[u], base_of[v]):
                         if b > j:
@@ -617,7 +647,7 @@ def _search(
     returns the sentinel ``_EXCLUDED``: the caller has then certified that
     no solution exists.
     """
-    stop = min(limit, min(ctx.base_left[0] + ctx.target for ctx in contexts))
+    stop = min(limit, min(len(ctx.base) + ctx.target for ctx in contexts))
     tried = 0
     for size in range(stop + 1):
         for ctx in contexts:

@@ -18,6 +18,8 @@ modulus; and ``backtrack_match`` is the lexicographically first perfect
 matching by plain backtracking, the reference for completion.
 ``largest_read_weight`` is the ``top`` the blossom engine's precondition
 asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
+``full_scan_parity`` is the parity screen's component labeling with every
+neighbor of every vertex scanned, the reference for its early stop.
 """
 
 from __future__ import annotations
@@ -574,3 +576,43 @@ def blossom_mate(adj, negate: bool = False) -> list[int]:
     """``blossom.max_weight_matching`` on ``adj`` with its ``top`` from
     ``largest_read_weight``."""
     return blossom.max_weight_matching(adj, largest_read_weight(adj, negate), negate=negate)
+
+
+# -- the parity labels, by a full scan -----------------------------------------------
+
+
+def full_scan_parity(n, adjacency):
+    """(labels, late): ``labels`` is the (component, side, need, mask, bad)
+    of ``_RecoveryContext.parity`` for the graph on ``n`` vertices with the
+    ascending neighbor tuples ``adjacency``, by a depth-first search that
+    scans every neighbor of every vertex it pops.  ``late`` counts the pops
+    made after every vertex was labeled."""
+    component = [-1] * n
+    side = [0] * n
+    need = []
+    mask = []
+    labeled = late = 0
+    for root in range(n):
+        if component[root] >= 0:
+            continue
+        c = len(need)
+        component[root], side[root] = c, 1
+        labeled += 1
+        stack = [root]
+        total, bipartite = 0, True
+        while stack:
+            v = stack.pop()
+            late += labeled == n
+            s = side[v]
+            total += s
+            for w in adjacency[v]:
+                if component[w] < 0:
+                    component[w], side[w] = c, -s
+                    labeled += 1
+                    stack.append(w)
+                elif side[w] == s:
+                    bipartite = False
+        need.append(total)
+        mask.append(-1 if bipartite else 1)
+    bad = sum(1 for x, m in zip(need, mask) if x & m)
+    return (component, side, need, mask, bad), late

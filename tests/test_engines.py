@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -15,11 +16,13 @@ from exactmatching import (
     RED,
     ColoredGraph,
     GraphError,
+    SolverParams,
     count_perfect_matchings,
     enumerate_perfect_matchings,
     max_weight_perfect_matching,
     random_bipartite_colored_graph,
     random_colored_graph,
+    solve_em,
 )
 from exactmatching import blossom, engines
 from exactmatching.blossom import OptimalityError
@@ -325,6 +328,34 @@ def test_red_engines_leave_the_shared_index_as_it_was():
     assert min_red_pm(g) is not None and max_red_pm(g) is not None
     assert g.neighbor_index is index
     assert [list(nbrs.items()) for nbrs in index] == before
+
+
+def test_engine_and_solve_leave_no_reference_cycles():
+    """Nothing an engine call or a hinted solve leaves behind needs the
+    cycle collector: with it disabled, a collection right after finds no
+    garbage.  Both graphs make the engine form blossoms, and both solves
+    find their witness in phase 2."""
+    general = random_colored_graph(40, 0.5, 3)
+    bipartite = random_bipartite_colored_graph(30, 0.5, 4)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (general, bipartite):
+            adj = g.neighbor_index
+            assert -1 not in blossom.max_weight_matching(adj, 1)
+            assert gc.collect() == 0
+            assert min_red_pm(g) is not None
+            assert gc.collect() == 0
+        v = solve_em(general, 8, SolverParams(alpha_hint=2))
+        assert (v.status, v.L_used) == ("yes", 8)
+        assert gc.collect() == 0
+        v = solve_em(bipartite, 5, SolverParams(beta_hint=1))
+        assert (v.status, v.L_used) == ("yes", 4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_import_does_not_load_networkx():

@@ -34,7 +34,7 @@ from exactmatching import (
 from exactmatching import BaseFamily
 from exactmatching import solver as solver_mod
 
-from ._support import naive_first_success, naive_lattice, naive_solve
+from ._support import full_scan_parity, naive_first_success, naive_lattice, naive_solve
 
 
 def double_c4(bipartite=False):
@@ -287,8 +287,9 @@ class TestRecovery:
         assert exists > 50
 
     def test_context_matches_full_scan_reference(self):
-        # Every field against one built from a full scan of graph.colors,
-        # for both colors, on min-red, max-red and random perfect matchings.
+        # Every field and the cached layout against ones built from a full
+        # scan of graph.colors, for both colors, on min-red, max-red and
+        # random perfect matchings.  Making a context builds no layout.
         rng = random.Random(23)
         checked = 0
         for seed in range(40):
@@ -304,11 +305,35 @@ class TestRecovery:
                 for color in (RED, BLUE):
                     k = rng.randint(0, n // 2)
                     ctx = solver_mod._make_context(g, pm, k, color)
+                    assert "layout" not in vars(ctx) and "parity" not in vars(ctx)
                     want = reference_context(g, pm, k, color)
-                    for field in dataclasses.fields(ctx):
-                        assert getattr(ctx, field.name) == getattr(want, field.name), field.name
+                    got = {field.name: getattr(ctx, field.name)
+                           for field in dataclasses.fields(ctx)}
+                    got["layout"] = ctx.layout
+                    assert got.keys() == want.keys()
+                    for name, value in want.items():
+                        assert got[name] == value, name
                     checked += 1
         assert checked > 150
+
+    def test_parity_labels_match_full_scan_reference(self):
+        # Element for element against the DFS that scans every vertex's
+        # neighbors, on general and bipartite graphs from sparse to dense.
+        # The dense ones label every vertex before their search ends, where
+        # the labels skip the remaining scans.
+        rng = random.Random(29)
+        late = {False: 0, True: 0}
+        for seed in range(120):
+            n = rng.choice((2, 4, 8, 12, 16, 20))
+            bipartite = seed % 2 == 0
+            make = random_bipartite_colored_graph if bipartite else random_colored_graph
+            g = make(n, rng.choice((0.1, 0.3, 0.6, 0.9, 1.0)), seed)
+            for color in (RED, BLUE):
+                ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
+                want, after = full_scan_parity(g.n, ctx.other_adjacency)
+                assert ctx.parity == want
+                late[bipartite] += after
+        assert late[False] > 100 and late[True] > 100
 
     def test_parity_screen_matches_components(self):
         # Against networkx's components and 2-colorings of the whole
@@ -356,15 +381,15 @@ class TestRecovery:
 
 
 def reference_context(graph, matching, k, color):
-    """``_make_context`` from full scans of ``graph.colors``: the sorted color
-    class, each vertex's opposite-color neighbors ascending, and the base
-    flags and indices read off the whole class."""
+    """``_make_context``'s fields and ``layout`` by name, from full scans of
+    ``graph.colors``: the sorted color class, each vertex's neighbors of
+    either color ascending, and the base flags and indices read off the
+    whole class."""
     color_edges = tuple(e for e, c in graph.colors.items() if c == color)
-    adjacency = {v: [] for v in range(graph.n)}
+    adjacency = {RED: {v: [] for v in range(graph.n)}, BLUE: {v: [] for v in range(graph.n)}}
     for (u, v), c in graph.colors.items():
-        if c != color:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+        adjacency[c][u].append(v)
+        adjacency[c][v].append(u)
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     is_base = tuple(e in base for e in color_edges)
     base_of = [-1] * graph.n
@@ -372,10 +397,14 @@ def reference_context(graph, matching, k, color):
         if is_base[j]:
             base_of[u] = base_of[v] = j
     base_left = tuple(sum(is_base[j:]) for j in range(len(is_base) + 1))
-    return solver_mod._RecoveryContext(
-        graph, k, k if color == RED else graph.n // 2 - k, base, color_edges,
-        {v: tuple(sorted(ws)) for v, ws in adjacency.items()}, is_base, tuple(base_of),
-        base_left)
+    other = BLUE if color == RED else RED
+    return {
+        "graph": graph, "k": k, "target": k if color == RED else graph.n // 2 - k,
+        "base": base, "color_edges": color_edges,
+        "color_neighbors": {v: tuple(sorted(ws)) for v, ws in adjacency[color].items()},
+        "other_adjacency": {v: tuple(sorted(ws)) for v, ws in adjacency[other].items()},
+        "layout": (is_base, tuple(base_of), base_left),
+    }
 
 
 # -- phase 2: the guess stream ------------------------------------------------------
