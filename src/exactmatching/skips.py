@@ -161,9 +161,16 @@ def find_skip(
     Each candidate costs O(1).  A kept arc must start and end with a
     matching edge, so a chord takes part only if its two endpoints have the
     same position parity, and the two chords of a skip have opposite
-    parities; that parity also decides which removal pattern can alternate.
-    Lengths come from the positions and weights from prefix sums along the
-    cycle, and only the winner's shortcut cycle is built.
+    parities.  One rule then picks the removal pattern that alternates.
+    With the four chord endpoints at positions s0 < s1 < s2 < s3, the kept
+    arcs, walking forward, are [p, q] and [r, t] with (p, q, r, t) =
+    (s1, s2, s3, s0) when s1 has the matching edges' parity and
+    (s0, s1, s2, s3) otherwise.  The pair is no shortcut when the arcs
+    leave out no cycle edge (r = q + 1 and t + 1 = p, cyclically).  The
+    weight, the kept arcs' plus the chords' minus the whole cycle's, comes
+    from the prefix sums; the whole cycle's term cancels when [r, t] wraps
+    past position 0.  Only the winner's shortcut cycle, [p, q] followed by
+    [r, t] walked backwards, is built.
     """
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
@@ -177,23 +184,16 @@ def find_skip(
             if g_side == side or (a0 < b0 < a1) == (a0 < b1 < a1):
                 continue
             s0, s1, s2, s3 = (a0, b0, a1, b1) if a0 < b0 else (b0, a0, b1, a1)
-            if s1 % 2 == par:
-                # Keep arcs [s1, s2] and [s3, s0]: e_s1, e_s2-1, e_s3, e_s0-1 in M.
-                if s1 == s0 + 1 and s3 == s2 + 1:
-                    continue
-                weight = prefix[s2] - prefix[s1] + prefix[s0] - prefix[s3] + wf + wg
-                if weight not in wanted:
-                    continue
-                seq = _vrange(verts, s1, s2) + list(reversed(_vrange(verts, s3, s0)))
-            else:
-                # Keep arcs [s0, s1] and [s2, s3]: e_s0, e_s1-1, e_s2, e_s3-1 in M.
-                if s2 == s1 + 1 and s0 == 0 and s3 == length - 1:
-                    continue
-                weight = (prefix[s1] - prefix[s0] + prefix[s3] - prefix[s2] + wf + wg
-                          - prefix[-1])
-                if weight not in wanted:
-                    continue
-                seq = _vrange(verts, s0, s1) + list(reversed(_vrange(verts, s2, s3)))
+            # Keep arcs [p, q] and [r, t]: e_p, e_q-1, e_r, e_t-1 in M.
+            p, q, r, t = (s1, s2, s3, s0) if s1 % 2 == par else (s0, s1, s2, s3)
+            if r == q + 1 and (t + 1) % length == p:
+                continue
+            weight = prefix[q] - prefix[p] + prefix[t] - prefix[r] + wf + wg
+            if r < t:
+                weight -= prefix[-1]
+            if weight not in wanted:
+                continue
+            seq = _vrange(verts, p, q) + _vrange(verts, r, t)[::-1]
             shortcut = AlternatingCycle.from_vertices(graph, matching, seq)
             return Skip(f, g, weight, shortcut, cycle)
     return None

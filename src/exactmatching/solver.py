@@ -167,7 +167,8 @@ class Phase1Result:
 def _resolve_bound(
     graph: ColoredGraph, hint: int | None, oracle: Callable[[ColoredGraph], int], label: str
 ) -> int:
-    """The hinted bound, else ``oracle(graph)`` (at least 1)."""
+    """The hinted bound, else ``oracle(graph)`` (at least 1).  ``label`` names
+    the bound and its hint: ``{label}_hint``, ``--{label}`` on the CLI."""
     if hint is not None:
         if hint < 1:
             raise ConfigurationError(f"{label} hint must be >= 1, got {hint}")
@@ -176,7 +177,7 @@ def _resolve_bound(
         return max(1, oracle(graph))
     except OracleLimitError as exc:
         raise ConfigurationError(
-            f"cannot measure the {label} bound ({exc}); pass an explicit hint"
+            f"cannot measure the {label} bound ({exc}); pass {label}_hint (--{label})"
         ) from None
 
 

@@ -114,6 +114,18 @@ class TestSolve:
     def test_bad_hint_is_limit_error(self, c4_file, capsys):
         assert main(["solve", c4_file, "-k", "2", "--alpha", "0"]) == EXIT_LIMIT
 
+    def test_unmeasurable_bound_names_its_own_hint(self, tmp_path, capsys):
+        # A bipartite graph's walk reads only the beta hint, so --alpha does
+        # not stand in for it; the message names the hint that would.
+        path = str(tmp_path / "b.json")
+        assert main(["gen", "planted-beta", "-n", "60", "-k", "15", "--seed", "3",
+                     "-o", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "-k", "15", "--alpha", "1"]) == EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "cannot measure the beta bound" in err
+        assert err.rstrip().endswith("; pass beta_hint (--beta)")
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(C4_JSON))
         assert main(["solve", "-", "-k", "0"]) == EXIT_YES

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import os
@@ -14,12 +15,18 @@ from hypothesis import strategies as st
 from exactmatching import (
     BLUE,
     RED,
+    BaseFamily,
     ColoredGraph,
     GraphError,
     SolverParams,
+    bipartite_independence_number,
     count_perfect_matchings,
+    em_decide_bruteforce,
     enumerate_perfect_matchings,
+    gen_planted_yes,
+    independence_number,
     max_weight_perfect_matching,
+    perfect_matching_red_counts,
     random_bipartite_colored_graph,
     random_colored_graph,
     solve_em,
@@ -32,6 +39,7 @@ from exactmatching.engines import (
     perfect_matching_on,
     perfect_matching_on_adjacency,
 )
+from exactmatching.reductions import distance_d_independence_number
 
 from ._support import BudgetExhausted, backtrack_match, blossom_mate, largest_read_weight
 
@@ -330,6 +338,19 @@ def test_red_engines_leave_the_shared_index_as_it_was():
     assert [list(nbrs.items()) for nbrs in index] == before
 
 
+@contextlib.contextmanager
+def _collector_off():
+    """Run the block with the cycle collector disabled, starting clean."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_engine_and_solve_leave_no_reference_cycles():
     """Nothing an engine call or a hinted solve leaves behind needs the
     cycle collector: with it disabled, a collection right after finds no
@@ -337,10 +358,7 @@ def test_engine_and_solve_leave_no_reference_cycles():
     find their witness in phase 2."""
     general = random_colored_graph(40, 0.5, 3)
     bipartite = random_bipartite_colored_graph(30, 0.5, 4)
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
+    with _collector_off():
         for g in (general, bipartite):
             adj = g.neighbor_index
             assert -1 not in blossom.max_weight_matching(adj, 1)
@@ -353,9 +371,32 @@ def test_engine_and_solve_leave_no_reference_cycles():
         v = solve_em(bipartite, 5, SolverParams(beta_hint=1))
         assert (v.status, v.L_used) == ("yes", 4)
         assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
+
+
+def test_oracles_and_unhinted_solves_leave_no_reference_cycles():
+    """The same for every public oracle, for a brute-force decision that
+    abandons the enumeration at its first hit, and for solves without a
+    hint, which measure their bound with the independence oracles."""
+    general = random_colored_graph(12, 0.5, 2)
+    bipartite = random_bipartite_colored_graph(12, 0.5, 2)
+    planted = [gen_planted_yes(20, 5, BaseFamily(kind, 2), 7) for kind in ("alpha", "beta")]
+    with _collector_off():
+        for g in (general, bipartite):
+            first = next(enumerate_perfect_matchings(g))
+            assert gc.collect() == 0
+            assert em_decide_bruteforce(g, first.red_count) == first
+            assert gc.collect() == 0
+            assert len(list(enumerate_perfect_matchings(g))) == count_perfect_matchings(g)
+            assert gc.collect() == 0
+            assert first.red_count in perfect_matching_red_counts(g)
+            assert gc.collect() == 0
+            assert 1 <= distance_d_independence_number(g, 3) <= independence_number(g)
+            assert gc.collect() == 0
+        assert bipartite_independence_number(bipartite) >= 1
+        assert gc.collect() == 0
+        for g in planted:
+            assert solve_em(g, 5).status == "yes"
+            assert gc.collect() == 0
 
 
 def test_import_does_not_load_networkx():

@@ -45,3 +45,50 @@ def test_every_import_is_used():
             unused[path.name] = names
     assert unused == {}
 
+
+def self_calling_closures(source):
+    """Dotted names, sorted, of the functions defined inside another
+    function that refer to their own name.  Such a closure holds a cell that
+    holds the closure, so each call of its outer function leaves a reference
+    cycle for the collector."""
+    found = []
+    stack = [(ast.parse(source), "", False)]
+    while stack:
+        node, prefix, in_function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, prefix, in_function))
+                continue
+            name = prefix + child.name
+            is_function = not isinstance(child, ast.ClassDef)
+            if in_function and is_function and any(
+                    isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)):
+                found.append(name)
+            stack.append((child, name + ".", in_function or is_function))
+    return sorted(found)
+
+
+def test_self_calling_closure_scan():
+    source = (
+        "def outer(n):\n"
+        "    def count(k):\n"
+        "        return 0 if k == 0 else 1 + count(k - 1)\n"
+        "    def plain(k):\n"
+        "        return k\n"
+        "    return count(n) + plain(n)\n"
+        "def recurse(k):\n"
+        "    return 0 if k == 0 else recurse(k - 1)\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        return self.method\n"
+    )
+    assert self_calling_closures(source) == ["outer.count"]
+
+
+def test_no_closure_calls_itself():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = self_calling_closures(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    assert found == {}
