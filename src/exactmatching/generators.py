@@ -68,6 +68,13 @@ def _check_prob(p: float) -> None:
         raise GenerationError(f"edge keep probability must lie in [0, 1], got {p}")
 
 
+def _check_n(n: int, even: bool) -> None:
+    """Reject a negative vertex count, and an odd one when ``even``."""
+    if n < 0 or (even and n % 2 != 0):
+        rule = "even and >= 0" if even else ">= 0"
+        raise GenerationError(f"vertex count must be {rule}, got {n}")
+
+
 def _random_colors(rng: random.Random, pairs: list[Edge]) -> dict[Edge, str]:
     return {e: (RED if rng.random() < 0.5 else BLUE) for e in sorted(pairs)}
 
@@ -86,8 +93,7 @@ def gen_bounded_alpha(
     uniform.  The bound is re-checked with the oracle when n is within its
     cap.
     """
-    if n < 0:
-        raise GenerationError(f"vertex count must be >= 0, got {n}")
+    _check_n(n, even=False)
     if alpha_max < 1:
         raise GenerationError(f"alpha_max must be >= 1, got {alpha_max}")
     _check_prob(edge_keep_prob)
@@ -147,8 +153,7 @@ def gen_bounded_beta(
     back to rejection sampling against the oracle, which requires n within
     the oracle cap.
     """
-    if n < 0 or n % 2 != 0:
-        raise GenerationError(f"vertex count must be even and >= 0, got {n}")
+    _check_n(n, even=True)
     if beta_max < 1:
         raise GenerationError(f"beta_max must be >= 1, got {beta_max}")
     _check_prob(edge_keep_prob)
@@ -223,8 +228,7 @@ def gen_planted_yes(n: int, k: int, family: BaseFamily, seed: int) -> ColoredGra
     every other edge keeps an independent uniform color.  Base graphs
     without a perfect matching are re-rolled within a fixed budget.
     """
-    if n % 2 != 0:
-        raise GenerationError(f"planted instances need even n, got {n}")
+    _check_n(n, even=True)
     if not 0 <= k <= n // 2:
         raise GenerationError(f"k={k} outside [0, {n // 2}]")
     for attempt in range(_REROLL_BUDGET):
@@ -249,6 +253,7 @@ def gen_planted_yes(n: int, k: int, family: BaseFamily, seed: int) -> ColoredGra
 
 def random_colored_graph(n: int, edge_prob: float, seed: int) -> ColoredGraph:
     """Uniform random graph with uniform random edge colors."""
+    _check_n(n, even=False)
     _check_prob(edge_prob)
     rng = random.Random(seed)
     pairs = [e for e in itertools.combinations(range(n), 2)
@@ -258,8 +263,7 @@ def random_colored_graph(n: int, edge_prob: float, seed: int) -> ColoredGraph:
 
 def random_bipartite_colored_graph(n: int, edge_prob: float, seed: int) -> ColoredGraph:
     """Uniform random bipartite graph on two equal sides, colored uniformly."""
-    if n % 2 != 0:
-        raise GenerationError(f"vertex count must be even, got {n}")
+    _check_n(n, even=True)
     _check_prob(edge_prob)
     half = n // 2
     rng = random.Random(seed)

@@ -18,12 +18,12 @@ n.  Before any search, a k outside [r(min-red PM), r(max-red PM)], both
 computed by phase 1, is a certified no: every perfect matching's red count
 lies in that range.
 
-Inside the range, a second certificate cuts phase 2 short.  Once a search
-has tried more than ``_CERTIFY_AFTER`` guesses, a k outside
+Inside the range, a second certificate cuts phase 2 short: a k outside
 ``red_count_lattice`` (the red counts that a mod-d vertex potential allows
-on each component, summed over the components) is a certified no; a search
-capped below n consults the lattice before it answers unknown.  Searches
-that succeed within the trigger never build the lattice.
+on each component, summed over the components) is a certified no.  Phase 2
+consults it before it recovers guess ``_CERTIFY_AFTER + 1``, or when a
+search capped below n ends short of that, so it builds the lattice at most
+once, and never for a search that succeeds within the trigger.
 
 Two prunings drop only guesses that cannot succeed, so they change no
 verdict and no witness.  The search stops after size min(r + k, n - r - k),
@@ -87,7 +87,7 @@ class SolverError(RuntimeError):
 
 
 class SkipSearchError(SolverError):
-    """A guaranteed shortcut was not found; the independence bound hint is too small."""
+    """A guaranteed shortcut was not found: a hint or ``t_override`` is too small."""
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,21 @@ def run_phase1(
 
         def search(low, cycle):
             return find_biskip(orient(graph, low), cycle, NEGATIVE_WEIGHTS)
-        apply, missing = apply_biskip, ("no negative biskip on a heavy cycle; "
-                                        "the bipartite independence bound hint is too small")
+        apply, missing = apply_biskip, "no negative biskip on a heavy cycle; "
+        cause = "the bipartite independence bound hint beta_hint (--beta) is too small"
     else:
         bound = _resolve_bound(graph, params.alpha_hint, independence_number, "alpha")
         threshold = 2 * 4 ** bound
 
         def search(low, cycle):
             return find_skip(graph, low, cycle, NEGATIVE_WEIGHTS)
-        apply, missing = apply_skip, ("no negative skip on a heavy cycle; "
-                                      "the independence bound hint is too small")
+        apply, missing = apply_skip, "no negative skip on a heavy cycle; "
+        cause = "the independence bound hint alpha_hint (--alpha) is too small"
     if params.t_override is not None:
+        # The error names the setting that fixed the threshold.
+        if params.t_override < threshold:
+            cause = (f"t_override (--t-override) {params.t_override} is below "
+                     f"the guaranteed threshold {threshold}")
         threshold = params.t_override
 
     low = min_red_pm(graph)
@@ -257,7 +261,7 @@ def run_phase1(
             else:
                 shortcut = search(low, cycle)
                 if shortcut is None:
-                    raise SkipSearchError(missing)
+                    raise SkipSearchError(missing + cause)
                 context = apply(shortcut, context)
             r_high = low.red_count + context.total_weight
         if r_high <= k and context is not None:
@@ -618,48 +622,32 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
         j += 1
 
 
-# The red-count lattice is consulted once a search has tried more than this
-# many guesses.  No successful search on the benchmark pools tries more than
+# Phase 2 consults the red-count lattice before it recovers the guess after
+# this many.  No successful search on the benchmark pools tries more than
 # 37, so the solves that succeed never pay for the lattice.
 _CERTIFY_AFTER = 64
 
-# What ``_search`` returns when ``excluded`` stopped it.
-_EXCLUDED = object()
 
+def _candidates(
+    contexts: tuple[_RecoveryContext, ...], limit: int
+) -> Iterator[tuple[int, _RecoveryContext, tuple[Edge, ...]]]:
+    """Every guess that recovery could accept, as (size, context, guess):
+    by size up to ``limit``, then by context order, then lex.  ``solve_em``
+    recovers them in this order, so its first success is the witness.
 
-def _search(
-    contexts: tuple[_RecoveryContext, ...], limit: int,
-    excluded: Callable[[], bool] = lambda: False,
-) -> tuple[int, PerfectMatching] | object | None:
-    """First successful recovery as (guess size, solution): guesses go by
-    size up to ``limit``, then by context order, then lex.  None when there
-    is none.
-
-    The search stops early, after size min(base + target) over the
+    The stream stops early, after size min(base + target) over the
     contexts.  If a solution S exists, each context's guess ``base xor
     S_color`` has at most base + target edges, and recovery accepts it: its
     proposal is S's color class, and S's other edges match the remainder.
     So the first success, if any, comes at a size no larger than any
     context's bound, and the sizes past the smallest bound are provably
     empty.  With the anchor's red count r this is min(r + k, n - r - k).
-
-    When more than ``_CERTIFY_AFTER`` guesses have been tried, ``excluded``
-    is called once, and when it returns True the search gives up and
-    returns the sentinel ``_EXCLUDED``: the caller has then certified that
-    no solution exists.
     """
     stop = min(limit, min(len(ctx.base) + ctx.target for ctx in contexts))
-    tried = 0
     for size in range(stop + 1):
         for ctx in contexts:
             for guess in _guesses(ctx, size):
-                tried += 1
-                if tried == _CERTIFY_AFTER + 1 and excluded():
-                    return _EXCLUDED
-                pm = _recover(ctx, guess)
-                if pm is not None:
-                    return size, pm
-    return None
+                yield size, ctx, guess
 
 
 def _verified(graph: ColoredGraph, pm: PerfectMatching, k: int, phase: str) -> PerfectMatching:
@@ -676,13 +664,16 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     Yes verdicts carry a verified witness.  A no verdict is only emitted
     when it is certain: an odd n or a k outside [0, n/2], no perfect
     matching at all, a k outside the red-count range of phase 1's min- and
-    max-red perfect matchings, a k outside ``red_count_lattice`` (consulted
-    once phase 2 passes ``_CERTIFY_AFTER`` guesses, or when a capped search
-    ends without a hit), or a phase-2 search that covers radius n, which it
-    does once it passes its early stop.  The range and the lattice certify
-    whatever the cap.  Otherwise a caller-imposed ``L_cap`` below n turns
-    exhaustion into an unknown verdict, even when the search stopped early
-    under the cap.
+    max-red perfect matchings, a k outside ``red_count_lattice``, or a
+    phase-2 search that covers radius n, which it does once it passes its
+    early stop.  The range and the lattice certify whatever the cap.
+    Otherwise a caller-imposed ``L_cap`` below n turns exhaustion into an
+    unknown verdict, even when the search stopped early under the cap.
+
+    Phase 2 is one loop over ``_candidates`` that counts each guess and
+    returns the first that ``_recover`` completes.  It consults the lattice
+    before it recovers guess ``_CERTIFY_AFTER + 1``, and after a capped
+    search that ends short of it; a search reaches at most one of the two.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:
@@ -706,23 +697,21 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     limit = n if params.L_cap is None else min(params.L_cap, n)
 
-    lattice = None      # built at most once, by the first call of excluded()
-
     def excluded() -> bool:
-        nonlocal lattice
-        if lattice is None:
-            lattice = red_count_lattice(graph, phase1.low, phase1.high)
-        return not lattice >> k & 1
+        return not red_count_lattice(graph, phase1.low, phase1.high) >> k & 1
 
     contexts = (_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE))
-    hit = _search(contexts, limit, excluded)
-    # The lattice is a certificate whatever the cap, so a capped search
-    # consults it before answering unknown, even below the trigger.
-    if hit is _EXCLUDED or (hit is None and limit < n and excluded()):
-        return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
-    if hit is not None:
-        size, pm = hit
-        return verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size)
+    tried = 0
+    for size, ctx, guess in _candidates(contexts, limit):
+        tried += 1
+        if tried == _CERTIFY_AFTER + 1 and excluded():
+            return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
+        pm = _recover(ctx, guess)
+        if pm is not None:
+            return verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size)
     if limit == n:
         return verdict(NO_CERTIFIED, reason="exhausted the certified search radius", L_used=limit)
+    # The lattice certifies whatever the cap: consult it before an unknown.
+    if tried <= _CERTIFY_AFTER and excluded():
+        return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
     return verdict(UNKNOWN, reason=f"search exhausted at guess-size budget {limit}", L_used=limit)

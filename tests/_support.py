@@ -13,9 +13,11 @@ from it rather than from the library's derived view.
 shortcut searches that rebuild every candidate cycle, kept as the
 reference the library's searches are tested against.  ``naive_solve`` is
 the witness contract of ``solve_em`` spelled out with plain combinations;
-``naive_lattice`` is the red-count lattice by its definition, modulus by
-modulus; and ``backtrack_match`` is the lexicographically first perfect
-matching by plain backtracking, the reference for completion.
+``first_success`` is ``solve_em``'s phase-2 loop without the lattice, the
+library side of that comparison; ``naive_lattice`` is the red-count lattice
+by its definition, modulus by modulus; and ``backtrack_match`` is the
+lexicographically first perfect matching by plain backtracking, the
+reference for completion.
 ``largest_read_weight`` is the ``top`` the blossom engine's precondition
 asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
 ``full_scan_parity`` is the parity screen's component labeling with every
@@ -398,6 +400,16 @@ def naive_first_success(contexts, limit):
                 pm = solver_mod._recover(ctx, guess)
                 if pm is not None:
                     return size, pm
+    return None
+
+
+def first_success(contexts, limit):
+    """(size, solution) of the first guess of ``_candidates`` that
+    ``_recover`` completes, or None: the order ``solve_em`` recovers in."""
+    for size, ctx, guess in solver_mod._candidates(contexts, limit):
+        pm = solver_mod._recover(ctx, guess)
+        if pm is not None:
+            return size, pm
     return None
 
 

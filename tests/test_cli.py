@@ -10,6 +10,7 @@ from exactmatching import (
     apply_cycles,
     approx_em,
     find_biskip,
+    find_skip,
     orient,
     parse_graph,
     run_phase1,
@@ -217,6 +218,31 @@ class TestApprox:
         assert pm.sorted_edges() == [tuple(e) for e in doc["matching"]]
         assert pm.red_count == 12
 
+    def test_override_below_the_guarantee_is_named(self, c4_file, tmp_path, capsys):
+        # The 4-cycle's measured alpha is 2 (threshold 32) and the planted
+        # bipartite graph's beta hint is 1 (threshold 512); a zero override
+        # replaces either, so the message names it and not a hint.
+        b = str(tmp_path / "b.json")
+        main(["gen", "planted-beta", "-n", "60", "-k", "15", "--seed", "3", "-o", b])
+        for args, shortcut, guaranteed in (([c4_file, "-k", "1"], "skip", 32),
+                                           ([b, "-k", "15", "--beta", "1"], "biskip", 512)):
+            capsys.readouterr()
+            assert main(["approx", *args, "--t-override", "0"]) == EXIT_LIMIT
+            assert capsys.readouterr().err.rstrip().endswith(
+                f"no negative {shortcut} on a heavy cycle; t_override (--t-override) 0 "
+                f"is below the guaranteed threshold {guaranteed}")
+
+    def test_missing_skip_names_the_hint(self, tmp_path, capsys):
+        # The alternating 42-cycle has no chord, so the heavy cycle (weight
+        # 21 over the threshold 8 of --alpha 1) has no skip.
+        p = tmp_path / "c42.json"
+        p.write_text(json.dumps({"n": 42, "edges": [
+            [i, (i + 1) % 42, "red" if i % 2 == 0 else "blue"] for i in range(42)]}))
+        assert main(["approx", str(p), "-k", "10", "--alpha", "1"]) == EXIT_LIMIT
+        assert capsys.readouterr().err.rstrip().endswith(
+            "no negative skip on a heavy cycle; "
+            "the independence bound hint alpha_hint (--alpha) is too small")
+
     def test_no_pm(self, tmp_path, capsys):
         p = tmp_path / "star.json"
         p.write_text('{"n": 4, "edges": [[0, 1, "red"], [0, 2, "red"],'
@@ -255,6 +281,21 @@ class TestOracle:
         assert main(["oracle", c4_file, "--count", "--cap", "2"]) == EXIT_LIMIT
 
 
+def analyze_one_cycle(tmp_path, capsys, g, pm, cyc):
+    """The report's entry for ``cyc``, from ``emsolve analyze`` on ``pm`` and
+    ``pm`` flipped along ``cyc``."""
+    flip = apply_cycles(pm, CycleSet.from_cycles([cyc]))
+    paths = []
+    for name, text in (("g.json", serialize_graph(g)),
+                       ("m1.json", json.dumps(pm.sorted_edges())),
+                       ("m2.json", json.dumps(flip.sorted_edges()))):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    assert main(["analyze", paths[0], "--matchings", *paths[1:]]) == EXIT_YES
+    [cycle] = json.loads(capsys.readouterr().out)["cycles"]
+    return cycle
+
+
 class TestAnalyze:
     def test_report(self, c4_file, tmp_path, capsys):
         m1 = tmp_path / "m1.json"
@@ -284,21 +325,26 @@ class TestAnalyze:
 
     def test_bipartite_report_carries_the_found_biskip(self, tmp_path, capsys):
         g, pm, cyc = gen_alternating_cycle_instance(12, 0.6, 0, bipartite=True)
-        flip = apply_cycles(pm, CycleSet.from_cycles([cyc]))
-        paths = []
-        for name, text in (("g.json", serialize_graph(g)),
-                           ("m1.json", json.dumps(pm.sorted_edges())),
-                           ("m2.json", json.dumps(flip.sorted_edges()))):
-            (tmp_path / name).write_text(text)
-            paths.append(str(tmp_path / name))
-        assert main(["analyze", paths[0], "--matchings", *paths[1:]]) == EXIT_YES
-        [cycle] = json.loads(capsys.readouterr().out)["cycles"]
+        cycle = analyze_one_cycle(tmp_path, capsys, g, pm, cyc)
         want = find_biskip(orient(g, pm), cyc, SKIP_WEIGHTS)
         assert want is not None
         assert cycle["biskip"] == {
             "arcs": [list(want.a1), list(want.a2)],
             "weight": want.weight,
             "cycle_lengths": [len(c) for c in want.cycles],
+        }
+
+    def test_report_carries_the_found_skip(self, tmp_path, capsys):
+        g, pm, cyc = gen_alternating_cycle_instance(12, 0.6, 0)
+        cycle = analyze_one_cycle(tmp_path, capsys, g, pm, cyc)
+        assert "biskip" not in cycle
+        want = find_skip(g, pm, cyc, SKIP_WEIGHTS)
+        assert (want.e1, want.e2, want.weight, len(want.shortcut_cycle)) == (
+            (0, 2), (1, 3), -1, 4)
+        assert cycle["skip"] == {
+            "chords": [list(want.e1), list(want.e2)],
+            "weight": want.weight,
+            "shortcut_length": len(want.shortcut_cycle),
         }
 
     def test_bad_matching_is_input_error(self, c4_file, tmp_path, capsys):
@@ -352,6 +398,11 @@ class TestGen:
     def test_edge_prob_outside_unit_interval_is_limit_error(self, family, prob, capsys):
         assert main(["gen", *family, "-n", "8", "--edge-prob", prob]) == EXIT_LIMIT
         assert "edge keep probability must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+    def test_negative_vertex_count_is_limit_error(self, family, capsys):
+        assert main(["gen", *family, "-n", "-2"]) == EXIT_LIMIT
+        assert "vertex count must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prob", ["0", "1"])
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])

@@ -122,6 +122,12 @@ class TestRandomGraphs:
         with pytest.raises(GenerationError):
             random_bipartite_colored_graph(7, 0.5, 0)
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(GenerationError, match=r"must be >= 0, got -1$"):
+            random_colored_graph(-1, 0.5, 0)
+        with pytest.raises(GenerationError, match=r"must be even and >= 0, got -2$"):
+            random_bipartite_colored_graph(-2, 0.5, 0)
+
 
 class TestCycleInstances:
     def test_structure(self):

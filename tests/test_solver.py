@@ -34,7 +34,13 @@ from exactmatching import (
 from exactmatching import BaseFamily
 from exactmatching import solver as solver_mod
 
-from ._support import full_scan_parity, naive_first_success, naive_lattice, naive_solve
+from ._support import (
+    first_success,
+    full_scan_parity,
+    naive_first_success,
+    naive_lattice,
+    naive_solve,
+)
 
 
 def double_c4(bipartite=False):
@@ -456,15 +462,16 @@ class TestGuessStream:
                          for _, guess in naive_guesses(ctx, g.n)
                          if disjoint_proposal(ctx, guess))
             want = next((got for got in recovered if got is not None), None)
-            _, got = solver_mod._search((ctx,), g.n)
+            _, got = first_success((ctx,), g.n)
             assert got.red_count == 2
             assert got == want
             hits += 1
         assert hits > 0
 
     def test_witness_contract_matches_naive_reference(self):
-        # solve_em: guesses by size, red before blue, lex; _search on one
-        # context: the same over one color.  Both against plain combinations.
+        # solve_em: guesses by size, red before blue, lex; first_success on
+        # one context: the same over one color.  Both against plain
+        # combinations.
         outcomes = set()
         for n, p in ((6, 0.6), (8, 0.5), (10, 0.4)):
             for seed in range(6):
@@ -480,7 +487,7 @@ class TestGuessStream:
                         continue
                     for color in (RED, BLUE):
                         ctx = solver_mod._make_context(g, pm, k, color)
-                        assert solver_mod._search((ctx,), n) == naive_first_success([ctx], n)
+                        assert first_success((ctx,), n) == naive_first_success([ctx], n)
         assert {(YES, True), (YES, False), (NO_CERTIFIED, True), (UNKNOWN, True)} <= outcomes
 
 
@@ -568,27 +575,17 @@ class TestRedCountLattice:
 
 
 class TestSearch:
-    """``_search`` on one context: the first success within a size limit."""
+    """``_candidates`` on one context, walked through ``_recover``: the first
+    success within a size limit."""
 
     def test_finds_witness_within_limit(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        size, got = solver_mod._search((solver_mod._make_context(c4, blue_pm, 2, RED),), 2)
+        size, got = first_success((solver_mod._make_context(c4, blue_pm, 2, RED),), 2)
         assert size == 2 and got.red_count == 2
 
     def test_respects_limit(self, c4):
         blue_pm = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-        assert solver_mod._search((solver_mod._make_context(c4, blue_pm, 2, RED),), 1) is None
-
-    def test_excluded_stops_with_the_sentinel(self):
-        # C_26's perfect matchings have 0 and 13 red edges, so no size-6
-        # guess of the 1,716 succeeds, and the search passes its trigger.
-        g = cycle_union((13,))
-        ctx = solver_mod._make_context(g, solver_mod.min_red_pm(g), 6, RED)
-        calls = []
-        assert solver_mod._search(
-            (ctx,), g.n, lambda: calls.append(1) or True) is solver_mod._EXCLUDED
-        assert solver_mod._search((ctx,), g.n, lambda: calls.append(1) or False) is None
-        assert len(calls) == 2
+        assert first_success((solver_mod._make_context(c4, blue_pm, 2, RED),), 1) is None
 
 
 # -- the full solver ----------------------------------------------------------------
@@ -847,6 +844,38 @@ class TestSolveEm:
         # C_2a has d = a, so a union's lattice is the subset sums of its
         # half-lengths.  C_42 alone takes 705,432 recoveries to exhaust.
         assert_certified_by_the_lattice(monkeypatch, cycle_union(halves), k, max(halves))
+
+    def test_lattice_is_built_at_most_once(self, monkeypatch):
+        # C_26's perfect matchings have 0 and 13 red edges, so no size-6
+        # guess succeeds.  Uncapped (and at the cap n) the search consults
+        # the lattice at its trigger; under the caps 0 and 2 it ends short
+        # of the trigger and consults it after the loop.  Either way once.
+        builds = []
+        lattice = solver_mod.red_count_lattice
+        monkeypatch.setattr(solver_mod, "red_count_lattice",
+                            lambda *args: builds.append(1) or lattice(*args))
+        g = cycle_union((13,))
+        for cap in (None, 0, 2, 26):
+            builds.clear()
+            v = solve_em(g, 6, SolverParams(alpha_hint=13, L_cap=cap))
+            assert (v.status, v.L_used, v.reason) == (
+                NO_CERTIFIED, 0, "k outside the red-count lattice")
+            assert len(builds) == 1
+        # The bridged union's lattice allows k = 4.  Under the cap 2 no
+        # guess fits, so the lattice is consulted after the loop; under the
+        # cap 4 the search passes its trigger (2,730 guesses) and is not
+        # consulted again before its unknown.
+        for cap in (2, 4):
+            builds.clear()
+            v = solve_em(cycle_union((3, 5, 7), bridged=True), 4,
+                         SolverParams(alpha_hint=7, L_cap=cap))
+            assert (v.status, v.L_used) == (UNKNOWN, cap)
+            assert len(builds) == 1
+        # A search that succeeds within the trigger never builds it.
+        builds.clear()
+        v = solve_em(cycle_union((2, 3)), 2, SolverParams(alpha_hint=3))
+        assert (v.status, v.L_used) == (YES, 2)
+        assert not builds
 
     def test_lattice_certificate_holds_under_a_cap(self):
         # A capped search that ends without a hit consults the lattice
