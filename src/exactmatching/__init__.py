@@ -65,7 +65,6 @@ from .skips import (
     POSITIVE_WEIGHTS,
     SKIP_WEIGHTS,
     Biskip,
-    MatchingOrientation,
     Skip,
     apply_biskip,
     apply_skip,
@@ -103,7 +102,6 @@ __all__ = [
     "GenerationError",
     "GraphError",
     "INDEPENDENCE_CAP",
-    "MatchingOrientation",
     "NEGATIVE_WEIGHTS",
     "NO_CERTIFIED",
     "OracleLimitError",

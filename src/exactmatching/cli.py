@@ -35,18 +35,12 @@ from .oracle import (
     independence_number,
 )
 from .reductions import lift_to_dense, lift_to_dense_bipartite
-from .skips import (
-    SKIP_WEIGHTS,
-    find_biskip,
-    find_skip,
-    orient,
-)
+from .skips import SKIP_WEIGHTS, find_biskip, find_skip
 from .solver import (
     NO_CERTIFIED,
     UNKNOWN,
     YES,
     ConfigurationError,
-    SkipSearchError,
     SolverError,
     SolverParams,
     run_phase1,
@@ -189,7 +183,6 @@ def _cmd_analyze(args) -> int:
     first = parse_matching(_read_text(args.matchings[0]), graph)
     second = parse_matching(_read_text(args.matchings[1]), graph)
     context = symmetric_difference(graph, first, second)
-    view = orient(graph, first) if graph.bipartition is not None else None
     cycles = []
     for cycle in context:
         entry: dict = {"vertices": list(cycle.vertices), "weight": cycle.weight}
@@ -199,8 +192,8 @@ def _cmd_analyze(args) -> int:
             "weight": skip.weight,
             "shortcut_length": len(skip.shortcut_cycle),
         }
-        if view is not None:
-            biskip = find_biskip(view, cycle, SKIP_WEIGHTS)
+        if graph.bipartition is not None:
+            biskip = find_biskip(graph, first, cycle, SKIP_WEIGHTS)
             entry["biskip"] = None if biskip is None else {
                 "arcs": [list(biskip.a1), list(biskip.a2)],
                 "weight": biskip.weight,
@@ -343,8 +336,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"emsolve: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleLimitError, ConfigurationError, GenerationError,
-            SkipSearchError) as exc:
+    except (OracleLimitError, ConfigurationError, GenerationError) as exc:
         print(f"emsolve: limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (GraphError, OSError, json.JSONDecodeError) as exc:

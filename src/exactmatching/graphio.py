@@ -120,7 +120,7 @@ def _write_json(graph: ColoredGraph) -> str:
 
 # -- DOT ----------------------------------------------------------------------
 
-_TOKEN = re.compile(r'"([^"]*)"|([A-Za-z_][A-Za-z_0-9]*|\d+)|(--|[{}\[\];,=])|(\S)')
+_TOKEN = re.compile(r'"([^"]*)"|([A-Za-z_][A-Za-z_0-9]*|\d+)|(--|->|[{}\[\];,=])|(\S)')
 
 
 def _tokenize_dot(text: str) -> list[str]:

@@ -227,30 +227,20 @@ def apply_skip(skip: Skip, context: CycleSet) -> CycleSet:
     return _swap_host(skip.host_cycle, (skip.shortcut_cycle,), context, "skip")
 
 
-# -- the bipartite directed view and biskips -----------------------------------
+# -- biskips -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchingOrientation:
-    """Bipartite graph with edges directed by a perfect matching.
+def orient(graph: ColoredGraph, matching: PerfectMatching) -> None:
+    """Check in O(n) that ``matching`` can orient ``graph`` for a biskip search.
 
-    Matching edges run from side A to side B, everything else from B to A.
-    Directed cycles of this view are exactly the alternating cycles of the
-    underlying graph.  An edge's direction follows from the bipartition and
-    the matching, so the view stores no arcs.
+    Orienting matching edges from side A to side B and every other edge the
+    opposite way needs a bipartition and a matching inside the graph.
+    ``find_biskip`` derives each direction from the two, so nothing is built.
     """
-
-    graph: ColoredGraph
-    matching: PerfectMatching
-
-
-def orient(graph: ColoredGraph, matching: PerfectMatching) -> MatchingOrientation:
-    """The orientation of ``graph`` by ``matching``, checked in O(n)."""
     if graph.bipartition is None:
         raise GraphError("orientation needs a bipartite graph")
     if not matching.edges <= graph.colors.keys():
         raise GraphError("matching uses edges outside the graph")
-    return MatchingOrientation(graph, matching)
 
 
 @dataclass(frozen=True)
@@ -266,7 +256,10 @@ class Biskip:
 
 
 def find_biskip(
-    view: MatchingOrientation, cycle: AlternatingCycle, weight_filter: Iterable[int]
+    graph: ColoredGraph,
+    matching: PerfectMatching,
+    cycle: AlternatingCycle,
+    weight_filter: Iterable[int],
 ) -> Biskip | None:
     """First arc pair splitting ``cycle`` with combined weight in the filter.
 
@@ -276,11 +269,14 @@ def find_biskip(
     vertex-disjoint, strictly shorter in total, and shift the weight by at
     most 4 in absolute value.  Ordered arc pairs are scanned lexicographically.
 
-    The cycle must alternate with the matching ``view`` carries.  Sides and
-    matching membership both alternate along it, so the canonical vertex
-    order is the directed order exactly when its first vertex is on side A
-    iff its first edge is a matching edge, and the reversed order otherwise:
-    the direction costs O(1).
+    ``graph`` must carry a bipartition and ``cycle`` must alternate with
+    ``matching`` (``orient`` checks the first two).  Each direction is
+    derived from the bipartition and the matching, as the orientation sets
+    it, so no directed view is built.  Sides and matching membership both
+    alternate along the cycle, so the canonical vertex order is the
+    directed order exactly when its first vertex is on side A iff its first
+    edge is a matching edge, and the reversed order otherwise: the direction
+    costs O(1).
 
     Each candidate costs O(1).  A replacement cycle runs from its arc's head
     forward to its tail, so it alternates exactly when the head starts a
@@ -299,7 +295,6 @@ def find_biskip(
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
         return None
-    graph, matching = view.graph, view.matching
     verts = cycle.vertices
     forward = (verts[0] in graph.bipartition[0]) == (cycle.edges[0] in matching.edges)
     order = verts if forward else verts[::-1]

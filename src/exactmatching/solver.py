@@ -37,7 +37,7 @@ rejected before any completion is attempted.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
@@ -86,7 +86,7 @@ class SolverError(RuntimeError):
     """An internal invariant of the solver failed."""
 
 
-class SkipSearchError(SolverError):
+class SkipSearchError(ConfigurationError):
     """A guaranteed shortcut was not found: a hint or ``t_override`` is too small."""
 
 
@@ -200,8 +200,9 @@ def run_phase1(
     ``k - threshold <= r(M) <= k`` where threshold is 2 * 4^alpha
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
-    Raises ``ConfigurationError`` for an odd n or k outside [0, n/2], and
-    ``SolverError`` (``SkipSearchError`` when a shortcut is missing) otherwise.
+    Raises ``ConfigurationError`` for an odd n, k outside [0, n/2] or a
+    missing shortcut (``SkipSearchError``: a hint or ``t_override`` is too
+    small), and ``SolverError`` when an invariant of the walk fails.
     """
     _check_k(graph, k)
     params = params or SolverParams()
@@ -211,7 +212,8 @@ def run_phase1(
         threshold = 2 * 4 ** (2 * bound + 2)
 
         def search(low, cycle):
-            return find_biskip(orient(graph, low), cycle, NEGATIVE_WEIGHTS)
+            orient(graph, low)
+            return find_biskip(graph, low, cycle, NEGATIVE_WEIGHTS)
         apply, missing = apply_biskip, "no negative biskip on a heavy cycle; "
         cause = "the bipartite independence bound hint beta_hint (--beta) is too small"
     else:
@@ -356,10 +358,10 @@ class _RecoveryContext:
     """Per-(matching, color) state shared by every guess and recovery attempt.
 
     Made in O(n): ``base`` is the matching's edges of this color, and
-    ``color_edges`` (the sorted color class, which fixes the guess order),
-    ``color_neighbors`` (each vertex's neighbors in that class, ascending)
-    and ``other_adjacency`` (ascending opposite-color neighbor tuples, which
-    fix completion's lexicographic order) are the graph's cached
+    ``color_edges`` (the sorted color class, which fixes the guess order and
+    answers where each vertex's block of edges ends) and
+    ``other_adjacency`` (ascending opposite-color neighbor tuples, which fix
+    completion's lexicographic order) are the graph's cached
     ``ColoredGraph.color_classes`` entries, shared by every context of the
     graph, not copies.  Everything that costs O(m) is built on first use:
     ``layout`` by the first guess enumeration that gets past ``_split``, and
@@ -372,7 +374,6 @@ class _RecoveryContext:
     target: int
     base: frozenset[Edge]
     color_edges: tuple[Edge, ...]
-    color_neighbors: dict[int, tuple[int, ...]]
     other_adjacency: dict[int, tuple[int, ...]]
 
     @cached_property
@@ -455,7 +456,7 @@ def _make_context(
     own, other = graph.color_classes[flag], graph.color_classes[1 - flag]
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     target = k if color == RED else graph.n // 2 - k
-    return _RecoveryContext(graph, k, target, base, own.edges, own.neighbors, other.neighbors)
+    return _RecoveryContext(graph, k, target, base, own.edges, other.neighbors)
 
 
 def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
@@ -536,10 +537,11 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
           distinct forced edges outnumber the removals still allowed.
     The class is sorted, so the edges (u, .) form one block.  When (a)
     rejects an edge because u is used, it rejects the rest of u's block
-    too, and the scan jumps past it, found from u's ascending neighbors in
-    the class.  u's base edge, if it has one in the class, is taken or
-    forced, so the jump stops at the first forced edge; the loop's exit
-    tests only weaken as the index grows, so the jump changes no outcome.
+    too, and the scan jumps past it, to the first edge of the class whose
+    lower end is above u (a binary search from the next index).  u's base
+    edge, if it has one in the class, is taken or forced, so the jump stops
+    at the first forced edge; the loop's exit tests only weaken as the
+    index grows, so the jump changes no outcome.
     ``ctx.layout`` is built by the first call that gets past ``_split``.
     """
     split = _split(ctx, size)
@@ -549,7 +551,7 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
         yield ()
         return
     nb, nn = split                  # removals and additions still to choose
-    edges, neighbors = ctx.color_edges, ctx.color_neighbors
+    edges = ctx.color_edges
     is_base, base_of, base_left = ctx.layout
     m = len(edges)
     chosen: list[int] = []
@@ -572,8 +574,7 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
                 if u in used:
                     # (a) rejects the rest of u's block; u's base edge is
                     # taken or pending, so the jump stops short of it.
-                    nbrs = neighbors[u]
-                    end = j + 1 + len(nbrs) - bisect_right(nbrs, v)
+                    end = bisect_left(edges, (u + 1,), j + 1)
                     j = end if end <= stop else (stop if stop > j else j + 1)
                     continue
                 if v not in used:                                       # (a)

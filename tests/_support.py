@@ -8,7 +8,7 @@ violation strings; an empty list means the structure is valid.
 
 ``orientation_arcs`` lists every arc of the bipartite matching
 orientation, edge by edge; the biskip checker and reference read their arcs
-from it rather than from the library's derived view.
+from it rather than from the directions the library derives.
 ``naive_find_skip`` and ``naive_find_biskip`` are the straightforward
 shortcut searches that rebuild every candidate cycle, kept as the
 reference the library's searches are tested against.  ``naive_solve`` is

@@ -43,7 +43,6 @@ from exactmatching import (
     max_red_pm,
     max_weight_perfect_matching,
     min_red_pm,
-    orient,
     random_bipartite_colored_graph,
     random_colored_graph,
     run_phase1,
@@ -186,7 +185,7 @@ def test_criterion_4_every_shortcut_is_valid():
                 configs += 1
                 g, pm, cyc = gen_alternating_cycle_instance(
                     length, prob, 8000 + seed, bipartite=True)
-                bis = find_biskip(orient(g, pm), cyc, ALL_WEIGHTS)
+                bis = find_biskip(g, pm, cyc, ALL_WEIGHTS)
                 if bis is not None:
                     biskip_hits += 1
                     tag = f"biskip len={length} p={prob} seed={seed}"

@@ -11,7 +11,6 @@ from exactmatching import (
     approx_em,
     find_biskip,
     find_skip,
-    orient,
     parse_graph,
     run_phase1,
     serialize_graph,
@@ -130,6 +129,12 @@ class TestSolve:
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(C4_JSON))
         assert main(["solve", "-", "-k", "0"]) == EXIT_YES
+
+    @pytest.mark.parametrize("header", ["digraph", "strict digraph"])
+    def test_directed_dot_on_stdin_is_input_error(self, header, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(header + " { 0 -> 1 [color=red]; }"))
+        assert main(["solve", "-", "--format", "dot", "-k", "0"]) == EXIT_INPUT
+        assert "directed DOT graphs are not supported" in capsys.readouterr().err
 
     def test_unexpected_exception_is_internal_error(self, c4_file, capsys, monkeypatch):
         def crash(*args, **kwargs):
@@ -326,7 +331,7 @@ class TestAnalyze:
     def test_bipartite_report_carries_the_found_biskip(self, tmp_path, capsys):
         g, pm, cyc = gen_alternating_cycle_instance(12, 0.6, 0, bipartite=True)
         cycle = analyze_one_cycle(tmp_path, capsys, g, pm, cyc)
-        want = find_biskip(orient(g, pm), cyc, SKIP_WEIGHTS)
+        want = find_biskip(g, pm, cyc, SKIP_WEIGHTS)
         assert want is not None
         assert cycle["biskip"] == {
             "arcs": [list(want.a1), list(want.a2)],
@@ -398,6 +403,15 @@ class TestGen:
     def test_edge_prob_outside_unit_interval_is_limit_error(self, family, prob, capsys):
         assert main(["gen", *family, "-n", "8", "--edge-prob", prob]) == EXIT_LIMIT
         assert "edge keep probability must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_exhausted_reroll_budget_is_limit_error(self, capsys):
+        # Without kept edges the alpha-3 base graph is cliques of 4, 3 and 3
+        # vertices, which has no perfect matching on any re-roll.
+        code = main(["gen", "planted-alpha", "-n", "10", "-k", "1", "--bound", "3",
+                     "--edge-prob", "0"])
+        assert code == EXIT_LIMIT
+        assert "no base graph with a perfect matching found in 60 attempts" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
     def test_negative_vertex_count_is_limit_error(self, family, capsys):

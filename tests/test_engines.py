@@ -142,6 +142,29 @@ def test_optimality_screen_keeps_every_condition(c4, monkeypatch, corrupt, messa
     assert seen == [[1, 1, 1, 1]]
 
 
+# States for _verify_optimum: (adj, mate, dualvar, blossomparent,
+# blossomdual, childedges, sign, top).  Each breaks one condition and
+# leaves every edge slack alone.
+CRAFTED_STATES = {
+    "negative blossom dual": (
+        [{1: 0}, {0: 0}], [1, 0], [0, 0], [2, 2, -1], {2: -1}, [[], [], []], 1, 0),
+    "single vertex 1 has nonzero dual": (
+        [{}, {}], [-1, -1], [0, 2], [-1, -1], {}, [[], []], 1, 0),
+    "blossom 2 has an even cycle": (
+        [{}, {}], [-1, -1], [0, 0], [2, 2, -1], {2: 1}, [[], [], [(0, 1), (1, 0)]], 1, 0),
+    "blossom 3 with positive dual is not full": (
+        [{}, {}, {}], [-1, -1, -1], [0, 0, 0], [3, 3, 3, -1], {3: 1},
+        [[], [], [], [(0, 1), (1, 2), (2, 0)]], 1, 0),
+}
+
+
+@pytest.mark.parametrize("message", sorted(CRAFTED_STATES))
+def test_optimality_check_rejects_crafted_states(message):
+    state = CRAFTED_STATES[message]
+    with pytest.raises(OptimalityError, match=message):
+        blossom._verify_optimum(*state)
+
+
 def _record_blossom_calls(monkeypatch):
     """Record ``(adj, top, negate)`` for every blossom call the engines make."""
     calls = []

@@ -18,6 +18,7 @@ from exactmatching import (
     random_colored_graph,
     validate_matching,
 )
+from exactmatching import generators
 from exactmatching.generators import gen_alternating_cycle_instance, gen_skip_extraction_instance
 
 
@@ -105,6 +106,17 @@ class TestPlantedYes:
             gen_planted_yes(7, 1, BaseFamily("alpha", 1), 0)
         with pytest.raises(GenerationError):
             gen_planted_yes(8, 5, BaseFamily("alpha", 1), 0)
+
+    def test_reroll_budget_runs_out(self, monkeypatch):
+        # Without kept edges the alpha-3 base graph on 10 vertices is cliques
+        # of 4, 3 and 3 vertices: no re-roll has a perfect matching.
+        rolls = []
+        base_graph = generators._base_graph
+        monkeypatch.setattr(generators, "_base_graph",
+                            lambda *a: rolls.append(a) or base_graph(*a))
+        with pytest.raises(GenerationError, match="found in 60 attempts"):
+            gen_planted_yes(10, 1, BaseFamily("alpha", 3, 0.0), 0)
+        assert len(rolls) == generators._REROLL_BUDGET == 60
 
 
 class TestRandomGraphs:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,13 @@ from exactmatching import (
     serialize_graph,
 )
 from exactmatching.graphio import DOT, FORMATS, JSON
+
+DIRECTED = "directed DOT graphs are not supported"
+
+
+def cases(pairs):
+    """Parametrize over (text, message) pairs, each test named by its text."""
+    return pytest.mark.parametrize("text, message", pairs, ids=[t for t, _ in pairs])
 
 
 def test_formats_tuple():
@@ -41,22 +49,26 @@ class TestJson:
         g = parse_graph(b'{"n": 2, "edges": []}')
         assert g.n == 2
 
-    @pytest.mark.parametrize("text", [
-        "[1, 2]",
-        '{"edges": []}',
-        '{"n": "two", "edges": []}',
-        '{"n": 2, "edges": [[0, 1]]}',
-        '{"n": 2, "edges": [[0, 1, "red", 4]]}',
-        '{"n": 2, "edges": [[0, 1, "green"]]}',
-        '{"n": 2, "edges": [["a", 1, "red"]]}',
-        '{"n": 4, "edges": [[0, true, "red"], [2, 3, "blue"]]}',
-        '{"n": 2, "edges": [[false, 1, "red"]]}',
-        '{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[false], [1]]}',
-        '{"n": 2, "edges": [], "bipartition": [[0]]}',
-        "{not json",
+    @cases([
+        ("[1, 2]", "graph document must be a JSON object"),
+        ('{"edges": []}', 'graph document needs an integer "n"'),
+        ('{"n": "two", "edges": []}', 'graph document needs an integer "n"'),
+        ('{"n": 2, "edges": [[0, 1]]}', "edge entry [0, 1] is not an [u, v, color] triple"),
+        ('{"n": 2, "edges": [[0, 1, "red", 4]]}', "edge entry [0, 1, 'red', 4] is not"),
+        ('{"n": 2, "edges": [[0, 1, "green"]]}', "edge (0, 1) has unknown color 'green'"),
+        ('{"n": 2, "edges": [["a", 1, "red"]]}', "edge entry ['a', 1, 'red'] is not"),
+        ('{"n": 4, "edges": [[0, true, "red"], [2, 3, "blue"]]}',
+         "edge entry [0, True, 'red'] is not"),
+        ('{"n": 2, "edges": [[false, 1, "red"]]}', "edge entry [False, 1, 'red'] is not"),
+        ('{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[false], [1]]}',
+         "bipartition entry False is not an integer"),
+        ('{"n": 2, "edges": [], "bipartition": [[0]]}',
+         '"bipartition" must be a pair of vertex lists'),
+        ("{not json", "graph document is not valid JSON"),
+        ('{"n": 2, "edges": {}}', '"edges" must be a list of [u, v, color] triples'),
     ])
-    def test_parse_rejects(self, text):
-        with pytest.raises(ParseError):
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_graph(text)
 
     def test_round_trip(self, c4):
@@ -101,19 +113,34 @@ class TestDot:
         assert g.bipartition is not None
         assert 2 in g.bipartition[0] and 3 in g.bipartition[1]
 
-    @pytest.mark.parametrize("text", [
-        'digraph { 0 -- 1 [color=red]; }',
-        'graph { 0 -- 1; }',
-        'graph { 0 -- 1 [color=green]; }',
-        'graph { 0 -- 0 [color=red]; }',
-        'graph { 0 -- 1 [color=red] }garbage',
-        'graph { 0 -- 1 [color=red];',
-        'graph { 0 [side=A]; 1 [side=C]; 0 -- 1 [color=red]; }',
-        'graph { 0 [side=A]; 1; 0 -- 1 [color=red]; }',
+    @cases([
+        ('digraph { 0 -- 1 [color=red]; }', DIRECTED),
+        ('digraph { 0 -> 1 [color=red]; }', DIRECTED),
+        ('strict digraph { 0 -> 1 [color=red]; }', DIRECTED),
+        ('graph { 0 -> 1 [color=red]; }', "node id '->' is not a non-negative integer"),
+        ('graph { 0 -- 1; }', "edge 0--1 has no color attribute"),
+        ('graph { 0 -- 1 [color=green]; }', "edge (0, 1) has unknown color 'green'"),
+        ('graph { 0 -- 0 [color=red]; }', "self-loop at vertex 0"),
+        ('graph { 0 -- 1 [color=red] }garbage', "trailing content after '}': 'garbage'"),
+        ('graph { 0 -- 1 [color=red];', "unexpected end of DOT input (missing '}')"),
+        ('graph { 0 [side=A]; 1 [side=C]; 0 -- 1 [color=red]; }',
+         "node 1 has unknown side 'C'"),
+        ('graph { 0 [side=A]; 1; 0 -- 1 [color=red]; }',
+         "some nodes carry a side attribute but not all of them"),
+        ('graph { 0 -- 1 [color=red]; @ }', "unexpected character '@' in DOT input"),
+        ('graph { 0 -- ', "unexpected end of DOT input"),
+        ('graph { 0 -- 1 [color red]; }', "expected '=' in DOT input, got 'red'"),
+        ('tree { }', "expected 'graph', got 'tree'"),
+        ('graph { a -- 1 [color=red]; }', "node id 'a' is not a non-negative integer"),
     ])
-    def test_parse_rejects(self, text):
-        with pytest.raises(ParseError):
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_graph(text, DOT)
+
+    def test_strict_named_graph_without_semicolon(self):
+        g = parse_graph('strict graph g { 0 -- 1 [color=red] }', DOT)
+        assert g.n == 2
+        assert g.colors == {(0, 1): RED}
 
     def test_round_trip(self, c4, k33):
         assert parse_graph(serialize_graph(c4, DOT), DOT) == c4
@@ -147,6 +174,14 @@ class TestMatchingIo:
             parse_matching('[[false, 1], [2, 3]]', c4)
         with pytest.raises(GraphError):
             parse_matching('[]', c4)
+
+    def test_parse_bytes(self, c4):
+        pm = min_red_pm(c4)
+        assert parse_matching(json.dumps(pm.sorted_edges()).encode(), c4) == pm
+
+    def test_rejects_invalid_json(self, c4):
+        with pytest.raises(ParseError, match="matching document is not valid JSON"):
+            parse_matching("[[0, 1]", c4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -133,7 +133,7 @@ def test_searches_reject_a_host_that_does_not_alternate():
     with pytest.raises(GraphError):
         find_skip(g, crossing, cyc, SKIP_WEIGHTS)
     with pytest.raises(GraphError):
-        find_biskip(orient(g, crossing), cyc, SKIP_WEIGHTS)
+        find_biskip(g, crossing, cyc, SKIP_WEIGHTS)
 
 
 def test_full_scan_without_a_match_on_all_blue_k48():
@@ -176,7 +176,7 @@ def test_host_replacement_keeps_its_checks():
         apply_skip(dataclasses.replace(skip, shortcut_cycle=cyc), ctx)
     g, pm, cyc = ten_cycle(chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
     ctx = symmetric_difference(g, pm, odd_matching(g))
-    bi = find_biskip(orient(g, pm), cyc, SKIP_WEIGHTS)
+    bi = find_biskip(g, pm, cyc, SKIP_WEIGHTS)
     with pytest.raises(GraphError, match="share vertices"):
         apply_biskip(dataclasses.replace(bi, cycles=(bi.cycles[0],) * 2), ctx)
 
@@ -186,8 +186,7 @@ def test_host_replacement_keeps_its_checks():
 
 def test_biskip_zero_weight_example():
     g, pm, cyc = ten_cycle(chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
-    view = orient(g, pm)
-    bi = find_biskip(view, cyc, SKIP_WEIGHTS)
+    bi = find_biskip(g, pm, cyc, SKIP_WEIGHTS)
     assert bi is not None
     assert (bi.a1, bi.a2) == ((3, 0), (7, 4))
     assert bi.weight == 0
@@ -200,17 +199,15 @@ def test_biskip_negative_weight_example():
     g, pm, cyc = ten_cycle(nm_reds=[(3, 4), (7, 8), (0, 9)],
                            chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
     assert cyc.weight == 3
-    view = orient(g, pm)
-    bi = find_biskip(view, cyc, NEGATIVE_WEIGHTS)
+    bi = find_biskip(g, pm, cyc, NEGATIVE_WEIGHTS)
     assert bi.weight == -3
     assert check_biskip(g, pm, bi) == []
-    assert find_biskip(view, cyc, POSITIVE_WEIGHTS) is None
+    assert find_biskip(g, pm, cyc, POSITIVE_WEIGHTS) is None
 
 
 def test_biskip_none_without_chords():
     g, pm, cyc = ten_cycle(bipartite=True)
-    view = orient(g, pm)
-    assert find_biskip(view, cyc, SKIP_WEIGHTS) is None
+    assert find_biskip(g, pm, cyc, SKIP_WEIGHTS) is None
 
 
 def test_apply_biskip():
@@ -218,8 +215,7 @@ def test_apply_biskip():
                            chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
     other = odd_matching(g)
     ctx = symmetric_difference(g, pm, other)
-    view = orient(g, pm)
-    bi = find_biskip(view, cyc, NEGATIVE_WEIGHTS)
+    bi = find_biskip(g, pm, cyc, NEGATIVE_WEIGHTS)
     new_ctx = apply_biskip(bi, ctx)
     assert check_application(g, pm, ctx, bi, new_ctx) == []
     assert new_ctx.edge_count() == 8
@@ -260,8 +256,7 @@ def test_random_biskips_pass_independent_checks():
     hits = 0
     for seed in range(120):
         g, pm, cyc = gen_alternating_cycle_instance(12, 0.6, seed, bipartite=True)
-        view = orient(g, pm)
-        bi = find_biskip(view, cyc, SKIP_WEIGHTS)
+        bi = find_biskip(g, pm, cyc, SKIP_WEIGHTS)
         if bi is None:
             continue
         hits += 1
@@ -358,10 +353,9 @@ def test_find_biskip_matches_naive_reference():
         for prob in (0.3, 0.6, 0.9):
             for seed in range(3):
                 g, pm, cyc = random_host(n, prob, seed, bipartite=True)
-                view = orient(g, pm)
                 for wanted in FILTERS:
                     want = naive_find_biskip(g, pm, cyc, wanted)
-                    assert find_biskip(view, cyc, wanted) == want
+                    assert find_biskip(g, pm, cyc, wanted) == want
                     hits += want is not None
     assert hits >= 30
 
@@ -399,9 +393,8 @@ def test_apply_skip_returns_the_recomputed_context():
 def test_apply_biskip_returns_the_recomputed_context():
     hits = 0
     for g, low, high, context in walk_contexts(bipartite=True):
-        view = orient(g, low)
         for cycle in context:
-            bi = find_biskip(view, cycle, SKIP_WEIGHTS)
+            bi = find_biskip(g, low, cycle, SKIP_WEIGHTS)
             if bi is None:
                 continue
             assert check_application(g, low, context, bi, apply_biskip(bi, context)) == []

@@ -93,6 +93,11 @@ class TestPhase1:
         with pytest.raises(SkipSearchError):
             run_phase1(double_c4(bipartite=True), 2, params)
 
+    def test_missing_shortcut_is_a_configuration_error(self):
+        # A too-small hint or t_override is a setting, not a broken invariant.
+        assert issubclass(SkipSearchError, ConfigurationError)
+        assert not issubclass(SkipSearchError, SolverError)
+
     def test_bound_bookkeeping_bipartite(self):
         g = double_c4(bipartite=True)
         res = run_phase1(g, 0)
@@ -191,24 +196,25 @@ class TestPhase1:
         # Per size n (k = n/4): (status, iterations, phase1_r, L_used), the
         # witness digest and the number of biskip searches, recorded with the
         # orientation stored as a full arc set.  Every biskip search must get
-        # the very view the preceding orient call built for it.
+        # the very graph and matching the preceding orient call checked.
         pins = {
             60: ((YES, 13, 12, 3), "5a158cd053463905", 6),
             120: ((YES, 15, 27, 3), "b77fcd9ff324094b", 3),
         }
         calls = {"orient": 0, "find_biskip": 0}
-        built = []
+        checked = []
         orient, find_biskip = solver_mod.orient, solver_mod.find_biskip
 
         def counting_orient(graph, matching):
             calls["orient"] += 1
-            built.append(orient(graph, matching))
-            return built[-1]
+            checked.append((graph, matching))
+            return orient(graph, matching)
 
-        def checking_find_biskip(view, cycle, weights):
+        def checking_find_biskip(graph, matching, cycle, weights):
             calls["find_biskip"] += 1
-            assert view is built.pop()
-            return find_biskip(view, cycle, weights)
+            g, pm = checked.pop()
+            assert graph is g and matching is pm
+            return find_biskip(graph, matching, cycle, weights)
 
         monkeypatch.setattr(solver_mod, "orient", counting_orient)
         monkeypatch.setattr(solver_mod, "find_biskip", checking_find_biskip)
@@ -388,14 +394,16 @@ class TestRecovery:
 
 def reference_context(graph, matching, k, color):
     """``_make_context``'s fields and ``layout`` by name, from full scans of
-    ``graph.colors``: the sorted color class, each vertex's neighbors of
-    either color ascending, and the base flags and indices read off the
-    whole class."""
+    ``graph.colors``: the sorted color class, each vertex's opposite-color
+    neighbors ascending, and the base flags and indices read off the whole
+    class."""
     color_edges = tuple(e for e, c in graph.colors.items() if c == color)
-    adjacency = {RED: {v: [] for v in range(graph.n)}, BLUE: {v: [] for v in range(graph.n)}}
+    other = BLUE if color == RED else RED
+    adjacency = {v: [] for v in range(graph.n)}
     for (u, v), c in graph.colors.items():
-        adjacency[c][u].append(v)
-        adjacency[c][v].append(u)
+        if c == other:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     is_base = tuple(e in base for e in color_edges)
     base_of = [-1] * graph.n
@@ -403,12 +411,10 @@ def reference_context(graph, matching, k, color):
         if is_base[j]:
             base_of[u] = base_of[v] = j
     base_left = tuple(sum(is_base[j:]) for j in range(len(is_base) + 1))
-    other = BLUE if color == RED else RED
     return {
         "graph": graph, "k": k, "target": k if color == RED else graph.n // 2 - k,
         "base": base, "color_edges": color_edges,
-        "color_neighbors": {v: tuple(sorted(ws)) for v, ws in adjacency[color].items()},
-        "other_adjacency": {v: tuple(sorted(ws)) for v, ws in adjacency[other].items()},
+        "other_adjacency": {v: tuple(sorted(ws)) for v, ws in adjacency.items()},
         "layout": (is_base, tuple(base_of), base_left),
     }
 
