@@ -120,23 +120,24 @@ def _write_json(graph: ColoredGraph) -> str:
 
 # -- DOT ----------------------------------------------------------------------
 
-_TOKEN = re.compile(r'"([^"]*)"|([A-Za-z_][A-Za-z_0-9]*|\d+)|(--|->|[{}\[\];,=])|(\S)')
+# A quoted string is tried before the comment forms, so comment markers
+# inside quotes stay part of the string.
+_TOKEN = re.compile(
+    r'"([^"]*)"|(/\*.*?\*/|//[^\n]*|#[^\n]*)|([A-Za-z_][A-Za-z_0-9]*|\d+)'
+    r'|(--|->|[{}\[\];,=])|(\S)', re.S)
 
 
 def _tokenize_dot(text: str) -> list[str]:
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
-    text = re.sub(r"//[^\n]*", " ", text)
-    text = re.sub(r"#[^\n]*", " ", text)
     tokens = []
     for match in _TOKEN.finditer(text):
-        quoted, word, sym, bad = match.groups()
+        quoted, comment, word, sym, bad = match.groups()
         if bad is not None:
             raise ParseError(f"unexpected character {bad!r} in DOT input")
         if quoted is not None:
             tokens.append(quoted)
         elif word is not None:
             tokens.append(word)
-        else:
+        elif sym is not None:
             tokens.append(sym)
     return tokens
 

@@ -3,12 +3,11 @@
 Vertices are 0-based integers and an undirected edge is always stored as the
 canonical ``(min, max)`` pair.  All types here are immutable value objects;
 operations are pure functions, so instances can be shared freely between
-threads.  A graph's two cached structures are built lazily on first access
-and never mutated afterwards: the neighbor index
-(``ColoredGraph.neighbor_index``) and the per-color lists
-(``ColoredGraph.color_classes``).  Each is built in one pass over the
-sorted edge map ``colors``, and neither reads the other.  Two threads that
-reach one first at the same time at worst both build it, and one copy wins.
+threads.  A graph's one cached structure, the neighbor index
+(``ColoredGraph.neighbor_index``), is built lazily on first access, in one
+pass over the sorted edge map ``colors``, and never mutated afterwards.  Two
+threads that reach it first at the same time at worst both build it, and one
+copy wins.
 
 The central weight scheme, relative to a reference perfect matching M:
 blue edges weigh 0, red matching edges weigh -1, red non-matching edges
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 RED = "red"
 BLUE = "blue"
@@ -38,15 +37,6 @@ def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
-
-
-class ColorClass(NamedTuple):
-    """The edges of one color: ``neighbors[v]`` lists the vertices joined to
-    ``v`` by an edge of that color, ascending, and ``edges`` lists those
-    edges sorted."""
-
-    neighbors: dict[int, tuple[int, ...]]
-    edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -144,31 +134,6 @@ class ColoredGraph:
             index[u][v] = index[v][u] = 1 if c == RED else 0
         return index
 
-    @cached_property
-    def color_classes(self) -> tuple[ColorClass, ColorClass]:
-        """The blue and the red ``ColorClass``, at the index of their flag in
-        ``neighbor_index`` (0 blue, 1 red).
-
-        Built in one pass over the sorted ``colors``: each edge appends its
-        endpoints to its color's neighbor lists and its own key to its
-        color's edge list.  So the neighbor tuples come out ascending, which
-        fixes completion's tie-breaks, and the edge tuples sorted, which fixes
-        the guess order.  Built on first access.  Shared and read-only, like
-        the index.
-        """
-        nbrs: tuple[list[list[int]], list[list[int]]] = (
-            [[] for _ in range(self.n)], [[] for _ in range(self.n)])
-        edges: tuple[list[Edge], list[Edge]] = ([], [])
-        for e, c in self.colors.items():
-            u, v = e
-            red = c == RED
-            split = nbrs[red]
-            split[u].append(v)
-            split[v].append(u)
-            edges[red].append(e)
-        return (ColorClass(dict(enumerate(map(tuple, nbrs[0]))), tuple(edges[0])),
-                ColorClass(dict(enumerate(map(tuple, nbrs[1]))), tuple(edges[1])))
-
 
 @dataclass(frozen=True)
 class PerfectMatching:
@@ -179,12 +144,18 @@ class PerfectMatching:
 
     @classmethod
     def from_edges(cls, graph: ColoredGraph, edges: Iterable[tuple[int, int]]) -> "PerfectMatching":
-        """Validate ``edges`` as a perfect matching of ``graph`` and count reds."""
-        canon = frozenset(edge_key(u, v) for u, v in edges)
+        """Validate ``edges``, each listed once, as a perfect matching of
+        ``graph`` and count reds."""
+        canon: set[Edge] = set()
+        for u, v in edges:
+            e = edge_key(u, v)
+            if e in canon:
+                raise GraphError(f"edge {e} is listed twice in the matching")
+            canon.add(e)
         if not validate_matching(graph, canon):
             raise GraphError("edge set is not a perfect matching of the graph")
         reds = sum(1 for e in canon if graph.colors[e] == RED)
-        return cls(canon, reds)
+        return cls(frozenset(canon), reds)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

@@ -357,24 +357,38 @@ def red_count_lattice(graph: ColoredGraph, low: PerfectMatching, high: PerfectMa
 class _RecoveryContext:
     """Per-(matching, color) state shared by every guess and recovery attempt.
 
-    Made in O(n): ``base`` is the matching's edges of this color, and
-    ``color_edges`` (the sorted color class, which fixes the guess order and
-    answers where each vertex's block of edges ends) and
-    ``other_adjacency`` (ascending opposite-color neighbor tuples, which fix
-    completion's lexicographic order) are the graph's cached
-    ``ColoredGraph.color_classes`` entries, shared by every context of the
-    graph, not copies.  Everything that costs O(m) is built on first use:
-    ``layout`` by the first guess enumeration that gets past ``_split``, and
+    Made in O(n): ``base`` is the matching's edges of ``color``.  Everything
+    that costs O(m) is built on first use, each from the graph's sorted edge
+    map ``colors``: ``color_edges`` by the first ``_split`` whose sizes fit,
+    ``layout`` by the first guess enumeration, and ``other_adjacency`` and
     ``parity`` by the first parity screen.  So a context that the search
-    never enters, or that never reaches a completion, pays for neither.
+    never enters, or that never reaches a completion, pays for none of them.
     """
 
     graph: ColoredGraph
     k: int
     target: int
     base: frozenset[Edge]
-    color_edges: tuple[Edge, ...]
-    other_adjacency: dict[int, tuple[int, ...]]
+    color: str
+
+    @cached_property
+    def color_edges(self) -> tuple[Edge, ...]:
+        """The color class, sorted: it fixes the guess order and answers
+        where each vertex's block of edges ends."""
+        color = self.color
+        return tuple([e for e, c in self.graph.colors.items() if c == color])
+
+    @cached_property
+    def other_adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's opposite-color neighbors, ascending: they fix
+        completion's lexicographic order."""
+        color = self.color
+        nbrs: list[list[int]] = [[] for _ in range(self.graph.n)]
+        for (u, v), c in self.graph.colors.items():
+            if c != color:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        return dict(enumerate(map(tuple, nbrs)))
 
     @cached_property
     def layout(self) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...]]:
@@ -452,16 +466,18 @@ class _RecoveryContext:
 def _make_context(
     graph: ColoredGraph, matching: PerfectMatching, k: int, color: str
 ) -> _RecoveryContext:
-    flag = 1 if color == RED else 0         # the color's flag in the index
-    own, other = graph.color_classes[flag], graph.color_classes[1 - flag]
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     target = k if color == RED else graph.n // 2 - k
-    return _RecoveryContext(graph, k, target, base, own.edges, other.neighbors)
+    return _RecoveryContext(graph, k, target, base, color)
 
 
 def _split(ctx: _RecoveryContext, size: int) -> tuple[int, int] | None:
     """(removals, additions) of a guess of ``size`` edges whose proposal
-    has the target size, or None when no such guess exists."""
+    has the target size, or None when no such guess exists.
+
+    The bound on additions reads ``color_edges`` only after the other three
+    bounds hold, so a context whose sizes never fit builds no color class.
+    """
     n_base = len(ctx.base)
     gap = ctx.target - n_base
     if (size - gap) % 2 != 0:

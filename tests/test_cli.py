@@ -360,6 +360,15 @@ class TestAnalyze:
         code = main(["analyze", c4_file, "--matchings", str(m1), str(m2)])
         assert code == EXIT_INPUT
 
+    def test_repeated_matching_edge_is_input_error(self, c4_file, tmp_path, capsys):
+        m1 = tmp_path / "dup.json"
+        m2 = tmp_path / "m2.json"
+        m1.write_text('[[0, 1], [1, 0], [2, 3]]')
+        m2.write_text('[[0, 3], [1, 2]]')
+        code = main(["analyze", c4_file, "--matchings", str(m1), str(m2)])
+        assert code == EXIT_INPUT
+        assert "edge (0, 1) is listed twice in the matching" in capsys.readouterr().err
+
 
 class TestGen:
     def test_random_graph_to_stdout(self, capsys):
@@ -412,6 +421,11 @@ class TestGen:
         assert code == EXIT_LIMIT
         assert "no base graph with a perfect matching found in 60 attempts" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("family, name", [("alpha", "alpha_max"), ("beta", "beta_max")])
+    def test_bound_below_one_is_limit_error(self, family, name, capsys):
+        assert main(["gen", family, "-n", "8", "--bound", "0"]) == EXIT_LIMIT
+        assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
     def test_negative_vertex_count_is_limit_error(self, family, capsys):

@@ -75,6 +75,10 @@ class TestBoundedBeta:
         with pytest.raises(GenerationError):
             gen_bounded_beta(7, 1, 0)
 
+    def test_rejects_bound_below_one(self):
+        with pytest.raises(GenerationError, match="beta_max must be >= 1, got 0"):
+            gen_bounded_beta(8, 0, 0)
+
 
 class TestPlantedYes:
     @pytest.mark.parametrize("family", [

@@ -102,6 +102,17 @@ class TestDot:
         assert g.n == 4
         assert g.colors == {(0, 1): RED, (1, 2): RED, (2, 3): BLUE}
 
+    @pytest.mark.parametrize("name", ["http://example.org/g", "a#b", "/* c */"])
+    def test_comment_markers_inside_quoted_names(self, name):
+        g = parse_graph(f'graph "{name}" {{ 0 -- 1 [color=red]; }} // note', DOT)
+        assert g.n == 2
+        assert g.colors == {(0, 1): RED}
+
+    def test_attribute_separators(self):
+        g = parse_graph(
+            'graph { 0 -- 1 [color=red, penwidth=2]; 2 -- 3 [penwidth=1; color=blue] }', DOT)
+        assert g.colors == {(0, 1): RED, (2, 3): BLUE}
+
     def test_isolated_vertex_extends_n(self):
         g = parse_graph('graph { 0 -- 1 [color=red]; 5; }', DOT)
         assert g.n == 6
@@ -131,6 +142,7 @@ class TestDot:
         ('graph { 0 -- ', "unexpected end of DOT input"),
         ('graph { 0 -- 1 [color red]; }', "expected '=' in DOT input, got 'red'"),
         ('tree { }', "expected 'graph', got 'tree'"),
+        ('graph { 0 -- 1 [color=red]; /* unclosed', "unexpected character '/' in DOT input"),
         ('graph { a -- 1 [color=red]; }', "node id 'a' is not a non-negative integer"),
     ])
     def test_parse_rejects(self, text, message):

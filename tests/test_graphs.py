@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,10 @@ class TestColoredGraph:
     def test_unknown_edge_color_raises(self, c4):
         with pytest.raises(GraphError):
             c4.color((0, 2))
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphError, match="vertex count must be >= 0, got -1"):
+            ColoredGraph(-1, {})
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError):
@@ -100,28 +105,6 @@ class TestColoredGraph:
             assert all(list(nbrs) == sorted(nbrs) for nbrs in index)
             assert g.neighbor_index is index
 
-    @pytest.mark.parametrize("bipartite", [False, True])
-    def test_color_classes(self, bipartite):
-        """The index split by flag, ascending, with the full edge scans' lists,
-        built without building the index."""
-        make = random_bipartite_colored_graph if bipartite else random_colored_graph
-        for seed in range(40):
-            n = 2 * (seed % 11)
-            g = make(n, (0.1, 0.4, 0.8)[seed % 3], seed)
-            classes = g.color_classes
-            assert "neighbor_index" not in vars(g)
-            assert len(classes) == 2
-            for flag, (neighbors, edges) in enumerate(classes):
-                assert sorted(neighbors) == list(range(n))
-                for v, ws in neighbors.items():
-                    assert type(ws) is tuple and list(ws) == sorted(ws)
-                    assert ws == tuple(w for w, f in g.neighbor_index[v].items() if f == flag)
-                color = RED if flag else BLUE
-                assert type(edges) is tuple
-                assert edges == tuple(e for e, c in g.colors.items() if c == color)
-                assert list(edges) == sorted(edges)
-            assert g.color_classes is classes
-
 
 class TestPerfectMatching:
     def test_from_edges(self, c4):
@@ -144,6 +127,10 @@ class TestPerfectMatching:
     def test_rejects_shared_vertex(self, k4_red):
         with pytest.raises(GraphError):
             PerfectMatching.from_edges(k4_red, [(0, 1), (1, 2)])
+
+    def test_rejects_repeated_edge(self, c4):
+        with pytest.raises(GraphError, match=re.escape("edge (0, 1) is listed twice")):
+            PerfectMatching.from_edges(c4, [(0, 1), (1, 0), (2, 3)])
 
 
 def test_validate_matching_is_total(c4):

@@ -77,6 +77,8 @@ class TestPhase1:
         res = run_phase1(g, 0)
         assert res.matching is None
         assert approx_em(g, 0) is None
+        res = run_phase1(g, 0, SolverParams(alpha_hint=3))
+        assert (res.matching, res.red_range, res.bound) == (None, None, 3)
 
     def test_walk_iterates_under_forced_threshold(self):
         g = double_c4()
@@ -299,9 +301,10 @@ class TestRecovery:
         assert exists > 50
 
     def test_context_matches_full_scan_reference(self):
-        # Every field and the cached layout against ones built from a full
-        # scan of graph.colors, for both colors, on min-red, max-red and
-        # random perfect matchings.  Making a context builds no layout.
+        # Every field and cached view against ones built from a full scan of
+        # graph.colors, for both colors, on min-red, max-red and random
+        # perfect matchings.  Making a context builds none of its cached
+        # properties.
         rng = random.Random(23)
         checked = 0
         for seed in range(40):
@@ -315,18 +318,19 @@ class TestRecovery:
                        rng.choice(matchings)]
             for pm in anchors:
                 for color in (RED, BLUE):
-                    k = rng.randint(0, n // 2)
-                    ctx = solver_mod._make_context(g, pm, k, color)
-                    assert "layout" not in vars(ctx) and "parity" not in vars(ctx)
-                    want = reference_context(g, pm, k, color)
-                    got = {field.name: getattr(ctx, field.name)
-                           for field in dataclasses.fields(ctx)}
-                    got["layout"] = ctx.layout
-                    assert got.keys() == want.keys()
-                    for name, value in want.items():
-                        assert got[name] == value, name
+                    check_context(g, pm, rng.randint(0, n // 2), color)
                     checked += 1
         assert checked > 150
+        # Fresh graphs up to n=20, general and bipartite, sparse to dense:
+        # the views come from graph.colors alone, so building them builds
+        # no neighbor index.
+        empty = PerfectMatching(frozenset(), 0)
+        for make in (random_colored_graph, random_bipartite_colored_graph):
+            for seed in range(40):
+                g = make(2 * (seed % 11), (0.1, 0.4, 0.8)[seed % 3], seed)
+                for color in (RED, BLUE):
+                    check_context(g, empty, 0, color)
+                assert "neighbor_index" not in vars(g)
 
     def test_parity_labels_match_full_scan_reference(self):
         # Element for element against the DFS that scans every vertex's
@@ -392,8 +396,12 @@ class TestRecovery:
         assert rejected > 100 and matched > 100
 
 
+CACHED_VIEWS = ("color_edges", "other_adjacency", "layout", "parity")
+
+
 def reference_context(graph, matching, k, color):
-    """``_make_context``'s fields and ``layout`` by name, from full scans of
+    """``_make_context``'s fields and the cached views ``color_edges``,
+    ``other_adjacency`` and ``layout`` by name, from full scans of
     ``graph.colors``: the sorted color class, each vertex's opposite-color
     neighbors ascending, and the base flags and indices read off the whole
     class."""
@@ -413,10 +421,31 @@ def reference_context(graph, matching, k, color):
     base_left = tuple(sum(is_base[j:]) for j in range(len(is_base) + 1))
     return {
         "graph": graph, "k": k, "target": k if color == RED else graph.n // 2 - k,
-        "base": base, "color_edges": color_edges,
+        "base": base, "color": color, "color_edges": color_edges,
         "other_adjacency": {v: tuple(sorted(ws)) for v, ws in adjacency.items()},
         "layout": (is_base, tuple(base_of), base_left),
     }
+
+
+def check_context(graph, matching, k, color):
+    """Make a context and check that it has built no cached view, that its
+    fields and views equal ``reference_context``'s, that the views are
+    tuples in ascending order, and that a second read of each view returns
+    the same object."""
+    ctx = solver_mod._make_context(graph, matching, k, color)
+    assert not set(CACHED_VIEWS) & vars(ctx).keys()
+    got = {field.name: getattr(ctx, field.name) for field in dataclasses.fields(ctx)}
+    for name in ("color_edges", "other_adjacency", "layout"):
+        got[name] = getattr(ctx, name)
+    want = reference_context(graph, matching, k, color)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name] == value, name
+    assert type(ctx.color_edges) is tuple and list(ctx.color_edges) == sorted(ctx.color_edges)
+    for ws in ctx.other_adjacency.values():
+        assert type(ws) is tuple and list(ws) == sorted(ws)
+    for name in ("color_edges", "other_adjacency", "layout"):
+        assert getattr(ctx, name) is got[name], name
 
 
 # -- phase 2: the guess stream ------------------------------------------------------
