@@ -81,14 +81,16 @@ def _best_perfect(
 
 
 def _augment(
-    adjacency: Mapping[int, Sequence[int]], mate: dict[int, int], alive: set[int], root: int
+    adjacency: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]],
+    color: int, mate: dict[int, int], alive: set[int], root: int,
 ) -> bool:
     """Edmonds' augmenting-path search from the exposed vertex ``root`` over
     the ``alive`` vertices, contracting each odd cycle it meets into a
     blossom (Edmonds 1965, "Paths, trees, and flowers").
 
     ``mate`` maps every matched alive vertex to its partner; exposed ones are
-    absent.  Neighbors are scanned in adjacency order from an explicit queue.
+    absent.  Neighbors flagged ``color`` are scanned in adjacency order from
+    an explicit queue.
     Flips the first augmenting path found and returns True; returns False,
     with ``mate`` untouched, when no augmenting path starts at ``root``.
     """
@@ -99,8 +101,8 @@ def _augment(
     while queue:
         v = queue.popleft()
         mv = mate.get(v)
-        for w in adjacency.get(v, ()):
-            if w not in alive or w == mv or base.get(w) == base[v]:
+        for w, flag in adjacency[v].items():
+            if flag != color or w not in alive or w == mv or base.get(w) == base[v]:
                 continue
             if w in even:
                 # An odd cycle: contract it onto the nearest common base.
@@ -149,24 +151,23 @@ def perfect_matching_on(
     Exact in polynomial time, with no search budget.  Edges with an endpoint
     outside ``vertices`` are ignored.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for ws in adj.values():
-        ws.sort()
-    return perfect_matching_on_adjacency(adj, vertices)
+    adj: dict[int, dict[int, int]] = {v: {} for v in vertices}
+    for u, v in sorted((u, v) if u < v else (v, u) for u, v in edges):
+        if u in adj and v in adj:
+            adj[u][v] = adj[v][u] = 0
+    return perfect_matching_on_adjacency(adj, adj.keys(), 0)
 
 
 def perfect_matching_on_adjacency(
-    adjacency: Mapping[int, Sequence[int]], vertices: Iterable[int]
+    adjacency: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]],
+    vertices: Iterable[int], color: int,
 ) -> tuple[Edge, ...] | None:
-    """``perfect_matching_on`` against a prebuilt adjacency.
+    """``perfect_matching_on`` over the edges flagged ``color``.
 
-    ``adjacency`` must list neighbors in ascending order and may cover far
-    more vertices than ``vertices``; edges leaving the vertex set are
-    ignored.  Callers that repeatedly match different remainders of one
-    fixed graph avoid rebuilding the edge list on every call.
+    ``adjacency[v]`` maps v's neighbors, ascending, to flags, as
+    ``ColoredGraph.neighbor_index`` does, so phase 2 completes from the
+    index itself.  It must hold every vertex of ``vertices`` and may cover
+    more; edges leaving the vertex set are ignored.
 
     A lowest-first greedy pass and one ``_augment`` per vertex it leaves
     exposed find some perfect matching.  Then the lowest unfixed vertex u
@@ -178,12 +179,12 @@ def perfect_matching_on_adjacency(
     mate: dict[int, int] = {}
     for u in verts:
         if u not in mate:
-            for v in adjacency.get(u, ()):
-                if v in alive and v not in mate:
+            for v, flag in adjacency[u].items():
+                if flag == color and v in alive and v not in mate:
                     mate[u], mate[v] = v, u
                     break
     for r in verts:
-        if r not in mate and not _augment(adjacency, mate, alive, r):
+        if r not in mate and not _augment(adjacency, color, mate, alive, r):
             return None
     chosen: list[Edge] = []
     for u in verts:
@@ -191,15 +192,15 @@ def perfect_matching_on_adjacency(
             continue
         alive.discard(u)
         mu = mate[u]
-        for v in adjacency[u]:
+        for v, flag in adjacency[u].items():
             if v == mu:
                 break
-            if v not in alive:
+            if flag != color or v not in alive:
                 continue
             mv = mate[v]
             alive.discard(v)
             del mate[mu], mate[mv]
-            if _augment(adjacency, mate, alive, mu):
+            if _augment(adjacency, color, mate, alive, mu):
                 break
             alive.add(v)
             mate[mu], mate[mv] = u, v

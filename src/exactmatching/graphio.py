@@ -7,10 +7,12 @@ JSON graph document::
      "edges": [[0, 1, "red"], [1, 2, "blue"]],
      "bipartition": [[0, 2], [1, 3]]}      # optional
 
-DOT uses undirected ``graph`` syntax with a ``color`` attribute per edge and,
-when a bipartition is present, a ``side`` attribute (``"A"``/``"B"``) per
-node.  Every vertex is written as a node statement so isolated vertices
-round-trip.  Unknown attributes are ignored on read and never emitted.
+DOT uses undirected ``graph`` syntax (keywords in any case) with a ``color``
+attribute per edge and, when a bipartition is present, a ``side`` attribute
+(``"A"``/``"B"``) per node, given once.  A statement may carry several
+attribute lists in a row.  Every vertex is written as a node statement so
+isolated vertices round-trip.  Unknown attributes are ignored on read and
+never emitted.
 
 A matching document is a JSON list of ``[u, v]`` pairs.
 """
@@ -97,10 +99,14 @@ def _parse_json(text: str) -> ColoredGraph:
         if (not isinstance(raw_bip, list) or len(raw_bip) != 2
                 or not all(isinstance(side, list) for side in raw_bip)):
             raise ParseError('"bipartition" must be a pair of vertex lists')
+        seen: set[int] = set()
         for side in raw_bip:
             for v in side:
                 if type(v) is not int:
                     raise ParseError(f"bipartition entry {v!r} is not an integer")
+                if v in seen:
+                    raise ParseError(f"bipartition names vertex {v} twice")
+                seen.add(v)
         bip = (raw_bip[0], raw_bip[1])
     try:
         return ColoredGraph.from_edges(n, triples, bip)
@@ -166,11 +172,11 @@ class _DotReader:
 def _parse_dot(text: str) -> ColoredGraph:
     reader = _DotReader(_tokenize_dot(text))
     tok = reader.next()
-    if tok == "strict":
+    if tok.lower() == "strict":
         tok = reader.next()
-    if tok == "digraph":
+    if tok.lower() == "digraph":
         raise ParseError("directed DOT graphs are not supported")
-    if tok != "graph":
+    if tok.lower() != "graph":
         raise ParseError(f"expected 'graph', got {tok!r}")
     if reader.peek() != "{":
         reader.next()  # optional graph name
@@ -188,16 +194,15 @@ def _parse_dot(text: str) -> ColoredGraph:
 
     def read_attrs() -> dict[str, str]:
         attrs: dict[str, str] = {}
-        if reader.peek() != "[":
-            return attrs
-        reader.next()
-        while reader.peek() != "]":
-            key = reader.next()
-            reader.expect("=")
-            attrs[key] = reader.next()
-            if reader.peek() in (",", ";"):
-                reader.next()
-        reader.expect("]")
+        while reader.peek() == "[":
+            reader.next()
+            while reader.peek() != "]":
+                key = reader.next()
+                reader.expect("=")
+                attrs[key] = reader.next()
+                if reader.peek() in (",", ";"):
+                    reader.next()
+            reader.expect("]")
         return attrs
 
     while True:
@@ -221,6 +226,8 @@ def _parse_dot(text: str) -> ColoredGraph:
         attrs = read_attrs()
         if len(chain) == 1:
             if "side" in attrs:
+                if u in sides:
+                    raise ParseError(f"node {u} is given a side twice")
                 sides[u] = attrs["side"]
         else:
             color = attrs.get("color")

@@ -360,9 +360,10 @@ class _RecoveryContext:
     Made in O(n): ``base`` is the matching's edges of ``color``.  Everything
     that costs O(m) is built on first use, each from the graph's sorted edge
     map ``colors``: ``color_edges`` by the first ``_split`` whose sizes fit,
-    ``layout`` by the first guess enumeration, and ``other_adjacency`` and
-    ``parity`` by the first parity screen.  So a context that the search
-    never enters, or that never reaches a completion, pays for none of them.
+    ``layout`` by the first guess enumeration, and ``parity`` by the first
+    parity screen.  So a context that the search never enters, or that never
+    reaches a completion, pays for none of them.  Nothing copies the
+    opposite-color graph: ``parity`` and completion read ``neighbor_index``.
     """
 
     graph: ColoredGraph
@@ -377,18 +378,6 @@ class _RecoveryContext:
         where each vertex's block of edges ends."""
         color = self.color
         return tuple([e for e, c in self.graph.colors.items() if c == color])
-
-    @cached_property
-    def other_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's opposite-color neighbors, ascending: they fix
-        completion's lexicographic order."""
-        color = self.color
-        nbrs: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for (u, v), c in self.graph.colors.items():
-            if c != color:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-        return dict(enumerate(map(tuple, nbrs)))
 
     @cached_property
     def layout(self) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...]]:
@@ -413,11 +402,12 @@ class _RecoveryContext:
     def parity(self) -> tuple[list[int], list[int], list[int], list[int], int]:
         """(component, side, need, mask, bad) for the opposite-color graph.
 
-        A depth-first search labels each vertex v with its component
-        ``component[v]`` and a side ``side[v]`` of +1 or -1 that alternates
-        along the search tree.  ``need[c]`` sums the sides of component c:
-        for a bipartite component that is the signed difference of its two
-        sides, for any component its parity is that of the vertex count.
+        A depth-first search over the index's opposite-color entries labels
+        each vertex v with its component ``component[v]`` and a side
+        ``side[v]`` of +1 or -1 that alternates along the search tree.
+        ``need[c]`` sums the sides of component c: for a bipartite component
+        that is the signed difference of its two sides, for any component
+        its parity is that of the vertex count.
         ``mask[c]`` is -1 for a bipartite component and 1 otherwise, so
         ``need[c] & mask[c]`` is nonzero exactly when the component can have
         no perfect matching: odd, or bipartite with unequal sides.  ``bad``
@@ -429,7 +419,8 @@ class _RecoveryContext:
         bipartition and every component is bipartite.  The labels are those
         of the full scan.
         """
-        adjacency = self.other_adjacency
+        index = self.graph.neighbor_index
+        same = 1 if self.color == RED else 0
         n = self.graph.n
         split = self.graph.bipartition is not None
         component = [-1] * n
@@ -450,7 +441,9 @@ class _RecoveryContext:
                 s = side[v]
                 total += s
                 if unlabeled or (bipartite and not split):
-                    for w in adjacency[v]:
+                    for w, flag in index[v].items():
+                        if flag == same:
+                            continue
                         if component[w] < 0:
                             component[w], side[w] = c, -s
                             unlabeled -= 1
@@ -496,15 +489,17 @@ def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching 
     size and shares no vertex, so neither is checked again here.  The
     proposal's endpoints are removed, and the lexicographically first
     perfect matching of the rest of the opposite-color graph completes the
-    solution, which then has red count k.  None when the parity screen or
-    completion finds no such matching.
+    solution, which then has red count k: completion reads the index's
+    blue (0) entries in a red context and its red (1) ones in a blue one.
+    None when the parity screen or completion finds no such matching.
     """
     proposal = ctx.base.symmetric_difference(guess)
     used = {w for e in proposal for w in e}
     if not _parity_ok(ctx, used):
         return None
     free = [w for w in range(ctx.graph.n) if w not in used]
-    completion = perfect_matching_on_adjacency(ctx.other_adjacency, free)
+    completion = perfect_matching_on_adjacency(
+        ctx.graph.neighbor_index, free, 0 if ctx.color == RED else 1)
     if completion is None:
         return None
     return PerfectMatching(proposal | frozenset(completion), ctx.k)

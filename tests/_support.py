@@ -21,7 +21,9 @@ reference for completion.
 ``largest_read_weight`` is the ``top`` the blossom engine's precondition
 asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
 ``full_scan_parity`` is the parity screen's component labeling with every
-neighbor of every vertex scanned, the reference for its early stop.
+neighbor of every vertex scanned, the reference for its early stop, and
+``color_adjacency`` is one color's graph read off ``graph.colors``, the
+opposite-color graph that phase 2 reads from the neighbor index.
 """
 
 from __future__ import annotations
@@ -591,6 +593,17 @@ def blossom_mate(adj, negate: bool = False) -> list[int]:
 
 
 # -- the parity labels, by a full scan -----------------------------------------------
+
+
+def color_adjacency(graph: ColoredGraph, color: str) -> dict[int, tuple[int, ...]]:
+    """Each vertex's neighbors along the edges of ``color``, ascending, by a
+    scan of ``graph.colors``."""
+    nbrs: dict[int, list[int]] = {v: [] for v in range(graph.n)}
+    for (u, v), c in graph.colors.items():
+        if c == color:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
 
 
 def full_scan_parity(n, adjacency):

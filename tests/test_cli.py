@@ -136,6 +136,24 @@ class TestSolve:
         assert main(["solve", "-", "--format", "dot", "-k", "0"]) == EXIT_INPUT
         assert "directed DOT graphs are not supported" in capsys.readouterr().err
 
+    def test_dot_keyword_case_and_attribute_lists_on_stdin(self, capsys, monkeypatch):
+        text = "Graph { 0 -- 1 [color=red] [penwidth=2]; }"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["solve", "-", "--format", "dot", "-k", "1"]) == EXIT_YES
+        assert capsys.readouterr().out.splitlines()[:2] == ["yes", "witness: (0,1)"]
+
+    @pytest.mark.parametrize("text, fmt, message", [
+        ('{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[0, 0], [1]]}', "json",
+         "bipartition names vertex 0 twice"),
+        ("graph { 0 [side=A]; 0 [side=B]; 1 [side=B]; 0 -- 1 [color=red]; }", "dot",
+         "node 0 is given a side twice"),
+    ])
+    def test_vertex_named_twice_in_bipartition_is_input_error(
+            self, text, fmt, message, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["solve", "-", "--format", fmt, "-k", "1"]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     def test_unexpected_exception_is_internal_error(self, c4_file, capsys, monkeypatch):
         def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")

@@ -470,13 +470,14 @@ def test_perfect_matching_on_ignores_outside_edges():
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([4, 6, 8, 10]),
        drop=st.integers(0, 3))
 def test_adjacency_variant_matches_edge_variant(seed, n, drop):
-    """Both entry points return the identical matching on every remainder."""
+    """Both entry points return the identical matching on every remainder,
+    the adjacency variant reading one color's flag in the neighbor index."""
     g = random_colored_graph(n, 0.6, seed)
-    adj = dict(enumerate(g.neighbor_index))
     verts = [v for v in range(n) if v >= drop]
-    edges = g.edges()
-    assert (perfect_matching_on(verts, edges)
-            == perfect_matching_on_adjacency(adj, verts))
+    for color, flag in ((BLUE, 0), (RED, 1)):
+        edges = [e for e, c in g.colors.items() if c == color]
+        assert (perfect_matching_on(verts, edges)
+                == perfect_matching_on_adjacency(g.neighbor_index, verts, flag))
 
 
 def _has_perfect_matching(adjacency, verts):
@@ -505,9 +506,9 @@ def test_completion_equals_backtracking():
         n = 2 * rng.randint(2, 20)
         make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
         g = make(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.95]), seed)
-        adj = dict(enumerate(g.neighbor_index))
+        adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
         verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
-        got = perfect_matching_on_adjacency(adj, verts)
+        got = perfect_matching_on_adjacency(adj, verts, 0)
         try:
             want = backtrack_match(adj, verts, budget=20_000)
         except BudgetExhausted:
@@ -538,10 +539,10 @@ def test_completion_of_two_odd_cliques(a):
 
 def test_adjacency_variant_validity():
     g = random_colored_graph(12, 0.5, 99)
-    adj = dict(enumerate(g.neighbor_index))
+    adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
     for combo in itertools.combinations(range(12), 4):
         verts = [v for v in range(12) if v not in combo]
-        got = perfect_matching_on_adjacency(adj, verts)
+        got = perfect_matching_on_adjacency(adj, verts, 0)
         if got is None:
             continue
         used = [v for e in got for v in e]

@@ -64,6 +64,10 @@ class TestJson:
          "bipartition entry False is not an integer"),
         ('{"n": 2, "edges": [], "bipartition": [[0]]}',
          '"bipartition" must be a pair of vertex lists'),
+        ('{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[0, 0], [1]]}',
+         "bipartition names vertex 0 twice"),
+        ('{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[0], [1, 0]]}',
+         "bipartition names vertex 0 twice"),
         ("{not json", "graph document is not valid JSON"),
         ('{"n": 2, "edges": {}}', '"edges" must be a list of [u, v, color] triples'),
     ])
@@ -113,6 +117,18 @@ class TestDot:
             'graph { 0 -- 1 [color=red, penwidth=2]; 2 -- 3 [penwidth=1; color=blue] }', DOT)
         assert g.colors == {(0, 1): RED, (2, 3): BLUE}
 
+    @pytest.mark.parametrize("header", ["Graph", "GRAPH g", "Strict Graph", "strict GRAPH"])
+    def test_keywords_in_any_case(self, header):
+        g = parse_graph(header + ' { 0 -- 1 [color=red]; }', DOT)
+        assert g.colors == {(0, 1): RED}
+
+    def test_consecutive_attribute_lists(self):
+        g = parse_graph('graph { 0 [side=A] [label=x]; 1 [side=B]; '
+                        '0 -- 1 [color=red] [penwidth=2]; 2 -- 3 [penwidth=1][color=blue]; '
+                        '2 [side=A]; 3 [side=B] }', DOT)
+        assert g.colors == {(0, 1): RED, (2, 3): BLUE}
+        assert g.bipartition == (frozenset({0, 2}), frozenset({1, 3}))
+
     def test_isolated_vertex_extends_n(self):
         g = parse_graph('graph { 0 -- 1 [color=red]; 5; }', DOT)
         assert g.n == 6
@@ -128,6 +144,8 @@ class TestDot:
         ('digraph { 0 -- 1 [color=red]; }', DIRECTED),
         ('digraph { 0 -> 1 [color=red]; }', DIRECTED),
         ('strict digraph { 0 -> 1 [color=red]; }', DIRECTED),
+        ('DiGraph { 0 -> 1 [color=red]; }', DIRECTED),
+        ('STRICT DIGRAPH { 0 -> 1 [color=red]; }', DIRECTED),
         ('graph { 0 -> 1 [color=red]; }', "node id '->' is not a non-negative integer"),
         ('graph { 0 -- 1; }', "edge 0--1 has no color attribute"),
         ('graph { 0 -- 1 [color=green]; }', "edge (0, 1) has unknown color 'green'"),
@@ -138,6 +156,8 @@ class TestDot:
          "node 1 has unknown side 'C'"),
         ('graph { 0 [side=A]; 1; 0 -- 1 [color=red]; }',
          "some nodes carry a side attribute but not all of them"),
+        ('graph { 0 [side=A]; 0 [side=B]; 1 [side=B]; 0 -- 1 [color=red]; }',
+         "node 0 is given a side twice"),
         ('graph { 0 -- 1 [color=red]; @ }', "unexpected character '@' in DOT input"),
         ('graph { 0 -- ', "unexpected end of DOT input"),
         ('graph { 0 -- 1 [color red]; }', "expected '=' in DOT input, got 'red'"),

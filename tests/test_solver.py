@@ -35,6 +35,7 @@ from exactmatching import BaseFamily
 from exactmatching import solver as solver_mod
 
 from ._support import (
+    color_adjacency,
     first_success,
     full_scan_parity,
     naive_first_success,
@@ -280,18 +281,16 @@ class TestRecovery:
         for seed in range(40):
             n = rng.choice((6, 8, 10, 12))
             g = random_colored_graph(n, rng.choice((0.3, 0.6, 0.9)), seed)
-            for color in (RED, BLUE):
-                # The base plays no part in the opposite-color adjacency.
-                ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
-                other = BLUE if color == RED else RED
+            for other, flag in ((BLUE, 0), (RED, 1)):
+                adjacency = color_adjacency(g, other)
                 for _ in range(4):
                     free = sorted(rng.sample(range(n), 2 * rng.randint(0, n // 2)))
                     index = {v: i for i, v in enumerate(free)}
                     sub = ColoredGraph(len(free), {
                         (index[u], index[v]): other
-                        for u in free for v in ctx.other_adjacency[u]
+                        for u in free for v in adjacency[u]
                         if u < v and v in index})
-                    got = solver_mod.perfect_matching_on_adjacency(ctx.other_adjacency, free)
+                    got = solver_mod.perfect_matching_on_adjacency(g.neighbor_index, free, flag)
                     assert (got is not None) == (count_perfect_matchings(sub) > 0)
                     first = next(enumerate_perfect_matchings(sub), None)
                     want = None if first is None else tuple(
@@ -334,7 +333,8 @@ class TestRecovery:
 
     def test_parity_labels_match_full_scan_reference(self):
         # Element for element against the DFS that scans every vertex's
-        # neighbors, on general and bipartite graphs from sparse to dense.
+        # neighbors in the opposite-color graph read off graph.colors, on
+        # general and bipartite graphs from sparse to dense.
         # The dense ones label every vertex before their search ends, where
         # the labels skip the remaining scans.
         rng = random.Random(29)
@@ -344,9 +344,9 @@ class TestRecovery:
             bipartite = seed % 2 == 0
             make = random_bipartite_colored_graph if bipartite else random_colored_graph
             g = make(n, rng.choice((0.1, 0.3, 0.6, 0.9, 1.0)), seed)
-            for color in (RED, BLUE):
+            for color, other in ((RED, BLUE), (BLUE, RED)):
                 ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
-                want, after = full_scan_parity(g.n, ctx.other_adjacency)
+                want, after = full_scan_parity(g.n, color_adjacency(g, other))
                 assert ctx.parity == want
                 late[bipartite] += after
         assert late[False] > 100 and late[True] > 100
@@ -362,11 +362,12 @@ class TestRecovery:
             n = rng.choice((4, 6, 8, 10, 12, 14))
             make = random_bipartite_colored_graph if seed % 3 == 0 else random_colored_graph
             g = make(n, rng.choice((0.15, 0.3, 0.6, 0.9)), seed)
-            for color in (RED, BLUE):
+            for color, flag in ((RED, 0), (BLUE, 1)):
                 ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
+                adjacency = color_adjacency(g, BLUE if color == RED else RED)
                 other = nx.Graph()
                 other.add_nodes_from(range(n))
-                other.add_edges_from((u, v) for u in range(n) for v in ctx.other_adjacency[u])
+                other.add_edges_from((u, v) for u in range(n) for v in adjacency[u])
                 parts = []
                 for comp in nx.connected_components(other):
                     sub = other.subgraph(comp)
@@ -389,29 +390,21 @@ class TestRecovery:
                     assert got == want
                     rejected += not got
                     free = [w for w in range(n) if w not in removed]
-                    pm = solver_mod.perfect_matching_on_adjacency(ctx.other_adjacency, free)
+                    pm = solver_mod.perfect_matching_on_adjacency(g.neighbor_index, free, flag)
                     if pm is not None:
                         assert got
                         matched += 1
         assert rejected > 100 and matched > 100
 
 
-CACHED_VIEWS = ("color_edges", "other_adjacency", "layout", "parity")
+CACHED_VIEWS = ("color_edges", "layout", "parity")
 
 
 def reference_context(graph, matching, k, color):
-    """``_make_context``'s fields and the cached views ``color_edges``,
-    ``other_adjacency`` and ``layout`` by name, from full scans of
-    ``graph.colors``: the sorted color class, each vertex's opposite-color
-    neighbors ascending, and the base flags and indices read off the whole
-    class."""
+    """``_make_context``'s fields and the cached views ``color_edges`` and
+    ``layout`` by name, from full scans of ``graph.colors``: the sorted
+    color class, and the base flags and indices read off the whole class."""
     color_edges = tuple(e for e, c in graph.colors.items() if c == color)
-    other = BLUE if color == RED else RED
-    adjacency = {v: [] for v in range(graph.n)}
-    for (u, v), c in graph.colors.items():
-        if c == other:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
     base = frozenset(e for e in matching.edges if graph.colors[e] == color)
     is_base = tuple(e in base for e in color_edges)
     base_of = [-1] * graph.n
@@ -422,29 +415,26 @@ def reference_context(graph, matching, k, color):
     return {
         "graph": graph, "k": k, "target": k if color == RED else graph.n // 2 - k,
         "base": base, "color": color, "color_edges": color_edges,
-        "other_adjacency": {v: tuple(sorted(ws)) for v, ws in adjacency.items()},
         "layout": (is_base, tuple(base_of), base_left),
     }
 
 
 def check_context(graph, matching, k, color):
     """Make a context and check that it has built no cached view, that its
-    fields and views equal ``reference_context``'s, that the views are
-    tuples in ascending order, and that a second read of each view returns
+    fields and views equal ``reference_context``'s, that the color class is
+    a tuple in ascending order, and that a second read of each view returns
     the same object."""
     ctx = solver_mod._make_context(graph, matching, k, color)
     assert not set(CACHED_VIEWS) & vars(ctx).keys()
     got = {field.name: getattr(ctx, field.name) for field in dataclasses.fields(ctx)}
-    for name in ("color_edges", "other_adjacency", "layout"):
+    for name in ("color_edges", "layout"):
         got[name] = getattr(ctx, name)
     want = reference_context(graph, matching, k, color)
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert got[name] == value, name
     assert type(ctx.color_edges) is tuple and list(ctx.color_edges) == sorted(ctx.color_edges)
-    for ws in ctx.other_adjacency.values():
-        assert type(ws) is tuple and list(ws) == sorted(ws)
-    for name in ("color_edges", "other_adjacency", "layout"):
+    for name in ("color_edges", "layout"):
         assert getattr(ctx, name) is got[name], name
 
 
