@@ -16,22 +16,39 @@ What changes against networkx is the representation, not the choices:
   loop that networkx runs over its ``blossomdual`` or ``blossomparent`` dict
   visits blossoms in the same order;
 - neighbors are visited in the caller's ``adj[v]`` order, which plays the
-  part of networkx's adjacency order;
+  part of networkx's adjacency order; the two list walks below visit them
+  ascending instead, which is the same order when every ``adj[v]`` is
+  ascending, as every caller's is;
 - with ``negate`` every weight is read as its negation, in the greedy
   tight-edge test, every slack and the optimality check, so a minimizing
   caller passes its map as it is instead of a negated copy;
 - the delta2 and delta3 scans over the vertices share one pass that keeps
   each one's first minimum, least-slack comparisons compute their slacks
   inline, and the internal ``assert`` checks are gone;
+- ``leaves(b)`` keeps the list it builds until ``b``'s sub-blossoms
+  change, and a build splices in the kept lists of the sub-blossoms, which
+  keeps networkx's depth-first order.  ``add_blossom`` drops the list of the
+  id it takes, and ``augment_blossom`` drops the list of every blossom whose
+  sub-blossoms it rotates; those include every blossom around a rotated one,
+  so no stale order survives;
 - ``add_blossom`` scans a sub-blossom that has no best-edge list straight
   from its leaves' neighbor maps, taking each slack from the weight it
   iterates and building the edge tuple only for a new least-slack edge; an
   edge to a vertex inside the new blossom is skipped, as networkx skips it
-  after swapping the ends;
+  after swapping the ends.  Only edges to S-vertices outside the new
+  blossom count.  Within a stage no vertex loses its S label, and each one
+  that gains it is queued once, so the stage appends each S-vertex to a
+  list as it queues it.  The S-vertices outside the new blossom, sorted,
+  are the targets; a leaf whose neighbor map is longer than the targets
+  looks each target up in its map instead of walking the map;
 - until the duals first move, a stage first looks for the first ``w`` in
   ``adj[v]``, for ``v`` the highest single vertex, that is single and joined
   to ``v`` by an edge of the largest weight; if there is one, the stage just
-  matches ``v`` with ``w``.  That is the outcome of the full stage.  Before
+  matches ``v`` with ``w``.  That is the outcome of the full stage.  The
+  single vertices are kept in an ascending list, rebuilt after each full
+  stage that leaves the duals unmoved, so ``v`` is its last entry; when
+  the list is shorter than ``adj[v]``, the stage walks the list instead,
+  which on an ascending map finds the same ``w``.  Before
   any dual move every vertex dual equals the largest weight and no blossom
   is live, so the stage labels every single vertex S and scans the highest,
   ``v``, first; only edges of the largest weight are tight.  During that
@@ -50,8 +67,8 @@ What changes against networkx is the representation, not the choices:
   at ``i`` as no weight exceeds ``top``; every condition is still checked.
 
 Every stage, scan and delta loop therefore breaks ties as networkx does, and
-on the same graph (same node order, same neighbor order, same integer
-weights) the matching is networkx's own.  ``expand_blossom`` and
+on the same graph (same node order, same integer weights, neighbors
+ascending) the matching is networkx's own.  ``expand_blossom`` and
 ``augment_blossom`` share one copy of networkx's trampoline,
 ``_trampoline``, so nesting depth is not bounded by the interpreter's
 recursion limit.  The optimality check stays, builds each vertex's chain of
@@ -122,7 +139,11 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
     """A maximum-cardinality matching of maximum total weight.
 
     ``adj[v]`` maps each neighbor ``w`` of vertex ``v`` to the integer weight
-    of edge ``vw``; it must be symmetric and have no self-loops.  With
+    of edge ``vw``; it must be symmetric and have no self-loops.  The result
+    is networkx's matching on the same graph, edge for edge, when every
+    ``adj[v]`` lists its neighbors ascending; in any other order it is still
+    a maximum-cardinality matching of maximum weight, checked as always,
+    but ties may break differently.  With
     ``negate`` every weight is read as its negation, so the matching is the
     one the negated ``adj`` would give.  ``top`` must be ``max(0, largest
     weight as read)``, networkx's ``maxweight``: the initial duals and the
@@ -165,26 +186,41 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
     # Per blossom: sub-blossoms from the base round the cycle, connecting
     # edges (childedges[b][i] joins childs[b][i] to childs[b][i+1]), and,
     # for a top-level S-blossom, least-slack edges to neighboring
-    # S-blossoms (None if not computed yet).
-    childs: list[list[int]] = [[] for _ in range(nb)]
-    childedges: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
+    # S-blossoms (None if not computed yet).  A blossom's childs and
+    # childedges are set when it forms and only ever replaced, so the
+    # shared empty list placed first is never read or changed.
+    childs: list[list[int]] = [[]] * nb
+    childedges: list[list[tuple[int, int]]] = [[]] * nb
     mybestedges: list[list[tuple[int, int]] | None] = [None] * nb
     unused = list(range(nb - 1, n - 1, -1))
+    # leafcache[b] is leaves(b), or None until it is asked for after b's
+    # childs last changed.  Callers only read the list.
+    leafcache: list[list[int] | None] = [None] * nb
     # Edges (v, w) known to have zero slack, encoded as v * n + w, with
     # both orientations present.
     allowedge: set[int] = set()
     queue: list[int] = []
+    # Every vertex labeled S in this stage, each appended once, as it is
+    # queued on getting that label: no vertex loses S within a stage.
+    svertices: list[int] = []
 
     def leaves(b: int) -> list[int]:
-        # The leaf vertices of blossom b, in networkx's order.
-        out = []
-        stack = childs[b][:]
-        while stack:
-            t = stack.pop()
-            if t >= n:
-                stack.extend(childs[t])
-            else:
-                out.append(t)
+        # The leaf vertices of blossom b, in networkx's order: a depth-first
+        # walk from the last child, splicing in the cached lists of
+        # sub-blossoms, which hold the same walk of each.
+        out = leafcache[b]
+        if out is None:
+            out = []
+            stack = childs[b][:]
+            while stack:
+                t = stack.pop()
+                if t < n:
+                    out.append(t)
+                elif leafcache[t] is not None:
+                    out += leafcache[t]
+                else:
+                    stack.extend(childs[t])
+            leafcache[b] = out
         return out
 
     def slack(v: int, w: int) -> int:
@@ -204,8 +240,10 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                 # b became an S-blossom: queue its vertices.
                 if b >= n:
                     queue.extend(leaves(b))
+                    svertices.extend(leaves(b))
                 else:
                     queue.append(b)
+                    svertices.append(b)
                 return
             # b became a T-blossom: its base's mate becomes S.
             v = blossombase[b]
@@ -268,6 +306,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
             bw = inblossom[w]
         childs[b] = path
         childedges[b] = edgs
+        leafcache[b] = None
         label[b] = 1
         labeledge[b] = labeledge[bb]
         blossomdual[b] = 0
@@ -275,11 +314,14 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
         for v in leaves(b):
             if label[inblossom[v]] == 2:
                 queue.append(v)
+                svertices.append(v)
             inblossom[v] = b
         # Least-slack edges to other S-blossoms, from the sub-blossoms'
         # lists where they exist and from the vertices otherwise.
         bestedgeto: dict[int, tuple[int, int]] = {}
         bestslackto: dict[int, int] = {}
+        # The S-vertices outside b, ascending, once a direct scan needs them.
+        targets = None
         for bv in path:
             if mybestedges[bv] is not None:
                 for k in mybestedges[bv]:
@@ -296,9 +338,26 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
             else:
                 # Straight from the leaves' neighbor maps: every leaf is in
                 # b now, so an edge to a vertex in b is internal and skipped.
+                # Only edges to S-vertices outside b count, so a leaf with
+                # more neighbors than there are such vertices looks each of
+                # them up instead; both visit them in ascending order when
+                # the map is ascending.
+                if targets is None:
+                    targets = sorted([j for j in svertices if inblossom[j] != b])
                 for i in (leaves(bv) if bv >= n else (bv,)):
                     di = dualvar[i]
-                    for j, wt in adj[i].items():
+                    adji = adj[i]
+                    if len(targets) < len(adji):
+                        for j in targets:
+                            wt = adji.get(j)
+                            if wt is not None:
+                                bj = inblossom[j]
+                                kslack = di + dualvar[j] - tw * wt
+                                if bj not in bestedgeto or kslack < bestslackto[bj]:
+                                    bestedgeto[bj] = (i, j)
+                                    bestslackto[bj] = kslack
+                        continue
+                    for j, wt in adji.items():
                         bj = inblossom[j]
                         if bj != b and label[bj] == 1:
                             kslack = di + dualvar[j] - tw * wt
@@ -443,9 +502,12 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                 # Match the edge connecting those sub-blossoms.
                 mate[w] = x
                 mate[x] = w
-            # Rotate the sub-blossoms so the new base comes first.
+            # Rotate the sub-blossoms so the new base comes first.  Every
+            # blossom that holds b is rotated too, on the way down here, so
+            # clearing each rotated blossom's cache leaves no stale list.
             childs[b] = ch[i:] + ch[:i]
             childedges[b] = ce[i:] + ce[:i]
+            leafcache[b] = None
             blossombase[b] = blossombase[childs[b][0]]
 
         _trampoline(_recurse, b, v)
@@ -473,23 +535,30 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
     blank_edges: list[None] = [None] * nb
     # Set when the duals first move; until then a stage may be greedy.
     dualsmoved = False
-    # The highest single vertex, once the greedy stages have looked for it:
-    # vertices never become single again, so it only moves down.
-    highest = n - 1
+    # The single vertices, ascending, while the greedy stages run: rebuilt
+    # after each full stage that leaves the duals unmoved.
+    singles = list(range(n))
     # The stored weight that reads as top.
     tightweight = sign * top
     while True:
         if not dualsmoved:
             # A greedy stage (see the module docstring): match the highest
-            # single vertex to its first single neighbor over a tight edge.
-            while highest >= 0 and mate[highest] != -1:
-                highest -= 1
-            if highest >= 0:
-                w = next((w for w, wt in adj[highest].items()
-                          if wt == tightweight and mate[w] == -1), -1)
+            # single vertex to its first single neighbor over a tight edge,
+            # walking its neighbor map or the single list, whichever is
+            # shorter.  The two agree when the map is ascending.
+            if len(singles) > 1:
+                v = singles[-1]
+                adjv = adj[v]
+                if len(adjv) <= len(singles):
+                    w = next((w for w, wt in adjv.items()
+                              if wt == tightweight and mate[w] == -1), -1)
+                else:
+                    w = next((w for w in singles if adjv.get(w) == tightweight), -1)
                 if w != -1:
-                    mate[highest] = w
-                    mate[w] = highest
+                    mate[v] = w
+                    mate[w] = v
+                    singles.pop()
+                    singles.remove(w)
                     continue
 
         # A stage: find one augmenting path.
@@ -512,6 +581,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                         queue.extend(leaves(b))
                     else:
                         queue.append(b)
+        svertices[:] = queue
 
         augmented = False
         while True:
@@ -653,6 +723,8 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
 
         if not augmented:
             break
+        if not dualsmoved:
+            singles = [v for v in singles if mate[v] == -1]
 
         # End of a stage: expand the S-blossoms whose dual is zero.
         for b in list(blossomdual):

@@ -149,11 +149,12 @@ def perfect_matching_on(
     Lexicographically first: the lowest vertex takes the lowest partner that
     still leaves a perfect matching, then the lowest vertex left, and so on.
     Exact in polynomial time, with no search budget.  Edges with an endpoint
-    outside ``vertices`` are ignored.
+    outside ``vertices`` are ignored, and so are self-loops, which lie in no
+    matching.
     """
     adj: dict[int, dict[int, int]] = {v: {} for v in vertices}
     for u, v in sorted((u, v) if u < v else (v, u) for u, v in edges):
-        if u in adj and v in adj:
+        if u != v and u in adj and v in adj:
             adj[u][v] = adj[v][u] = 0
     return perfect_matching_on_adjacency(adj, adj.keys(), 0)
 

@@ -10,9 +10,12 @@ JSON graph document::
 DOT uses undirected ``graph`` syntax (keywords in any case) with a ``color``
 attribute per edge and, when a bipartition is present, a ``side`` attribute
 (``"A"``/``"B"``) per node, given once.  A statement may carry several
-attribute lists in a row.  Every vertex is written as a node statement so
-isolated vertices round-trip.  Unknown attributes are ignored on read and
-never emitted.
+attribute lists in a row.  Of the default-attribute statements, ``edge
+[color=...]`` gives its color to later edges that carry none; ``graph
+[...]`` and ``node [...]`` are ignored, except that a default ``side`` is
+rejected, and so are ``ID = ID`` graph attributes.  Every vertex is written
+as a node statement so isolated vertices round-trip.  Unknown attributes are
+ignored on read and never emitted.
 
 A matching document is a JSON list of ``[u, v]`` pairs.
 """
@@ -133,6 +136,10 @@ _TOKEN = re.compile(
     r'|(--|->|[{}\[\];,=])|(\S)', re.S)
 
 
+class _Quoted(str):
+    """A quoted DOT ID, which is never a statement keyword."""
+
+
 def _tokenize_dot(text: str) -> list[str]:
     tokens = []
     for match in _TOKEN.finditer(text):
@@ -140,7 +147,7 @@ def _tokenize_dot(text: str) -> list[str]:
         if bad is not None:
             raise ParseError(f"unexpected character {bad!r} in DOT input")
         if quoted is not None:
-            tokens.append(quoted)
+            tokens.append(_Quoted(quoted))
         elif word is not None:
             tokens.append(word)
         elif sym is not None:
@@ -153,8 +160,9 @@ class _DotReader:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> str | None:
+        pos = self.pos + ahead
+        return self.tokens[pos] if pos < len(self.tokens) else None
 
     def next(self) -> str:
         tok = self.peek()
@@ -185,6 +193,8 @@ def _parse_dot(text: str) -> ColoredGraph:
     nodes: set[int] = set()
     sides: dict[int, str] = {}
     triples: list[tuple[int, int, str]] = []
+    # The color set by the last `edge [color=...]` statement, if any.
+    default_color: str | None = None
 
     def read_id() -> int:
         tok = reader.next()
@@ -215,6 +225,25 @@ def _parse_dot(text: str) -> ColoredGraph:
         if tok == ";":
             reader.next()
             continue
+        if reader.peek(1) == "=":
+            # A graph attribute `ID = ID`: nothing here reads it.
+            reader.next()
+            reader.next()
+            reader.next()
+            continue
+        keyword = tok.lower()
+        if keyword in ("graph", "node", "edge") and not isinstance(tok, _Quoted):
+            # A default-attribute statement.
+            reader.next()
+            if reader.peek() != "[":
+                raise ParseError(f"expected '[' after {tok!r} in DOT input")
+            attrs = read_attrs()
+            if keyword == "edge":
+                default_color = attrs.get("color", default_color)
+            elif "side" in attrs:
+                raise ParseError(f"default {keyword} attribute 'side' is not supported;"
+                                 " give each node its own side")
+            continue
         u = read_id()
         nodes.add(u)
         chain = [u]
@@ -230,7 +259,7 @@ def _parse_dot(text: str) -> ColoredGraph:
                     raise ParseError(f"node {u} is given a side twice")
                 sides[u] = attrs["side"]
         else:
-            color = attrs.get("color")
+            color = attrs.get("color", default_color)
             if color is None:
                 raise ParseError(f"edge {chain[0]}--{chain[1]} has no color attribute")
             for a, b in zip(chain, chain[1:]):

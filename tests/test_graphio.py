@@ -129,6 +129,32 @@ class TestDot:
         assert g.colors == {(0, 1): RED, (2, 3): BLUE}
         assert g.bipartition == (frozenset({0, 2}), frozenset({1, 3}))
 
+    @pytest.mark.parametrize("text", [
+        'graph { node [shape=circle]; 0 -- 1 [color=red]; }',
+        'graph { edge [color=red]; 0 -- 1; }',
+    ])
+    def test_default_attribute_statements(self, text):
+        g = parse_graph(text, DOT)
+        assert g.n == 2
+        assert g.colors == {(0, 1): RED}
+
+    def test_graph_defaults_and_attributes_ignored(self):
+        g = parse_graph('graph { GRAPH [rankdir=LR] [label=x]; rankdir = LR; label="g"; '
+                        'Node [shape=box]; 0 -- 1 [color=blue]; }', DOT)
+        assert g.colors == {(0, 1): BLUE}
+
+    def test_default_edge_color_reaches_only_later_edges(self):
+        with pytest.raises(ParseError, match=re.escape("edge 0--1 has no color attribute")):
+            parse_graph('graph { 0 -- 1; edge [color=red]; 2 -- 3; }', DOT)
+        g = parse_graph('graph { 0 -- 1 [color=blue]; EDGE [color=red]; 2 -- 3 -- 4; '
+                        'edge [penwidth=2]; 4 -- 5; }', DOT)
+        assert g.colors == {(0, 1): BLUE, (2, 3): RED, (3, 4): RED, (4, 5): RED}
+
+    def test_own_edge_color_overrides_default(self):
+        g = parse_graph('graph { edge [color=red]; 0 -- 1 [color=blue]; 1 -- 2; '
+                        'edge [color=blue]; 2 -- 3 [color=red]; 3 -- 4; }', DOT)
+        assert g.colors == {(0, 1): BLUE, (1, 2): RED, (2, 3): RED, (3, 4): BLUE}
+
     def test_isolated_vertex_extends_n(self):
         g = parse_graph('graph { 0 -- 1 [color=red]; 5; }', DOT)
         assert g.n == 6
@@ -164,6 +190,13 @@ class TestDot:
         ('tree { }', "expected 'graph', got 'tree'"),
         ('graph { 0 -- 1 [color=red]; /* unclosed', "unexpected character '/' in DOT input"),
         ('graph { a -- 1 [color=red]; }', "node id 'a' is not a non-negative integer"),
+        ('graph { node [side=A]; 0 -- 1 [color=red]; }',
+         "default node attribute 'side' is not supported"),
+        ('graph { Graph [side=B]; 0 -- 1 [color=red]; }',
+         "default graph attribute 'side' is not supported"),
+        ('graph { edge; 0 -- 1 [color=red]; }', "expected '[' after 'edge' in DOT input"),
+        ('graph { "edge" [color=red]; 0 -- 1; }',
+         "node id 'edge' is not a non-negative integer"),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
