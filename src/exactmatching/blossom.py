@@ -45,12 +45,12 @@ What changes against networkx is the representation, not the choices:
   ``adj[v]``, for ``v`` the highest single vertex, that is single and joined
   to ``v`` by an edge of the largest weight; if there is one, the stage just
   matches ``v`` with ``w``.  That is the outcome of the full stage.  The
-  single vertices are kept in an ascending list, rebuilt after each full
-  stage that leaves the duals unmoved, so ``v`` is its last entry; when
-  the list is shorter than ``adj[v]``, the stage walks the list instead,
-  which on an ascending map finds the same ``w``.  Before
-  any dual move every vertex dual equals the largest weight and no blossom
-  is live, so the stage labels every single vertex S and scans the highest,
+  single vertices are kept in an ascending list, rebuilt after each lean
+  stage, so ``v`` is its last entry; when the list is shorter than
+  ``adj[v]``, the stage walks the list instead, which on an ascending map
+  finds the same ``w``.  Before any dual move every vertex dual equals the
+  largest weight and no blossom is live, so the stage labels every single
+  vertex S and scans the highest,
   ``v``, first; only edges of the largest weight are tight.  During that
   scan it can augment only over a tight edge to another single vertex,
   which it does at the first one; every vertex it labels on the way is
@@ -60,6 +60,19 @@ What changes against networkx is the representation, not the choices:
   blossoms take, but ids only name blossoms: every loop over live
   blossoms runs in creation order.  Without such a ``w`` the full stage
   runs from the untouched state;
+- until the duals first move, every stage is also lean: ``add_blossom``
+  returns once the new blossom's leaves are relabeled, with no least-slack
+  merge and no ``mybestedges`` or ``bestedge`` entry for the new blossom;
+  the scan loop still keeps its own ``bestedge``.  Those lists feed only the
+  dual step and later merges in the same stage.  No blossom is live when
+  such a stage starts and each one it forms has dual zero, so a stage that
+  augments expands them all at its end, unread, and its mates are
+  networkx's.  A lean stage that runs dry without a blossom is networkx's
+  stage as it stands and goes on to the dual step.  One that formed
+  blossoms, all its own, undoes them: every vertex is its own top-level
+  blossom again, the ids go back to the free pool in the order they came
+  out, and the stage runs again with the merge, without the greedy step,
+  which found nothing;
 - the largest weight as read, networkx's ``maxweight``, is the caller's
   ``top``, not a pass over every neighbor map; the optimality check skips
   the per-edge slack pass at vertex ``i`` when
@@ -316,6 +329,8 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                 queue.append(v)
                 svertices.append(v)
             inblossom[v] = b
+        if lean:
+            return
         # Least-slack edges to other S-blossoms, from the sub-blossoms'
         # lists where they exist and from the vertices otherwise.
         bestedgeto: dict[int, tuple[int, int]] = {}
@@ -533,15 +548,39 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
 
     blank_labels = [0] * nb
     blank_edges: list[None] = [None] * nb
-    # Set when the duals first move; until then a stage may be greedy.
-    dualsmoved = False
+
+    def start_stage() -> None:
+        # Clear the labels, then single vertices become S and enter the
+        # queue with no source edge (labeledge and bestedge are None).
+        label[:] = blank_labels
+        labeledge[:] = blank_edges
+        bestedge[:] = blank_edges
+        for b in blossomdual:
+            mybestedges[b] = None
+        allowedge.clear()
+        queue.clear()
+        for v in range(n):
+            if mate[v] == -1:
+                b = inblossom[v]
+                if label[b] == 0:
+                    label[v] = label[b] = 1
+                    if b >= n:
+                        queue.extend(leaves(b))
+                    else:
+                        queue.append(b)
+        svertices[:] = queue
+
+    # Set until a stage first runs dry, just before the duals first move;
+    # until then a stage may be greedy, and is lean (see the module
+    # docstring).
+    lean = True
     # The single vertices, ascending, while the greedy stages run: rebuilt
-    # after each full stage that leaves the duals unmoved.
+    # after each lean stage.
     singles = list(range(n))
     # The stored weight that reads as top.
     tightweight = sign * top
     while True:
-        if not dualsmoved:
+        if lean:
             # A greedy stage (see the module docstring): match the highest
             # single vertex to its first single neighbor over a tight edge,
             # walking its neighbor map or the single list, whichever is
@@ -562,27 +601,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                     continue
 
         # A stage: find one augmenting path.
-        label[:] = blank_labels
-        labeledge[:] = blank_edges
-        bestedge[:] = blank_edges
-        for b in blossomdual:
-            mybestedges[b] = None
-        allowedge.clear()
-        queue.clear()
-
-        # Single vertices become S and enter the queue with no source edge
-        # (labeledge and bestedge are already None).
-        for v in range(n):
-            if mate[v] == -1:
-                b = inblossom[v]
-                if label[b] == 0:
-                    label[v] = label[b] = 1
-                    if b >= n:
-                        queue.extend(leaves(b))
-                    else:
-                        queue.append(b)
-        svertices[:] = queue
-
+        start_stage()
         augmented = False
         while True:
             # A substage: label until an augmenting path turns up or the
@@ -640,6 +659,21 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
             if augmented:
                 break
 
+            if lean:
+                # The first dry stage.  Without blossoms it is networkx's
+                # stage; with them, all formed in this stage, undo them and
+                # run it again with the merge.
+                lean = False
+                if blossomdual:
+                    unused.extend(reversed(blossomdual))
+                    blossomdual.clear()
+                    inblossom[:] = range(n)
+                    blossomparent[:] = [-1] * nb
+                    blossombase[n:] = [-1] * n
+                    leafcache[n:] = [None] * n
+                    start_stage()
+                    continue
+
             # No augmenting path under these constraints: compute delta
             # (pre-multiplied by two, as the duals are).
             deltatype = -1
@@ -696,7 +730,6 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                 deltatype = 1
                 delta = max(0, min(dualvar))
 
-            dualsmoved = True
             for v in range(n):
                 lb = label[inblossom[v]]
                 if lb == 1:
@@ -723,7 +756,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
 
         if not augmented:
             break
-        if not dualsmoved:
+        if lean:
             singles = [v for v in singles if mate[v] == -1]
 
         # End of a stage: expand the S-blossoms whose dual is zero.

@@ -13,9 +13,10 @@ attribute per edge and, when a bipartition is present, a ``side`` attribute
 attribute lists in a row.  Of the default-attribute statements, ``edge
 [color=...]`` gives its color to later edges that carry none; ``graph
 [...]`` and ``node [...]`` are ignored, except that a default ``side`` is
-rejected, and so are ``ID = ID`` graph attributes.  Every vertex is written
-as a node statement so isolated vertices round-trip.  Unknown attributes are
-ignored on read and never emitted.
+rejected, and so are ``ID = ID`` graph attributes.  Subgraphs, node sets
+as edge ends and ports are outside this subset and raise ``ParseError``.
+Every vertex is written as a node statement so isolated vertices
+round-trip.  Unknown attributes are ignored on read and never emitted.
 
 A matching document is a JSON list of ``[u, v]`` pairs.
 """

@@ -24,6 +24,8 @@ asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
 neighbor of every vertex scanned, the reference for its early stop, and
 ``color_adjacency`` is one color's graph read off ``graph.colors``, the
 opposite-color graph that phase 2 reads from the neighbor index.
+``parity_graph`` builds the parity family, a K_n whose red edges are those
+crossing one cut.
 """
 
 from __future__ import annotations
@@ -641,3 +643,14 @@ def full_scan_parity(n, adjacency):
         mask.append(-1 if bipartite else 1)
     bad = sum(1 for x, m in zip(need, mask) if x & m)
     return (component, side, need, mask, bad), late
+
+
+# -- the parity family ---------------------------------------------------------------
+
+
+def parity_graph(n, split):
+    """K_n with red exactly on the edges crossing {0 .. split-1}: every
+    perfect matching has a red count of the parity of ``split``."""
+    return ColoredGraph.from_edges(n, [
+        (u, v, RED if (u < split) != (v < split) else BLUE)
+        for u in range(n) for v in range(u + 1, n)])

@@ -41,7 +41,13 @@ from exactmatching.engines import (
 )
 from exactmatching.reductions import distance_d_independence_number
 
-from ._support import BudgetExhausted, backtrack_match, blossom_mate, largest_read_weight
+from ._support import (
+    BudgetExhausted,
+    backtrack_match,
+    blossom_mate,
+    largest_read_weight,
+    parity_graph,
+)
 
 
 def test_min_and_max_red(c4):
@@ -364,6 +370,21 @@ def test_blossom_equals_networkx_dense_lists(negate):
         _assert_blossom_is_networkx(n, edges, negate, seed)
 
 
+@pytest.mark.parametrize("negate", [False, True])
+def test_blossom_equals_networkx_color_biased(negate):
+    """G(n, p) at n 10-80 with weight 1 on a share of 0.05-0.95 of the edges
+    and 0 elsewhere, the red engines' weights: some first dry stages form
+    blossoms and are run again in full, others form none."""
+    for seed in range(40):
+        rng = random.Random(f"color-biased-{seed}")
+        n = rng.randint(10, 80)
+        p = rng.choice([0.1, 0.3, 0.6, 1.0])
+        red_share = rng.choice([0.05, 0.2, 0.5, 0.8, 0.95])
+        edges = [(u, v, int(rng.random() < red_share))
+                 for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        _assert_blossom_is_networkx(n, edges, negate, seed)
+
+
 def test_blossom_equals_networkx_nested_rotations():
     """G(n, p) at n 30-60, p 0.1-0.3, weights 1-5.  Here augmentations
     rotate blossoms that hold blossoms: 228 such rotations in 95 of the 200
@@ -442,6 +463,28 @@ def test_red_engines_equal_networkx_dense(density):
             want = _nx_matching(n, [(u, v, red if c == RED else 0)
                                     for (u, v), c in g.colors.items()])
             assert engine(g).edges == want, (engine.__name__, density, seed)
+
+
+# Every split up to n = 40; beyond, the splits at the ends and round n/2.
+PARITY_SPLITS = {n: range(1, n) for n in (10, 20, 30, 40)}
+PARITY_SPLITS.update({n: (1, 2, 3, 5, 7, n // 2 - 1, n // 2, n // 2 + 1, n - 1)
+                      for n in (60, 80, 100)})
+
+
+@pytest.mark.parametrize("n", sorted(PARITY_SPLITS))
+def test_red_engines_equal_networkx_parity(n):
+    """min/max-red on parity K_n.  Before the duals first move, a stage runs
+    without ``add_blossom``'s least-slack merge.  With an odd split the
+    min-red call's first such stage forms n/2 - 1 blossoms and then runs out
+    of tight edges, so it is undone and run again in full.  With a split
+    below n/2 the max-red call's tight subgraph is bipartite, so its first
+    dry stage forms no blossom and goes straight on to the dual step."""
+    for split in PARITY_SPLITS[n]:
+        g = parity_graph(n, split)
+        for engine, red in ((min_red_pm, -1), (max_red_pm, 1)):
+            want = _nx_matching(n, [(u, v, red if c == RED else 0)
+                                    for (u, v), c in g.colors.items()])
+            assert engine(g).edges == want, (engine.__name__, split)
 
 
 def test_red_engines_leave_the_shared_index_as_it_was():

@@ -197,6 +197,12 @@ class TestDot:
         ('graph { edge; 0 -- 1 [color=red]; }', "expected '[' after 'edge' in DOT input"),
         ('graph { "edge" [color=red]; 0 -- 1; }',
          "node id 'edge' is not a non-negative integer"),
+        # Outside the supported subset (see the README): subgraphs, node
+        # sets as edge ends, and ports.
+        ('graph { subgraph s { 0 -- 1 [color=red]; } }',
+         "node id 'subgraph' is not a non-negative integer"),
+        ('graph { {0 1} -- 2 [color=red]; }', "node id '{' is not a non-negative integer"),
+        ('graph { 0:n -- 2 [color=red]; }', "unexpected character ':' in DOT input"),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):

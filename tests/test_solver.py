@@ -41,6 +41,7 @@ from ._support import (
     naive_first_success,
     naive_lattice,
     naive_solve,
+    parity_graph,
 )
 
 
@@ -52,14 +53,6 @@ def double_c4(bipartite=False):
                     (off + 1, off + 2, BLUE), (off, off + 3, BLUE)]
     bip = ([0, 2, 4, 6], [1, 3, 5, 7]) if bipartite else None
     return ColoredGraph.from_edges(8, triples, bipartition=bip)
-
-
-def parity_graph(n, split):
-    """K_n with red exactly on the edges crossing {0 .. split-1}: every
-    perfect matching has a red count of the parity of ``split``."""
-    return ColoredGraph.from_edges(n, [
-        (u, v, RED if (u < split) != (v < split) else BLUE)
-        for u in range(n) for v in range(u + 1, n)])
 
 
 # -- phase 1 ----------------------------------------------------------------------
