@@ -132,29 +132,29 @@ def _cmd_solve(args) -> int:
 def _cmd_approx(args) -> int:
     graph = _load_graph(args)
     result = run_phase1(graph, args.k, _params_from(args))
-    if result.matching is None:
-        print("no perfect matching")
-        return EXIT_NO
     m = result.matching
-    doc = {
-        "red_count": m.red_count,
-        "target": args.k,
-        "red_range": list(result.red_range),
-        "threshold": result.threshold,
-        "bound": result.bound,
-        "bipartite": result.bipartite,
-        "iterations": result.iterations,
-        "matching": [list(e) for e in m.sorted_edges()],
-    }
     if args.json:
+        # Without a perfect matching the keys stay, with null values.
+        doc = {
+            "red_count": None if m is None else m.red_count,
+            "target": args.k,
+            "red_range": None if m is None else list(result.red_range),
+            "threshold": result.threshold,
+            "bound": result.bound,
+            "bipartite": result.bipartite,
+            "iterations": result.iterations,
+            "matching": None if m is None else [list(e) for e in m.sorted_edges()],
+        }
         print(json.dumps(doc, indent=2))
+    elif m is None:
+        print("no perfect matching")
     else:
         lo, hi = result.red_range
         print(f"red_count: {m.red_count}  target: {args.k}  red_range: [{lo}, {hi}]")
         print(f"threshold: {result.threshold}  bound: {result.bound}  "
               f"bipartite: {result.bipartite}  iterations: {result.iterations}")
         print("matching: " + " ".join(f"({u},{v})" for u, v in m.sorted_edges()))
-    return EXIT_YES
+    return EXIT_NO if m is None else EXIT_YES
 
 
 def _cmd_oracle(args) -> int:

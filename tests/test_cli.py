@@ -272,6 +272,20 @@ class TestApprox:
                      ' [0, 3, "red"]]}')
         assert main(["approx", str(p), "-k", "0"]) == EXIT_NO
         assert capsys.readouterr().out.startswith("no perfect matching")
+        # With --json the report keeps its keys, with null values where
+        # there is no matching to describe.
+        assert main(["approx", str(p), "-k", "0", "--json"]) == EXIT_NO
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matching"] is None
+        assert doc["red_count"] is None
+        assert doc["red_range"] is None
+        assert doc["target"] == 0 and doc["iterations"] == 0
+        assert set(doc) == {"red_count", "target", "red_range", "threshold",
+                            "bound", "bipartite", "iterations", "matching"}
+        e = tmp_path / "empty.json"
+        e.write_text('{"n": 2, "edges": []}')
+        assert main(["approx", str(e), "-k", "0", "--json"]) == EXIT_NO
+        assert json.loads(capsys.readouterr().out)["matching"] is None
 
 
 class TestOracle:

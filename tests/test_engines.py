@@ -347,8 +347,8 @@ def _assert_blossom_is_networkx(n, edges, negate, case):
 @pytest.mark.parametrize("negate", [False, True])
 def test_blossom_equals_networkx_sparse_large(negate):
     """G(n, c/n) at n 100-300 and c 2-8, weights -5..9: most neighbor maps
-    are shorter than the single-vertex list and the S-vertex targets, so
-    the greedy stages and ``add_blossom``'s direct scans walk the maps."""
+    are shorter than the single-vertex list, so the greedy stages walk the
+    maps, and ``add_blossom``'s merge reads the leaves' short maps."""
     for seed in range(6):
         rng = random.Random(f"sparse-large-{seed}")
         n = rng.randint(100, 300)
@@ -359,9 +359,9 @@ def test_blossom_equals_networkx_sparse_large(negate):
 
 @pytest.mark.parametrize("negate", [False, True])
 def test_blossom_equals_networkx_dense_lists(negate):
-    """G(n, 0.7) at n 60-128, weights 0-3: the single-vertex list and the
-    S-vertex targets are shorter than most neighbor maps, so the greedy
-    stages and ``add_blossom``'s direct scans walk the lists."""
+    """G(n, 0.7) at n 60-128, weights 0-3: the single-vertex list is
+    shorter than most neighbor maps, so the greedy stages walk the list,
+    while ``add_blossom``'s merge walks the leaves' long maps."""
     for seed in range(3):
         rng = random.Random(f"dense-lists-{seed}")
         n = rng.randint(60, 128)
@@ -390,7 +390,9 @@ def test_blossom_equals_networkx_nested_rotations():
     rotate blossoms that hold blossoms: 228 such rotations in 95 of the 200
     runs.  A leaf list kept across a rotation would queue vertices in a
     stale order; without the reset in ``augment_blossom``, three of these
-    matchings differ from networkx's."""
+    matchings differ from networkx's.  ``add_blossom``'s merge also reads
+    the leaves' neighbor maps of a sub-blossom that holds blossoms and has
+    no least-slack list here: 49 such sub-blossoms over the 200 runs."""
     for seed in range(100):
         rng = random.Random(f"nested-{seed}")
         n = rng.randint(30, 60)
@@ -403,10 +405,9 @@ def test_blossom_equals_networkx_nested_rotations():
 
 def test_blossom_equals_networkx_on_a_tie_in_target_order():
     """G(16, 0.7), weights 0-3, drawn from the seed below.  Here two
-    least-slack edges to S-blossoms tie, and the target that ``add_blossom``
-    meets first decides the matching: visiting the S-vertex targets in the
-    order the stage labeled them, not ascending, breaks networkx's
-    tie-break."""
+    least-slack edges to S-blossoms tie, and the edge that ``add_blossom``'s
+    merge meets first decides the matching: a merge that walks the leaves'
+    neighbor maps backwards breaks networkx's tie-break."""
     rng = random.Random("tie-756")
     n = rng.randint(10, 70)
     p = rng.choice([0.1, 0.2, 0.4, 0.7, 1.0])
