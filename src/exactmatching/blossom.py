@@ -73,19 +73,15 @@ What changes against networkx is the representation, not the choices:
   out, and the stage runs again with the merge, without the greedy step,
   which found nothing;
 - the largest weight as read, networkx's ``maxweight``, is the caller's
-  ``top``, not a pass over every neighbor map; the optimality check skips
-  the per-edge slack pass at vertex ``i`` when
-  ``dualvar[i] + min(dualvar) - 2 * top >= 0``, a lower bound on every slack
-  at ``i`` as no weight exceeds ``top``; every condition is still checked.
+  ``top``, not a pass over every neighbor map.
 
 Every stage, scan and delta loop therefore breaks ties as networkx does, and
 on the same graph (same node order, same integer weights, neighbors
 ascending) the matching is networkx's own.  ``expand_blossom`` and
 ``augment_blossom`` share one copy of networkx's trampoline,
 ``_trampoline``, so nesting depth is not bounded by the interpreter's
-recursion limit.  The optimality check stays, builds each vertex's chain of
-enclosing blossoms once instead of once per edge, and raises
-``OptimalityError`` rather than using ``assert``.
+recursion limit.  The optimality check stays: the engine hands its final
+duals to ``certificates.check_optimum`` as a ``MatchingDuals`` record.
 
 The networkx original is distributed under the 3-clause BSD license:
 
@@ -128,9 +124,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Sequence
 
-
-class OptimalityError(RuntimeError):
-    """The matching failed its dual optimality check: a bug, not bad input."""
+from .certificates import MatchingDuals, check_optimum
 
 
 def _trampoline(step: Callable[..., Iterator[tuple]], *args) -> None:
@@ -147,7 +141,7 @@ def _trampoline(step: Callable[..., Iterator[tuple]], *args) -> None:
 
 
 def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
-                        negate: bool = False) -> list[int]:
+                        negate: bool = False) -> tuple[list[int], MatchingDuals]:
     """A maximum-cardinality matching of maximum total weight.
 
     ``adj[v]`` maps each neighbor ``w`` of vertex ``v`` to the integer weight
@@ -159,12 +153,13 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
     ``negate`` every weight is read as its negation, so the matching is the
     one the negated ``adj`` would give.  ``top`` must be ``max(0, largest
     weight as read)``, networkx's ``maxweight``: the initial duals and the
-    optimality check rely on it.  ``adj`` is only read.  Returns ``mate``
-    with ``mate[v]`` the partner of ``v``, or -1 if ``v`` is single.
+    optimality check rely on it.  ``adj`` is only read.  Returns the pair
+    ``(mate, duals)``: ``mate[v]`` is ``v``'s partner, or -1 if ``v`` is
+    single, and ``duals`` the ``MatchingDuals`` that ``check_optimum`` passed.
     """
     n = len(adj)
     if n == 0:
-        return []
+        return [], MatchingDuals([], [])
     nb = 2 * n      # vertex ids 0..n-1, blossom ids n..2n-1
     # Every weight is read as sign * wt; tw = 2 * sign scales it in a slack.
     sign = -1 if negate else 1
@@ -739,90 +734,7 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
             if blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    _verify_optimum(adj, mate, dualvar, blossomparent, blossomdual, childedges,
-                    sign, top)
-    return mate
+    duals = MatchingDuals(dualvar, [(z, leaves(b)) for b, z in blossomdual.items() if z])
+    check_optimum(adj, mate, duals, sign, top)
+    return mate, duals
 
-
-def _verify_optimum(
-    adj: Sequence[Mapping[int, int]],
-    mate: list[int],
-    dualvar: list[int],
-    blossomparent: list[int],
-    blossomdual: Mapping[int, int],
-    childedges: list[list[tuple[int, int]]],
-    sign: int,
-    top: int,
-) -> None:
-    """Check the complementary-slackness conditions of the optimum.
-
-    Each weight is read as ``sign`` times its value in ``adj``, and none
-    exceeds ``top`` (the precondition of ``max_weight_matching``), which
-    keeps the per-vertex slack screen below sound.  Raises
-    ``OptimalityError`` at the first condition that fails.
-    """
-    n = len(adj)
-    tw = 2 * sign
-    # Vertex duals may be negative: shift them all by one non-negative
-    # constant.
-    mindual = min(dualvar)
-    vdualoffset = max(0, -mindual)
-    # 0. all blossom duals are non-negative;
-    if blossomdual and min(blossomdual.values()) < 0:
-        raise OptimalityError("negative blossom dual")
-    # The matching is symmetric and made of edges.
-    for v, m in enumerate(mate):
-        if m != -1 and (mate[m] != v or m not in adj[v]):
-            raise OptimalityError(f"vertex {v} is matched to {m} one way or off the graph")
-    # Each vertex's enclosing blossoms, top level first, built once.
-    chains: list[list[int]] = []
-    for v in range(n):
-        chain = []
-        b = blossomparent[v]
-        while b != -1:
-            chain.append(b)
-            b = blossomparent[b]
-        chain.reverse()
-        chains.append(chain)
-
-    def edge_slack(i: int, j: int, wt: int) -> int:
-        # 2 * slack of edge ij, with the duals of the blossoms around both.
-        s = dualvar[i] + dualvar[j] - tw * wt
-        for bi, bj in zip(chains[i], chains[j]):
-            if bi != bj:
-                break
-            s += 2 * blossomdual[bi]
-        return s
-
-    # 0. all edges have non-negative slack and
-    # 1. all matched edges have zero slack.  Blossom duals are non-negative,
-    # so when no edge at i has negative slack without them, none has with
-    # them, and only then is each edge's slack taken exactly.  Without them
-    # every slack at i is at least dualvar[i] + min(dualvar) - 2 * top; when
-    # that bound is non-negative the per-edge pass is skipped.
-    for i in range(n):
-        nbrs = adj[i]
-        if not nbrs:
-            continue
-        di = dualvar[i]
-        if (di + mindual - 2 * top < 0
-                and di + min([dualvar[j] - tw * wt for j, wt in nbrs.items()]) < 0):
-            for j, wt in nbrs.items():
-                if edge_slack(i, j, wt) < 0:
-                    raise OptimalityError(f"edge ({i}, {j}) has negative slack")
-        m = mate[i]
-        if m != -1 and edge_slack(i, m, nbrs[m]) != 0:
-            raise OptimalityError(f"matched edge ({i}, {m}) has nonzero slack")
-    # 2. all single vertices have zero dual;
-    for v in range(n):
-        if mate[v] == -1 and dualvar[v] + vdualoffset != 0:
-            raise OptimalityError(f"single vertex {v} has nonzero dual")
-    # 3. all blossoms with positive dual are full.
-    for b, z in blossomdual.items():
-        if z > 0:
-            edges = childedges[b]
-            if len(edges) % 2 != 1:
-                raise OptimalityError(f"blossom {b} has an even cycle")
-            for i, j in edges[1::2]:
-                if mate[i] != j or mate[j] != i:
-                    raise OptimalityError(f"blossom {b} with positive dual is not full")

@@ -255,7 +255,7 @@ def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=int, default=None,
                      help="promise bound on the bipartite independence number")
     sub.add_argument("--t-override", dest="t_override", type=int, default=None,
-                     help="replace the phase-1 cycle-weight threshold")
+                     help="replace the phase-1 cycle-weight threshold (>= 0)")
 
 
 def _build_parser() -> _Parser:

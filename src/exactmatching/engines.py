@@ -73,7 +73,7 @@ def _best_perfect(
     order.  ``adj`` is only read.  An odd vertex count always leaves some
     vertex single, so it gives None; the empty graph gives the empty
     matching."""
-    mate = max_weight_matching(adj, top, negate=negate)
+    mate, _ = max_weight_matching(adj, top, negate=negate)
     if -1 in mate:
         return None
     return PerfectMatching.from_edges(

@@ -97,8 +97,8 @@ class SolverParams:
     ``alpha_hint`` / ``beta_hint`` override measuring the independence bound
     with the brute-force oracle (mandatory for graphs above the oracle cap).
     ``L_cap`` limits the phase-2 guess size; None means uncapped, in which
-    case exhaustion certifies a no-instance.  ``t_override`` replaces the
-    phase-1 cycle-weight threshold (experimentation only).
+    case exhaustion certifies a no-instance.  ``t_override`` (>= 0) replaces
+    the phase-1 cycle-weight threshold (experimentation only).
     """
 
     alpha_hint: int | None = None
@@ -200,12 +200,15 @@ def run_phase1(
     ``k - threshold <= r(M) <= k`` where threshold is 2 * 4^alpha
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
-    Raises ``ConfigurationError`` for an odd n, k outside [0, n/2] or a
-    missing shortcut (``SkipSearchError``: a hint or ``t_override`` is too
-    small), and ``SolverError`` when an invariant of the walk fails.
+    Raises ``ConfigurationError`` for an odd n, k outside [0, n/2], a
+    negative ``t_override`` or a missing shortcut (``SkipSearchError``: a
+    hint or ``t_override`` is too small), and ``SolverError`` when an
+    invariant of the walk fails.
     """
     _check_k(graph, k)
     params = params or SolverParams()
+    if params.t_override is not None and params.t_override < 0:
+        raise ConfigurationError(f"t_override must be >= 0, got {params.t_override}")
     bipartite = graph.bipartition is not None
     if bipartite:
         bound = _resolve_bound(graph, params.beta_hint, bipartite_independence_number, "beta")

@@ -589,9 +589,10 @@ def largest_read_weight(adj, negate: bool = False) -> int:
 
 
 def blossom_mate(adj, negate: bool = False) -> list[int]:
-    """``blossom.max_weight_matching`` on ``adj`` with its ``top`` from
-    ``largest_read_weight``."""
-    return blossom.max_weight_matching(adj, largest_read_weight(adj, negate), negate=negate)
+    """The mate list of ``blossom.max_weight_matching`` on ``adj`` with its
+    ``top`` from ``largest_read_weight``."""
+    mate, _ = blossom.max_weight_matching(adj, largest_read_weight(adj, negate), negate=negate)
+    return mate
 
 
 # -- the parity labels, by a full scan -----------------------------------------------

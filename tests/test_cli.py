@@ -163,15 +163,18 @@ class TestSolve:
 
     def test_failed_optimality_check_is_internal_error(self, c4_file, capsys,
                                                        monkeypatch):
+        from dataclasses import replace
+
         from exactmatching import blossom
 
-        check = blossom._verify_optimum
+        check = blossom.check_optimum
 
-        def corrupted(adj, mate, dualvar, *rest):
-            dualvar[0] += 2
-            check(adj, mate, dualvar, *rest)
+        def corrupted(adj, mate, duals, sign, top):
+            vertex2 = list(duals.vertex2)
+            vertex2[0] += 2
+            check(adj, mate, replace(duals, vertex2=vertex2), sign, top)
 
-        monkeypatch.setattr(blossom, "_verify_optimum", corrupted)
+        monkeypatch.setattr(blossom, "check_optimum", corrupted)
         assert main(["solve", c4_file, "-k", "2"]) == EXIT_INTERNAL
         assert "emsolve: internal error: OptimalityError" in capsys.readouterr().err
 
@@ -254,6 +257,19 @@ class TestApprox:
             assert capsys.readouterr().err.rstrip().endswith(
                 f"no negative {shortcut} on a heavy cycle; t_override (--t-override) 0 "
                 f"is below the guaranteed threshold {guaranteed}")
+
+    def test_negative_t_override_is_limit_error(self, tmp_path, capsys):
+        # Both commands reject it before the walk, whose loop test would
+        # admit a low matching above k; without the flag, solve certifies a no.
+        p = str(tmp_path / "g.json")
+        assert main(["gen", "random", "-n", "16", "--edge-prob", "0.6", "--seed", "27",
+                     "-o", p]) == 0
+        for command in ("solve", "approx"):
+            capsys.readouterr()
+            assert main([command, p, "-k", "0", "--alpha", "1",
+                         "--t-override", "-1"]) == EXIT_LIMIT
+            assert "t_override must be >= 0, got -1" in capsys.readouterr().err
+        assert main(["solve", p, "-k", "0", "--alpha", "1"]) == EXIT_NO
 
     def test_missing_skip_names_the_hint(self, tmp_path, capsys):
         # The alternating 42-cycle has no chord, so the heavy cycle (weight

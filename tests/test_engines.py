@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -32,7 +33,7 @@ from exactmatching import (
     solve_em,
 )
 from exactmatching import blossom, engines
-from exactmatching.blossom import OptimalityError
+from exactmatching.certificates import MatchingDuals, OptimalityError, check_optimum
 from exactmatching.engines import (
     max_red_pm,
     min_red_pm,
@@ -95,22 +96,24 @@ def test_non_int_weight_rejected(c4, weight):
 
 
 def _corrupt_before_check(monkeypatch, corrupt):
-    """Make the blossom engine run ``corrupt(mate, dualvar)`` just before its
-    optimality check."""
-    check = blossom._verify_optimum
+    """Make the blossom engine run ``corrupt(mate, vertex2)`` on a copy of its
+    record's vertex duals just before its optimality check, and check the
+    record with those duals."""
+    check = blossom.check_optimum
 
-    def corrupted(adj, mate, dualvar, *rest):
-        corrupt(mate, dualvar)
-        check(adj, mate, dualvar, *rest)
+    def corrupted(adj, mate, duals, sign, top):
+        vertex2 = list(duals.vertex2)
+        corrupt(mate, vertex2)
+        check(adj, mate, replace(duals, vertex2=vertex2), sign, top)
 
-    monkeypatch.setattr(blossom, "_verify_optimum", corrupted)
-
-
-def _shift_dual(mate, dualvar):
-    dualvar[0] += 2
+    monkeypatch.setattr(blossom, "check_optimum", corrupted)
 
 
-def _drop_mate(mate, dualvar):
+def _shift_dual(mate, vertex2):
+    vertex2[0] += 2
+
+
+def _drop_mate(mate, vertex2):
     mate[mate[0]] = -1
 
 
@@ -123,12 +126,12 @@ def test_failed_optimality_check_raises(c4, monkeypatch, corrupt):
     assert not issubclass(OptimalityError, GraphError)
 
 
-def _lower_dual(mate, dualvar):
-    dualvar[0] -= 2
+def _lower_dual(mate, vertex2):
+    vertex2[0] -= 2
 
 
-def _raise_matched_dual(mate, dualvar):
-    dualvar[mate.index(0)] += 2
+def _raise_matched_dual(mate, vertex2):
+    vertex2[mate.index(0)] += 2
 
 
 @pytest.mark.parametrize("corrupt, message", [(_lower_dual, "negative slack"),
@@ -138,9 +141,9 @@ def test_optimality_screen_keeps_every_condition(c4, monkeypatch, corrupt, messa
     screen; a mutation must still fail the condition it breaks."""
     seen = []
 
-    def record_then_corrupt(mate, dualvar):
-        seen.append(list(dualvar))
-        corrupt(mate, dualvar)
+    def record_then_corrupt(mate, vertex2):
+        seen.append(list(vertex2))
+        corrupt(mate, vertex2)
 
     _corrupt_before_check(monkeypatch, record_then_corrupt)
     with pytest.raises(OptimalityError, match=message):
@@ -148,19 +151,17 @@ def test_optimality_screen_keeps_every_condition(c4, monkeypatch, corrupt, messa
     assert seen == [[1, 1, 1, 1]]
 
 
-# States for _verify_optimum: (adj, mate, dualvar, blossomparent,
-# blossomdual, childedges, sign, top).  Each breaks one condition and
-# leaves every edge slack alone.
+# Arguments of check_optimum: (adj, mate, duals, sign, top).  Each breaks
+# one condition and leaves every edge slack alone.
 CRAFTED_STATES = {
     "negative blossom dual": (
-        [{1: 0}, {0: 0}], [1, 0], [0, 0], [2, 2, -1], {2: -1}, [[], [], []], 1, 0),
+        [{1: 0}, {0: 0}], [1, 0], MatchingDuals([0, 0], [(-1, [0, 1])]), 1, 0),
     "single vertex 1 has nonzero dual": (
-        [{}, {}], [-1, -1], [0, 2], [-1, -1], {}, [[], []], 1, 0),
-    "blossom 2 has an even cycle": (
-        [{}, {}], [-1, -1], [0, 0], [2, 2, -1], {2: 1}, [[], [], [(0, 1), (1, 0)]], 1, 0),
-    "blossom 3 with positive dual is not full": (
-        [{}, {}, {}], [-1, -1, -1], [0, 0, 0], [3, 3, 3, -1], {3: 1},
-        [[], [], [], [(0, 1), (1, 2), (2, 0)]], 1, 0),
+        [{}, {}], [-1, -1], MatchingDuals([0, 2], []), 1, 0),
+    "blossom 0 has an even vertex count": (
+        [{}, {}], [-1, -1], MatchingDuals([0, 0], [(1, [0, 1])]), 1, 0),
+    "blossom 0 is not full": (
+        [{}, {}, {}], [-1, -1, -1], MatchingDuals([0, 0, 0], [(1, [0, 1, 2])]), 1, 0),
 }
 
 
@@ -168,7 +169,30 @@ CRAFTED_STATES = {
 def test_optimality_check_rejects_crafted_states(message):
     state = CRAFTED_STATES[message]
     with pytest.raises(OptimalityError, match=message):
-        blossom._verify_optimum(*state)
+        check_optimum(*state)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("lower a vertex dual", r"edge \(0, 1\) has negative slack"),
+    ("drop a vertex from a set", "blossom 0 has an even vertex count"),
+    ("raise a matched vertex's dual", r"matched edge \(0, 4\) has nonzero slack"),
+])
+def test_tampered_record_fails_the_check(tamper, message):
+    """The min-red record of parity K_6 with split 3 (weights read negated,
+    top 0) passes; each tampered copy fails the condition it breaks."""
+    adj = parity_graph(6, 3).neighbor_index
+    mate, duals = blossom.max_weight_matching(adj, 0, negate=True)
+    assert duals.blossoms == [(1, [3, 5, 4]), (1, [2, 1, 0])]
+    check_optimum(adj, mate, duals, -1, 0)
+    vertex2, sets = list(duals.vertex2), list(duals.blossoms)
+    if tamper == "lower a vertex dual":
+        vertex2[0] -= 2
+    elif tamper == "drop a vertex from a set":
+        sets[0] = (1, [3, 5])
+    else:
+        vertex2[mate[0]] += 2
+    with pytest.raises(OptimalityError, match=message):
+        check_optimum(adj, mate, MatchingDuals(vertex2, sets), -1, 0)
 
 
 def _record_blossom_calls(monkeypatch):
@@ -439,6 +463,39 @@ def test_blossom_on_shuffled_maps_keeps_the_optimum(negate):
                 == sum(adj[u][v] for u, v in want)), seed
 
 
+@pytest.mark.parametrize("negate", [False, True])
+def test_dual_record_proves_the_weight(negate):
+    """On every perfect matching blossom returns for random general and
+    bipartite graphs, n 6-30, the record's sets have positive duals, come
+    after the sets they contain and are otherwise disjoint, and the record
+    proves the weight by LP duality, without ``check_optimum``:
+    2 w(M) = sum(vertex2) + sum of z (|B| - 1), each weight read negated
+    with ``negate``."""
+    sign = -1 if negate else 1
+    perfect = with_sets = 0
+    for seed in range(400):
+        rng = random.Random(f"record-{seed}")
+        n = 2 * rng.randint(3, 15)
+        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
+        g = make(n, rng.choice([0.2, 0.4, 0.7, 1.0]), seed)
+        draw_weight = WEIGHT_RANGES[rng.choice(sorted(WEIGHT_RANGES))]
+        adj = _weighted_adj(n, [(u, v, draw_weight(rng)) for u, v in g.edges()])
+        mate, duals = blossom.max_weight_matching(
+            adj, largest_read_weight(adj, negate), negate=negate)
+        if -1 in mate:
+            continue
+        perfect += 1
+        sets = [set(vertices) for _, vertices in duals.blossoms]
+        with_sets += bool(sets)
+        assert all(z > 0 for z, _ in duals.blossoms), seed
+        for i, j in itertools.combinations(range(len(sets)), 2):
+            assert sets[i] <= sets[j] or not sets[i] & sets[j], seed
+        weight = sum(sign * adj[u][v] for u, v in enumerate(mate) if u < v)
+        assert 2 * weight == (sum(duals.vertex2)
+                              + sum(z * (len(b) - 1) for z, b in duals.blossoms)), seed
+    assert perfect >= 250 and with_sets >= 50, (perfect, with_sets)
+
+
 @pytest.mark.parametrize("color", [RED, BLUE])
 def test_red_engines_equal_networkx_monochrome(color):
     """min/max-red on all-red and all-blue K_n."""
@@ -525,7 +582,8 @@ def test_engine_and_solve_leave_no_reference_cycles():
     with _collector_off():
         for g in (general, bipartite):
             adj = g.neighbor_index
-            assert -1 not in blossom.max_weight_matching(adj, 1)
+            mate, _ = blossom.max_weight_matching(adj, 1)
+            assert -1 not in mate
             assert gc.collect() == 0
             assert min_red_pm(g) is not None
             assert gc.collect() == 0

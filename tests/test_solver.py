@@ -89,6 +89,15 @@ class TestPhase1:
         with pytest.raises(SkipSearchError):
             run_phase1(double_c4(bipartite=True), 2, params)
 
+    def test_negative_t_override_rejected(self):
+        # Below 0 the walk's loop test admits a low matching with more than k
+        # red edges, where no positive cycle is left; 0 keeps the invariant.
+        g = random_colored_graph(16, 0.6, 27)
+        for run in (run_phase1, solve_em):
+            with pytest.raises(ConfigurationError, match="t_override must be >= 0, got -1"):
+                run(g, 0, SolverParams(alpha_hint=1, t_override=-1))
+        assert run_phase1(g, 0, SolverParams(alpha_hint=1, t_override=0)).threshold == 0
+
     def test_missing_shortcut_is_a_configuration_error(self):
         # A too-small hint or t_override is a setting, not a broken invariant.
         assert issubclass(SkipSearchError, ConfigurationError)
