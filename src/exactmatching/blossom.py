@@ -23,8 +23,8 @@ What changes against networkx is the representation, not the choices:
   tight-edge test, every slack and the optimality check, so a minimizing
   caller passes its map as it is instead of a negated copy;
 - the delta2 and delta3 scans over the vertices share one pass that keeps
-  each one's first minimum, least-slack comparisons compute their slacks
-  inline, and the internal ``assert`` checks are gone;
+  each one's first minimum, the scan loop's least-slack comparisons
+  compute their slacks inline, and the internal ``assert`` checks are gone;
 - ``leaves(b)`` keeps the list it builds until ``b``'s sub-blossoms
   change, and a build splices in the kept lists of the sub-blossoms, which
   keeps networkx's depth-first order.  ``add_blossom`` drops the list of the
@@ -322,7 +322,6 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
         # Least-slack edges to other S-blossoms, from the sub-blossoms'
         # lists where they exist and from the vertices otherwise.
         bestedgeto: dict[int, tuple[int, int]] = {}
-        bestslackto: dict[int, int] = {}
         for bv in path:
             if mybestedges[bv] is not None:
                 for k in mybestedges[bv]:
@@ -330,11 +329,9 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                     if inblossom[j] == b:
                         i, j = j, i
                     bj = inblossom[j]
-                    if bj != b and label[bj] == 1:
-                        kslack = dualvar[i] + dualvar[j] - tw * adj[i][j]
-                        if bj not in bestedgeto or kslack < bestslackto[bj]:
-                            bestedgeto[bj] = k
-                            bestslackto[bj] = kslack
+                    if (bj != b and label[bj] == 1 and (
+                            bj not in bestedgeto or slack(i, j) < slack(*bestedgeto[bj]))):
+                        bestedgeto[bj] = k
                 mybestedges[bv] = None
             else:
                 # Straight from the leaves' neighbor maps: every leaf is in
@@ -343,16 +340,15 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
                     di = dualvar[i]
                     for j, wt in adj[i].items():
                         bj = inblossom[j]
-                        if bj != b and label[bj] == 1:
-                            kslack = di + dualvar[j] - tw * wt
-                            if bj not in bestedgeto or kslack < bestslackto[bj]:
-                                bestedgeto[bj] = (i, j)
-                                bestslackto[bj] = kslack
+                        if bj != b and label[bj] == 1 and (
+                                bj not in bestedgeto
+                                or di + dualvar[j] - tw * wt < slack(*bestedgeto[bj])):
+                            bestedgeto[bj] = (i, j)
             bestedge[bv] = None
         mybestedges[b] = list(bestedgeto.values())
         mybestedge = None
-        for bj, k in bestedgeto.items():
-            kslack = bestslackto[bj]
+        for k in mybestedges[b]:
+            kslack = slack(*k)
             if mybestedge is None or kslack < mybestslack:
                 mybestedge = k
                 mybestslack = kslack
@@ -727,10 +723,9 @@ def max_weight_matching(adj: Sequence[Mapping[int, int]], top: int, *,
         if lean:
             singles = [v for v in singles if mate[v] == -1]
 
-        # End of a stage: expand the S-blossoms whose dual is zero.
+        # End of a stage: expand the S-blossoms whose dual is zero.  Only
+        # sub-blossoms, listed before their parent, are expanded with it.
         for b in list(blossomdual):
-            if b not in blossomdual:
-                continue    # already expanded
             if blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 

@@ -100,10 +100,18 @@ def _load_graph(args) -> ColoredGraph:
     return parse_graph(_read_text(args.input), fmt)
 
 
-def _params_from(args) -> SolverParams:
+def _params_from(args, graph: ColoredGraph) -> SolverParams:
+    """The solver knobs, with a note on stderr for the hint the walk will not
+    read: it reads --beta on a graph with a bipartition, --alpha otherwise."""
+    bipartite = graph.bipartition is not None
+    ignored, used = ("alpha", "beta") if bipartite else ("beta", "alpha")
+    if getattr(args, ignored) is not None:
+        print(f"emsolve: note: --{ignored} is ignored: the graph is "
+              f"{'' if bipartite else 'not '}bipartite, so the walk reads --{used}",
+              file=sys.stderr)
     return SolverParams(
-        alpha_hint=getattr(args, "alpha", None),
-        beta_hint=getattr(args, "beta", None),
+        alpha_hint=args.alpha,
+        beta_hint=args.beta,
         L_cap=getattr(args, "L_cap", None),
         t_override=getattr(args, "t_override", None),
     )
@@ -114,7 +122,7 @@ def _params_from(args) -> SolverParams:
 
 def _cmd_solve(args) -> int:
     graph = _load_graph(args)
-    verdict = solve_em(graph, args.k, _params_from(args))
+    verdict = solve_em(graph, args.k, _params_from(args, graph))
     if args.json:
         print(json.dumps(verdict.to_json_dict(), indent=2))
     else:
@@ -131,7 +139,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     graph = _load_graph(args)
-    result = run_phase1(graph, args.k, _params_from(args))
+    result = run_phase1(graph, args.k, _params_from(args, graph))
     m = result.matching
     if args.json:
         # Without a perfect matching the keys stay, with null values.
@@ -222,10 +230,8 @@ def _cmd_gen(args) -> int:
         graph = gen_planted_yes(args.n, args.k, base, args.seed)
     elif family == "random":
         graph = random_colored_graph(args.n, args.edge_prob, args.seed)
-    elif family == "random-bipartite":
+    else:   # random-bipartite, the last of the parser's choices
         graph = random_bipartite_colored_graph(args.n, args.edge_prob, args.seed)
-    else:
-        raise _UsageError(f"unknown family {family}")
     _write_text(args.output, serialize_graph(graph, args.format or JSON))
     return EXIT_YES
 
@@ -251,9 +257,11 @@ def _add_input(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=int, default=None,
-                     help="promise bound on the independence number")
+                     help="promise bound on the independence number "
+                          "(read on a graph without a bipartition)")
     sub.add_argument("--beta", type=int, default=None,
-                     help="promise bound on the bipartite independence number")
+                     help="promise bound on the bipartite independence number "
+                          "(read on a graph with a bipartition)")
     sub.add_argument("--t-override", dest="t_override", type=int, default=None,
                      help="replace the phase-1 cycle-weight threshold (>= 0)")
 

@@ -72,12 +72,14 @@ def _best_perfect(
     adjacency is in that order when a graph is built edge by edge in sorted
     order.  ``adj`` is only read.  An odd vertex count always leaves some
     vertex single, so it gives None; the empty graph gives the empty
-    matching."""
+    matching.  ``mate`` is not validated again: the optimality check proved
+    it symmetric and on edges of ``adj``, every caller's graph, and no -1
+    makes it perfect."""
     mate, _ = max_weight_matching(adj, top, negate=negate)
     if -1 in mate:
         return None
-    return PerfectMatching.from_edges(
-        graph, [(u, v) for u, v in enumerate(mate) if u < v])
+    edges = [(u, v) for u, v in enumerate(mate) if u < v]
+    return PerfectMatching(frozenset(edges), sum(graph.colors[e] == RED for e in edges))
 
 
 def _augment(

@@ -311,30 +311,24 @@ def symmetric_difference(
 
     Weights are taken relative to ``matching`` (the first argument).  Total
     weight of the result equals ``other.red_count - matching.red_count``.
+    Both arguments are checked first; each cycle then steps from a vertex
+    to its mate in ``matching`` and on to that vertex's mate in ``other``.
     """
     for m in (matching, other):
         if not validate_matching(graph, m):
             raise GraphError("argument is not a perfect matching of the graph")
-    diff = matching.edges ^ other.edges
-    adj: dict[int, list[int]] = {}
-    for u, v in diff:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    first, second = [0] * graph.n, [0] * graph.n
+    for mate, m in ((first, matching), (second, other)):
+        for u, v in m.edges:
+            mate[u], mate[v] = v, u
     cycles = []
     seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
+    for start in range(graph.n):
+        if start in seen or first[start] == second[start]:
             continue
-        walk = [start]
-        prev = None
-        cur = start
-        while True:
-            a, b = adj[cur]
-            nxt = b if a == prev else a
-            if nxt == start:
-                break
-            walk.append(nxt)
-            prev, cur = cur, nxt
+        walk = [start, first[start]]
+        while (v := second[walk[-1]]) != start:
+            walk += (v, first[v])
         seen.update(walk)
         cycles.append(AlternatingCycle.from_vertices(graph, matching, walk))
     return CycleSet.from_cycles(cycles)

@@ -198,6 +198,31 @@ class TestSolve:
         assert main(["solve", str(p), "-k", "2"]) == EXIT_YES
 
 
+class TestIgnoredHint:
+    # The walk reads --alpha on a graph without a bipartition and --beta on
+    # one with it.  The other hint gets one note on stderr, ahead of any
+    # other line, and changes neither the exit code nor stdout.
+    @pytest.mark.parametrize("command", ["solve", "approx"])
+    @pytest.mark.parametrize("family, k, flag, note", [
+        (["random", "-n", "16", "--edge-prob", "0.6", "--seed", "27"], "3", "--beta",
+         "--beta is ignored: the graph is not bipartite, so the walk reads --alpha"),
+        (["planted-beta", "-n", "20", "-k", "5", "--seed", "3"], "5", "--alpha",
+         "--alpha is ignored: the graph is bipartite, so the walk reads --beta"),
+    ], ids=["beta-on-general", "alpha-on-bipartite"])
+    def test_note_names_the_hint_the_walk_reads(self, command, family, k, flag, note,
+                                                tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        assert main(["gen", *family, "-o", path]) == EXIT_YES
+        capsys.readouterr()
+        code = main([command, path, "-k", k])
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main([command, path, "-k", k, flag, "1"]) == code
+        hinted = capsys.readouterr()
+        assert hinted.out == plain.out
+        assert hinted.err == f"emsolve: note: {note}\n"
+
+
 class TestApprox:
     def test_human_report(self, c4_file, capsys):
         assert main(["approx", c4_file, "-k", "2"]) == EXIT_YES

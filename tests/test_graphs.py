@@ -225,6 +225,33 @@ def test_symmetric_difference_and_apply(c4):
     assert apply_cycles(blue, symmetric_difference(c4, blue, red)) == red
 
 
+def test_symmetric_difference_rejects_a_matching_that_is_not_perfect(c4):
+    # Checked before the mate walk starts: on this argument the walk would
+    # close a 2-vertex "cycle" (0, 3) and fail with another message.
+    blue = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
+    with pytest.raises(GraphError, match="argument is not a perfect matching of the graph"):
+        symmetric_difference(c4, blue, PerfectMatching(frozenset({(0, 1)}), 1))
+
+
+def test_apply_cycles_rejects_a_cycle_that_does_not_alternate(k4_red):
+    # The 4-cycle alternates with {01, 23} but has no edge of {02, 13}.
+    pm = PerfectMatching.from_edges(k4_red, [(0, 1), (2, 3)])
+    cs = CycleSet.from_cycles([AlternatingCycle.from_vertices(k4_red, pm, [0, 1, 2, 3])])
+    other = PerfectMatching.from_edges(k4_red, [(0, 2), (1, 3)])
+    with pytest.raises(GraphError, match="cycle at 0 does not alternate"):
+        apply_cycles(other, cs)
+
+
+def test_apply_cycles_rejects_a_flip_that_changes_the_size(k4_red):
+    # Built raw, past from_cycles' disjointness check: two 4-cycles that
+    # share the matched edges (0, 1) and (2, 3) flip onto four edges.
+    pm = PerfectMatching.from_edges(k4_red, [(0, 1), (2, 3)])
+    c1 = AlternatingCycle.from_vertices(k4_red, pm, [0, 1, 2, 3])
+    c2 = AlternatingCycle.from_vertices(k4_red, pm, [0, 1, 3, 2])
+    with pytest.raises(GraphError, match="cycle flip did not preserve matching size"):
+        apply_cycles(pm, CycleSet((c1, c2), c1.weight + c2.weight))
+
+
 def test_symmetric_difference_of_equal_matchings_is_empty(c4):
     pm = PerfectMatching.from_edges(c4, [(0, 1), (2, 3)])
     cs = symmetric_difference(c4, pm, pm)

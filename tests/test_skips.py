@@ -136,6 +136,16 @@ def test_searches_reject_a_host_that_does_not_alternate():
         find_biskip(g, crossing, cyc, SKIP_WEIGHTS)
 
 
+@pytest.mark.parametrize("search", [find_skip, find_biskip])
+@pytest.mark.parametrize("weights", [[], [9]])
+def test_filter_without_a_skip_weight_is_answered_before_the_host(search, weights):
+    # No skip weighs 9, so neither filter can match: the search returns None
+    # at once, before it reads a host that would be rejected.
+    g, _, cyc = ten_cycle(chords=[(0, 3, BLUE), (4, 7, BLUE)], bipartite=True)
+    crossing = PerfectMatching.from_edges(g, [(0, 3), (1, 2), (4, 7), (5, 6), (8, 9)])
+    assert search(g, crossing, cyc, weights) is None
+
+
 def test_full_scan_without_a_match_on_all_blue_k48():
     # Every skip of an all-blue graph weighs 0, so filter {4} makes the
     # search visit every chord pair of a Hamiltonian host cycle.
