@@ -207,6 +207,30 @@ def alternates(edges: Sequence[Edge], matching: PerfectMatching) -> bool:
     return all(flag != in_m[i - 1] for i, flag in enumerate(in_m))
 
 
+def closed_walk(
+    graph: ColoredGraph, matching: PerfectMatching, vertices: Sequence[int]
+) -> tuple[list[Edge], list[str | None], int | None]:
+    """Read the closed walk through ``vertices`` once.
+
+    Edge i joins ``vertices[i]`` and ``vertices[i+1]`` (cyclically).  Returns
+    each edge's canonical key, its color (None if the graph lacks the edge,
+    which covers a vertex outside the graph), and the walk's matching parity:
+    ``par`` such that edge i is in ``matching`` exactly when
+    ``i % 2 == par`` if the walk alternates with ``matching``, else None.
+    Edge 0 fixes ``par``; the walk then alternates when it is even and holds
+    the matching edges at positions ``par``, ``par + 2``, ... and no others,
+    so that each edge and the next, the last and the first included, differ.
+    Each key is built once in Python; colors and matching membership are
+    read from the keys by C-level lookups (``map`` and set comparisons).
+    """
+    edges = [(u, v) if u < v else (v, u) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
+    colors = list(map(graph.colors.get, edges))
+    par = 0 if edges[0] in matching.edges else 1
+    alternating = (len(edges) % 2 == 0 and matching.edges.issuperset(edges[par::2])
+                   and matching.edges.isdisjoint(edges[1 - par::2]))
+    return edges, colors, par if alternating else None
+
+
 @dataclass(frozen=True)
 class AlternatingCycle:
     """An even cycle alternating between matching and non-matching edges.
@@ -229,22 +253,31 @@ class AlternatingCycle:
         matching: PerfectMatching,
         vertices: Iterable[int],
     ) -> "AlternatingCycle":
+        """The cycle through ``vertices``, in either direction and from any
+        start, checked against ``graph`` and weighed against ``matching``.
+
+        Raises ``GraphError`` for fewer than 4 or an odd number of vertices,
+        a repeated vertex, then an edge missing from the graph (the first
+        one along the canonical rotation, a vertex outside the graph
+        included), then a walk that does not alternate with ``matching``.
+        The edges are read once, by ``closed_walk``; with matching parity
+        ``par`` the weight is the red edges at positions off ``par`` minus
+        the red edges on it.
+        """
         seq = list(vertices)
         if len(seq) < 4 or len(seq) % 2 != 0:
             raise GraphError(f"alternating cycle needs even length >= 4, got {len(seq)}")
         if len(set(seq)) != len(seq):
             raise GraphError("cycle repeats a vertex")
         seq = _canonical_rotation(seq)
-        edges = []
-        for i, u in enumerate(seq):
-            v = seq[(i + 1) % len(seq)]
-            e = edge_key(u, v)
-            if e not in graph.colors:
-                raise GraphError(f"cycle uses unknown edge ({u}, {v})")
-            edges.append(e)
-        if not alternates(edges, matching):
+        edges, colors, par = closed_walk(graph, matching, seq)
+        if None in colors:
+            i = colors.index(None)
+            u, v = seq[i], seq[(i + 1) % len(seq)]
+            raise GraphError(f"cycle uses unknown edge ({u}, {v})")
+        if par is None:
             raise GraphError("cycle does not alternate with the matching")
-        weight = sum(edge_weight(graph, matching, e) for e in edges)
+        weight = colors[1 - par::2].count(RED) - colors[par::2].count(RED)
         return cls(tuple(seq), tuple(edges), weight)
 
     def __len__(self) -> int:

@@ -17,29 +17,33 @@ the replacements' weight minus the host's, is the same red-count shift.
 All searches are exhaustive and deterministic: candidate chords are scanned
 in lexicographic order and the first valid shortcut whose weight lies in
 the requested filter wins.  Each candidate pair is judged in O(1) from
-per-cycle tables built once in O(L): the position of each cycle vertex,
-the parity of the matching-edge positions, and prefix sums of the edge
-weights.  Alternation reduces to position parity, so chords that can never
-take part are dropped before the pair loop, and only the winner's cycles
-are built.
+per-cycle tables built once in O(L), from one read of the cycle's edges:
+the position of each cycle vertex, the parity of the matching-edge
+positions, and prefix sums of the edge weights.  Alternation reduces to
+position parity, so chords that can never take part are never formed.  The
+skip search generates its first chords lazily, in order, and pairs each
+only with its partners, the chords that could cross it, read from sorted
+vertex lists; so it builds nothing past the winner, and only the winner's
+cycles are built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
+    RED,
     AlternatingCycle,
     ColoredGraph,
     CycleSet,
     Edge,
     GraphError,
     PerfectMatching,
-    alternates,
+    closed_walk,
     edge_key,
-    edge_weight,
 )
 
 NEGATIVE_WEIGHTS = frozenset({-4, -3, -2, -1})
@@ -101,35 +105,46 @@ def _walk_layout(
     must alternate with ``matching``; then edge i is a matching edge exactly
     when ``i % 2 == par``.  ``prefix[i]`` is the weight of edges 0..i-1
     relative to ``matching``, so ``prefix[-1]`` is the whole cycle's.
+
+    The edges are read once, by ``closed_walk``.  ``GraphError`` names a
+    self-loop (two equal consecutive vertices) first, then a cycle that does
+    not alternate, then an edge missing from the graph (a vertex outside the
+    graph included), the first one along ``order``.
     """
-    ring = [edge_key(u, v) for u, v in zip(order, order[1:] + order[:1])]
-    if not alternates(ring, matching):
+    pos = {v: i for i, v in enumerate(order)}
+    if len(pos) < len(order):    # a repeated vertex: edge_key rejects a self-loop
+        for u, v in zip(order, order[1:] + order[:1]):
+            edge_key(u, v)
+    ring, colors, par = closed_walk(graph, matching, order)
+    if par is None:
         raise GraphError("cycle does not alternate with the given matching")
-    prefix = list(accumulate((edge_weight(graph, matching, e) for e in ring), initial=0))
-    return {v: i for i, v in enumerate(order)}, 0 if ring[0] in matching.edges else 1, prefix
+    if None in colors:
+        raise GraphError(f"unknown edge {ring[colors.index(None)]}")
+    # A red edge weighs -1 in the matching, at positions par, par + 2, ...
+    # and +1 off it; a blue edge weighs 0.
+    weights = [1 if c == RED else 0 for c in colors]
+    weights[par::2] = [-w for w in weights[par::2]]
+    return pos, par, list(accumulate(weights, initial=0))
 
 
 def _skip_chords(
-    index: Sequence[dict[int, int]], pos: dict[int, int]
-) -> list[tuple[Edge, int, int, int, int]]:
+    index: Sequence[dict[int, int]], pos: dict[int, int], same: tuple[list[int], list[int]]
+) -> Iterator[tuple[Edge, int, int, int, int]]:
     """(chord, lower position, upper position, position parity, weight) for
     every edge joining two cycle vertices whose positions ``pos`` have the
-    same parity, in lexicographic order of the chord.
+    same parity, generated in lexicographic order of the chord.  ``same``
+    holds the cycle vertices, ascending, split by the parity of ``pos``.
 
     Same-parity positions are never adjacent on the even cycle, and every
     matching edge between cycle vertices is a cycle edge, so each chord is a
     non-matching edge and weighs 1 if red, 0 if blue.  For each cycle vertex
     u, ascending, the partners v > u are the same-parity cycle vertices
-    above u that are in u's entry of the neighbor ``index``, so the scan
-    costs O(L) per vertex whatever the degree.
+    above u that are in u's entry of the neighbor ``index``, so each vertex
+    costs O(L) whatever the degree, and only when the caller asks for its
+    chords.
     """
-    order = sorted(pos)
-    same: tuple[list[int], list[int]] = ([], [])    # by position parity
-    for u in order:
-        same[pos[u] % 2].append(u)
     seen = [0, 0]
-    chords = []
-    for u in order:
+    for u in sorted(pos):
         pu = pos[u]
         side = pu % 2
         seen[side] += 1
@@ -139,8 +154,7 @@ def _skip_chords(
                 continue
             pv = pos[v]
             p, q = (pu, pv) if pu < pv else (pv, pu)
-            chords.append(((u, v), p, q, side, nbrs[v]))
-    return chords
+            yield (u, v), p, q, side, nbrs[v]
 
 
 def find_skip(
@@ -171,6 +185,19 @@ def find_skip(
     from the prefix sums; the whole cycle's term cancels when [r, t] wraps
     past position 0.  Only the winner's shortcut cycle, [p, q] followed by
     [r, t] walked backwards, is built.
+
+    Only partners are scanned.  The first chords f are generated one at a
+    time, in lexicographic order, so nothing is built for the chords after
+    the winner's.  A partner g of f = (u, v) has the other position parity
+    and exactly one endpoint strictly inside f's position span [a0, a1].
+    It shares no endpoint with f and comes after it, so its lower endpoint
+    x is above u, and one of x and its upper endpoint y lies inside the
+    span, the other outside.  The vertices of that parity, ascending, are
+    split once per f into those inside and those outside; for each x,
+    ascending, ``bisect`` finds the vertices above x in the group x is not
+    in, tried ascending.  So g runs in lexicographic order and no pair that
+    the full scan would reject at once is formed.  One f costs O(L) plus
+    O(1) per pair (x, y) tried, at most L²/16.
     """
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
@@ -178,24 +205,36 @@ def find_skip(
     verts = cycle.vertices
     length = len(verts)
     pos, par, prefix = _walk_layout(graph, matching, verts)
-    chords = _skip_chords(graph.neighbor_index, pos)
-    for i, (f, a0, a1, side, wf) in enumerate(chords):
-        for g, b0, b1, g_side, wg in chords[i + 1:]:
-            if g_side == side or (a0 < b0 < a1) == (a0 < b1 < a1):
-                continue
-            s0, s1, s2, s3 = (a0, b0, a1, b1) if a0 < b0 else (b0, a0, b1, a1)
-            # Keep arcs [p, q] and [r, t]: e_p, e_q-1, e_r, e_t-1 in M.
-            p, q, r, t = (s1, s2, s3, s0) if s1 % 2 == par else (s0, s1, s2, s3)
-            if r == q + 1 and (t + 1) % length == p:
-                continue
-            weight = prefix[q] - prefix[p] + prefix[t] - prefix[r] + wf + wg
-            if r < t:
-                weight -= prefix[-1]
-            if weight not in wanted:
-                continue
-            seq = _vrange(verts, p, q) + _vrange(verts, r, t)[::-1]
-            shortcut = AlternatingCycle.from_vertices(graph, matching, seq)
-            return Skip(f, g, weight, shortcut, cycle)
+    index = graph.neighbor_index
+    same: tuple[list[int], list[int]] = ([], [])    # by position parity
+    for v in sorted(pos):
+        same[pos[v] % 2].append(v)
+    for f, a0, a1, side, wf in _skip_chords(index, pos, same):
+        other = same[1 - side]
+        inner = [v for v in other if a0 < pos[v] < a1]
+        outer = [v for v in other if not a0 < pos[v] < a1]
+        for x in other[bisect_right(other, f[0]):]:
+            px = pos[x]
+            group = outer if a0 < px < a1 else inner
+            nbrs = index[x]
+            for y in group[bisect_right(group, x):]:
+                if y not in nbrs:
+                    continue
+                py = pos[y]
+                b0, b1 = (px, py) if px < py else (py, px)
+                s0, s1, s2, s3 = (a0, b0, a1, b1) if a0 < b0 else (b0, a0, b1, a1)
+                # Keep arcs [p, q] and [r, t]: e_p, e_q-1, e_r, e_t-1 in M.
+                p, q, r, t = (s1, s2, s3, s0) if s1 % 2 == par else (s0, s1, s2, s3)
+                if r == q + 1 and (t + 1) % length == p:
+                    continue
+                weight = prefix[q] - prefix[p] + prefix[t] - prefix[r] + wf + nbrs[y]
+                if r < t:
+                    weight -= prefix[-1]
+                if weight not in wanted:
+                    continue
+                seq = _vrange(verts, p, q) + _vrange(verts, r, t)[::-1]
+                shortcut = AlternatingCycle.from_vertices(graph, matching, seq)
+                return Skip(f, (x, y), weight, shortcut, cycle)
     return None
 
 

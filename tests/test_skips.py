@@ -136,6 +136,54 @@ def test_searches_reject_a_host_that_does_not_alternate():
         find_biskip(g, crossing, cyc, SKIP_WEIGHTS)
 
 
+def hand_built_host(vertices):
+    """An ``AlternatingCycle`` through ``vertices`` that skips every check
+    of ``from_vertices``: its edges are the canonical consecutive pairs."""
+    ring = zip(vertices, vertices[1:] + vertices[:1])
+    return AlternatingCycle(tuple(vertices), tuple((min(e), max(e)) for e in ring), 0)
+
+
+# (host vertices on ten_cycle, error from both searches, error from
+# from_vertices): a search checks alternation before edges, from_vertices
+# edges before alternation.
+MALFORMED_HOSTS = [
+    # Does not alternate, and (4, 6) and (5, 7) are no edges.
+    ((0, 1, 2, 3, 4, 6, 5, 7, 8, 9),
+     "cycle does not alternate with the given matching", "cycle uses unknown edge (4, 6)"),
+    # Alternates, but (1, 3) and (2, 4) are no edges.
+    ((0, 1, 3, 2, 4, 5, 6, 7, 8, 9), "unknown edge (1, 3)", "cycle uses unknown edge (1, 3)"),
+    # Vertex 10 is outside the 10-vertex graph.
+    ((10, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+     "cycle does not alternate with the given matching", "cycle uses unknown edge (9, 10)"),
+    ((0, 1, 1, 2, 3, 4, 5, 6, 7, 8), "self-loop at vertex 1", "cycle repeats a vertex"),
+    ((0, 1, 2, 3, 4, 5, 6, 7, 8),
+     "cycle does not alternate with the given matching",
+     "alternating cycle needs even length >= 4, got 9"),
+]
+
+
+@pytest.mark.parametrize("vertices, search_error, build_error", MALFORMED_HOSTS)
+def test_malformed_hosts_get_their_graph_errors(vertices, search_error, build_error):
+    g, pm, _ = ten_cycle(bipartite=True)
+    host = hand_built_host(list(vertices))
+    for search in (find_skip, find_biskip):
+        with pytest.raises(GraphError) as info:
+            search(g, pm, host, SKIP_WEIGHTS)
+        assert (type(info.value), str(info.value)) == (GraphError, search_error)
+    with pytest.raises(GraphError) as info:
+        AlternatingCycle.from_vertices(g, pm, vertices)
+    assert (type(info.value), str(info.value)) == (GraphError, build_error)
+
+
+def test_an_odd_host_does_not_alternate_even_with_a_broken_matching():
+    # A hand-built edge set that uses vertex 0 twice holds edges 0, 2 and 4
+    # of the 5-cycle, so only the odd length shows that it does not alternate.
+    g = ColoredGraph.from_edges(5, [(i, (i + 1) % 5, BLUE) for i in range(5)])
+    broken = PerfectMatching(frozenset({(0, 1), (2, 3), (0, 4)}), 0)
+    with pytest.raises(GraphError, match="^cycle does not alternate with the given matching$"):
+        find_skip(g, broken, hand_built_host([0, 1, 2, 3, 4]), SKIP_WEIGHTS)
+
+
 @pytest.mark.parametrize("search", [find_skip, find_biskip])
 @pytest.mark.parametrize("weights", [[], [9]])
 def test_filter_without_a_skip_weight_is_answered_before_the_host(search, weights):
@@ -280,15 +328,17 @@ FILTERS = ([NEGATIVE_WEIGHTS, POSITIVE_WEIGHTS, frozenset({0}), SKIP_WEIGHTS]
            + [frozenset({w}) for w in range(-4, 5)])
 
 
-def random_host(n, prob, seed, bipartite=False):
+def random_host(n, prob, seed, bipartite=False, length=None):
     """Random graph around an alternating host cycle, some vertices off it.
 
-    The matching pairs the cycle's vertices along the cycle and the
-    remaining vertices among themselves; every other admissible edge is
+    The host has ``length`` vertices, an even number drawn from 4..n when
+    not given.  The matching pairs the cycle's vertices along the cycle and
+    the remaining vertices among themselves; every other admissible edge is
     present with probability ``prob``.  Colors are random throughout.
     """
     rng = random.Random(seed)
-    length = rng.randrange(4, n + 1, 2)
+    if length is None:
+        length = rng.randrange(4, n + 1, 2)
     if bipartite:
         side_a, side_b = list(range(0, n, 2)), list(range(1, n, 2))
         rng.shuffle(side_a)
@@ -351,10 +401,46 @@ def test_skip_chords_match_full_neighbor_scan():
             for seed in range(6):
                 g, _, cyc = random_host(n, prob, 100 + seed)
                 pos = {v: i for i, v in enumerate(cyc.vertices)}
+                same = tuple(sorted(v for v in pos if pos[v] % 2 == side) for side in (0, 1))
                 want = full_scan_chords(g, pos)
-                assert _skip_chords(g.neighbor_index, pos) == want
+                assert list(_skip_chords(g.neighbor_index, pos, same)) == want
                 chords += len(want)
     assert chords > 1000
+
+
+def long_hosts(bipartite):
+    """Hosts of 20-40 cycle vertices, two vertices off each, sparse enough
+    for the rebuild-per-candidate reference."""
+    for length in range(20, 41, 4):
+        for prob in (0.05, 0.1, 0.2):
+            for seed in range(2):
+                yield random_host(length + 2, prob, 300 + seed, bipartite, length)
+
+
+def test_find_skip_matches_naive_reference_on_long_hosts():
+    # The winner's first chord is often not the first chord: the search
+    # must move past chords without a partner, or whose partners all fail.
+    hits = later = 0
+    for g, pm, cyc in long_hosts(bipartite=False):
+        first = full_scan_chords(g, {v: i for i, v in enumerate(cyc.vertices)})[0][0]
+        for wanted in FILTERS:
+            want = naive_find_skip(g, pm, cyc, wanted)
+            assert find_skip(g, pm, cyc, wanted) == want
+            if want is not None:
+                hits += 1
+                later += want.e1 != first
+    assert hits >= 300
+    assert later >= 120
+
+
+def test_find_biskip_matches_naive_reference_on_long_hosts():
+    hits = 0
+    for g, pm, cyc in long_hosts(bipartite=True):
+        for wanted in FILTERS:
+            want = naive_find_biskip(g, pm, cyc, wanted)
+            assert find_biskip(g, pm, cyc, wanted) == want
+            hits += want is not None
+    assert hits >= 250
 
 
 def test_find_biskip_matches_naive_reference():
