@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import gcd
-from typing import Callable, Iterator
+from typing import Iterator
 
 # perfect_matching_on is not called here, but perfbench/tracing.py wraps it
 # under this module's name, so it stays importable from here.
@@ -95,7 +95,9 @@ class SolverParams:
     """Knobs for the solver.
 
     ``alpha_hint`` / ``beta_hint`` override measuring the independence bound
-    with the brute-force oracle (mandatory for graphs above the oracle cap).
+    with the brute-force oracle.  The walk reads the bound only when its loop
+    can run (see ``run_phase1``), so a hint is mandatory above the oracle cap
+    only there, and for reading ``Phase1Result.bound``.
     ``L_cap`` limits the phase-2 guess size; None means uncapped, in which
     case exhaustion certifies a no-instance.  ``t_override`` (>= 0) replaces
     the phase-1 cycle-weight threshold (experimentation only).
@@ -141,19 +143,74 @@ class Verdict:
         return doc
 
 
+def _threshold(bipartite: bool, bound: int) -> int:
+    """The walk's cycle-weight threshold: 2 * 4^alpha, or 2 * 4^(2 beta + 2)
+    in the bipartite variant."""
+    return 2 * 4 ** (2 * bound + 2) if bipartite else 2 * 4 ** bound
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """The independence bound that the walk on ``graph`` reads, measured on
+    first read and then kept: the hint, else the brute-force oracle (at
+    least 1).
+    The bound is beta on a graph with a bipartition and alpha otherwise;
+    ``run_phase1`` has already rejected a hint below 1."""
+
+    graph: ColoredGraph
+    hint: int | None
+
+    @property
+    def label(self) -> str:
+        """The bound's name, as in ``{label}_hint`` and ``--{label}``."""
+        return "alpha" if self.graph.bipartition is None else "beta"
+
+    @cached_property
+    def value(self) -> int:
+        if self.hint is not None:
+            return self.hint
+        bipartite = self.graph.bipartition is not None
+        oracle = bipartite_independence_number if bipartite else independence_number
+        try:
+            return max(1, oracle(self.graph))
+        except OracleLimitError as exc:
+            raise ConfigurationError(
+                f"cannot measure the {self.label} bound ({exc}); "
+                f"pass {self.label}_hint (--{self.label})"
+            ) from None
+
+    @property
+    def threshold(self) -> int:
+        return _threshold(self.graph.bipartition is not None, self.value)
+
+
 @dataclass(frozen=True)
 class Phase1Result:
     """The walk's final matching (None when the graph has no PM) and its
     bookkeeping.  ``low`` and ``high`` are the min-red and max-red perfect
-    matchings the walk started from, None when there is no PM."""
+    matchings the walk started from, None when there is no PM.
+
+    ``bound`` is measured on first read and then kept, unless the walk
+    read it already, so the first read may run the oracle, or raise
+    ``ConfigurationError`` above its cap without a hint.  ``threshold`` is
+    ``t_override`` when that is set, and reads ``bound`` otherwise.
+    """
 
     matching: PerfectMatching | None
     iterations: int
-    threshold: int
-    bound: int
     bipartite: bool
+    resolver: _Bound = field(repr=False, compare=False)
+    t_override: int | None = None
     low: PerfectMatching | None = None
     high: PerfectMatching | None = None
+
+    @property
+    def bound(self) -> int:
+        return self.resolver.value
+
+    @property
+    def threshold(self) -> int:
+        return self.resolver.threshold if self.t_override is None else self.t_override
 
     @property
     def red_range(self) -> tuple[int, int] | None:
@@ -164,28 +221,30 @@ class Phase1Result:
         return self.low.red_count, self.high.red_count
 
 
-def _resolve_bound(
-    graph: ColoredGraph, hint: int | None, oracle: Callable[[ColoredGraph], int], label: str
-) -> int:
-    """The hinted bound, else ``oracle(graph)`` (at least 1).  ``label`` names
-    the bound and its hint: ``{label}_hint``, ``--{label}`` on the CLI."""
-    if hint is not None:
-        if hint < 1:
-            raise ConfigurationError(f"{label} hint must be >= 1, got {hint}")
-        return hint
-    try:
-        return max(1, oracle(graph))
-    except OracleLimitError as exc:
-        raise ConfigurationError(
-            f"cannot measure the {label} bound ({exc}); pass {label}_hint (--{label})"
-        ) from None
-
-
 def _check_k(graph: ColoredGraph, k: int) -> None:
     if graph.n % 2 != 0:
         raise ConfigurationError(f"vertex count {graph.n} is odd")
     if not 0 <= k <= graph.n // 2:
         raise ConfigurationError(f"k={k} outside [0, {graph.n // 2}]")
+
+
+def _missing_cause(bound: _Bound, t_override: int | None) -> str:
+    """Why the walk found no shortcut: the setting that fixed the threshold.
+    With ``t_override`` set the walk read no bound, so the bound is measured
+    here, and the override is named when it lies below the guaranteed
+    threshold or when that threshold cannot be measured."""
+    if bound.label == "alpha":
+        hint = "the independence bound hint alpha_hint (--alpha) is too small"
+    else:
+        hint = "the bipartite independence bound hint beta_hint (--beta) is too small"
+    if t_override is None:
+        return hint
+    override = f"t_override (--t-override) {t_override} is below the guaranteed threshold"
+    try:
+        guaranteed = bound.threshold
+    except ConfigurationError as exc:
+        return f"{override}, which is unknown: {exc}"
+    return f"{override} {guaranteed}" if t_override < guaranteed else hint
 
 
 def run_phase1(
@@ -200,46 +259,55 @@ def run_phase1(
     ``k - threshold <= r(M) <= k`` where threshold is 2 * 4^alpha
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
+
+    The engines run first, and the walk reads the bound only when its loop
+    test passes under the smallest threshold any bound gives (8, or 512 in
+    the bipartite variant): r(high) > k and r(low) <= k - 8.  With
+    ``t_override`` set it reads none, except to word a ``SkipSearchError``.
+    So the oracle runs, or its cap raises, only on a walk that needs the
+    bound.
     Raises ``ConfigurationError`` for an odd n, k outside [0, n/2], a
-    negative ``t_override`` or a missing shortcut (``SkipSearchError``: a
-    hint or ``t_override`` is too small), and ``SolverError`` when an
-    invariant of the walk fails.
+    negative ``t_override``, a hint below 1 (all before the engines run),
+    a bound the walk needs but cannot measure without a hint, or a missing
+    shortcut (``SkipSearchError``: a hint or ``t_override`` is too small),
+    and ``SolverError`` when an invariant of the walk fails.
     """
     _check_k(graph, k)
     params = params or SolverParams()
-    if params.t_override is not None and params.t_override < 0:
-        raise ConfigurationError(f"t_override must be >= 0, got {params.t_override}")
+    t_override = params.t_override
+    if t_override is not None and t_override < 0:
+        raise ConfigurationError(f"t_override must be >= 0, got {t_override}")
     bipartite = graph.bipartition is not None
+    hint = params.beta_hint if bipartite else params.alpha_hint
+    bound = _Bound(graph, hint)
+    if hint is not None and hint < 1:
+        raise ConfigurationError(f"{bound.label} hint must be >= 1, got {hint}")
     if bipartite:
-        bound = _resolve_bound(graph, params.beta_hint, bipartite_independence_number, "beta")
-        threshold = 2 * 4 ** (2 * bound + 2)
-
         def search(low, cycle):
             orient(graph, low)
             return find_biskip(graph, low, cycle, NEGATIVE_WEIGHTS)
         apply, missing = apply_biskip, "no negative biskip on a heavy cycle; "
-        cause = "the bipartite independence bound hint beta_hint (--beta) is too small"
     else:
-        bound = _resolve_bound(graph, params.alpha_hint, independence_number, "alpha")
-        threshold = 2 * 4 ** bound
-
         def search(low, cycle):
             return find_skip(graph, low, cycle, NEGATIVE_WEIGHTS)
         apply, missing = apply_skip, "no negative skip on a heavy cycle; "
-        cause = "the independence bound hint alpha_hint (--alpha) is too small"
-    if params.t_override is not None:
-        # The error names the setting that fixed the threshold.
-        if params.t_override < threshold:
-            cause = (f"t_override (--t-override) {params.t_override} is below "
-                     f"the guaranteed threshold {threshold}")
-        threshold = params.t_override
 
     low = min_red_pm(graph)
     if low is None:
-        return Phase1Result(None, 0, threshold, bound, bipartite)
+        return Phase1Result(None, 0, bipartite, bound, t_override)
     high = max_red_pm(graph)
     assert high is not None
     start = (low, high)
+    r_high = high.red_count
+
+    threshold = t_override
+    if threshold is None:
+        # Every bound is at least 1.  A loop test that fails under the
+        # threshold of 1 fails under every larger one, so the walk reads
+        # the bound only when the test can pass.
+        threshold = _threshold(bipartite, 1)
+        if r_high > k and low.red_count <= k - threshold:
+            threshold = bound.threshold
 
     # Invariant: high = low ^ context (low flipped along the context's cycles)
     # and r_high = r(low) + context.total_weight, the context being weighted
@@ -247,7 +315,6 @@ def run_phase1(
     # cycle onto low drops it, and the other cycles keep their weights.  The
     # graph was validated when it was built, so a GraphError from a walk step
     # is a broken invariant.
-    r_high = high.red_count
     context = None
     iterations = 0
     try:
@@ -266,7 +333,7 @@ def run_phase1(
             else:
                 shortcut = search(low, cycle)
                 if shortcut is None:
-                    raise SkipSearchError(missing + cause)
+                    raise SkipSearchError(missing + _missing_cause(bound, t_override))
                 context = apply(shortcut, context)
             r_high = low.red_count + context.total_weight
         if r_high <= k and context is not None:
@@ -274,7 +341,7 @@ def run_phase1(
     except GraphError as exc:
         raise SolverError(f"phase-1 walk broke an invariant: {exc}") from exc
     final = high if r_high <= k else low
-    return Phase1Result(final, iterations, threshold, bound, bipartite, *start)
+    return Phase1Result(final, iterations, bipartite, bound, t_override, *start)
 
 
 def approx_em(
@@ -684,6 +751,14 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     early stop.  The range and the lattice certify whatever the cap.
     Otherwise a caller-imposed ``L_cap`` below n turns exhaustion into an
     unknown verdict, even when the search stopped early under the cap.
+
+    Phase 1 runs the engines before it reads the independence bound, and
+    reads it only when its walk can iterate.  So above the oracle cap a
+    hint is needed only when r(low) + 8 <= k < r(high) (r(low) + 512 in the
+    bipartite variant), and never for a graph with no PM.
+    ``ConfigurationError`` is raised for a bad hint, cap or ``t_override``,
+    for a bound the walk needs above the oracle cap without a hint, and for
+    a missing shortcut (``SkipSearchError``).
 
     Phase 2 is one loop over ``_candidates`` that counts each guess and
     returns the first that ``_recover`` completes.  It consults the lattice

@@ -12,6 +12,7 @@ from exactmatching import (
     find_biskip,
     find_skip,
     parse_graph,
+    random_colored_graph,
     run_phase1,
     serialize_graph,
 )
@@ -116,15 +117,37 @@ class TestSolve:
 
     def test_unmeasurable_bound_names_its_own_hint(self, tmp_path, capsys):
         # A bipartite graph's walk reads only the beta hint, so --alpha does
-        # not stand in for it; the message names the hint that would.
+        # not stand in for it; the message names the hint that would.  The
+        # walk reads no bound below n = 1024, so solve decides without one,
+        # and approx, whose report states the bound, asks for it.
         path = str(tmp_path / "b.json")
         assert main(["gen", "planted-beta", "-n", "60", "-k", "15", "--seed", "3",
                      "-o", path]) == 0
         capsys.readouterr()
-        assert main(["solve", path, "-k", "15", "--alpha", "1"]) == EXIT_LIMIT
+        assert main(["solve", path, "-k", "15", "--alpha", "1"]) == EXIT_YES
+        capsys.readouterr()
+        assert main(["approx", path, "-k", "15", "--alpha", "1"]) == EXIT_LIMIT
         err = capsys.readouterr().err
         assert "cannot measure the beta bound" in err
         assert err.rstrip().endswith("; pass beta_hint (--beta)")
+
+    def test_engine_verdict_needs_no_hint(self, tmp_path, capsys):
+        # An all-blue G(60, 0.3): k=10 lies outside the red-count range
+        # [0, 0], which the engines certify without the alpha bound.  approx
+        # reports the bound, so it still asks for a hint, and a hint below 1
+        # is rejected before anything runs.
+        path = tmp_path / "blue.json"
+        g = random_colored_graph(60, 0.3, 1)
+        path.write_text(json.dumps({"n": 60, "edges": [[u, v, "blue"] for u, v in g.colors]}))
+        p = str(path)
+        assert main(["solve", p, "-k", "10", "--json"]) == EXIT_NO
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["reason"]) == ("no", "k outside the red-count range [0, 0]")
+        assert main(["approx", p, "-k", "10"]) == EXIT_LIMIT
+        assert "pass alpha_hint (--alpha)" in capsys.readouterr().err
+        for command in ("solve", "approx"):
+            assert main([command, p, "-k", "10", "--alpha", "0"]) == EXIT_LIMIT
+            assert "alpha hint must be >= 1, got 0" in capsys.readouterr().err
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(C4_JSON))

@@ -121,9 +121,14 @@ class TestPhase1:
             run_phase1(k33, 1, SolverParams(beta_hint=-1))
 
     def test_unmeasurable_bound_needs_hint(self):
+        # Red range [0, 22]: the walk at k=11 reads the bound, the one at k=0
+        # reads none, so there only reading the result's bound needs a hint.
         g = random_colored_graph(44, 0.5, 3)
-        with pytest.raises(ConfigurationError):
-            run_phase1(g, 0)
+        with pytest.raises(ConfigurationError, match=r"pass alpha_hint \(--alpha\)"):
+            run_phase1(g, 11)
+        res = run_phase1(g, 0)
+        with pytest.raises(ConfigurationError, match=r"pass alpha_hint \(--alpha\)"):
+            res.bound
         assert run_phase1(g, 0, SolverParams(alpha_hint=3)).bound == 3
 
     def test_approx_em_delegates_to_run_phase1(self):
@@ -231,6 +236,134 @@ class TestPhase1:
             edges = repr(v.witness.sorted_edges()).encode()
             assert hashlib.sha256(edges).hexdigest()[:16] == digest
             assert calls == {"orient": searches, "find_biskip": searches}
+
+
+def forbid_the_oracle(monkeypatch):
+    """Make both independence oracles raise, for solves that must not read
+    the bound."""
+    def forbidden(graph, *args, **kwargs):
+        raise AssertionError("the walk read a bound it does not need")
+    monkeypatch.setattr(solver_mod, "independence_number", forbidden)
+    monkeypatch.setattr(solver_mod, "bipartite_independence_number", forbidden)
+
+
+def count_oracle_calls(monkeypatch):
+    calls = []
+    oracle = solver_mod.independence_number
+    monkeypatch.setattr(solver_mod, "independence_number",
+                        lambda graph, *a: calls.append(graph) or oracle(graph, *a))
+    return calls
+
+
+class TestBoundOnDemand:
+    """The engines run first; the walk reads the bound only when its loop test
+    can pass under the threshold of bound 1 (8, or 512 when bipartite)."""
+
+    def test_engine_verdicts_read_no_bound(self, monkeypatch, c4, k33):
+        forbid_the_oracle(monkeypatch)
+        star = ColoredGraph.from_edges(4, [(0, 1, RED), (0, 2, RED), (0, 3, RED)])
+        red4 = ColoredGraph.from_edges(4, [(0, 1, RED), (1, 2, RED), (2, 3, RED), (0, 3, RED)])
+        cases = [
+            # A certified_no pool core: G(12, 0.6) seed 0, red range [0, 3].
+            (random_colored_graph(12, 0.6, 0), 4, NO_CERTIFIED,
+             "k outside the red-count range [0, 3]"),
+            (star, 0, NO_CERTIFIED, "graph has no perfect matching"),
+            (red4, 1, NO_CERTIFIED, "k outside the red-count range [2, 2]"),
+            (k33, 1, NO_CERTIFIED, "k outside the red-count range [0, 0]"),
+            # Yes-instances with r(low) > k - 8: the walk never starts.
+            (c4, 2, YES, None),
+            (k33, 0, YES, None),
+            (random_colored_graph(12, 0.6, 0), 2, YES, None),
+            # Red range [0, 20]: r(low) <= k - 8, but the bipartite walk
+            # needs r(low) <= k - 512.
+            (gen_planted_yes(40, 10, BaseFamily("beta", 1), 0), 10, YES, None),
+        ]
+        for g, k, status, reason in cases:
+            v = solve_em(g, k)
+            assert (v.status, v.reason, v.iterations) == (status, reason, 0)
+        # A bound that the walk does not read is measured on first read.
+        with pytest.raises(AssertionError, match="does not need"):
+            run_phase1(c4, 2).bound
+
+    def test_an_exhausted_search_reads_no_bound(self, monkeypatch, c4):
+        # In range [0, 2], certified by phase 2 alone.
+        forbid_the_oracle(monkeypatch)
+        assert solve_em(c4, 1).reason == "exhausted the certified search radius"
+
+    def test_t_override_walk_reads_no_bound(self, monkeypatch):
+        forbid_the_oracle(monkeypatch)
+        for bipartite in (False, True):
+            res = run_phase1(double_c4(bipartite), 2, SolverParams(t_override=2))
+            assert (res.iterations, res.matching.red_count, res.threshold) == (1, 2, 2)
+
+    @pytest.mark.parametrize("k, r", [(8, 6), (10, 10)])
+    def test_a_walk_that_iterates_measures_once(self, monkeypatch, k, r):
+        # Red range [0, 12] and measured alpha 1; k=8 has r(low) = k - 8.
+        calls = count_oracle_calls(monkeypatch)
+        g = gen_planted_yes(24, k, BaseFamily("alpha", 1), 0)
+        res = run_phase1(g, k)
+        assert (res.iterations, res.matching.red_count, len(calls)) == (1, r, 1)
+        assert (res.bound, res.threshold, len(calls)) == (1, 8, 1)
+
+    def test_reading_the_bound_twice_measures_once(self, monkeypatch, c4):
+        calls = count_oracle_calls(monkeypatch)
+        res = run_phase1(c4, 2)
+        assert calls == []
+        assert (res.bound, res.bound, res.threshold) == (2, 2, 32)
+        assert len(calls) == 1
+
+    def test_hints_are_checked_before_the_engines(self, monkeypatch, c4, k33):
+        def engine(graph):
+            raise AssertionError("an engine ran before the hint was checked")
+        monkeypatch.setattr(solver_mod, "min_red_pm", engine)
+        with pytest.raises(ConfigurationError, match="alpha hint must be >= 1, got 0"):
+            solve_em(c4, 2, SolverParams(alpha_hint=0))
+        with pytest.raises(ConfigurationError, match="beta hint must be >= 1, got -1"):
+            run_phase1(k33, 0, SolverParams(beta_hint=-1))
+
+    def test_unmeasurable_bound_under_t_override_names_it(self):
+        # The chordless alternating 42-cycle has no skip, and at n=42 the
+        # oracle cannot measure the alpha that would fix the guarantee.
+        c42 = ColoredGraph.from_edges(
+            42, [(i, (i + 1) % 42, RED if i % 2 == 0 else BLUE) for i in range(42)])
+        with pytest.raises(SkipSearchError) as exc:
+            run_phase1(c42, 10, SolverParams(t_override=0))
+        assert str(exc.value).startswith(
+            "no negative skip on a heavy cycle; t_override (--t-override) 0 is below "
+            "the guaranteed threshold, which is unknown: cannot measure the alpha bound")
+        assert str(exc.value).endswith("; pass alpha_hint (--alpha)")
+
+
+class TestVerdictWithoutHint:
+    """G(60, 0.3) seed 1 and two variants of it, above the oracle cap: a
+    verdict that the engines or phase 1 decide needs no hint."""
+
+    @pytest.fixture
+    def g60(self):
+        return random_colored_graph(60, 0.3, 1)
+
+    def test_no_perfect_matching(self, g60):
+        g = ColoredGraph.from_edges(
+            60, [(u, v, c) for (u, v), c in g60.colors.items() if 0 not in (u, v)])
+        v = solve_em(g, 10)
+        assert (v.status, v.reason) == (NO_CERTIFIED, "graph has no perfect matching")
+
+    def test_all_blue_is_outside_the_range(self, g60):
+        g = ColoredGraph.from_edges(60, [(u, v, BLUE) for u, v in g60.colors])
+        v = solve_em(g, 10)
+        assert (v.status, v.reason) == (NO_CERTIFIED, "k outside the red-count range [0, 0]")
+
+    @pytest.mark.parametrize("k", [0, 30])
+    def test_range_ends_are_yes(self, g60, k):
+        v = solve_em(g60, k)
+        assert (v.status, v.iterations) == (YES, 0)
+        assert solver_mod._verified(g60, v.witness, k, "test") is v.witness
+
+    def test_a_walk_that_needs_alpha_still_raises(self, g60):
+        # Red range [0, 30]: at k=10 the walk reads alpha, which the oracle
+        # cannot measure at n=60.
+        with pytest.raises(ConfigurationError, match="cannot measure the alpha bound"):
+            solve_em(g60, 10)
 
 
 # -- phase 2: single-guess recovery -------------------------------------------------
