@@ -12,7 +12,9 @@ copy wins.
 The central weight scheme, relative to a reference perfect matching M:
 blue edges weigh 0, red matching edges weigh -1, red non-matching edges
 weigh +1.  Under it, ``r(M') = r(M) + w(M symdiff M')`` for any two perfect
-matchings, where r counts red edges.
+matchings, where r counts red edges.  ``closed_walk`` is the one reader and
+checker of an alternating cycle: ``AlternatingCycle.from_vertices`` and the
+skip and biskip searches all get the cycle, or its ``GraphError``, from it.
 """
 
 from __future__ import annotations
@@ -201,34 +203,50 @@ def edge_weight(graph: ColoredGraph, matching: PerfectMatching, e: Edge) -> int:
     return -1 if e in matching.edges else 1
 
 
-def alternates(edges: Sequence[Edge], matching: PerfectMatching) -> bool:
-    """True iff the closed walk ``edges`` goes in and out of ``matching`` by turns."""
-    in_m = [e in matching.edges for e in edges]
-    return all(flag != in_m[i - 1] for i, flag in enumerate(in_m))
+def matching_parity(edges: Sequence[Edge], matching: PerfectMatching) -> int | None:
+    """``par`` such that edge i of the closed walk ``edges`` is in
+    ``matching`` exactly when ``i % 2 == par``, or None if the walk does not
+    alternate with ``matching``.  Edge 0 fixes ``par``; the walk then
+    alternates when it is even and holds the matching edges at positions
+    ``par``, ``par + 2``, ... and no others.  Membership is read by C-level
+    set comparisons.
+    """
+    par = 0 if edges and edges[0] in matching.edges else 1
+    if (len(edges) % 2 == 0 and matching.edges.issuperset(edges[par::2])
+            and matching.edges.isdisjoint(edges[1 - par::2])):
+        return par
+    return None
 
 
 def closed_walk(
     graph: ColoredGraph, matching: PerfectMatching, vertices: Sequence[int]
-) -> tuple[list[Edge], list[str | None], int | None]:
-    """Read the closed walk through ``vertices`` once.
+) -> tuple[dict[int, int], list[Edge], list[str], int]:
+    """Read the closed walk through ``vertices`` once and check that it is
+    an alternating cycle of ``graph`` and ``matching``.
 
-    Edge i joins ``vertices[i]`` and ``vertices[i+1]`` (cyclically).  Returns
-    each edge's canonical key, its color (None if the graph lacks the edge,
-    which covers a vertex outside the graph), and the walk's matching parity:
-    ``par`` such that edge i is in ``matching`` exactly when
-    ``i % 2 == par`` if the walk alternates with ``matching``, else None.
-    Edge 0 fixes ``par``; the walk then alternates when it is even and holds
-    the matching edges at positions ``par``, ``par + 2``, ... and no others,
-    so that each edge and the next, the last and the first included, differ.
-    Each key is built once in Python; colors and matching membership are
-    read from the keys by C-level lookups (``map`` and set comparisons).
+    Edge i joins ``vertices[i]`` and ``vertices[i+1]`` (cyclically).
+    Raises ``GraphError``, in this order, for fewer than 4 or an odd number
+    of vertices, a repeated vertex, an edge missing from the graph (the
+    first along ``vertices``, a vertex outside the graph included), and a
+    walk that does not alternate.  Returns each vertex's position (the map
+    that shows a repeat), each edge's canonical key and color, and the
+    matching parity (``matching_parity``).  Keys are built once in Python;
+    colors and membership are read from them by C-level lookups.
     """
+    length = len(vertices)
+    if length < 4 or length % 2:
+        raise GraphError(f"alternating cycle needs even length >= 4, got {length}")
+    pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) < length:
+        raise GraphError("cycle repeats a vertex")
     edges = [(u, v) if u < v else (v, u) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
     colors = list(map(graph.colors.get, edges))
-    par = 0 if edges[0] in matching.edges else 1
-    alternating = (len(edges) % 2 == 0 and matching.edges.issuperset(edges[par::2])
-                   and matching.edges.isdisjoint(edges[1 - par::2]))
-    return edges, colors, par if alternating else None
+    if None in colors:
+        raise GraphError(f"cycle uses unknown edge {edges[colors.index(None)]}")
+    par = matching_parity(edges, matching)
+    if par is None:
+        raise GraphError("cycle does not alternate with the matching")
+    return pos, edges, colors, par
 
 
 @dataclass(frozen=True)
@@ -254,31 +272,21 @@ class AlternatingCycle:
         vertices: Iterable[int],
     ) -> "AlternatingCycle":
         """The cycle through ``vertices``, in either direction and from any
-        start, checked against ``graph`` and weighed against ``matching``.
+        start, weighed against ``matching``.
 
-        Raises ``GraphError`` for fewer than 4 or an odd number of vertices,
-        a repeated vertex, then an edge missing from the graph (the first
-        one along the canonical rotation, a vertex outside the graph
-        included), then a walk that does not alternate with ``matching``.
-        The edges are read once, by ``closed_walk``; with matching parity
-        ``par`` the weight is the red edges at positions off ``par`` minus
-        the red edges on it.
+        ``closed_walk`` reads and checks the walk as given.  The cycle keeps
+        its canonical rotation, edges turned along, and with matching parity
+        ``par`` its weight is the red edges off ``par`` minus those on it.
         """
         seq = list(vertices)
-        if len(seq) < 4 or len(seq) % 2 != 0:
-            raise GraphError(f"alternating cycle needs even length >= 4, got {len(seq)}")
-        if len(set(seq)) != len(seq):
-            raise GraphError("cycle repeats a vertex")
-        seq = _canonical_rotation(seq)
-        edges, colors, par = closed_walk(graph, matching, seq)
-        if None in colors:
-            i = colors.index(None)
-            u, v = seq[i], seq[(i + 1) % len(seq)]
-            raise GraphError(f"cycle uses unknown edge ({u}, {v})")
-        if par is None:
-            raise GraphError("cycle does not alternate with the matching")
+        pos, edges, colors, par = closed_walk(graph, matching, seq)
         weight = colors[1 - par::2].count(RED) - colors[par::2].count(RED)
-        return cls(tuple(seq), tuple(edges), weight)
+        # Start at the lowest vertex, toward the lower of its two neighbors;
+        # walking backward from position i, edge j is edge i - 1 - j.
+        i = pos[min(seq)]
+        if seq[(i + 1) % len(seq)] < seq[i - 1]:
+            return cls(tuple(seq[i:] + seq[:i]), tuple(edges[i:] + edges[:i]), weight)
+        return cls(tuple(seq[i::-1] + seq[:i:-1]), tuple(edges[i - 1::-1] + edges[:i - 1:-1]), weight)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -288,17 +296,6 @@ class AlternatingCycle:
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-
-def _canonical_rotation(seq: list[int]) -> list[int]:
-    """Rotate/flip a cyclic vertex sequence into the canonical orientation."""
-    i = seq.index(min(seq))
-    nxt = seq[(i + 1) % len(seq)]
-    prv = seq[(i - 1) % len(seq)]
-    if nxt < prv:
-        return seq[i:] + seq[:i]
-    rev = seq[i::-1] + seq[:i:-1]
-    return rev
 
 
 @dataclass(frozen=True)
@@ -376,7 +373,7 @@ def apply_cycles(matching: PerfectMatching, cycle_set: CycleSet) -> PerfectMatch
     the same cycle set twice is the identity.
     """
     for c in cycle_set:
-        if not alternates(c.edges, matching):
+        if matching_parity(c.edges, matching) is None:
             raise GraphError(f"cycle at {c.vertices[0]} does not alternate "
                              f"with the matching being modified")
     new_edges = matching.edges ^ cycle_set.all_edges()

@@ -13,18 +13,21 @@ side A to side B and all other edges the opposite way turns alternating
 cycles into directed cycles; a biskip replaces one directed cycle with two
 shorter vertex-disjoint ones closed off by two chord arcs; its ``weight``,
 the replacements' weight minus the host's, is the same red-count shift.
+The biskip search checks that the graph has a bipartition and derives each
+arc's direction from it and the matching, so no orientation is built.
 
 All searches are exhaustive and deterministic: candidate chords are scanned
-in lexicographic order and the first valid shortcut whose weight lies in
-the requested filter wins.  Each candidate pair is judged in O(1) from
-per-cycle tables built once in O(L), from one read of the cycle's edges:
-the position of each cycle vertex, the parity of the matching-edge
-positions, and prefix sums of the edge weights.  Alternation reduces to
-position parity, so chords that can never take part are never formed.  The
-skip search generates its first chords lazily, in order, and pairs each
-only with its partners, the chords that could cross it, read from sorted
-vertex lists; so it builds nothing past the winner, and only the winner's
-cycles are built.
+in lexicographic order and the first valid shortcut whose weight lies in the
+requested filter wins.  Each candidate pair is judged in O(1) from per-cycle
+tables built once in O(L), from one checked read of the cycle by
+``graphs.closed_walk``: the position of each cycle vertex, the parity of the
+matching-edge positions, and prefix sums of the edge weights.  A host that
+is no alternating cycle gets the reader's ``GraphError``.  Alternation
+reduces to position parity, so chords that can never take part are never
+formed.  The skip search generates its first chords lazily, in order, and
+pairs each only with its partners, the chords that could cross it, read from
+sorted vertex lists; so it builds nothing past the winner, and only the
+winner's cycles are built.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .graphs import (
     GraphError,
     PerfectMatching,
     closed_walk,
-    edge_key,
 )
 
 NEGATIVE_WEIGHTS = frozenset({-4, -3, -2, -1})
@@ -101,25 +103,13 @@ def _walk_layout(
 ) -> tuple[dict[int, int], int, list[int]]:
     """Position map, matching parity and weight prefix sums along ``order``.
 
-    Edge i joins ``order[i]`` and ``order[i+1]`` (cyclically).  The cycle
-    must alternate with ``matching``; then edge i is a matching edge exactly
-    when ``i % 2 == par``.  ``prefix[i]`` is the weight of edges 0..i-1
-    relative to ``matching``, so ``prefix[-1]`` is the whole cycle's.
-
-    The edges are read once, by ``closed_walk``.  ``GraphError`` names a
-    self-loop (two equal consecutive vertices) first, then a cycle that does
-    not alternate, then an edge missing from the graph (a vertex outside the
-    graph included), the first one along ``order``.
+    ``closed_walk`` reads the cycle once, checks it, and raises its
+    ``GraphError`` for a walk that is no alternating cycle; edge i, joining
+    ``order[i]`` and ``order[i+1]`` (cyclically), is then a matching edge
+    exactly when ``i % 2 == par``.  ``prefix[i]`` is the weight of edges
+    0..i-1 relative to ``matching``, so ``prefix[-1]`` is the whole cycle's.
     """
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) < len(order):    # a repeated vertex: edge_key rejects a self-loop
-        for u, v in zip(order, order[1:] + order[:1]):
-            edge_key(u, v)
-    ring, colors, par = closed_walk(graph, matching, order)
-    if par is None:
-        raise GraphError("cycle does not alternate with the given matching")
-    if None in colors:
-        raise GraphError(f"unknown edge {ring[colors.index(None)]}")
+    pos, _, colors, par = closed_walk(graph, matching, order)
     # A red edge weighs -1 in the matching, at positions par, par + 2, ...
     # and +1 off it; a blue edge weighs 0.
     weights = [1 if c == RED else 0 for c in colors]
@@ -274,7 +264,8 @@ def orient(graph: ColoredGraph, matching: PerfectMatching) -> None:
 
     Orienting matching edges from side A to side B and every other edge the
     opposite way needs a bipartition and a matching inside the graph.
-    ``find_biskip`` derives each direction from the two, so nothing is built.
+    ``find_biskip`` checks the bipartition itself, so the walk does not call
+    this; it stays for the ``skips.orient`` boundary of perfbench/tracing.py.
     """
     if graph.bipartition is None:
         raise GraphError("orientation needs a bipartite graph")
@@ -308,14 +299,14 @@ def find_biskip(
     vertex-disjoint, strictly shorter in total, and shift the weight by at
     most 4 in absolute value.  Ordered arc pairs are scanned lexicographically.
 
-    ``graph`` must carry a bipartition and ``cycle`` must alternate with
-    ``matching`` (``orient`` checks the first two).  Each direction is
-    derived from the bipartition and the matching, as the orientation sets
-    it, so no directed view is built.  Sides and matching membership both
-    alternate along the cycle, so the canonical vertex order is the
-    directed order exactly when its first vertex is on side A iff its first
-    edge is a matching edge, and the reversed order otherwise: the direction
-    costs O(1).
+    Raises ``GraphError`` when ``graph`` has no bipartition, before the
+    filter and the host are read, and ``closed_walk``'s ``GraphError`` for
+    a host that is no alternating cycle.  Each direction is derived from the
+    bipartition and the matching, as the orientation sets it, so no directed
+    view is built.  Sides and matching membership both alternate along the
+    cycle, so the host's vertex order is the directed order exactly when its
+    first vertex is on side A iff the read's first edge is a matching edge;
+    otherwise the directed order walks the other way from the same start.
 
     Each candidate costs O(1).  A replacement cycle runs from its arc's head
     forward to its tail, so it alternates exactly when the head starts a
@@ -331,15 +322,21 @@ def find_biskip(
     prefix sums along the directed order, and only the winner's cycles are
     built.
     """
+    if graph.bipartition is None:
+        raise GraphError("biskip search needs a bipartite graph")
     wanted = frozenset(weight_filter) & SKIP_WEIGHTS
     if not wanted:
         return None
-    verts = cycle.vertices
-    forward = (verts[0] in graph.bipartition[0]) == (cycle.edges[0] in matching.edges)
-    order = verts if forward else verts[::-1]
+    order = cycle.vertices
     length = len(order)
     pos, par, prefix = _walk_layout(graph, matching, order)
     total = prefix[-1]
+    if (order[0] in graph.bipartition[0]) != (par == 0):
+        # Edge i of the other way is edge L-1-i of the read: the parity
+        # flips and each prefix sum becomes the whole weight less a suffix.
+        order = order[:1] + order[:0:-1]
+        pos = dict(zip(order, range(length)))
+        par, prefix = 1 - par, [total - w for w in reversed(prefix)]
     heads = sorted(order[par::2])
     # (arc, tail position, head position, weight of the segment from head
     # forward to tail plus the arc itself, whose weight is its red flag)

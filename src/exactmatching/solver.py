@@ -64,7 +64,9 @@ from .graphs import (
     validate_matching,
 )
 from .oracle import OracleLimitError, bipartite_independence_number, independence_number
-from .skips import (
+# orient is not called here, but perfbench/tracing.py wraps it under this
+# module's name, so it stays importable from here.
+from .skips import (  # noqa: F401
     NEGATIVE_WEIGHTS,
     apply_biskip,
     apply_skip,
@@ -255,7 +257,9 @@ def run_phase1(
 
     The walk is the bipartite one (biskips, bound beta) exactly when the
     graph carries a bipartition, and the general one (skips, bound alpha)
-    otherwise.  On yes-instances the returned matching M satisfies
+    otherwise.  It selects its step once, ``find_biskip``/``apply_biskip``
+    or ``find_skip``/``apply_skip``, and calls either alike.
+    On yes-instances the returned matching M satisfies
     ``k - threshold <= r(M) <= k`` where threshold is 2 * 4^alpha
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
@@ -283,14 +287,9 @@ def run_phase1(
     if hint is not None and hint < 1:
         raise ConfigurationError(f"{bound.label} hint must be >= 1, got {hint}")
     if bipartite:
-        def search(low, cycle):
-            orient(graph, low)
-            return find_biskip(graph, low, cycle, NEGATIVE_WEIGHTS)
-        apply, missing = apply_biskip, "no negative biskip on a heavy cycle; "
+        find, apply, name = find_biskip, apply_biskip, "biskip"
     else:
-        def search(low, cycle):
-            return find_skip(graph, low, cycle, NEGATIVE_WEIGHTS)
-        apply, missing = apply_skip, "no negative skip on a heavy cycle; "
+        find, apply, name = find_skip, apply_skip, "skip"
 
     low = min_red_pm(graph)
     if low is None:
@@ -331,9 +330,10 @@ def run_phase1(
                 low = apply_cycles(low, CycleSet.from_cycles([cycle]))
                 context = CycleSet.from_cycles(c for c in context if c is not cycle)
             else:
-                shortcut = search(low, cycle)
+                shortcut = find(graph, low, cycle, NEGATIVE_WEIGHTS)
                 if shortcut is None:
-                    raise SkipSearchError(missing + _missing_cause(bound, t_override))
+                    raise SkipSearchError(f"no negative {name} on a heavy cycle; "
+                                          + _missing_cause(bound, t_override))
                 context = apply(shortcut, context)
             r_high = low.red_count + context.total_weight
         if r_high <= k and context is not None:

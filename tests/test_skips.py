@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -28,6 +29,7 @@ from exactmatching import (
     symmetric_difference,
 )
 from exactmatching.generators import gen_alternating_cycle_instance
+from exactmatching.graphs import matching_parity
 from exactmatching.skips import _skip_chords, guaranteed_skip_weights
 
 from ._support import (
@@ -143,45 +145,63 @@ def hand_built_host(vertices):
     return AlternatingCycle(tuple(vertices), tuple((min(e), max(e)) for e in ring), 0)
 
 
-# (host vertices on ten_cycle, error from both searches, error from
-# from_vertices): a search checks alternation before edges, from_vertices
-# edges before alternation.
+# (host vertices on ten_cycle, the one error all three readers give).  The
+# reader checks length, then repeated vertices, then the first missing edge
+# along the walk as given, then alternation.
 MALFORMED_HOSTS = [
     # Does not alternate, and (4, 6) and (5, 7) are no edges.
-    ((0, 1, 2, 3, 4, 6, 5, 7, 8, 9),
-     "cycle does not alternate with the given matching", "cycle uses unknown edge (4, 6)"),
+    pytest.param((0, 1, 2, 3, 4, 6, 5, 7, 8, 9), "cycle uses unknown edge (4, 6)",
+                 id="unknown-edges-and-no-alternation"),
     # Alternates, but (1, 3) and (2, 4) are no edges.
-    ((0, 1, 3, 2, 4, 5, 6, 7, 8, 9), "unknown edge (1, 3)", "cycle uses unknown edge (1, 3)"),
-    # Vertex 10 is outside the 10-vertex graph.
-    ((10, 1, 2, 3, 4, 5, 6, 7, 8, 9),
-     "cycle does not alternate with the given matching", "cycle uses unknown edge (9, 10)"),
-    ((0, 1, 1, 2, 3, 4, 5, 6, 7, 8), "self-loop at vertex 1", "cycle repeats a vertex"),
-    ((0, 1, 2, 3, 4, 5, 6, 7, 8),
-     "cycle does not alternate with the given matching",
-     "alternating cycle needs even length >= 4, got 9"),
+    pytest.param((0, 1, 3, 2, 4, 5, 6, 7, 8, 9), "cycle uses unknown edge (1, 3)",
+                 id="unknown-edges"),
+    # Vertex 10 is outside the 10-vertex graph; the walk as given starts
+    # with the edge (10, 1), which the canonical rotation would put last.
+    pytest.param((10, 1, 2, 3, 4, 5, 6, 7, 8, 9), "cycle uses unknown edge (1, 10)",
+                 id="vertex-outside-the-graph"),
+    pytest.param((0, 1, 1, 2, 3, 4, 5, 6, 7, 8), "cycle repeats a vertex", id="self-loop"),
+    pytest.param((0, 1, 2, 3, 4, 5, 6, 7, 8), "alternating cycle needs even length >= 4, got 9",
+                 id="odd-length"),
+    pytest.param((), "alternating cycle needs even length >= 4, got 0", id="empty"),
+    pytest.param((0,), "alternating cycle needs even length >= 4, got 1", id="one-vertex"),
+    pytest.param((0, 1), "alternating cycle needs even length >= 4, got 2", id="two-vertices"),
 ]
 
 
-@pytest.mark.parametrize("vertices, search_error, build_error", MALFORMED_HOSTS)
-def test_malformed_hosts_get_their_graph_errors(vertices, search_error, build_error):
+@pytest.mark.parametrize("vertices, error", MALFORMED_HOSTS)
+def test_malformed_hosts_get_their_graph_errors(vertices, error):
     g, pm, _ = ten_cycle(bipartite=True)
     host = hand_built_host(list(vertices))
-    for search in (find_skip, find_biskip):
+    for read in (partial(AlternatingCycle.from_vertices, g, pm, vertices),
+                 partial(find_skip, g, pm, host, SKIP_WEIGHTS),
+                 partial(find_biskip, g, pm, host, SKIP_WEIGHTS)):
         with pytest.raises(GraphError) as info:
-            search(g, pm, host, SKIP_WEIGHTS)
-        assert (type(info.value), str(info.value)) == (GraphError, search_error)
-    with pytest.raises(GraphError) as info:
-        AlternatingCycle.from_vertices(g, pm, vertices)
-    assert (type(info.value), str(info.value)) == (GraphError, build_error)
+            read()
+        assert (type(info.value), str(info.value)) == (GraphError, error)
 
 
 def test_an_odd_host_does_not_alternate_even_with_a_broken_matching():
     # A hand-built edge set that uses vertex 0 twice holds edges 0, 2 and 4
-    # of the 5-cycle, so only the odd length shows that it does not alternate.
+    # of the 5-cycle, so only the odd length shows that it does not
+    # alternate: the parity test says so, and the searches reject the host
+    # for its length.
     g = ColoredGraph.from_edges(5, [(i, (i + 1) % 5, BLUE) for i in range(5)])
     broken = PerfectMatching(frozenset({(0, 1), (2, 3), (0, 4)}), 0)
-    with pytest.raises(GraphError, match="^cycle does not alternate with the given matching$"):
-        find_skip(g, broken, hand_built_host([0, 1, 2, 3, 4]), SKIP_WEIGHTS)
+    host = hand_built_host([0, 1, 2, 3, 4])
+    assert matching_parity(host.edges, broken) is None
+    with pytest.raises(GraphError, match="^alternating cycle needs even length >= 4, got 5$"):
+        find_skip(g, broken, host, SKIP_WEIGHTS)
+
+
+@pytest.mark.parametrize("weights", [[], [9], SKIP_WEIGHTS])
+def test_biskip_search_needs_a_bipartition(weights):
+    # Checked before the weight filter and before the host is read, so an
+    # empty filter and a malformed host get the same error.
+    g, pm, cyc = gen_alternating_cycle_instance(10, 0.5, 1)
+    assert g.bipartition is None
+    for host in (cyc, hand_built_host([])):
+        with pytest.raises(GraphError, match="^biskip search needs a bipartite graph$"):
+            find_biskip(g, pm, host, weights)
 
 
 @pytest.mark.parametrize("search", [find_skip, find_biskip])
