@@ -45,6 +45,7 @@ from .solver import (
     SolverParams,
     run_phase1,
     solve_em,
+    walk_bound,
 )
 
 EXIT_YES = 0
@@ -102,7 +103,11 @@ def _load_graph(args) -> ColoredGraph:
 
 def _params_from(args, graph: ColoredGraph) -> SolverParams:
     """The solver knobs, with a note on stderr for the hint the walk will not
-    read: it reads --beta on a graph with a bipartition, --alpha otherwise."""
+    read: it reads --beta on a graph with a bipartition, --alpha otherwise.
+    The input is read, so the int-to-str digit limit that guards parsing is
+    lifted: a threshold 2 * 4^bound prints whatever its digit count."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     bipartite = graph.bipartition is not None
     ignored, used = ("alpha", "beta") if bipartite else ("beta", "alpha")
     if getattr(args, ignored) is not None:
@@ -139,10 +144,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     graph = _load_graph(args)
-    result = run_phase1(graph, args.k, _params_from(args, graph))
+    params = _params_from(args, graph)
+    result = run_phase1(graph, args.k, params)
     # The report states the bound, so it is measured even where the walk
     # read none, and a graph above the oracle cap still asks for a hint.
-    bound, threshold = result.bound, result.threshold
+    bound, threshold = walk_bound(graph, params)
     m = result.matching
     if args.json:
         # Without a perfect matching the keys stay, with null values.
@@ -261,10 +267,12 @@ def _add_input(sub: argparse.ArgumentParser) -> None:
 def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=int, default=None,
                      help="promise bound on the independence number "
-                          "(read on a graph without a bipartition)")
+                          "(read on a graph without a bipartition; "
+                          "a value above n counts as n)")
     sub.add_argument("--beta", type=int, default=None,
                      help="promise bound on the bipartite independence number "
-                          "(read on a graph with a bipartition)")
+                          "(read on a graph with a bipartition; "
+                          "a value above n // 2 counts as n // 2)")
     sub.add_argument("--t-override", dest="t_override", type=int, default=None,
                      help="replace the phase-1 cycle-weight threshold (>= 0)")
 

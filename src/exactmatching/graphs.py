@@ -220,7 +220,7 @@ def matching_parity(edges: Sequence[Edge], matching: PerfectMatching) -> int | N
 
 def closed_walk(
     graph: ColoredGraph, matching: PerfectMatching, vertices: Sequence[int]
-) -> tuple[dict[int, int], list[Edge], list[str], int]:
+) -> tuple[list[Edge], list[str], int]:
     """Read the closed walk through ``vertices`` once and check that it is
     an alternating cycle of ``graph`` and ``matching``.
 
@@ -228,16 +228,15 @@ def closed_walk(
     Raises ``GraphError``, in this order, for fewer than 4 or an odd number
     of vertices, a repeated vertex, an edge missing from the graph (the
     first along ``vertices``, a vertex outside the graph included), and a
-    walk that does not alternate.  Returns each vertex's position (the map
-    that shows a repeat), each edge's canonical key and color, and the
-    matching parity (``matching_parity``).  Keys are built once in Python;
-    colors and membership are read from them by C-level lookups.
+    walk that does not alternate.  Returns each edge's canonical key and
+    color, and the matching parity (``matching_parity``).  Keys are built
+    once in Python; colors and membership are read from them by C-level
+    lookups.
     """
     length = len(vertices)
     if length < 4 or length % 2:
         raise GraphError(f"alternating cycle needs even length >= 4, got {length}")
-    pos = {v: i for i, v in enumerate(vertices)}
-    if len(pos) < length:
+    if len(set(vertices)) < length:
         raise GraphError("cycle repeats a vertex")
     edges = [(u, v) if u < v else (v, u) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
     colors = list(map(graph.colors.get, edges))
@@ -246,7 +245,7 @@ def closed_walk(
     par = matching_parity(edges, matching)
     if par is None:
         raise GraphError("cycle does not alternate with the matching")
-    return pos, edges, colors, par
+    return edges, colors, par
 
 
 @dataclass(frozen=True)
@@ -279,11 +278,11 @@ class AlternatingCycle:
         ``par`` its weight is the red edges off ``par`` minus those on it.
         """
         seq = list(vertices)
-        pos, edges, colors, par = closed_walk(graph, matching, seq)
+        edges, colors, par = closed_walk(graph, matching, seq)
         weight = colors[1 - par::2].count(RED) - colors[par::2].count(RED)
         # Start at the lowest vertex, toward the lower of its two neighbors;
         # walking backward from position i, edge j is edge i - 1 - j.
-        i = pos[min(seq)]
+        i = seq.index(min(seq))
         if seq[(i + 1) % len(seq)] < seq[i - 1]:
             return cls(tuple(seq[i:] + seq[:i]), tuple(edges[i:] + edges[:i]), weight)
         return cls(tuple(seq[i::-1] + seq[:i:-1]), tuple(edges[i - 1::-1] + edges[:i - 1:-1]), weight)

@@ -19,7 +19,7 @@ arc's direction from it and the matching, so no orientation is built.
 All searches are exhaustive and deterministic: candidate chords are scanned
 in lexicographic order and the first valid shortcut whose weight lies in the
 requested filter wins.  Each candidate pair is judged in O(1) from per-cycle
-tables built once in O(L), from one checked read of the cycle by
+tables built once in O(L), after one checked read of the cycle by
 ``graphs.closed_walk``: the position of each cycle vertex, the parity of the
 matching-edge positions, and prefix sums of the edge weights.  A host that
 is no alternating cycle gets the reader's ``GraphError``.  Alternation
@@ -109,11 +109,12 @@ def _walk_layout(
     exactly when ``i % 2 == par``.  ``prefix[i]`` is the weight of edges
     0..i-1 relative to ``matching``, so ``prefix[-1]`` is the whole cycle's.
     """
-    pos, _, colors, par = closed_walk(graph, matching, order)
+    _, colors, par = closed_walk(graph, matching, order)
     # A red edge weighs -1 in the matching, at positions par, par + 2, ...
     # and +1 off it; a blue edge weighs 0.
     weights = [1 if c == RED else 0 for c in colors]
     weights[par::2] = [-w for w in weights[par::2]]
+    pos = dict(zip(order, range(len(order))))
     return pos, par, list(accumulate(weights, initial=0))
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
 from typing import Iterator
@@ -97,9 +97,10 @@ class SolverParams:
     """Knobs for the solver.
 
     ``alpha_hint`` / ``beta_hint`` override measuring the independence bound
-    with the brute-force oracle.  The walk reads the bound only when its loop
-    can run (see ``run_phase1``), so a hint is mandatory above the oracle cap
-    only there, and for reading ``Phase1Result.bound``.
+    with the brute-force oracle; ``walk_bound`` caps a hint at n (alpha) or
+    n // 2 (beta).  The walk reads the bound only when its loop can run (see
+    ``run_phase1``), so a hint is mandatory above the oracle cap only there,
+    and for ``walk_bound``.
     ``L_cap`` limits the phase-2 guess size; None means uncapped, in which
     case exhaustion certifies a no-instance.  ``t_override`` (>= 0) replaces
     the phase-1 cycle-weight threshold (experimentation only).
@@ -151,39 +152,44 @@ def _threshold(bipartite: bool, bound: int) -> int:
     return 2 * 4 ** (2 * bound + 2) if bipartite else 2 * 4 ** bound
 
 
-@dataclass(frozen=True)
-class _Bound:
-    """The independence bound that the walk on ``graph`` reads, measured on
-    first read and then kept: the hint, else the brute-force oracle (at
-    least 1).
-    The bound is beta on a graph with a bipartition and alpha otherwise;
-    ``run_phase1`` has already rejected a hint below 1."""
+def _variant(graph: ColoredGraph, params: SolverParams) -> tuple[str, int | None]:
+    """The bound the walk on ``graph`` reads, "beta" with a bipartition and
+    "alpha" otherwise, and its hint.  Raises ``ConfigurationError`` for a
+    negative ``t_override`` or a hint below 1."""
+    if params.t_override is not None and params.t_override < 0:
+        raise ConfigurationError(f"t_override must be >= 0, got {params.t_override}")
+    if graph.bipartition is None:
+        label, hint = "alpha", params.alpha_hint
+    else:
+        label, hint = "beta", params.beta_hint
+    if hint is not None and hint < 1:
+        raise ConfigurationError(f"{label} hint must be >= 1, got {hint}")
+    return label, hint
 
-    graph: ColoredGraph
-    hint: int | None
 
-    @property
-    def label(self) -> str:
-        """The bound's name, as in ``{label}_hint`` and ``--{label}``."""
-        return "alpha" if self.graph.bipartition is None else "beta"
-
-    @cached_property
-    def value(self) -> int:
-        if self.hint is not None:
-            return self.hint
-        bipartite = self.graph.bipartition is not None
+def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple[int, int]:
+    """(bound, threshold) of the phase-1 walk on ``graph``.  The bound is
+    beta with a bipartition and alpha otherwise: the hint, else the oracle's
+    value, at least 1 and at most n // 2 (beta) or n (alpha), which no graph
+    exceeds.  The cap changes no walk: its threshold exceeds n / 2 >= k, so
+    the loop never runs under it.  The threshold is ``t_override`` if set,
+    else the guaranteed one.  Raises ``ConfigurationError`` as ``_variant``
+    does, and above the oracle cap without a hint."""
+    params = params or SolverParams()
+    label, value = _variant(graph, params)
+    bipartite = graph.bipartition is not None
+    if value is None:
         oracle = bipartite_independence_number if bipartite else independence_number
         try:
-            return max(1, oracle(self.graph))
+            value = oracle(graph)
         except OracleLimitError as exc:
             raise ConfigurationError(
-                f"cannot measure the {self.label} bound ({exc}); "
-                f"pass {self.label}_hint (--{self.label})"
+                f"cannot measure the {label} bound ({exc}); pass {label}_hint (--{label})"
             ) from None
-
-    @property
-    def threshold(self) -> int:
-        return _threshold(self.graph.bipartition is not None, self.value)
+    bound = max(1, min(value, graph.n // 2 if bipartite else graph.n))
+    if params.t_override is not None:
+        return bound, params.t_override
+    return bound, _threshold(bipartite, bound)
 
 
 @dataclass(frozen=True)
@@ -191,28 +197,14 @@ class Phase1Result:
     """The walk's final matching (None when the graph has no PM) and its
     bookkeeping.  ``low`` and ``high`` are the min-red and max-red perfect
     matchings the walk started from, None when there is no PM.
-
-    ``bound`` is measured on first read and then kept, unless the walk
-    read it already, so the first read may run the oracle, or raise
-    ``ConfigurationError`` above its cap without a hint.  ``threshold`` is
-    ``t_override`` when that is set, and reads ``bound`` otherwise.
+    ``walk_bound`` gives the walk's bound and threshold.
     """
 
     matching: PerfectMatching | None
     iterations: int
     bipartite: bool
-    resolver: _Bound = field(repr=False, compare=False)
-    t_override: int | None = None
     low: PerfectMatching | None = None
     high: PerfectMatching | None = None
-
-    @property
-    def bound(self) -> int:
-        return self.resolver.value
-
-    @property
-    def threshold(self) -> int:
-        return self.resolver.threshold if self.t_override is None else self.t_override
 
     @property
     def red_range(self) -> tuple[int, int] | None:
@@ -230,22 +222,24 @@ def _check_k(graph: ColoredGraph, k: int) -> None:
         raise ConfigurationError(f"k={k} outside [0, {graph.n // 2}]")
 
 
-def _missing_cause(bound: _Bound, t_override: int | None) -> str:
+def _missing_cause(graph: ColoredGraph, params: SolverParams) -> str:
     """Why the walk found no shortcut: the setting that fixed the threshold.
     With ``t_override`` set the walk read no bound, so the bound is measured
     here, and the override is named when it lies below the guaranteed
     threshold or when that threshold cannot be measured."""
-    if bound.label == "alpha":
+    if graph.bipartition is None:
         hint = "the independence bound hint alpha_hint (--alpha) is too small"
     else:
         hint = "the bipartite independence bound hint beta_hint (--beta) is too small"
+    t_override = params.t_override
     if t_override is None:
         return hint
     override = f"t_override (--t-override) {t_override} is below the guaranteed threshold"
     try:
-        guaranteed = bound.threshold
+        bound, _ = walk_bound(graph, params)
     except ConfigurationError as exc:
         return f"{override}, which is unknown: {exc}"
+    guaranteed = _threshold(graph.bipartition is not None, bound)
     return f"{override} {guaranteed}" if t_override < guaranteed else hint
 
 
@@ -264,12 +258,10 @@ def run_phase1(
     (2 * 4^(2*beta+2) in the bipartite variant); on no-instances the final
     matching carries no bound claim.  The loop runs at most n iterations.
 
-    The engines run first, and the walk reads the bound only when its loop
-    test passes under the smallest threshold any bound gives (8, or 512 in
-    the bipartite variant): r(high) > k and r(low) <= k - 8.  With
+    The engines run first, and the walk calls ``walk_bound`` only when its
+    loop test passes under the smallest threshold any bound gives (8, or
+    512 in the bipartite variant): r(high) > k and r(low) <= k - 8.  With
     ``t_override`` set it reads none, except to word a ``SkipSearchError``.
-    So the oracle runs, or its cap raises, only on a walk that needs the
-    bound.
     Raises ``ConfigurationError`` for an odd n, k outside [0, n/2], a
     negative ``t_override``, a hint below 1 (all before the engines run),
     a bound the walk needs but cannot measure without a hint, or a missing
@@ -278,14 +270,8 @@ def run_phase1(
     """
     _check_k(graph, k)
     params = params or SolverParams()
-    t_override = params.t_override
-    if t_override is not None and t_override < 0:
-        raise ConfigurationError(f"t_override must be >= 0, got {t_override}")
+    _variant(graph, params)
     bipartite = graph.bipartition is not None
-    hint = params.beta_hint if bipartite else params.alpha_hint
-    bound = _Bound(graph, hint)
-    if hint is not None and hint < 1:
-        raise ConfigurationError(f"{bound.label} hint must be >= 1, got {hint}")
     if bipartite:
         find, apply, name = find_biskip, apply_biskip, "biskip"
     else:
@@ -293,20 +279,20 @@ def run_phase1(
 
     low = min_red_pm(graph)
     if low is None:
-        return Phase1Result(None, 0, bipartite, bound, t_override)
+        return Phase1Result(None, 0, bipartite)
     high = max_red_pm(graph)
     assert high is not None
     start = (low, high)
     r_high = high.red_count
 
-    threshold = t_override
+    threshold = params.t_override
     if threshold is None:
         # Every bound is at least 1.  A loop test that fails under the
         # threshold of 1 fails under every larger one, so the walk reads
         # the bound only when the test can pass.
         threshold = _threshold(bipartite, 1)
         if r_high > k and low.red_count <= k - threshold:
-            threshold = bound.threshold
+            _, threshold = walk_bound(graph, params)
 
     # Invariant: high = low ^ context (low flipped along the context's cycles)
     # and r_high = r(low) + context.total_weight, the context being weighted
@@ -333,7 +319,7 @@ def run_phase1(
                 shortcut = find(graph, low, cycle, NEGATIVE_WEIGHTS)
                 if shortcut is None:
                     raise SkipSearchError(f"no negative {name} on a heavy cycle; "
-                                          + _missing_cause(bound, t_override))
+                                          + _missing_cause(graph, params))
                 context = apply(shortcut, context)
             r_high = low.red_count + context.total_weight
         if r_high <= k and context is not None:
@@ -341,7 +327,7 @@ def run_phase1(
     except GraphError as exc:
         raise SolverError(f"phase-1 walk broke an invariant: {exc}") from exc
     final = high if r_high <= k else low
-    return Phase1Result(final, iterations, bipartite, bound, t_override, *start)
+    return Phase1Result(final, iterations, bipartite, *start)
 
 
 def approx_em(
@@ -753,9 +739,10 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     unknown verdict, even when the search stopped early under the cap.
 
     Phase 1 runs the engines before it reads the independence bound, and
-    reads it only when its walk can iterate.  So above the oracle cap a
-    hint is needed only when r(low) + 8 <= k < r(high) (r(low) + 512 in the
-    bipartite variant), and never for a graph with no PM.
+    reads it (``walk_bound``) only when its walk can iterate.  So above the
+    oracle cap a hint is needed only when r(low) + 8 <= k < r(high)
+    (r(low) + 512 in the bipartite variant), and never for a graph with no
+    PM.
     ``ConfigurationError`` is raised for a bad hint, cap or ``t_override``,
     for a bound the walk needs above the oracle cap without a hint, and for
     a missing shortcut (``SkipSearchError``).

@@ -352,6 +352,41 @@ class TestApprox:
         assert json.loads(capsys.readouterr().out)["matching"] is None
 
 
+class TestLargeHints:
+    """A hint above n (alpha) or n // 2 (beta) counts as that cap, so its
+    threshold is computed and printed whatever its size."""
+
+    def test_approx_reports_the_capped_alpha(self, c4_file, capsys):
+        # 2 * 4^10000 would have 6,021 digits.
+        assert main(["approx", c4_file, "-k", "1", "--alpha", "10000", "--json"]) == EXIT_YES
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["bound"], doc["threshold"], doc["red_count"]) == (4, 512, 0)
+
+    def test_approx_reports_the_capped_beta(self, tmp_path, capsys):
+        p = tmp_path / "k11.json"
+        p.write_text('{"n": 2, "edges": [[0, 1, "red"]], "bipartition": [[0], [1]]}')
+        assert main(["approx", str(p), "-k", "1", "--beta", "5000"]) == EXIT_YES
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "threshold: 512  bound: 1  bipartite: True  iterations: 0"
+
+    def test_approx_prints_a_threshold_past_the_digit_limit(self, tmp_path, capsys):
+        # beta = n // 2 = 3600 is valid, and 2 * 4^7202 has 4,337 digits.
+        n = 7200
+        p = tmp_path / "edgeless.json"
+        p.write_text(json.dumps({"n": n, "edges": [], "bipartition": [
+            list(range(0, n, 2)), list(range(1, n, 2))]}))
+        assert main(["approx", str(p), "-k", "0", "--beta", "3600", "--json"]) == EXIT_NO
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["bound"], doc["threshold"], doc["matching"]) == (3600, 2 * 4 ** 7202, None)
+
+    def test_solve_decides_under_a_huge_alpha(self, tmp_path, capsys):
+        p = str(tmp_path / "p24.json")
+        assert main(["gen", "planted-alpha", "-n", "24", "-k", "8", "--bound", "1",
+                     "--seed", "0", "-o", p]) == EXIT_YES
+        assert main(["solve", p, "-k", "8", "--alpha", str(10 ** 20)]) == EXIT_YES
+        assert capsys.readouterr().out.startswith("yes\n")
+
+
 class TestOracle:
     def test_decide(self, c4_file, capsys):
         assert main(["oracle", c4_file, "-k", "2"]) == EXIT_YES

@@ -30,6 +30,7 @@ from exactmatching import (
     run_phase1,
     solve_em,
     validate_matching,
+    walk_bound,
 )
 from exactmatching import BaseFamily
 from exactmatching import solver as solver_mod
@@ -63,16 +64,17 @@ class TestPhase1:
         res = run_phase1(c4, 2)
         assert res.matching.red_count == 2
         assert res.iterations == 0
-        assert res.bound == 2           # independence number of the four-cycle
-        assert res.threshold == 2 * 4 ** 2
+        # The independence number of the four-cycle is 2.
+        assert walk_bound(c4) == (2, 2 * 4 ** 2)
 
     def test_no_pm(self):
         g = ColoredGraph.from_edges(4, [(0, 1, RED), (0, 2, RED), (0, 3, RED)])
         res = run_phase1(g, 0)
         assert res.matching is None
         assert approx_em(g, 0) is None
-        res = run_phase1(g, 0, SolverParams(alpha_hint=3))
-        assert (res.matching, res.red_range, res.bound) == (None, None, 3)
+        params = SolverParams(alpha_hint=3)
+        res = run_phase1(g, 0, params)
+        assert (res.matching, res.red_range, walk_bound(g, params)[0]) == (None, None, 3)
 
     def test_walk_iterates_under_forced_threshold(self):
         g = double_c4()
@@ -80,7 +82,7 @@ class TestPhase1:
         res = run_phase1(g, 2, params)
         assert res.iterations == 1
         assert res.matching.red_count == 2
-        assert res.threshold == 2
+        assert walk_bound(g, params)[1] == 2
 
     def test_walk_raises_when_no_shortcut_exists(self):
         params = SolverParams(t_override=1)
@@ -96,7 +98,11 @@ class TestPhase1:
         for run in (run_phase1, solve_em):
             with pytest.raises(ConfigurationError, match="t_override must be >= 0, got -1"):
                 run(g, 0, SolverParams(alpha_hint=1, t_override=-1))
-        assert run_phase1(g, 0, SolverParams(alpha_hint=1, t_override=0)).threshold == 0
+        with pytest.raises(ConfigurationError, match="t_override must be >= 0, got -1"):
+            walk_bound(g, SolverParams(alpha_hint=1, t_override=-1))
+        params = SolverParams(alpha_hint=1, t_override=0)
+        assert run_phase1(g, 0, params).iterations == 0
+        assert walk_bound(g, params) == (1, 0)
 
     def test_missing_shortcut_is_a_configuration_error(self):
         # A too-small hint or t_override is a setting, not a broken invariant.
@@ -105,14 +111,31 @@ class TestPhase1:
 
     def test_bound_bookkeeping_bipartite(self):
         g = double_c4(bipartite=True)
-        res = run_phase1(g, 0)
-        assert res.bipartite
-        assert res.threshold == 2 * 4 ** (2 * res.bound + 2)
+        assert run_phase1(g, 0).bipartite
+        bound, threshold = walk_bound(g)
+        assert threshold == 2 * 4 ** (2 * bound + 2)
 
     def test_hint_overrides_measurement(self, c4):
-        res = run_phase1(c4, 2, SolverParams(alpha_hint=5))
-        assert res.bound == 5
-        assert res.threshold == 2 * 4 ** 5
+        assert walk_bound(c4, SolverParams(alpha_hint=3)) == (3, 2 * 4 ** 3)
+
+    def test_hints_are_capped_at_the_largest_bound(self, c4, k33):
+        # No graph has an alpha above n or a beta above n // 2.
+        assert walk_bound(c4, SolverParams(alpha_hint=10_000)) == (4, 2 * 4 ** 4)
+        assert walk_bound(c4, SolverParams(alpha_hint=4)) == (4, 2 * 4 ** 4)
+        assert walk_bound(k33, SolverParams(beta_hint=5_000)) == (3, 2 * 4 ** 8)
+        # An edge with its ends on the two sides: the measured beta is 0
+        # and the cap n // 2 is 1, but the bound is never below 1.
+        k11 = ColoredGraph.from_edges(2, [(0, 1, RED)], bipartition=([0], [1]))
+        assert walk_bound(k11) == walk_bound(k11, SolverParams(beta_hint=5_000)) == (1, 2 * 4 ** 4)
+        empty = ColoredGraph.from_edges(0, [])
+        assert walk_bound(empty, SolverParams(alpha_hint=7)) == (1, 2 * 4 ** 1)
+
+    def test_a_huge_hint_decides_as_the_capped_one(self):
+        # 2 * 4^(10^20) cannot be computed; the cap makes it 2 * 4^24.
+        g = gen_planted_yes(24, 8, BaseFamily("alpha", 1), 0)
+        huge = solve_em(g, 8, SolverParams(alpha_hint=10 ** 20))
+        assert huge.status == YES
+        assert huge == solve_em(g, 8, SolverParams(alpha_hint=24))
 
     def test_bad_hints_rejected(self, c4, k33):
         with pytest.raises(ConfigurationError):
@@ -126,10 +149,10 @@ class TestPhase1:
         g = random_colored_graph(44, 0.5, 3)
         with pytest.raises(ConfigurationError, match=r"pass alpha_hint \(--alpha\)"):
             run_phase1(g, 11)
-        res = run_phase1(g, 0)
+        assert run_phase1(g, 0).iterations == 0
         with pytest.raises(ConfigurationError, match=r"pass alpha_hint \(--alpha\)"):
-            res.bound
-        assert run_phase1(g, 0, SolverParams(alpha_hint=3)).bound == 3
+            walk_bound(g)
+        assert walk_bound(g, SolverParams(alpha_hint=3))[0] == 3
 
     def test_approx_em_delegates_to_run_phase1(self):
         for seed in range(8):
@@ -270,9 +293,10 @@ class TestBoundOnDemand:
         for g, k, status, reason in cases:
             v = solve_em(g, k)
             assert (v.status, v.reason, v.iterations) == (status, reason, 0)
-        # A bound that the walk does not read is measured on first read.
+        # walk_bound measures the bound that the walk did not read.
+        run_phase1(c4, 2)
         with pytest.raises(AssertionError, match="does not need"):
-            run_phase1(c4, 2).bound
+            walk_bound(c4)
 
     def test_an_exhausted_search_reads_no_bound(self, monkeypatch, c4):
         # In range [0, 2], certified by phase 2 alone.
@@ -283,7 +307,9 @@ class TestBoundOnDemand:
         forbid_the_oracle(monkeypatch)
         for bipartite in (False, True):
             res = run_phase1(double_c4(bipartite), 2, SolverParams(t_override=2))
-            assert (res.iterations, res.matching.red_count, res.threshold) == (1, 2, 2)
+            assert (res.iterations, res.matching.red_count) == (1, 2)
+            hinted = SolverParams(alpha_hint=1, beta_hint=1, t_override=2)
+            assert walk_bound(double_c4(bipartite), hinted) == (1, 2)
 
     @pytest.mark.parametrize("k, r", [(8, 6), (10, 10)])
     def test_a_walk_that_iterates_measures_once(self, monkeypatch, k, r):
@@ -292,14 +318,8 @@ class TestBoundOnDemand:
         g = gen_planted_yes(24, k, BaseFamily("alpha", 1), 0)
         res = run_phase1(g, k)
         assert (res.iterations, res.matching.red_count, len(calls)) == (1, r, 1)
-        assert (res.bound, res.threshold, len(calls)) == (1, 8, 1)
-
-    def test_reading_the_bound_twice_measures_once(self, monkeypatch, c4):
-        calls = count_oracle_calls(monkeypatch)
-        res = run_phase1(c4, 2)
-        assert calls == []
-        assert (res.bound, res.bound, res.threshold) == (2, 2, 32)
-        assert len(calls) == 1
+        # The result keeps no bound: walk_bound measures it again.
+        assert (walk_bound(g), len(calls)) == ((1, 8), 2)
 
     def test_hints_are_checked_before_the_engines(self, monkeypatch, c4, k33):
         def engine(graph):
