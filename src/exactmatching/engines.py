@@ -48,14 +48,20 @@ def min_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as few red edges as possible: the blossom
     engine reads ``graph.neighbor_index`` with every weight negated, so no
     negated copy of the index is built.  Read negated, every weight is 0 or
-    -1, so the largest weight it is given is 0."""
+    -1, so the largest weight it is given is 0.  None at once, before the
+    index is built, when the graph has too few edges to cover n vertices."""
+    if 2 * graph.m < graph.n:
+        return None
     return _best_perfect(graph, graph.neighbor_index, 0, negate=True)
 
 
 def max_red_pm(graph: ColoredGraph) -> PerfectMatching | None:
     """A perfect matching with as many red edges as possible.  The largest
     weight the blossom engine is given is 1 if some edge is red and 0
-    otherwise; the test stops at the first red edge."""
+    otherwise; the test stops at the first red edge.  None at once when the
+    graph has too few edges to cover n vertices, as in ``min_red_pm``."""
+    if 2 * graph.m < graph.n:
+        return None
     return _best_perfect(graph, graph.neighbor_index, 1 if RED in graph.colors.values() else 0)
 
 

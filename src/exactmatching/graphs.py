@@ -77,6 +77,11 @@ class ColoredGraph:
             object.__setattr__(self, "bipartition", (a, b))
             if a & b:
                 raise GraphError(f"bipartition sides overlap on {sorted(a & b)}")
+            # Disjoint sides cover range(n) only if their sizes add up to n;
+            # testing that first builds no vertex set for a huge n.
+            if len(a) + len(b) != self.n:
+                raise GraphError(f"bipartition does not cover the vertex set exactly "
+                                 f"(its sides hold {len(a) + len(b)} vertices, n={self.n})")
             if a | b != frozenset(range(self.n)):
                 missing = sorted(set(range(self.n)) - (a | b))
                 extra = sorted((a | b) - set(range(self.n)))

@@ -21,9 +21,11 @@ lies in that range.
 Inside the range, a second certificate cuts phase 2 short: a k outside
 ``red_count_lattice`` (the red counts that a mod-d vertex potential allows
 on each component, summed over the components) is a certified no.  Phase 2
-consults it before it recovers guess ``_CERTIFY_AFTER + 1``, or when a
-search capped below n ends short of that, so it builds the lattice at most
-once, and never for a search that succeeds within the trigger.
+builds the lattice once its first recovery fails, or when a search capped
+below n tries no guess, so at most once per solve, and never for a search
+that succeeds at its first guess.  Once the lattice excludes k no guess can
+succeed, so no further guess is recovered; ``_CERTIFY_AFTER`` only decides
+which certificate the verdict names.
 
 Two prunings drop only guesses that cannot succeed, so they change no
 verdict and no witness.  The search stops after size min(r + k, n - r - k),
@@ -690,9 +692,11 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
         j += 1
 
 
-# Phase 2 consults the red-count lattice before it recovers the guess after
-# this many.  No successful search on the benchmark pools tries more than
-# 37, so the solves that succeed never pay for the lattice.
+# A search whose lattice excludes k reports "k outside the red-count lattice"
+# once it counts this many guesses and one more, and otherwise reports its
+# exhaustion.  The lattice is consulted at the first failed recovery either
+# way, so this fixes only the verdict's reason and L_used.  No successful
+# search on the benchmark pools tries more than 37 guesses.
 _CERTIFY_AFTER = 64
 
 
@@ -748,9 +752,13 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     a missing shortcut (``SkipSearchError``).
 
     Phase 2 is one loop over ``_candidates`` that counts each guess and
-    returns the first that ``_recover`` completes.  It consults the lattice
-    before it recovers guess ``_CERTIFY_AFTER + 1``, and after a capped
-    search that ends short of it; a search reaches at most one of the two.
+    returns the first that ``_recover`` completes.  It builds the lattice
+    after the first failed recovery, or after a capped search that tried no
+    guess.  Once the lattice excludes k it recovers no further guess, and
+    only counts them: reaching guess ``_CERTIFY_AFTER + 1`` names the
+    lattice, and a stream that ends first names exhaustion at radius n, or
+    the lattice under a cap.  Any successful recovery has k red edges, so k
+    would lie in the lattice; skipping recoveries changes no verdict.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:
@@ -774,21 +782,27 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     limit = n if params.L_cap is None else min(params.L_cap, n)
 
-    def excluded() -> bool:
+    def excludes_k() -> bool:
         return not red_count_lattice(graph, phase1.low, phase1.high) >> k & 1
 
     contexts = (_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE))
     tried = 0
+    excluded = None                 # unknown until the first recovery fails
     for size, ctx, guess in _candidates(contexts, limit):
         tried += 1
-        if tried == _CERTIFY_AFTER + 1 and excluded():
-            return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
+        if excluded:
+            # No guess can succeed; the stream only counts up to the trigger.
+            if tried > _CERTIFY_AFTER:
+                return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
+            continue
         pm = _recover(ctx, guess)
         if pm is not None:
             return verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size)
+        if excluded is None:
+            excluded = excludes_k()
     if limit == n:
         return verdict(NO_CERTIFIED, reason="exhausted the certified search radius", L_used=limit)
     # The lattice certifies whatever the cap: consult it before an unknown.
-    if tried <= _CERTIFY_AFTER and excluded():
+    if excluded or (excluded is None and excludes_k()):
         return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
     return verdict(UNKNOWN, reason=f"search exhausted at guess-size budget {limit}", L_used=limit)

@@ -499,7 +499,11 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     min(r + k, n - r - k) for the anchor's red count r.  When that is more
     than ``_CERTIFY_AFTER`` guesses, or the search is capped, a k outside
     ``naive_lattice`` is a no with L_used 0.  Otherwise exhausting radius n
-    certifies a no, and a smaller ``L_cap`` gives unknown.
+    certifies a no, and a smaller ``L_cap`` gives unknown.  ``solve_em``
+    consults the lattice at its first failed recovery, and stops recovering
+    once it excludes k, but it still counts guesses up to
+    ``_CERTIFY_AFTER + 1``, so that count alone picks between the two
+    certificates, as here.
     """
     params = params or SolverParams()
     anchor = run_phase1(graph, k, params).matching

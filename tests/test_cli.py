@@ -387,6 +387,26 @@ class TestLargeHints:
         assert capsys.readouterr().out.startswith("yes\n")
 
 
+class TestHugeN:
+    """A valid n far beyond memory gets a verdict or an input error at once,
+    never a hang: nothing is built per vertex before n is checked."""
+
+    N = 10 ** 40
+
+    def test_solve_finds_no_perfect_matching(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"n": self.N, "edges": []}))
+        assert main(["solve", str(p), "-k", "0", "--json"]) == EXIT_NO
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["reason"]) == ("no", "graph has no perfect matching")
+
+    def test_bipartition_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "hugeb.json"
+        p.write_text(json.dumps({"n": self.N, "edges": [], "bipartition": [[0], [1]]}))
+        assert main(["solve", str(p), "-k", "0"]) == EXIT_INPUT
+        assert "its sides hold 2 vertices" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_decide(self, c4_file, capsys):
         assert main(["oracle", c4_file, "-k", "2"]) == EXIT_YES

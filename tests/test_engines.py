@@ -210,7 +210,9 @@ def _record_blossom_calls(monkeypatch):
 
 K6_PAIRS = list(itertools.combinations(range(6), 2))
 RED_TOP_GRAPHS = {
-    "edgeless": ColoredGraph(4, {}),
+    # n = 0: an edgeless graph with vertices has too few edges to reach
+    # blossom (see test_red_engines_skip_graphs_with_too_few_edges).
+    "edgeless": ColoredGraph(0, {}),
     "all-red": ColoredGraph(6, {e: RED for e in K6_PAIRS}),
     "all-blue": ColoredGraph(6, {e: BLUE for e in K6_PAIRS}),
     "mixed": ColoredGraph(6, {e: RED if sum(e) % 3 == 0 else BLUE for e in K6_PAIRS}),
@@ -230,6 +232,21 @@ def test_red_engines_pass_the_largest_weight(monkeypatch, engine, name):
     [(adj, top, negate)] = calls
     assert negate == (engine is min_red_pm)
     assert top == largest_read_weight(adj, negate), (engine.__name__, name)
+
+
+@pytest.mark.parametrize("graph", [
+    ColoredGraph(4, {}),
+    ColoredGraph(6, {(0, 1): RED, (2, 3): BLUE}),
+    ColoredGraph(10 ** 40, {}),
+], ids=["edgeless", "two-edges-n6", "edgeless-n1e40"])
+@pytest.mark.parametrize("engine", [min_red_pm, max_red_pm])
+def test_red_engines_skip_graphs_with_too_few_edges(monkeypatch, engine, graph):
+    """Fewer than n/2 edges cover no n vertices: None at once, with no
+    blossom call and no neighbor index built, whatever the size of n."""
+    calls = _record_blossom_calls(monkeypatch)
+    assert engine(graph) is None
+    assert not calls
+    assert "neighbor_index" not in vars(graph)
 
 
 @pytest.mark.parametrize("weights", [

@@ -72,6 +72,9 @@ class TestColoredGraph:
         with pytest.raises(GraphError):
             ColoredGraph.from_edges(
                 4, [(0, 2, RED)], bipartition=([0, 1, 2], [2, 3]))
+        # The side sizes are compared first, so a huge n builds no vertex set.
+        with pytest.raises(GraphError, match="its sides hold 2 vertices"):
+            ColoredGraph(10 ** 40, {}, bipartition=([0], [1]))
 
     def test_edge_inside_one_side_rejected(self):
         with pytest.raises(GraphError):

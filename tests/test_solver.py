@@ -760,20 +760,31 @@ class TestSearch:
 # -- the full solver ----------------------------------------------------------------
 
 
+def count_phase2_work(monkeypatch):
+    """Wrap ``_recover`` and ``red_count_lattice`` in ``solver_mod``; the
+    returned lists collect each recovery's result and one entry per lattice
+    build."""
+    recovered, builds = [], []
+    recover, lattice = solver_mod._recover, solver_mod.red_count_lattice
+
+    def counted_recover(ctx, guess):
+        recovered.append(recover(ctx, guess))
+        return recovered[-1]
+
+    monkeypatch.setattr(solver_mod, "_recover", counted_recover)
+    monkeypatch.setattr(solver_mod, "red_count_lattice",
+                        lambda *args: builds.append(1) or lattice(*args))
+    return recovered, builds
+
+
 def assert_certified_by_the_lattice(monkeypatch, g, k, alpha):
-    calls = 0
-    recover = solver_mod._recover
-
-    def counted(ctx, guess):
-        nonlocal calls
-        calls += 1
-        assert calls <= solver_mod._CERTIFY_AFTER
-        return recover(ctx, guess)
-
-    monkeypatch.setattr(solver_mod, "_recover", counted)
+    # The first failed recovery builds the lattice, which excludes k, so no
+    # other guess is recovered.
+    recovered, builds = count_phase2_work(monkeypatch)
     v = solve_em(g, k, SolverParams(alpha_hint=alpha))
     assert (v.status, v.L_used, v.reason, v.witness) == (
         NO_CERTIFIED, 0, "k outside the red-count lattice", None)
+    assert (recovered, len(builds)) == ([None], 1)
 
 
 class TestSolveEm:
@@ -956,9 +967,9 @@ class TestSolveEm:
     @pytest.mark.parametrize("k", [4, 6])
     def test_bridged_unions_exhaust_past_the_trigger(self, k, monkeypatch):
         # The (3, 5, 7) union's red counts are its subset sums, which miss 4
-        # and 6, but its bridges break every potential, so the lattice
-        # consulted at the trigger excludes nothing and the search runs to
-        # its early stop, size min(r + k, n - r - k).
+        # and 6, but its bridges break every potential, so the lattice built
+        # at the first failed recovery excludes nothing and the search runs
+        # to its early stop, size min(r + k, n - r - k).
         sizes, calls = [], []
         guesses, recover = solver_mod._guesses, solver_mod._recover
         monkeypatch.setattr(solver_mod, "_guesses",
@@ -999,10 +1010,9 @@ class TestSolveEm:
         (20, 6, 5), (24, 6, 5), (28, 8, 5), (40, 8, 7), (60, 10, 7), (100, 10, 9),
         (100, 50, 25)])
     def test_in_range_parity_no_instances_certify_by_the_lattice(self, n, split, k, monkeypatch):
-        # Every guess fails the parity screen.  Once the search has tried
-        # _CERTIFY_AFTER guesses, the lattice (d = 2) certifies the no, so
-        # recovery runs a bounded number of times where the full search
-        # would enumerate millions of guesses.
+        # Every guess fails the parity screen.  The lattice (d = 2) built
+        # after the first one excludes k, so recovery runs once where the
+        # full search would enumerate millions of guesses.
         assert_certified_by_the_lattice(monkeypatch, parity_graph(n, split), k, 1)
 
     @pytest.mark.parametrize("halves, k", [
@@ -1014,11 +1024,45 @@ class TestSolveEm:
         # half-lengths.  C_42 alone takes 705,432 recoveries to exhaust.
         assert_certified_by_the_lattice(monkeypatch, cycle_union(halves), k, max(halves))
 
+    @pytest.mark.parametrize("g, k, alpha, reason, recoveries", [
+        (parity_graph(20, 6), 5, 1, "k outside the red-count lattice", 1),
+        (cycle_union((13,)), 6, 13, "k outside the red-count lattice", 1),
+        (parity_graph(16, 4), 1, 1, "exhausted the certified search radius", 1),
+        (cycle_union((3, 5, 7), bridged=True), 4, 7,
+         "exhausted the certified search radius", 2730),
+    ], ids=["parity-20-6", "C26", "parity-16-4", "bridged-3-5-7"])
+    def test_recovery_stops_once_the_lattice_excludes_k(
+            self, g, k, alpha, reason, recoveries, monkeypatch):
+        # The first failed recovery builds the lattice.  Where it excludes k
+        # the search recovers nothing more and only counts guesses, up to the
+        # trigger, which fixes the reason: parity-16-4 runs out of its 56
+        # guesses first, so it still certifies by exhaustion.  The bridged
+        # union's lattice allows k, so every guess is recovered.
+        recovered, builds = count_phase2_work(monkeypatch)
+        v = solve_em(g, k, SolverParams(alpha_hint=alpha))
+        l_used = g.n if reason.startswith("exhausted") else 0
+        assert (v.status, v.L_used, v.reason) == (NO_CERTIFIED, l_used, reason)
+        assert (len(recovered), len(builds)) == (recoveries, 1)
+
+    def test_a_failed_first_recovery_keeps_the_witness(self, monkeypatch):
+        # The lattice built after the first failure allows k, so the search
+        # goes on to the same witness as with no lattice at all.
+        recovered, builds = count_phase2_work(monkeypatch)
+        g = gen_planted_yes(20, 5, BaseFamily("beta", 1), 1020)
+        v = solve_em(g, 5, SolverParams(beta_hint=1))
+        assert (v.status, v.L_used, v.phase1_r) == (YES, 5, 0)
+        assert v.witness.sorted_edges() == [
+            (0, 11), (1, 10), (2, 12), (3, 13), (4, 15),
+            (5, 14), (6, 16), (7, 17), (8, 18), (9, 19)]
+        assert recovered[0] is None and recovered[-1] == v.witness
+        assert (len(recovered), len(builds)) == (5, 1)
+
     def test_lattice_is_built_at_most_once(self, monkeypatch):
         # C_26's perfect matchings have 0 and 13 red edges, so no size-6
-        # guess succeeds.  Uncapped (and at the cap n) the search consults
-        # the lattice at its trigger; under the caps 0 and 2 it ends short
-        # of the trigger and consults it after the loop.  Either way once.
+        # guess succeeds.  Uncapped (and at the cap n) the search builds the
+        # lattice at its first failed recovery; under the caps 0 and 2 no
+        # guess fits, and it consults the lattice after the loop.  Either
+        # way once.
         builds = []
         lattice = solver_mod.red_count_lattice
         monkeypatch.setattr(solver_mod, "red_count_lattice",
@@ -1032,7 +1076,7 @@ class TestSolveEm:
             assert len(builds) == 1
         # The bridged union's lattice allows k = 4.  Under the cap 2 no
         # guess fits, so the lattice is consulted after the loop; under the
-        # cap 4 the search passes its trigger (2,730 guesses) and is not
+        # cap 4 it is built at the first failed recovery of 2,730 and not
         # consulted again before its unknown.
         for cap in (2, 4):
             builds.clear()
@@ -1040,7 +1084,7 @@ class TestSolveEm:
                          SolverParams(alpha_hint=7, L_cap=cap))
             assert (v.status, v.L_used) == (UNKNOWN, cap)
             assert len(builds) == 1
-        # A search that succeeds within the trigger never builds it.
+        # A search that succeeds at its first guess never builds it.
         builds.clear()
         v = solve_em(cycle_union((2, 3)), 2, SolverParams(alpha_hint=3))
         assert (v.status, v.L_used) == (YES, 2)
