@@ -71,10 +71,11 @@ class _UsageError(Exception):
     """Bad argument combination detected after parsing."""
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    """The raw bytes of a file, or of stdin for "-": graphio decodes them."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -98,14 +99,15 @@ def _sniff_format(path: str, explicit: str | None) -> str:
 
 def _load_graph(args) -> ColoredGraph:
     fmt = _sniff_format(args.input, args.format)
-    return parse_graph(_read_text(args.input), fmt)
+    return parse_graph(_read_bytes(args.input), fmt)
 
 
 def _params_from(args, graph: ColoredGraph) -> SolverParams:
     """The solver knobs, with a note on stderr for the hint the walk will not
     read: it reads --beta on a graph with a bipartition, --alpha otherwise.
     The input is read, so the int-to-str digit limit that guards parsing is
-    lifted: a threshold 2 * 4^bound prints whatever its digit count."""
+    lifted, until ``main`` returns: a threshold 2 * 4^bound prints whatever
+    its digit count."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     bipartite = graph.bipartition is not None
@@ -197,8 +199,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_analyze(args) -> int:
     graph = _load_graph(args)
-    first = parse_matching(_read_text(args.matchings[0]), graph)
-    second = parse_matching(_read_text(args.matchings[1]), graph)
+    first = parse_matching(_read_bytes(args.matchings[0]), graph)
+    second = parse_matching(_read_bytes(args.matchings[1]), graph)
     context = symmetric_difference(graph, first, second)
     cycles = []
     for cycle in context:
@@ -350,6 +352,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -369,6 +372,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"emsolve: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digits is not None:      # _params_from lifts it for this call only
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,11 @@ Every vertex is written as a node statement so isolated vertices
 round-trip.  Unknown attributes are ignored on read and never emitted.
 
 A matching document is a JSON list of ``[u, v]`` pairs.
+
+Documents given as bytes are decoded as UTF-8 here and nowhere else.  Any
+document that cannot be read raises ``ParseError``, including bytes that
+are not UTF-8, JSON nested past the recursion limit, and an integer past
+the interpreter's int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ class ParseError(GraphError):
 
 
 def parse_graph(data: str | bytes, format: str = JSON) -> ColoredGraph:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _decoded(data, "graph document")
     if format == JSON:
         return _parse_json(data)
     if format == DOT:
@@ -57,12 +61,7 @@ def serialize_graph(graph: ColoredGraph, format: str = JSON) -> str:
 
 def parse_matching(data: str | bytes, graph: ColoredGraph) -> PerfectMatching:
     """Read a JSON list of edge pairs and validate it against ``graph``."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"matching document is not valid JSON: {exc}") from None
+    raw = _load_json(_decoded(data, "matching document"), "matching document")
     if not isinstance(raw, list):
         raise ParseError("matching document must be a JSON list of [u, v] pairs")
     edges = []
@@ -74,14 +73,35 @@ def parse_matching(data: str | bytes, graph: ColoredGraph) -> PerfectMatching:
     return PerfectMatching.from_edges(graph, edges)
 
 
+def _decoded(data: str | bytes, what: str) -> str:
+    """``data`` as text, bytes decoded as UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8: {exc}") from None
+
+
 # -- JSON ---------------------------------------------------------------------
 
 
-def _parse_json(text: str) -> ColoredGraph:
+def _load_json(text: str, what: str):
+    """``json.loads``, with each way it can reject a document raised as a
+    ``ParseError``: invalid JSON, nesting past the recursion limit, and an
+    integer literal over the interpreter's int-to-str digit limit."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"graph document is not valid JSON: {exc}") from None
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"{what} has an integer too long to read: {exc}") from None
+
+
+def _parse_json(text: str) -> ColoredGraph:
+    doc = _load_json(text, "graph document")
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
     if "n" not in doc or type(doc["n"]) is not int:
@@ -201,7 +221,10 @@ def _parse_dot(text: str) -> ColoredGraph:
         tok = reader.next()
         if not re.fullmatch(r"\d+", tok):
             raise ParseError(f"node id {tok!r} is not a non-negative integer")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError as exc:       # past the int-to-str digit limit
+            raise ParseError(f"node id of {len(tok)} digits is too long to read: {exc}") from None
 
     def read_attrs() -> dict[str, str]:
         attrs: dict[str, str] = {}

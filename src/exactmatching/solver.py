@@ -21,11 +21,9 @@ lies in that range.
 Inside the range, a second certificate cuts phase 2 short: a k outside
 ``red_count_lattice`` (the red counts that a mod-d vertex potential allows
 on each component, summed over the components) is a certified no.  Phase 2
-builds the lattice once its first recovery fails, or when a search capped
-below n tries no guess, so at most once per solve, and never for a search
-that succeeds at its first guess.  Once the lattice excludes k no guess can
-succeed, so no further guess is recovered; ``_CERTIFY_AFTER`` only decides
-which certificate the verdict names.
+asks for it at its first failed recovery and stops there if it excludes k.
+It is built at most once per solve, and never for a search that succeeds at
+its first guess.  One rule after the search names the verdict (``solve_em``).
 
 Two prunings drop only guesses that cannot succeed, so they change no
 verdict and no witness.  The search stops after size min(r + k, n - r - k),
@@ -41,7 +39,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import gcd
 from typing import Iterator
 
@@ -692,11 +690,10 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
         j += 1
 
 
-# A search whose lattice excludes k reports "k outside the red-count lattice"
-# once it counts this many guesses and one more, and otherwise reports its
-# exhaustion.  The lattice is consulted at the first failed recovery either
-# way, so this fixes only the verdict's reason and L_used.  No successful
-# search on the benchmark pools tries more than 37 guesses.
+# An uncapped search whose lattice excludes k names the lattice when its
+# stream holds more than this many guesses, and its exhaustion otherwise; a
+# capped one always names the lattice.  This fixes only the reason and
+# L_used.  No successful search on the benchmark pools tries more than 37.
 _CERTIFY_AFTER = 64
 
 
@@ -751,14 +748,13 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     for a bound the walk needs above the oracle cap without a hint, and for
     a missing shortcut (``SkipSearchError``).
 
-    Phase 2 is one loop over ``_candidates`` that counts each guess and
-    returns the first that ``_recover`` completes.  It builds the lattice
-    after the first failed recovery, or after a capped search that tried no
-    guess.  Once the lattice excludes k it recovers no further guess, and
-    only counts them: reaching guess ``_CERTIFY_AFTER + 1`` names the
-    lattice, and a stream that ends first names exhaustion at radius n, or
-    the lattice under a cap.  Any successful recovery has k red edges, so k
-    would lie in the lattice; skipping recoveries changes no verdict.
+    Phase 2 recovers the guesses of ``_candidates`` in order and returns
+    the first success.  At its first failed recovery it asks the lattice,
+    and stops if the lattice excludes k: any successful recovery has k red
+    edges, so no later guess can succeed.  One rule then names the verdict:
+    the lattice if it excludes k and the search is capped or its stream
+    holds more than ``_CERTIFY_AFTER`` guesses, else exhaustion at radius n
+    when uncapped, else unknown.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:
@@ -782,27 +778,24 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
 
     limit = n if params.L_cap is None else min(params.L_cap, n)
 
+    @cache
     def excludes_k() -> bool:
         return not red_count_lattice(graph, phase1.low, phase1.high) >> k & 1
 
     contexts = (_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE))
+    stream = _candidates(contexts, limit)
     tried = 0
-    excluded = None                 # unknown until the first recovery fails
-    for size, ctx, guess in _candidates(contexts, limit):
+    for size, ctx, guess in stream:
         tried += 1
-        if excluded:
-            # No guess can succeed; the stream only counts up to the trigger.
-            if tried > _CERTIFY_AFTER:
-                return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
-            continue
         pm = _recover(ctx, guess)
         if pm is not None:
             return verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size)
-        if excluded is None:
-            excluded = excludes_k()
-    if limit == n:
-        return verdict(NO_CERTIFIED, reason="exhausted the certified search radius", L_used=limit)
-    # The lattice certifies whatever the cap: consult it before an unknown.
-    if excluded or (excluded is None and excludes_k()):
+        if excludes_k():
+            break
+    if limit == n:          # the count past a stop at the lattice, to the trigger
+        tried += sum(1 for _ in itertools.islice(stream, _CERTIFY_AFTER))
+    if (limit < n or tried > _CERTIFY_AFTER) and excludes_k():
         return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
+    if limit == n:
+        return verdict(NO_CERTIFIED, reason="exhausted the certified search radius", L_used=n)
     return verdict(UNKNOWN, reason=f"search exhausted at guess-size budget {limit}", L_used=limit)

@@ -487,8 +487,8 @@ def _proposes(ctx, guess) -> bool:
 
 
 def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None):
-    """(status, witness, L_used) that ``solve_em`` must return on a graph
-    with an even vertex count, 0 <= k <= n/2 and n below the certified
+    """(status, witness, L_used, reason) that ``solve_em`` must return on a
+    graph with an even vertex count, 0 <= k <= n/2 and n below the certified
     radius f(bound), which holds for every bound.
 
     The phase-1 matching is the anchor.  A k outside the range of red
@@ -496,37 +496,38 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     no with no search, whatever the cap.  Otherwise red guesses go before
     blue at each size.  With no success, the search has tried every guess
     whose proposal has the target size and shares no vertex, up to size
-    min(r + k, n - r - k) for the anchor's red count r.  When that is more
-    than ``_CERTIFY_AFTER`` guesses, or the search is capped, a k outside
-    ``naive_lattice`` is a no with L_used 0.  Otherwise exhausting radius n
-    certifies a no, and a smaller ``L_cap`` gives unknown.  ``solve_em``
-    consults the lattice at its first failed recovery, and stops recovering
-    once it excludes k, but it still counts guesses up to
-    ``_CERTIFY_AFTER + 1``, so that count alone picks between the two
-    certificates, as here.
+    min(r + k, n - r - k) for the anchor's red count r.  The verdict rule:
+    a k outside ``naive_lattice`` is a no with L_used 0 when the search is
+    capped or holds more than ``_CERTIFY_AFTER`` guesses; otherwise
+    exhausting radius n certifies a no, and a smaller ``L_cap`` gives
+    unknown.  Only the lattice's verdict is read here, so the rule does not
+    depend on when ``solve_em`` builds it.
     """
     params = params or SolverParams()
     anchor = run_phase1(graph, k, params).matching
     if anchor is None:
-        return NO_CERTIFIED, None, 0
+        return NO_CERTIFIED, None, 0, "graph has no perfect matching"
     if anchor.red_count == k:
-        return YES, anchor, 0
+        return YES, anchor, 0, None
     counts = perfect_matching_red_counts(graph)
-    if not min(counts) <= k <= max(counts):
-        return NO_CERTIFIED, None, 0
+    lo, hi = min(counts), max(counts)
+    if not lo <= k <= hi:
+        return NO_CERTIFIED, None, 0, f"k outside the red-count range [{lo}, {hi}]"
     limit = graph.n if params.L_cap is None else min(params.L_cap, graph.n)
     contexts = [solver_mod._make_context(graph, anchor, k, c) for c in (RED, BLUE)]
     hit = naive_first_success(contexts, limit)
     if hit is not None:
-        return YES, hit[1], hit[0]
+        return YES, hit[1], hit[0], None
     stop = min(limit, anchor.red_count + k, graph.n - anchor.red_count - k)
     guesses = (guess for size in range(stop + 1) for ctx in contexts
                for guess in itertools.combinations(ctx.color_edges, size)
                if _proposes(ctx, guess))
     tried = sum(1 for _ in itertools.islice(guesses, solver_mod._CERTIFY_AFTER + 1))
     if (limit < graph.n or tried > solver_mod._CERTIFY_AFTER) and k not in naive_lattice(graph):
-        return NO_CERTIFIED, None, 0
-    return (NO_CERTIFIED if limit == graph.n else UNKNOWN), None, limit
+        return NO_CERTIFIED, None, 0, "k outside the red-count lattice"
+    if limit == graph.n:
+        return NO_CERTIFIED, None, limit, "exhausted the certified search radius"
+    return UNKNOWN, None, limit, f"search exhausted at guess-size budget {limit}"
 
 
 # -- completion, by backtracking -----------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from exactmatching import BLUE, RED, ColoredGraph
@@ -34,9 +36,20 @@ def k33() -> ColoredGraph:
     return ColoredGraph.from_edges(6, edges, bipartition=(range(3), range(3, 6)))
 
 
+@pytest.fixture
+def default_digit_limit() -> int:
+    """The interpreter's default int-to-str digit limit, 4,300, set for one
+    test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance PASS/FAIL lines after the run."""
-    import sys
     mod = sys.modules.get("tests.test_acceptance")
     lines = getattr(mod, "RESULTS", None) if mod else None
     if lines:

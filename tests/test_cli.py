@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -37,6 +38,15 @@ K33_JSON = ('{"n": 6, "edges": ['
             ' "bipartition": [[0, 1, 2], [3, 4, 5]]}')
 K4_JSON = ('{"n": 4, "edges": [[0, 1, "red"], [0, 2, "red"], [0, 3, "red"],'
            ' [1, 2, "red"], [1, 3, "red"], [2, 3, "red"]]}')
+
+# A graph document with n = 10^4300, one digit past the interpreter's default
+# int-to-str limit.
+HUGE_N_JSON = '{"n": 1' + "0" * 4300 + ', "edges": []}'
+
+
+def _stdin(data: str | bytes):
+    """A text stream over ``data``, like the real stdin, with its ``buffer``."""
+    return io.TextIOWrapper(io.BytesIO(data if isinstance(data, bytes) else data.encode()))
 
 
 @pytest.fixture
@@ -85,8 +95,8 @@ class TestSolve:
         assert capsys.readouterr().out.startswith("unknown")
 
     def test_lattice_certificate_under_budget(self, c4_file, capsys):
-        # The 4-cycle's red counts are 0 and 2: a capped search that ends
-        # without a hit consults the lattice before answering unknown.
+        # The 4-cycle's red counts are 0 and 2: a capped search names the
+        # lattice whenever it excludes k, before it would answer unknown.
         assert main(["solve", c4_file, "-k", "1", "--L-cap", "0", "--json"]) == EXIT_NO
         doc = json.loads(capsys.readouterr().out)
         assert (doc["verdict"], doc["L_used"], doc["reason"]) == (
@@ -150,18 +160,18 @@ class TestSolve:
             assert "alpha hint must be >= 1, got 0" in capsys.readouterr().err
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(C4_JSON))
+        monkeypatch.setattr("sys.stdin", _stdin(C4_JSON))
         assert main(["solve", "-", "-k", "0"]) == EXIT_YES
 
     @pytest.mark.parametrize("header", ["digraph", "strict digraph"])
     def test_directed_dot_on_stdin_is_input_error(self, header, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(header + " { 0 -> 1 [color=red]; }"))
+        monkeypatch.setattr("sys.stdin", _stdin(header + " { 0 -> 1 [color=red]; }"))
         assert main(["solve", "-", "--format", "dot", "-k", "0"]) == EXIT_INPUT
         assert "directed DOT graphs are not supported" in capsys.readouterr().err
 
     def test_dot_keyword_case_and_attribute_lists_on_stdin(self, capsys, monkeypatch):
         text = "Graph { 0 -- 1 [color=red] [penwidth=2]; }"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", _stdin(text))
         assert main(["solve", "-", "--format", "dot", "-k", "1"]) == EXIT_YES
         assert capsys.readouterr().out.splitlines()[:2] == ["yes", "witness: (0,1)"]
 
@@ -173,7 +183,7 @@ class TestSolve:
     ])
     def test_vertex_named_twice_in_bipartition_is_input_error(
             self, text, fmt, message, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", _stdin(text))
         assert main(["solve", "-", "--format", fmt, "-k", "1"]) == EXIT_INPUT
         assert message in capsys.readouterr().err
 
@@ -376,7 +386,14 @@ class TestLargeHints:
         p.write_text(json.dumps({"n": n, "edges": [], "bipartition": [
             list(range(0, n, 2)), list(range(1, n, 2))]}))
         assert main(["approx", str(p), "-k", "0", "--beta", "3600", "--json"]) == EXIT_NO
-        doc = json.loads(capsys.readouterr().out)
+        # main restores the digit limit on return, so reading the printed
+        # threshold back needs it lifted here too.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(capsys.readouterr().out)
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert (doc["bound"], doc["threshold"], doc["matching"]) == (3600, 2 * 4 ** 7202, None)
 
     def test_solve_decides_under_a_huge_alpha(self, tmp_path, capsys):
@@ -405,6 +422,62 @@ class TestHugeN:
         p.write_text(json.dumps({"n": self.N, "edges": [], "bipartition": [[0], [1]]}))
         assert main(["solve", str(p), "-k", "0"]) == EXIT_INPUT
         assert "its sides hold 2 vertices" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """A document the parser cannot read is an input error (66), never an
+    internal one (70): bytes that are not UTF-8, JSON nested past the
+    recursion limit, and an integer literal past the digit limit."""
+
+    DOCS = {
+        "non-utf8": b'{"n": 2, "edges": [[0, 1, "r\xe9d"]]}',
+        "nested": b"[" * 100_000 + b"]" * 100_000,
+        "huge-n": HUGE_N_JSON.encode(),
+    }
+    MATCHINGS = {
+        "non-utf8": b"[[0, 1], [2, 3]]\xff",
+        "nested": DOCS["nested"],
+        "huge-vertex": b"[[0, 1" + b"0" * 4300 + b"]]",
+    }
+
+    @pytest.mark.parametrize("name", DOCS)
+    def test_graph_file_is_input_error(self, name, tmp_path, capsys, default_digit_limit):
+        p = tmp_path / "bad.json"
+        p.write_bytes(self.DOCS[name])
+        assert main(["solve", str(p), "-k", "0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("emsolve: bad input: graph document") and "Traceback" not in err
+
+    def test_non_utf8_stdin_is_input_error(self, capsys, monkeypatch):
+        # Read as bytes, so the locale's decoding plays no part.
+        monkeypatch.setattr("sys.stdin", _stdin(self.DOCS["non-utf8"]))
+        assert main(["solve", "-", "-k", "0"]) == EXIT_INPUT
+        assert "graph document is not UTF-8" in capsys.readouterr().err
+
+    def test_dot_node_id_past_the_digit_limit(self, tmp_path, capsys, default_digit_limit):
+        p = tmp_path / "bad.dot"
+        p.write_text("graph { 0 -- 1" + "0" * 4300 + " [color=red]; }")
+        assert main(["solve", str(p), "-k", "0"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("name", MATCHINGS)
+    def test_matching_file_is_input_error(self, name, c4_file, tmp_path, capsys,
+                                          default_digit_limit):
+        m1 = tmp_path / "m1.json"
+        m2 = tmp_path / "m2.json"
+        m1.write_bytes(self.MATCHINGS[name])
+        m2.write_text("[[0, 3], [1, 2]]")
+        assert main(["analyze", c4_file, "--matchings", str(m1), str(m2)]) == EXIT_INPUT
+        assert "emsolve: bad input: matching document" in capsys.readouterr().err
+
+    def test_approx_restores_the_digit_limit(self, c4_file, tmp_path, capsys,
+                                             default_digit_limit):
+        # approx lifts the limit to print a threshold of any size; the next
+        # call in the same process must still read the limit it had.
+        assert main(["approx", c4_file, "-k", "1"]) == EXIT_YES
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        p = tmp_path / "huge.json"
+        p.write_text(HUGE_N_JSON)
+        assert main(["solve", str(p), "-k", "0"]) == EXIT_INPUT
 
 
 class TestOracle:

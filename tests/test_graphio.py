@@ -75,6 +75,23 @@ class TestJson:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_graph(text)
 
+    @pytest.mark.parametrize("doc", [
+        '{"n": HUGE, "edges": []}',
+        '{"n": 2, "edges": [[0, HUGE, "red"]]}',
+        '{"n": 2, "edges": [], "bipartition": [[HUGE], [1]]}',
+    ], ids=["n", "edge", "bipartition"])
+    def test_integer_past_the_digit_limit_is_parse_error(self, doc, default_digit_limit):
+        with pytest.raises(ParseError, match="graph document has an integer too long"):
+            parse_graph(doc.replace("HUGE", "1" + "0" * default_digit_limit))
+
+    def test_deep_nesting_is_parse_error(self):
+        with pytest.raises(ParseError, match="graph document is nested too deeply"):
+            parse_graph("[" * 100_000 + "]" * 100_000)
+
+    def test_non_utf8_bytes_are_parse_error(self):
+        with pytest.raises(ParseError, match="graph document is not UTF-8"):
+            parse_graph(b'{"n": 2, "edges": [[0, 1, "r\xe9d"]]}')
+
     def test_round_trip(self, c4):
         assert parse_graph(serialize_graph(c4)) == c4
 
@@ -208,6 +225,11 @@ class TestDot:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_graph(text, DOT)
 
+    def test_node_id_past_the_digit_limit_is_parse_error(self, default_digit_limit):
+        huge = "1" + "0" * default_digit_limit
+        with pytest.raises(ParseError, match="node id of 4301 digits is too long to read"):
+            parse_graph(f"graph {{ 0 -- {huge} [color=red]; }}", DOT)
+
     def test_strict_named_graph_without_semicolon(self):
         g = parse_graph('strict graph g { 0 -- 1 [color=red] }', DOT)
         assert g.n == 2
@@ -253,6 +275,14 @@ class TestMatchingIo:
     def test_rejects_invalid_json(self, c4):
         with pytest.raises(ParseError, match="matching document is not valid JSON"):
             parse_matching("[[0, 1]", c4)
+
+    def test_rejects_unreadable_documents(self, c4, default_digit_limit):
+        with pytest.raises(ParseError, match="matching document is not UTF-8"):
+            parse_matching(b"[[0, 1], [2, 3]]\xff", c4)
+        with pytest.raises(ParseError, match="matching document is nested too deeply"):
+            parse_matching("[" * 100_000 + "]" * 100_000, c4)
+        with pytest.raises(ParseError, match="matching document has an integer too long"):
+            parse_matching(f"[[0, 1{'0' * default_digit_limit}]]", c4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -640,24 +640,29 @@ class TestGuessStream:
     def test_witness_contract_matches_naive_reference(self):
         # solve_em: guesses by size, red before blue, lex; first_success on
         # one context: the same over one color.  Both against plain
-        # combinations.
+        # combinations.  The reason tells the certificates apart, and the
+        # cap n // 2 lets a capped search try guesses before it stops.
         outcomes = set()
         for n, p in ((6, 0.6), (8, 0.5), (10, 0.4)):
             for seed in range(6):
                 g = random_colored_graph(n, p, seed + 100)
                 pm = solver_mod.min_red_pm(g)
                 for k in range(n // 2 + 1):
-                    for params in (SolverParams(), SolverParams(L_cap=2)):
+                    for cap in (None, 2, n // 2):
+                        params = SolverParams(L_cap=cap)
                         v = solve_em(g, k, params)
                         want = naive_solve(g, k, params)
-                        assert (v.status, v.witness, v.L_used) == want
-                        outcomes.add((v.status, v.L_used > 0))
+                        assert (v.status, v.witness, v.L_used, v.reason) == want
+                        outcomes.add((v.status, v.L_used > 0, v.reason))
                     if pm is None:
                         continue
                     for color in (RED, BLUE):
                         ctx = solver_mod._make_context(g, pm, k, color)
                         assert first_success((ctx,), n) == naive_first_success([ctx], n)
-        assert {(YES, True), (YES, False), (NO_CERTIFIED, True), (UNKNOWN, True)} <= outcomes
+        assert {(YES, True, None), (YES, False, None),
+                (NO_CERTIFIED, True, "exhausted the certified search radius"),
+                (NO_CERTIFIED, False, "k outside the red-count lattice"),
+                (UNKNOWN, True, "search exhausted at guess-size budget 2")} <= outcomes
 
 
 def cycle_union(halves, bridged=False):
@@ -1044,6 +1049,25 @@ class TestSolveEm:
         assert (v.status, v.L_used, v.reason) == (NO_CERTIFIED, l_used, reason)
         assert (len(recovered), len(builds)) == (recoveries, 1)
 
+    @pytest.mark.parametrize("cap, pulled", [(None, solver_mod._CERTIFY_AFTER + 1), (10, 1)])
+    def test_only_an_uncapped_search_counts_past_the_lattice(self, cap, pulled, monkeypatch):
+        # The lattice excludes k at the first failed recovery.  Uncapped, the
+        # count to the trigger picks the certificate; under a cap the lattice
+        # is named whatever the count, so the search pulls no further guess.
+        recovered, builds = count_phase2_work(monkeypatch)
+        guesses, got = solver_mod._guesses, []
+
+        def counted(ctx, size):
+            for guess in guesses(ctx, size):
+                got.append(guess)
+                yield guess
+
+        monkeypatch.setattr(solver_mod, "_guesses", counted)
+        v = solve_em(parity_graph(20, 6), 5, SolverParams(alpha_hint=1, L_cap=cap))
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, 0, "k outside the red-count lattice")
+        assert (len(got), len(recovered), len(builds)) == (pulled, 1, 1)
+
     def test_a_failed_first_recovery_keeps_the_witness(self, monkeypatch):
         # The lattice built after the first failure allows k, so the search
         # goes on to the same witness as with no lattice at all.
@@ -1061,8 +1085,8 @@ class TestSolveEm:
         # C_26's perfect matchings have 0 and 13 red edges, so no size-6
         # guess succeeds.  Uncapped (and at the cap n) the search builds the
         # lattice at its first failed recovery; under the caps 0 and 2 no
-        # guess fits, and it consults the lattice after the loop.  Either
-        # way once.
+        # guess fits, and the verdict rule after the search builds it.
+        # Either way once.
         builds = []
         lattice = solver_mod.red_count_lattice
         monkeypatch.setattr(solver_mod, "red_count_lattice",
@@ -1075,9 +1099,9 @@ class TestSolveEm:
                 NO_CERTIFIED, 0, "k outside the red-count lattice")
             assert len(builds) == 1
         # The bridged union's lattice allows k = 4.  Under the cap 2 no
-        # guess fits, so the lattice is consulted after the loop; under the
-        # cap 4 it is built at the first failed recovery of 2,730 and not
-        # consulted again before its unknown.
+        # guess fits, so the verdict rule builds it; under the cap 4 it is
+        # built at the first failed recovery of 2,730 and the rule reads the
+        # same answer before its unknown.
         for cap in (2, 4):
             builds.clear()
             v = solve_em(cycle_union((3, 5, 7), bridged=True), 4,
@@ -1091,8 +1115,8 @@ class TestSolveEm:
         assert not builds
 
     def test_lattice_certificate_holds_under_a_cap(self):
-        # A capped search that ends without a hit consults the lattice
-        # before answering unknown, whether or not it reached the trigger.
+        # A capped search names the lattice whenever it excludes k, whether
+        # or not it tried a guess.
         g = cycle_union((13,))
         for cap in (0, 2, 6, 26):
             v = solve_em(g, 6, SolverParams(alpha_hint=13, L_cap=cap))
