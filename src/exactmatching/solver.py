@@ -23,7 +23,8 @@ Inside the range, a second certificate cuts phase 2 short: a k outside
 on each component, summed over the components) is a certified no.  Phase 2
 asks for it at its first failed recovery and stops there if it excludes k.
 It is built at most once per solve, and never for a search that succeeds at
-its first guess.  One rule after the search names the verdict (``solve_em``).
+its first guess.  One rule after the search names the verdict: the lattice
+whenever it excludes k, else exhaustion when uncapped, else unknown.
 
 Two prunings drop only guesses that cannot succeed, so they change no
 verdict and no witness.  The search stops after size min(r + k, n - r - k),
@@ -690,13 +691,6 @@ def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:
         j += 1
 
 
-# An uncapped search whose lattice excludes k names the lattice when its
-# stream holds more than this many guesses, and its exhaustion otherwise; a
-# capped one always names the lattice.  This fixes only the reason and
-# L_used.  No successful search on the benchmark pools tries more than 37.
-_CERTIFY_AFTER = 64
-
-
 def _candidates(
     contexts: tuple[_RecoveryContext, ...], limit: int
 ) -> Iterator[tuple[int, _RecoveryContext, tuple[Edge, ...]]]:
@@ -752,9 +746,8 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     the first success.  At its first failed recovery it asks the lattice,
     and stops if the lattice excludes k: any successful recovery has k red
     edges, so no later guess can succeed.  One rule then names the verdict:
-    the lattice if it excludes k and the search is capped or its stream
-    holds more than ``_CERTIFY_AFTER`` guesses, else exhaustion at radius n
-    when uncapped, else unknown.
+    the lattice whenever it excludes k, else exhaustion at radius n when
+    uncapped, else unknown.
     """
     params = params or SolverParams()
     if params.L_cap is not None and params.L_cap < 0:
@@ -783,18 +776,13 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
         return not red_count_lattice(graph, phase1.low, phase1.high) >> k & 1
 
     contexts = (_make_context(graph, m, k, RED), _make_context(graph, m, k, BLUE))
-    stream = _candidates(contexts, limit)
-    tried = 0
-    for size, ctx, guess in stream:
-        tried += 1
+    for size, ctx, guess in _candidates(contexts, limit):
         pm = _recover(ctx, guess)
         if pm is not None:
             return verdict(YES, witness=_verified(graph, pm, k, "phase 2"), L_used=size)
         if excludes_k():
             break
-    if limit == n:          # the count past a stop at the lattice, to the trigger
-        tried += sum(1 for _ in itertools.islice(stream, _CERTIFY_AFTER))
-    if (limit < n or tried > _CERTIFY_AFTER) and excludes_k():
+    if excludes_k():
         return verdict(NO_CERTIFIED, reason="k outside the red-count lattice")
     if limit == n:
         return verdict(NO_CERTIFIED, reason="exhausted the certified search radius", L_used=n)

@@ -493,15 +493,13 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
 
     The phase-1 matching is the anchor.  A k outside the range of red
     counts, read off the brute-force ``perfect_matching_red_counts``, is a
-    no with no search, whatever the cap.  Otherwise red guesses go before
-    blue at each size.  With no success, the search has tried every guess
-    whose proposal has the target size and shares no vertex, up to size
-    min(r + k, n - r - k) for the anchor's red count r.  The verdict rule:
-    a k outside ``naive_lattice`` is a no with L_used 0 when the search is
-    capped or holds more than ``_CERTIFY_AFTER`` guesses; otherwise
-    exhausting radius n certifies a no, and a smaller ``L_cap`` gives
-    unknown.  Only the lattice's verdict is read here, so the rule does not
-    depend on when ``solve_em`` builds it.
+    no with no search, whatever the cap.  Otherwise ``naive_first_success``
+    recovers every guess whose proposal has the target size and shares no
+    vertex, up to the cap, red before blue at each size.  With no success,
+    the verdict rule: a k outside ``naive_lattice`` is a no with L_used 0;
+    otherwise exhausting radius n certifies a no, and a smaller ``L_cap``
+    gives unknown.  Only the lattice's verdict is read here, so the rule
+    does not depend on when ``solve_em`` builds it.
     """
     params = params or SolverParams()
     anchor = run_phase1(graph, k, params).matching
@@ -518,12 +516,7 @@ def naive_solve(graph: ColoredGraph, k: int, params: SolverParams | None = None)
     hit = naive_first_success(contexts, limit)
     if hit is not None:
         return YES, hit[1], hit[0], None
-    stop = min(limit, anchor.red_count + k, graph.n - anchor.red_count - k)
-    guesses = (guess for size in range(stop + 1) for ctx in contexts
-               for guess in itertools.combinations(ctx.color_edges, size)
-               if _proposes(ctx, guess))
-    tried = sum(1 for _ in itertools.islice(guesses, solver_mod._CERTIFY_AFTER + 1))
-    if (limit < graph.n or tried > solver_mod._CERTIFY_AFTER) and k not in naive_lattice(graph):
+    if k not in naive_lattice(graph):
         return NO_CERTIFIED, None, 0, "k outside the red-count lattice"
     if limit == graph.n:
         return NO_CERTIFIED, None, limit, "exhausted the certified search radius"

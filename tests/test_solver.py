@@ -24,6 +24,7 @@ from exactmatching import (
     em_decide_bruteforce,
     enumerate_perfect_matchings,
     gen_planted_yes,
+    lift_to_dense,
     perfect_matching_red_counts,
     random_bipartite_colored_graph,
     random_colored_graph,
@@ -299,9 +300,14 @@ class TestBoundOnDemand:
             walk_bound(c4)
 
     def test_an_exhausted_search_reads_no_bound(self, monkeypatch, c4):
-        # In range [0, 2], certified by phase 2 alone.
+        # Both in their red-count range, certified by phase 2 alone: C_4's
+        # lattice excludes k = 1, and the bridged union's allows k = 4, so
+        # its search runs to exhaustion.
         forbid_the_oracle(monkeypatch)
-        assert solve_em(c4, 1).reason == "exhausted the certified search radius"
+        v = solve_em(c4, 1)
+        assert (v.L_used, v.reason) == (0, "k outside the red-count lattice")
+        v = solve_em(cycle_union((3, 5, 7), bridged=True), 4)
+        assert (v.L_used, v.reason) == (30, "exhausted the certified search radius")
 
     def test_t_override_walk_reads_no_bound(self, monkeypatch):
         forbid_the_oracle(monkeypatch)
@@ -828,10 +834,15 @@ class TestSolveEm:
         assert solve_em(k4_mixed, 1, SolverParams(L_cap=2)).status == YES
 
     def test_uncapped_exhaustion_is_certified(self, c4):
+        # C_4's red counts are 0 and 2, and its lattice excludes 1, so the
+        # lattice names the verdict.  The bridged union's lattice allows
+        # k = 4, so only exhausting the search certifies it.
         v = solve_em(c4, 1)
-        assert v.status == NO_CERTIFIED
-        assert v.reason == "exhausted the certified search radius"
-        assert v.L_used == 4    # min(n, radius)
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, 0, "k outside the red-count lattice")
+        v = solve_em(cycle_union((3, 5, 7), bridged=True), 4)
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, 30, "exhausted the certified search radius")    # min(n, radius)
 
     def test_negative_cap_rejected(self, c4):
         with pytest.raises(ConfigurationError):
@@ -869,52 +880,41 @@ class TestSolveEm:
     def test_matches_red_count_oracle_beyond_enumeration(self):
         # Dense random graphs have no k inside their red-count range that no
         # perfect matching hits, so the in-range no-instances come from
-        # sparse random graphs and from parity graphs (odd k, even split).
-        # Each gets exactly one reason: the lattice when the search passed
-        # its trigger and the lattice excludes k, exhaustion otherwise.
+        # sparse random graphs, from parity graphs (odd k, even split) and
+        # from bridged cycle unions, whose lattices allow every k in range.
+        # Each gets exactly one reason: the lattice when it excludes k,
+        # exhaustion otherwise.
         graphs = [random_colored_graph(n, p, seed)
                   for n in (14, 16, 18) for p in (0.3, 0.6, 0.9) for seed in range(4)]
         graphs += [random_colored_graph(n, 0.2, seed) for n in (16, 18, 20) for seed in range(8)]
         graphs += [parity_graph(n, split) for n in (14, 16, 18, 20)
                    for split in range(2, n // 2 + 1, 2)]
-        tried = 0
-        guesses = solver_mod._guesses
-
-        def counted(ctx, size):
-            nonlocal tried
-            for guess in guesses(ctx, size):
-                tried += 1
-                yield guess
-
+        graphs += [cycle_union(halves, bridged=True) for halves in ((3, 5), (2, 7), (4, 5))]
         exhausted = latticed = ranged = 0
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_mod, "_guesses", counted)
-            for g in graphs:
-                counts = perfect_matching_red_counts(g)
-                allowed = naive_lattice(g) if counts else set()
-                for k in range(g.n // 2 + 1):
-                    tried = 0
-                    v = solve_em(g, k)
-                    if k in counts:
-                        assert v.status == YES
-                        assert validate_matching(g, v.witness) and v.witness.red_count == k
-                    elif not counts:
-                        assert (v.status, v.reason) == (
-                            NO_CERTIFIED, "graph has no perfect matching")
-                    elif not min(counts) <= k <= max(counts):
-                        assert (v.status, v.L_used, v.reason) == (
-                            NO_CERTIFIED, 0,
-                            f"k outside the red-count range [{min(counts)}, {max(counts)}]")
-                        ranged += 1
-                    elif k not in allowed and tried > solver_mod._CERTIFY_AFTER:
-                        assert (v.status, v.L_used, v.reason) == (
-                            NO_CERTIFIED, 0, "k outside the red-count lattice")
-                        assert tried == solver_mod._CERTIFY_AFTER + 1
-                        latticed += 1
-                    else:
-                        assert (v.status, v.L_used, v.reason) == (
-                            NO_CERTIFIED, g.n, "exhausted the certified search radius")
-                        exhausted += 1
+        for g in graphs:
+            counts = perfect_matching_red_counts(g)
+            allowed = naive_lattice(g) if counts else set()
+            for k in range(g.n // 2 + 1):
+                v = solve_em(g, k)
+                if k in counts:
+                    assert v.status == YES
+                    assert validate_matching(g, v.witness) and v.witness.red_count == k
+                elif not counts:
+                    assert (v.status, v.reason) == (
+                        NO_CERTIFIED, "graph has no perfect matching")
+                elif not min(counts) <= k <= max(counts):
+                    assert (v.status, v.L_used, v.reason) == (
+                        NO_CERTIFIED, 0,
+                        f"k outside the red-count range [{min(counts)}, {max(counts)}]")
+                    ranged += 1
+                elif k not in allowed:
+                    assert (v.status, v.L_used, v.reason) == (
+                        NO_CERTIFIED, 0, "k outside the red-count lattice")
+                    latticed += 1
+                else:
+                    assert (v.status, v.L_used, v.reason) == (
+                        NO_CERTIFIED, g.n, "exhausted the certified search radius")
+                    exhausted += 1
         assert exhausted >= 10
         assert latticed >= 30
         assert ranged >= 150
@@ -938,16 +938,16 @@ class TestSolveEm:
 
     def test_parity_instance_is_certified_no(self):
         v = solve_em(parity_graph(14, 4), 1, SolverParams(alpha_hint=1))
-        assert v.status == NO_CERTIFIED
-        assert v.L_used == 14
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, 0, "k outside the red-count lattice")
 
     @pytest.mark.parametrize("n, split, k", [
         (16, 4, 1), (20, 6, 1), (20, 4, 3), (24, 8, 1), (28, 4, 1), (28, 14, 1)])
     def test_parity_no_instances_stop_early(self, n, split, k, monkeypatch):
         # Odd k with an even split: every remainder fails the parity screen,
-        # so no completion is attempted.  K_16 exhausts within the trigger,
-        # after size min(r + k, n - r - k); the others pass the trigger,
-        # and the lattice (d = 2) certifies them there.
+        # so no completion is attempted, and the lattice (d = 2) built at
+        # the first failed recovery certifies each before size
+        # min(r + k, n - r - k).
         sizes, completions = [], []
         guesses, complete = solver_mod._guesses, solver_mod.perfect_matching_on_adjacency
         monkeypatch.setattr(solver_mod, "_guesses",
@@ -957,14 +957,9 @@ class TestSolveEm:
         g = parity_graph(n, split)
         v = solve_em(g, k, SolverParams(alpha_hint=1))
         r = v.phase1_r
-        if n == 16:
-            assert (v.status, v.L_used, v.reason) == (
-                NO_CERTIFIED, n, "exhausted the certified search radius")
-            assert max(sizes) == min(r + k, n - r - k)
-        else:
-            assert (v.status, v.L_used, v.reason) == (
-                NO_CERTIFIED, 0, "k outside the red-count lattice")
-            assert max(sizes) <= min(r + k, n - r - k)
+        assert (v.status, v.L_used, v.reason) == (
+            NO_CERTIFIED, 0, "k outside the red-count lattice")
+        assert max(sizes) <= min(r + k, n - r - k)
         assert not completions
         if n <= 24:
             assert k not in perfect_matching_red_counts(g, max_n=n)
@@ -973,8 +968,9 @@ class TestSolveEm:
     def test_bridged_unions_exhaust_past_the_trigger(self, k, monkeypatch):
         # The (3, 5, 7) union's red counts are its subset sums, which miss 4
         # and 6, but its bridges break every potential, so the lattice built
-        # at the first failed recovery excludes nothing and the search runs
-        # to its early stop, size min(r + k, n - r - k).
+        # at the first failed recovery excludes nothing and the search
+        # recovers every guess up to its early stop, size
+        # min(r + k, n - r - k): thousands of guesses, far past 64.
         sizes, calls = [], []
         guesses, recover = solver_mod._guesses, solver_mod._recover
         monkeypatch.setattr(solver_mod, "_guesses",
@@ -987,7 +983,7 @@ class TestSolveEm:
             NO_CERTIFIED, g.n, "exhausted the certified search radius")
         n, r = g.n, v.phase1_r
         assert max(sizes) == min(r + k, n - r - k)
-        assert len(calls) > solver_mod._CERTIFY_AFTER
+        assert len(calls) == {4: 2730, 6: 10010}[k]
 
     @pytest.mark.parametrize("n, split, k", [
         (16, 2, 3), (24, 2, 5), (26, 2, 7), (32, 4, 7), (40, 6, 9), (40, 10, 12)])
@@ -1032,28 +1028,29 @@ class TestSolveEm:
     @pytest.mark.parametrize("g, k, alpha, reason, recoveries", [
         (parity_graph(20, 6), 5, 1, "k outside the red-count lattice", 1),
         (cycle_union((13,)), 6, 13, "k outside the red-count lattice", 1),
-        (parity_graph(16, 4), 1, 1, "exhausted the certified search radius", 1),
+        (parity_graph(16, 4), 1, 1, "k outside the red-count lattice", 1),
         (cycle_union((3, 5, 7), bridged=True), 4, 7,
          "exhausted the certified search radius", 2730),
-    ], ids=["parity-20-6", "C26", "parity-16-4", "bridged-3-5-7"])
+        (lift_to_dense(parity_graph(16, 4)), 3, 1,
+         "exhausted the certified search radius", 5364),
+    ], ids=["parity-20-6", "C26", "parity-16-4", "bridged-3-5-7", "lifted-parity-16-4"])
     def test_recovery_stops_once_the_lattice_excludes_k(
             self, g, k, alpha, reason, recoveries, monkeypatch):
         # The first failed recovery builds the lattice.  Where it excludes k
-        # the search recovers nothing more and only counts guesses, up to the
-        # trigger, which fixes the reason: parity-16-4 runs out of its 56
-        # guesses first, so it still certifies by exhaustion.  The bridged
-        # union's lattice allows k, so every guess is recovered.
+        # the search recovers nothing more and names the lattice.  The
+        # bridged union's bridges and the lift's blue hub break every
+        # potential, so their lattices allow k, every guess is recovered and
+        # only exhaustion certifies them.
         recovered, builds = count_phase2_work(monkeypatch)
         v = solve_em(g, k, SolverParams(alpha_hint=alpha))
         l_used = g.n if reason.startswith("exhausted") else 0
         assert (v.status, v.L_used, v.reason) == (NO_CERTIFIED, l_used, reason)
         assert (len(recovered), len(builds)) == (recoveries, 1)
 
-    @pytest.mark.parametrize("cap, pulled", [(None, solver_mod._CERTIFY_AFTER + 1), (10, 1)])
-    def test_only_an_uncapped_search_counts_past_the_lattice(self, cap, pulled, monkeypatch):
-        # The lattice excludes k at the first failed recovery.  Uncapped, the
-        # count to the trigger picks the certificate; under a cap the lattice
-        # is named whatever the count, so the search pulls no further guess.
+    @pytest.mark.parametrize("cap", [None, 10])
+    def test_a_search_stops_pulling_once_the_lattice_excludes_k(self, cap, monkeypatch):
+        # The lattice excludes k at the first failed recovery, and it names
+        # the verdict whatever the cap, so the search pulls no further guess.
         recovered, builds = count_phase2_work(monkeypatch)
         guesses, got = solver_mod._guesses, []
 
@@ -1066,7 +1063,7 @@ class TestSolveEm:
         v = solve_em(parity_graph(20, 6), 5, SolverParams(alpha_hint=1, L_cap=cap))
         assert (v.status, v.L_used, v.reason) == (
             NO_CERTIFIED, 0, "k outside the red-count lattice")
-        assert (len(got), len(recovered), len(builds)) == (pulled, 1, 1)
+        assert (len(got), len(recovered), len(builds)) == (1, 1, 1)
 
     def test_a_failed_first_recovery_keeps_the_witness(self, monkeypatch):
         # The lattice built after the first failure allows k, so the search
