@@ -40,7 +40,6 @@ from .graphs import (
     PerfectMatching,
     apply_cycles,
     edge_key,
-    edge_weight,
     symmetric_difference,
     validate_matching,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "bipartite_independence_number",
     "count_perfect_matchings",
     "edge_key",
-    "edge_weight",
     "em_decide_bruteforce",
     "enumerate_perfect_matchings",
     "find_biskip",

@@ -12,6 +12,7 @@ configuration limit was hit, 66 malformed input, 70 internal failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -45,6 +46,7 @@ from .solver import (
     SolverParams,
     run_phase1,
     solve_em,
+    threshold_text,
     walk_bound,
 )
 
@@ -105,23 +107,20 @@ def _load_graph(args) -> ColoredGraph:
 def _params_from(args, graph: ColoredGraph) -> SolverParams:
     """The solver knobs, with a note on stderr for the hint the walk will not
     read: it reads --beta on a graph with a bipartition, --alpha otherwise.
-    The input is read, so the int-to-str digit limit that guards parsing is
-    lifted, until ``main`` returns: a threshold 2 * 4^bound prints whatever
-    its digit count."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    The knobs are checked first, so an invalid one gets no note."""
+    params = SolverParams(
+        alpha_hint=args.alpha,
+        beta_hint=args.beta,
+        L_cap=getattr(args, "L_cap", None),
+        t_override=getattr(args, "t_override", None),
+    )
     bipartite = graph.bipartition is not None
     ignored, used = ("alpha", "beta") if bipartite else ("beta", "alpha")
     if getattr(args, ignored) is not None:
         print(f"emsolve: note: --{ignored} is ignored: the graph is "
               f"{'' if bipartite else 'not '}bipartite, so the walk reads --{used}",
               file=sys.stderr)
-    return SolverParams(
-        alpha_hint=args.alpha,
-        beta_hint=args.beta,
-        L_cap=getattr(args, "L_cap", None),
-        t_override=getattr(args, "t_override", None),
-    )
+    return params
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -147,20 +146,23 @@ def _cmd_solve(args) -> int:
 def _cmd_approx(args) -> int:
     graph = _load_graph(args)
     params = _params_from(args, graph)
-    result = run_phase1(graph, args.k, params)
     # The report states the bound, so it is measured even where the walk
-    # read none, and a graph above the oracle cap still asks for a hint.
+    # reads none, and a graph above the oracle cap still asks for a hint.
+    # The walk gets the measured bound as its hint and measures nothing.
     bound, threshold = walk_bound(graph, params)
+    result = run_phase1(graph, args.k,
+                        dataclasses.replace(params, alpha_hint=bound, beta_hint=bound))
     m = result.matching
+    bipartite = graph.bipartition is not None
     if args.json:
         # Without a perfect matching the keys stay, with null values.
         doc = {
             "red_count": None if m is None else m.red_count,
             "target": args.k,
             "red_range": None if m is None else list(result.red_range),
-            "threshold": threshold,
+            "threshold": threshold_text(threshold),
             "bound": bound,
-            "bipartite": result.bipartite,
+            "bipartite": bipartite,
             "iterations": result.iterations,
             "matching": None if m is None else [list(e) for e in m.sorted_edges()],
         }
@@ -170,8 +172,8 @@ def _cmd_approx(args) -> int:
     else:
         lo, hi = result.red_range
         print(f"red_count: {m.red_count}  target: {args.k}  red_range: [{lo}, {hi}]")
-        print(f"threshold: {threshold}  bound: {bound}  "
-              f"bipartite: {result.bipartite}  iterations: {result.iterations}")
+        print(f"threshold: {threshold_text(threshold)}  bound: {bound}  "
+              f"bipartite: {bipartite}  iterations: {result.iterations}")
         print("matching: " + " ".join(f"({u},{v})" for u, v in m.sorted_edges()))
     return EXIT_NO if m is None else EXIT_YES
 
@@ -352,7 +354,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -372,9 +373,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"emsolve: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if digits is not None:      # _params_from lifts it for this call only
-            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

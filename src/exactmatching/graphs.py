@@ -197,17 +197,6 @@ def validate_matching(graph: ColoredGraph, matching: Iterable[tuple[int, int]] |
     return count * 2 == graph.n
 
 
-def edge_weight(graph: ColoredGraph, matching: PerfectMatching, e: Edge) -> int:
-    """Weight of one edge relative to a reference matching.
-
-    Blue edges weigh 0; a red edge weighs -1 inside the matching and +1
-    outside it.
-    """
-    if graph.color(e) == BLUE:
-        return 0
-    return -1 if e in matching.edges else 1
-
-
 def matching_parity(edges: Sequence[Edge], matching: PerfectMatching) -> int | None:
     """``par`` such that edge i of the closed walk ``edges`` is in
     ``matching`` exactly when ``i % 2 == par``, or None if the walk does not

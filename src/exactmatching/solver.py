@@ -95,7 +95,9 @@ class SkipSearchError(ConfigurationError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs for the solver.
+    """Knobs for the solver, each checked when the params are built: a hint
+    below 1 or a negative ``L_cap`` or ``t_override`` raises
+    ``ConfigurationError``, whether or not a walk would read it.
 
     ``alpha_hint`` / ``beta_hint`` override measuring the independence bound
     with the brute-force oracle; ``walk_bound`` caps a hint at n (alpha) or
@@ -103,14 +105,22 @@ class SolverParams:
     ``run_phase1``), so a hint is mandatory above the oracle cap only there,
     and for ``walk_bound``.
     ``L_cap`` limits the phase-2 guess size; None means uncapped, in which
-    case exhaustion certifies a no-instance.  ``t_override`` (>= 0) replaces
-    the phase-1 cycle-weight threshold (experimentation only).
+    case exhaustion certifies a no-instance.  ``t_override`` replaces the
+    phase-1 cycle-weight threshold (experimentation only).
     """
 
     alpha_hint: int | None = None
     beta_hint: int | None = None
     L_cap: int | None = None
     t_override: int | None = None
+
+    def __post_init__(self) -> None:
+        for name, value, least in (("L_cap", self.L_cap, 0),
+                                   ("t_override", self.t_override, 0),
+                                   ("alpha hint", self.alpha_hint, 1),
+                                   ("beta hint", self.beta_hint, 1)):
+            if value is not None and value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -153,19 +163,16 @@ def _threshold(bipartite: bool, bound: int) -> int:
     return 2 * 4 ** (2 * bound + 2) if bipartite else 2 * 4 ** bound
 
 
-def _variant(graph: ColoredGraph, params: SolverParams) -> tuple[str, int | None]:
-    """The bound the walk on ``graph`` reads, "beta" with a bipartition and
-    "alpha" otherwise, and its hint.  Raises ``ConfigurationError`` for a
-    negative ``t_override`` or a hint below 1."""
-    if params.t_override is not None and params.t_override < 0:
-        raise ConfigurationError(f"t_override must be >= 0, got {params.t_override}")
-    if graph.bipartition is None:
-        label, hint = "alpha", params.alpha_hint
-    else:
-        label, hint = "beta", params.beta_hint
-    if hint is not None and hint < 1:
-        raise ConfigurationError(f"{label} hint must be >= 1, got {hint}")
-    return label, hint
+def threshold_text(threshold: int) -> int | str:
+    """``threshold`` itself when ``str`` can print it under the interpreter's
+    int-to-str digit limit, else "2^e".  A threshold that long is a
+    guaranteed one, 2 * 4^alpha or 2 * 4^(2 beta + 2), so a power of two; a
+    ``t_override`` was parsed under the limit and always prints."""
+    try:
+        str(threshold)
+    except ValueError:
+        return f"2^{threshold.bit_length() - 1}"
+    return threshold
 
 
 def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple[int, int]:
@@ -174,13 +181,15 @@ def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple
     value, at least 1 and at most n // 2 (beta) or n (alpha), which no graph
     exceeds.  The cap changes no walk: its threshold exceeds n / 2 >= k, so
     the loop never runs under it.  The threshold is ``t_override`` if set,
-    else the guaranteed one.  Raises ``ConfigurationError`` as ``_variant``
-    does, and above the oracle cap without a hint."""
+    else the guaranteed one.  Raises ``ConfigurationError`` above the oracle
+    cap without a hint."""
     params = params or SolverParams()
-    label, value = _variant(graph, params)
     bipartite = graph.bipartition is not None
+    if bipartite:
+        label, value, oracle = "beta", params.beta_hint, bipartite_independence_number
+    else:
+        label, value, oracle = "alpha", params.alpha_hint, independence_number
     if value is None:
-        oracle = bipartite_independence_number if bipartite else independence_number
         try:
             value = oracle(graph)
         except OracleLimitError as exc:
@@ -203,7 +212,6 @@ class Phase1Result:
 
     matching: PerfectMatching | None
     iterations: int
-    bipartite: bool
     low: PerfectMatching | None = None
     high: PerfectMatching | None = None
 
@@ -241,7 +249,7 @@ def _missing_cause(graph: ColoredGraph, params: SolverParams) -> str:
     except ConfigurationError as exc:
         return f"{override}, which is unknown: {exc}"
     guaranteed = _threshold(graph.bipartition is not None, bound)
-    return f"{override} {guaranteed}" if t_override < guaranteed else hint
+    return f"{override} {threshold_text(guaranteed)}" if t_override < guaranteed else hint
 
 
 def run_phase1(
@@ -263,15 +271,14 @@ def run_phase1(
     loop test passes under the smallest threshold any bound gives (8, or
     512 in the bipartite variant): r(high) > k and r(low) <= k - 8.  With
     ``t_override`` set it reads none, except to word a ``SkipSearchError``.
-    Raises ``ConfigurationError`` for an odd n, k outside [0, n/2], a
-    negative ``t_override``, a hint below 1 (all before the engines run),
-    a bound the walk needs but cannot measure without a hint, or a missing
-    shortcut (``SkipSearchError``: a hint or ``t_override`` is too small),
-    and ``SolverError`` when an invariant of the walk fails.
+    Raises ``ConfigurationError`` for an odd n or k outside [0, n/2] (both
+    before the engines run), a bound the walk needs but cannot measure
+    without a hint, or a missing shortcut (``SkipSearchError``: a hint or
+    ``t_override`` is too small), and ``SolverError`` when an invariant of
+    the walk fails.
     """
     _check_k(graph, k)
     params = params or SolverParams()
-    _variant(graph, params)
     bipartite = graph.bipartition is not None
     if bipartite:
         find, apply, name = find_biskip, apply_biskip, "biskip"
@@ -280,7 +287,7 @@ def run_phase1(
 
     low = min_red_pm(graph)
     if low is None:
-        return Phase1Result(None, 0, bipartite)
+        return Phase1Result(None, 0)
     high = max_red_pm(graph)
     assert high is not None
     start = (low, high)
@@ -328,7 +335,7 @@ def run_phase1(
     except GraphError as exc:
         raise SolverError(f"phase-1 walk broke an invariant: {exc}") from exc
     final = high if r_high <= k else low
-    return Phase1Result(final, iterations, bipartite, *start)
+    return Phase1Result(final, iterations, *start)
 
 
 def approx_em(
@@ -738,9 +745,9 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     oracle cap a hint is needed only when r(low) + 8 <= k < r(high)
     (r(low) + 512 in the bipartite variant), and never for a graph with no
     PM.
-    ``ConfigurationError`` is raised for a bad hint, cap or ``t_override``,
-    for a bound the walk needs above the oracle cap without a hint, and for
-    a missing shortcut (``SkipSearchError``).
+    ``ConfigurationError`` is raised for a bound the walk needs above the
+    oracle cap without a hint, and for a missing shortcut
+    (``SkipSearchError``).
 
     Phase 2 recovers the guesses of ``_candidates`` in order and returns
     the first success.  At its first failed recovery it asks the lattice,
@@ -750,8 +757,6 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     uncapped, else unknown.
     """
     params = params or SolverParams()
-    if params.L_cap is not None and params.L_cap < 0:
-        raise ConfigurationError(f"L_cap must be >= 0, got {params.L_cap}")
     n = graph.n
     if n % 2 != 0:
         return Verdict(NO_CERTIFIED, reason="odd vertex count")

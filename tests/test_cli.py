@@ -6,17 +6,20 @@ import pytest
 
 from exactmatching import (
     SKIP_WEIGHTS,
+    BaseFamily,
     CycleSet,
     SolverParams,
     apply_cycles,
     approx_em,
     find_biskip,
     find_skip,
+    gen_planted_yes,
     parse_graph,
     random_colored_graph,
     run_phase1,
     serialize_graph,
 )
+from exactmatching import solver as solver_mod
 from exactmatching.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -255,6 +258,18 @@ class TestIgnoredHint:
         assert hinted.out == plain.out
         assert hinted.err == f"emsolve: note: {note}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "approx"])
+    def test_an_invalid_ignored_hint_is_a_limit_error(self, command, tmp_path, capsys):
+        # The params are checked before the note, whichever hint the walk
+        # reads, so --beta 0 on a graph without a bipartition gets only the
+        # limit message.
+        path = str(tmp_path / "g.json")
+        assert main(["gen", "random", "-n", "16", "--edge-prob", "0.6", "--seed", "27",
+                     "-o", path]) == EXIT_YES
+        capsys.readouterr()
+        assert main([command, path, "-k", "3", "--beta", "0"]) == EXIT_LIMIT
+        assert capsys.readouterr().err == "emsolve: limit: beta hint must be >= 1, got 0\n"
+
 
 class TestApprox:
     def test_human_report(self, c4_file, capsys):
@@ -269,6 +284,24 @@ class TestApprox:
         assert doc["red_range"] == [0, 2]
         assert doc["bipartite"] is False
         assert doc["threshold"] == 2 * 4 ** doc["bound"]
+
+    def test_the_bound_is_measured_once(self, tmp_path, capsys, monkeypatch):
+        # Red range [0, 20] and alpha 1: the walk at k=10 iterates, and its
+        # bound is the one the report states, measured once for both.
+        calls = []
+        oracle = solver_mod.independence_number
+        monkeypatch.setattr(solver_mod, "independence_number",
+                            lambda graph, *a: calls.append(graph) or oracle(graph, *a))
+        g = gen_planted_yes(40, 10, BaseFamily("alpha", 1), 0)
+        p = tmp_path / "p40.json"
+        p.write_text(serialize_graph(g, "json"))
+        assert main(["approx", str(p), "-k", "10"]) == EXIT_YES
+        assert len(calls) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["red_count: 6  target: 10  red_range: [0, 20]",
+                           "threshold: 8  bound: 1  bipartite: False  iterations: 2"]
+        pm = run_phase1(g, 10, SolverParams(alpha_hint=1)).matching
+        assert out[2] == "matching: " + " ".join(f"({u},{v})" for u, v in pm.sorted_edges())
 
     def test_guess_size_cap_is_usage_error(self, c4_file):
         # Phase 1 makes no guesses, so approx takes no --L-cap.
@@ -364,7 +397,7 @@ class TestApprox:
 
 class TestLargeHints:
     """A hint above n (alpha) or n // 2 (beta) counts as that cap, so its
-    threshold is computed and printed whatever its size."""
+    threshold is computed."""
 
     def test_approx_reports_the_capped_alpha(self, c4_file, capsys):
         # 2 * 4^10000 would have 6,021 digits.
@@ -379,22 +412,18 @@ class TestLargeHints:
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "threshold: 512  bound: 1  bipartite: True  iterations: 0"
 
-    def test_approx_prints_a_threshold_past_the_digit_limit(self, tmp_path, capsys):
-        # beta = n // 2 = 3600 is valid, and 2 * 4^7202 has 4,337 digits.
+    def test_approx_prints_a_threshold_past_the_digit_limit(self, tmp_path, capsys,
+                                                            default_digit_limit):
+        # beta = n // 2 = 3600 is valid, and 2 * 4^7202 = 2^14405 has 4,337
+        # digits, so it is printed as a power of two, which json reads back
+        # under the limit.
         n = 7200
         p = tmp_path / "edgeless.json"
         p.write_text(json.dumps({"n": n, "edges": [], "bipartition": [
             list(range(0, n, 2)), list(range(1, n, 2))]}))
         assert main(["approx", str(p), "-k", "0", "--beta", "3600", "--json"]) == EXIT_NO
-        # main restores the digit limit on return, so reading the printed
-        # threshold back needs it lifted here too.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            doc = json.loads(capsys.readouterr().out)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert (doc["bound"], doc["threshold"], doc["matching"]) == (3600, 2 * 4 ** 7202, None)
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["bound"], doc["threshold"], doc["matching"]) == (3600, "2^14405", None)
 
     def test_solve_decides_under_a_huge_alpha(self, tmp_path, capsys):
         p = str(tmp_path / "p24.json")
@@ -471,8 +500,8 @@ class TestMalformedInput:
 
     def test_approx_restores_the_digit_limit(self, c4_file, tmp_path, capsys,
                                              default_digit_limit):
-        # approx lifts the limit to print a threshold of any size; the next
-        # call in the same process must still read the limit it had.
+        # approx prints every threshold under the limit; the next call in
+        # the same process must still read the limit it had.
         assert main(["approx", c4_file, "-k", "1"]) == EXIT_YES
         assert sys.get_int_max_str_digits() == default_digit_limit
         p = tmp_path / "huge.json"

@@ -8,7 +8,6 @@ from exactmatching import (
     BaseFamily,
     GenerationError,
     bipartite_independence_number,
-    edge_weight,
     em_decide_bruteforce,
     gen_bounded_alpha,
     gen_bounded_beta,
@@ -186,8 +185,9 @@ class TestExtractionInstances:
         # (matching, non-matching) duos whose labels realize the sub-path weight
         start = next(i for i, e in enumerate(cyc.edges) if e in pm.edges)
         ring = cyc.edges[start:] + cyc.edges[:start]
-        labels = sorted(edge_weight(g, pm, ring[i]) + edge_weight(g, pm, ring[i + 1])
-                        for i in range(0, len(ring), 2))
+        # blue edges weigh 0, red ones -1 inside pm and +1 outside it
+        weights = [0 if g.color(e) == BLUE else -1 if e in pm.edges else 1 for e in ring]
+        labels = sorted(weights[i] + weights[i + 1] for i in range(0, len(ring), 2))
         half = len(labels) // 2
         per_period = {2: [1, 1], 1: [0, 1], 0: [-1, 1], -1: [-1, 0]}[x]
         assert labels == sorted(per_period * half)

@@ -15,7 +15,6 @@ from exactmatching import (
     PerfectMatching,
     apply_cycles,
     edge_key,
-    edge_weight,
     enumerate_perfect_matchings,
     random_bipartite_colored_graph,
     random_colored_graph,
@@ -142,14 +141,6 @@ def test_validate_matching_is_total(c4):
     assert not validate_matching(c4, [(0, 2), (1, 3)])
     assert not validate_matching(c4, [(0, 1), (1, 2)])
     assert not validate_matching(c4, [(0, 0), (2, 3)])
-
-
-def test_edge_weight_scheme(c4):
-    pm = PerfectMatching.from_edges(c4, [(0, 1), (2, 3)])
-    assert edge_weight(c4, pm, (0, 1)) == -1
-    assert edge_weight(c4, pm, (1, 2)) == 0
-    other = PerfectMatching.from_edges(c4, [(1, 2), (0, 3)])
-    assert edge_weight(c4, other, (0, 1)) == 1
 
 
 class TestAlternatingCycle:

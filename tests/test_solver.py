@@ -112,7 +112,7 @@ class TestPhase1:
 
     def test_bound_bookkeeping_bipartite(self):
         g = double_c4(bipartite=True)
-        assert run_phase1(g, 0).bipartite
+        assert run_phase1(g, 0).matching.red_count == 0
         bound, threshold = walk_bound(g)
         assert threshold == 2 * 4 ** (2 * bound + 2)
 
@@ -143,6 +143,15 @@ class TestPhase1:
             run_phase1(c4, 2, SolverParams(alpha_hint=0))
         with pytest.raises(ConfigurationError):
             run_phase1(k33, 1, SolverParams(beta_hint=-1))
+        # The params are checked when built, whichever hint the walk reads:
+        # the 4-cycle has no bipartition, so no walk on it reads beta_hint.
+        for label in ("alpha", "beta"):
+            for bad in (0, -1):
+                with pytest.raises(ConfigurationError,
+                                   match=f"{label} hint must be >= 1, got {bad}"):
+                    SolverParams(**{f"{label}_hint": bad})
+        with pytest.raises(ConfigurationError, match="beta hint must be >= 1, got 0"):
+            run_phase1(c4, 2, SolverParams(beta_hint=0))
 
     def test_unmeasurable_bound_needs_hint(self):
         # Red range [0, 22]: the walk at k=11 reads the bound, the one at k=0
@@ -347,6 +356,19 @@ class TestBoundOnDemand:
             "no negative skip on a heavy cycle; t_override (--t-override) 0 is below "
             "the guaranteed threshold, which is unknown: cannot measure the alpha bound")
         assert str(exc.value).endswith("; pass alpha_hint (--alpha)")
+
+    def test_a_threshold_past_the_digit_limit_is_named_as_a_power(self, default_digit_limit):
+        # The alternating 7,200-cycle has no skip.  Its guaranteed threshold
+        # at alpha 7,200 is 2 * 4^7200 = 2^14401, 4,336 digits in decimal.
+        n = 7200
+        c = ColoredGraph.from_edges(
+            n, [(i, (i + 1) % n, RED if i % 2 == 0 else BLUE) for i in range(n)])
+        with pytest.raises(SkipSearchError) as exc:
+            run_phase1(c, 10, SolverParams(alpha_hint=n, t_override=0))
+        assert str(exc.value).endswith(
+            "t_override (--t-override) 0 is below the guaranteed threshold 2^14401")
+        assert solver_mod.threshold_text(2 * 4 ** n) == "2^14401"
+        assert solver_mod.threshold_text(512) == 512
 
 
 class TestVerdictWithoutHint:
@@ -847,6 +869,13 @@ class TestSolveEm:
     def test_negative_cap_rejected(self, c4):
         with pytest.raises(ConfigurationError):
             solve_em(c4, 1, SolverParams(L_cap=-1))
+        # Checked when the params are built, so phase 1 alone, which reads
+        # no cap, rejects it too.
+        with pytest.raises(ConfigurationError, match="L_cap must be >= 0, got -1"):
+            SolverParams(L_cap=-1)
+        with pytest.raises(ConfigurationError, match="L_cap must be >= 0, got -1"):
+            run_phase1(c4, 2, SolverParams(L_cap=-1))
+        assert SolverParams(L_cap=0).L_cap == 0
 
     def test_skip_search_failure_propagates(self):
         with pytest.raises(SkipSearchError):
