@@ -6,8 +6,9 @@ primal-dual method, translated from networkx's ``max_weight_matching`` with
 standard library alone.  A maximum-cardinality matching of maximum weight is
 a maximum-weight perfect matching whenever a perfect matching exists at all,
 so perfection is detected by size.  Completion (``perfect_matching_on``) is
-the lexicographically first perfect matching, found with one augmenting-path
-search in polynomial time and no search budget.
+the lexicographically first perfect matching, found by augmenting-path
+searches (at most one per vertex a greedy pass leaves exposed, and one per
+trial of the lexicographic pass) in polynomial time and no search budget.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _best_perfect(
 
 
 def _augment(
-    adjacency: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]],
+    adjacency: Sequence[dict[int, int]] | Mapping[int, dict[int, int]],
     color: int, mate: dict[int, int], alive: set[int], root: int,
 ) -> bool:
     """Edmonds' augmenting-path search from the exposed vertex ``root`` over
@@ -97,8 +98,12 @@ def _augment(
     blossom (Edmonds 1965, "Paths, trees, and flowers").
 
     ``mate`` maps every matched alive vertex to its partner; exposed ones are
-    absent.  Neighbors flagged ``color`` are scanned in adjacency order from
-    an explicit queue.
+    absent.  Neighbors flagged ``color`` are scanned from an explicit queue,
+    each map highest neighbor first, so the path found tends to re-mate high
+    vertices rather than low ones.  Which path is flipped never changes what
+    completion returns, the unique lexicographically first perfect matching;
+    it only changes which matching is held meanwhile, and the fewer low
+    vertices it re-mates, the fewer trials the lexicographic pass makes.
     Flips the first augmenting path found and returns True; returns False,
     with ``mate`` untouched, when no augmenting path starts at ``root``.
     """
@@ -109,7 +114,7 @@ def _augment(
     while queue:
         v = queue.popleft()
         mv = mate.get(v)
-        for w, flag in adjacency[v].items():
+        for w, flag in reversed(adjacency[v].items()):
             if flag != color or w not in alive or w == mv or base.get(w) == base[v]:
                 continue
             if w in even:
@@ -168,7 +173,7 @@ def perfect_matching_on(
 
 
 def perfect_matching_on_adjacency(
-    adjacency: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]],
+    adjacency: Sequence[dict[int, int]] | Mapping[int, dict[int, int]],
     vertices: Iterable[int], color: int,
 ) -> tuple[Edge, ...] | None:
     """``perfect_matching_on`` over the edges flagged ``color``.
@@ -182,6 +187,14 @@ def perfect_matching_on_adjacency(
     exposed find some perfect matching.  Then the lowest unfixed vertex u
     keeps the first neighbor v that leaves one: its mate, or a v such that
     deleting u and v leaves an augmenting path between their former mates.
+
+    Only the vertices from ``low`` on are scanned, ``low`` being the least
+    vertex whose mate the repair changed (a vertex greedy left exposed
+    counts as changed); without a repair none is.  An unfixed u below
+    ``low`` took its mate itself in the greedy pass, so each neighbor ahead
+    of that mate was, or was mated to, a vertex below u.  Such a vertex lies
+    below ``low`` too and is already fixed with its greedy mate, so u's scan
+    would find no neighbor to try and keep its mate.
     """
     verts = sorted(set(vertices))
     alive = set(verts)
@@ -192,27 +205,30 @@ def perfect_matching_on_adjacency(
                 if flag == color and v in alive and v not in mate:
                     mate[u], mate[v] = v, u
                     break
+    greedy = mate.copy()
     for r in verts:
         if r not in mate and not _augment(adjacency, color, mate, alive, r):
             return None
+    low = next((v for v in verts if greedy.get(v) != mate[v]), None)
     chosen: list[Edge] = []
     for u in verts:
         if u not in alive:
             continue
         alive.discard(u)
-        mu = mate[u]
-        for v, flag in adjacency[u].items():
-            if v == mu:
-                break
-            if flag != color or v not in alive:
-                continue
-            mv = mate[v]
-            alive.discard(v)
-            del mate[mu], mate[mv]
-            if _augment(adjacency, color, mate, alive, mu):
-                break
-            alive.add(v)
-            mate[mu], mate[mv] = u, v
+        mu = v = mate[u]
+        if low is not None and u >= low:
+            for v, flag in adjacency[u].items():
+                if v == mu:
+                    break
+                if flag != color or v not in alive:
+                    continue
+                mv = mate[v]
+                alive.discard(v)
+                del mate[mu], mate[mv]
+                if _augment(adjacency, color, mate, alive, mu):
+                    break
+                alive.add(v)
+                mate[mu], mate[mv] = u, v
         alive.discard(v)
         chosen.append((u, v))
     return tuple(chosen)

@@ -712,9 +712,14 @@ def _candidates(
     So the first success, if any, comes at a size no larger than any
     context's bound, and the sizes past the smallest bound are provably
     empty.  With the anchor's red count r this is min(r + k, n - r - k).
+
+    The stream starts at the least size any context can fill, |target -
+    base| = |k - r| in both: a smaller guess cannot both remove and add a
+    non-negative number of edges, so ``_split`` rejects it in every context.
     """
+    start = min(abs(ctx.target - len(ctx.base)) for ctx in contexts)
     stop = min(limit, min(len(ctx.base) + ctx.target for ctx in contexts))
-    for size in range(stop + 1):
+    for size in range(start, stop + 1):
         for ctx in contexts:
             for guess in _guesses(ctx, size):
                 yield size, ctx, guess

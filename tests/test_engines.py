@@ -717,11 +717,27 @@ def _has_perfect_matching(adjacency, verts):
     return -1 not in blossom_mate(adj)
 
 
-def test_completion_equals_backtracking():
-    """The lexicographically first perfect matching, as lowest-vertex-first
-    backtracking finds it, on random remainders of general and bipartite
-    graphs.  Where backtracking runs out of budget, only existence is
-    compared."""
+def _compare_completion(adj, verts, outcomes, seed):
+    """Completion against lowest-vertex-first backtracking, which finds the
+    lexicographically first perfect matching; where backtracking runs out
+    of budget, only existence is compared."""
+    got = perfect_matching_on_adjacency(adj, verts, 0)
+    try:
+        want = backtrack_match(adj, verts, budget=20_000)
+    except BudgetExhausted:
+        assert (got is not None) == _has_perfect_matching(adj, verts), seed
+        outcomes["exhausted"] += 1
+    else:
+        assert got == want, seed
+        outcomes["equal" if got is not None else "none"] += 1
+
+
+def test_completion_equals_backtracking(monkeypatch):
+    """The lexicographically first perfect matching on random remainders of
+    general and bipartite graphs: sparse to dense ones of up to 40
+    vertices, then dense ones (n 40 to 60, p 0.5 to 0.95, about n/2 free
+    vertices), where greedy leaves vertices exposed, so the repair and the
+    lexicographic pass's trials run."""
     outcomes = {"equal": 0, "none": 0, "exhausted": 0}
     for seed in range(600):
         rng = random.Random(f"completion-{seed}")
@@ -730,16 +746,23 @@ def test_completion_equals_backtracking():
         g = make(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.95]), seed)
         adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
         verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
-        got = perfect_matching_on_adjacency(adj, verts, 0)
-        try:
-            want = backtrack_match(adj, verts, budget=20_000)
-        except BudgetExhausted:
-            assert (got is not None) == _has_perfect_matching(adj, verts), seed
-            outcomes["exhausted"] += 1
-        else:
-            assert got == want, seed
-            outcomes["equal" if got is not None else "none"] += 1
+        _compare_completion(adj, verts, outcomes, seed)
     assert min(outcomes.values()) >= 5, outcomes
+
+    searches = []
+    augment = engines._augment
+    monkeypatch.setattr(engines, "_augment", lambda *args: searches.append(1) or augment(*args))
+    dense = {"equal": 0, "none": 0, "exhausted": 0}
+    for seed in range(200):
+        rng = random.Random(f"dense-completion-{seed}")
+        n = 2 * rng.randint(20, 30)
+        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
+        g = make(n, rng.choice([0.5, 0.7, 0.85, 0.95]), seed)
+        adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
+        verts = sorted(rng.sample(range(n), 2 * rng.randint(n // 5, 3 * n // 10)))
+        _compare_completion(adj, verts, dense, seed)
+    assert min(dense.values()) >= 5 and dense["equal"] >= 100, dense
+    assert len(searches) >= 100, len(searches)
 
 
 @pytest.mark.parametrize("a", [13, 21, 41])
@@ -757,6 +780,36 @@ def test_completion_of_two_odd_cliques(a):
     assert got == ((0, n - 1),) + tuple((v, v + 1) for v in range(1, n - 1, 2))
     assert elapsed < 2.0
     assert perfect_matching_on(range(n), cliques) is None
+
+
+def _counted_completion(monkeypatch, n, edges):
+    """Completion of the plain graph on range(n), and the number of
+    augmenting-path searches it made."""
+    searches = []
+    augment = engines._augment
+    monkeypatch.setattr(engines, "_augment", lambda *args: searches.append(1) or augment(*args))
+    return perfect_matching_on(range(n), edges), len(searches)
+
+
+def test_completion_covered_by_greedy_searches_nothing(monkeypatch):
+    # Greedy pairs 0-1, 2-3 and 4-5 and covers every vertex: no repair, and
+    # no vertex is scanned for a trial.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
+    got, searches = _counted_completion(monkeypatch, 6, edges)
+    assert got == ((0, 1), (2, 3), (4, 5))
+    assert searches == 0
+
+
+def test_completion_after_a_repair_searches_twice(monkeypatch):
+    # Greedy pairs 0-3 and 1-2 and leaves 4 and 5 exposed.  The repair from
+    # 4, scanning highest first, flips 4-1=2-5 and keeps 0-3; an ascending
+    # scan would flip 4-0=3-5 and re-mate 0, which then needs a trial to get
+    # 3 back.  Here 0 lies below the least re-mated vertex, 1, so it keeps 3
+    # unscanned; 1's one trial, 2, fails.
+    edges = [(0, 3), (0, 4), (1, 2), (1, 4), (2, 5), (3, 5)]
+    got, searches = _counted_completion(monkeypatch, 6, edges)
+    assert got == ((0, 3), (1, 4), (2, 5))
+    assert searches == 2
 
 
 def test_adjacency_variant_validity():

@@ -33,7 +33,7 @@ from exactmatching import (
     validate_matching,
     walk_bound,
 )
-from exactmatching import BaseFamily
+from exactmatching import BaseFamily, engines
 from exactmatching import solver as solver_mod
 
 from ._support import (
@@ -964,6 +964,27 @@ class TestSolveEm:
         v = solve_em(g, 30, SolverParams(alpha_hint=bound))
         assert v.status == YES
         assert validate_matching(g, v.witness) and v.witness.red_count == 30
+
+    def test_dense_yes_instance_recovers_with_one_guess(self, monkeypatch):
+        # Phase 1 ends at r = 0, so every guess below |k - r| = 30 has a
+        # negative removal or addition count: the stream asks for size 30
+        # first, in the red context, and its first guess succeeds.  The
+        # completion's four augmenting-path searches are those of the
+        # highest-first scan; an ascending scan makes seven.
+        sizes, searches = [], []
+        guesses, augment = solver_mod._guesses, engines._augment
+        monkeypatch.setattr(solver_mod, "_guesses",
+                            lambda ctx, size: sizes.append(size) or guesses(ctx, size))
+        monkeypatch.setattr(engines, "_augment",
+                            lambda *args: searches.append(1) or augment(*args))
+        g = gen_planted_yes(120, 30, BaseFamily("beta", 2), 1)
+        v = solve_em(g, 30, SolverParams(beta_hint=2))
+        edges = repr(v.witness.sorted_edges()).encode()
+        assert (v.status, v.L_used, v.phase1_r) == (YES, 30, 0)
+        assert hashlib.sha256(edges).hexdigest() == (
+            "f585fd13ae4df44fd5cc3a83bc86dfb4b20a0ef6f31d80c7117d19c7d787d2aa")
+        assert sizes == [30]
+        assert len(searches) == 4
 
     def test_parity_instance_is_certified_no(self):
         v = solve_em(parity_graph(14, 4), 1, SolverParams(alpha_hint=1))
