@@ -26,13 +26,10 @@ It is built at most once per solve, and never for a search that succeeds at
 its first guess.  One rule after the search names the verdict: the lattice
 whenever it excludes k, else exhaustion when uncapped, else unknown.
 
-Two prunings drop only guesses that cannot succeed, so they change no
-verdict and no witness.  The search stops after size min(r + k, n - r - k),
-where r is the red count of the phase-1 matching: every solution is found by
-a guess no larger than that, so the sizes past it are provably empty.  And
-a guess whose remainder fails a parity test on the components of the
-opposite-color graph (Tutte 1947; Hall/Konig for bipartite components) is
-rejected before any completion is attempted.
+The search stops after size min(r + k, n - r - k), where r is the red count
+of the phase-1 matching: every solution is found by a guess no larger than
+that, so the sizes past it are provably empty, and the early stop changes
+no verdict and no witness.  Completion is the only test of a guess.
 """
 
 from __future__ import annotations
@@ -424,10 +421,9 @@ class _RecoveryContext:
     Made in O(n): ``base`` is the matching's edges of ``color``.  Everything
     that costs O(m) is built on first use, each from the graph's sorted edge
     map ``colors``: ``color_edges`` by the first ``_split`` whose sizes fit,
-    ``layout`` by the first guess enumeration, and ``parity`` by the first
-    parity screen.  So a context that the search never enters, or that never
-    reaches a completion, pays for none of them.  Nothing copies the
-    opposite-color graph: ``parity`` and completion read ``neighbor_index``.
+    and ``layout`` by the first guess enumeration.  So a context that the
+    search never enters pays for neither.  Nothing copies the opposite-color
+    graph: completion reads ``neighbor_index``.
     """
 
     graph: ColoredGraph
@@ -461,63 +457,6 @@ class _RecoveryContext:
             base_of[e[0]] = base_of[e[1]] = j
         base_left = tuple(itertools.accumulate(reversed(is_base), initial=0))[::-1]
         return tuple(is_base), tuple(base_of), base_left
-
-    @cached_property
-    def parity(self) -> tuple[list[int], list[int], list[int], list[int], int]:
-        """(component, side, need, mask, bad) for the opposite-color graph.
-
-        A depth-first search over the index's opposite-color entries labels
-        each vertex v with its component ``component[v]`` and a side
-        ``side[v]`` of +1 or -1 that alternates along the search tree.
-        ``need[c]`` sums the sides of component c: for a bipartite component
-        that is the signed difference of its two sides, for any component
-        its parity is that of the vertex count.
-        ``mask[c]`` is -1 for a bipartite component and 1 otherwise, so
-        ``need[c] & mask[c]`` is nonzero exactly when the component can have
-        no perfect matching: odd, or bipartite with unequal sides.  ``bad``
-        counts those components.
-
-        Once every vertex is labeled, a scan can only find that the current
-        component is not bipartite.  So the remaining vertices skip their
-        scans when that is already known, or when the graph carries a
-        bipartition and every component is bipartite.  The labels are those
-        of the full scan.
-        """
-        index = self.graph.neighbor_index
-        same = 1 if self.color == RED else 0
-        n = self.graph.n
-        split = self.graph.bipartition is not None
-        component = [-1] * n
-        side = [0] * n
-        need: list[int] = []
-        mask: list[int] = []
-        unlabeled = n
-        for root in range(n):
-            if component[root] >= 0:
-                continue
-            c = len(need)
-            component[root], side[root] = c, 1
-            unlabeled -= 1
-            stack = [root]
-            total, bipartite = 0, True
-            while stack:
-                v = stack.pop()
-                s = side[v]
-                total += s
-                if unlabeled or (bipartite and not split):
-                    for w, flag in index[v].items():
-                        if flag == same:
-                            continue
-                        if component[w] < 0:
-                            component[w], side[w] = c, -s
-                            unlabeled -= 1
-                            stack.append(w)
-                        elif side[w] == s:
-                            bipartite = False
-            need.append(total)
-            mask.append(-1 if bipartite else 1)
-        bad = sum(1 for x, m in zip(need, mask) if x & m)
-        return component, side, need, mask, bad
 
 
 def _make_context(
@@ -555,39 +494,16 @@ def _recover(ctx: _RecoveryContext, guess: tuple[Edge, ...]) -> PerfectMatching 
     perfect matching of the rest of the opposite-color graph completes the
     solution, which then has red count k: completion reads the index's
     blue (0) entries in a red context and its red (1) ones in a blue one.
-    None when the parity screen or completion finds no such matching.
+    None when completion finds no such matching.
     """
     proposal = ctx.base.symmetric_difference(guess)
     used = {w for e in proposal for w in e}
-    if not _parity_ok(ctx, used):
-        return None
     free = [w for w in range(ctx.graph.n) if w not in used]
     completion = perfect_matching_on_adjacency(
         ctx.graph.neighbor_index, free, 0 if ctx.color == RED else 1)
     if completion is None:
         return None
     return PerfectMatching(proposal | frozenset(completion), ctx.k)
-
-
-def _parity_ok(ctx: _RecoveryContext, removed: set[int]) -> bool:
-    """False when the opposite-color graph minus ``removed`` provably has no
-    perfect matching.
-
-    A perfect matching of the remainder pairs vertices within components of
-    the opposite-color graph, so every component must keep an even number of
-    vertices (Tutte 1947), and a bipartite component must keep as many
-    vertices on one side as on the other (Hall/Konig).  Only the components
-    that lose a vertex change, so this costs O(|removed|).
-    """
-    component, side, need, mask, bad = ctx.parity
-    left: dict[int, int] = {}
-    for v in removed:
-        c = component[v]
-        left[c] = left.get(c, need[c]) - side[v]
-    for c, x in left.items():
-        m = mask[c]
-        bad += (x & m != 0) - (need[c] & m != 0)
-    return bad == 0
 
 
 def _guesses(ctx: _RecoveryContext, size: int) -> Iterator[tuple[Edge, ...]]:

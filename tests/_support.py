@@ -20,10 +20,8 @@ lexicographically first perfect matching by plain backtracking, the
 reference for completion.
 ``largest_read_weight`` is the ``top`` the blossom engine's precondition
 asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
-``full_scan_parity`` is the parity screen's component labeling with every
-neighbor of every vertex scanned, the reference for its early stop, and
 ``color_adjacency`` is one color's graph read off ``graph.colors``, the
-opposite-color graph that phase 2 reads from the neighbor index.
+opposite-color graph that completion reads from the neighbor index.
 ``parity_graph`` builds the parity family, a K_n whose red edges are those
 crossing one cut.
 """
@@ -593,7 +591,7 @@ def blossom_mate(adj, negate: bool = False) -> list[int]:
     return mate
 
 
-# -- the parity labels, by a full scan -----------------------------------------------
+# -- one color's graph, by a scan ----------------------------------------------------
 
 
 def color_adjacency(graph: ColoredGraph, color: str) -> dict[int, tuple[int, ...]]:
@@ -605,43 +603,6 @@ def color_adjacency(graph: ColoredGraph, color: str) -> dict[int, tuple[int, ...
             nbrs[u].append(v)
             nbrs[v].append(u)
     return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-
-
-def full_scan_parity(n, adjacency):
-    """(labels, late): ``labels`` is the (component, side, need, mask, bad)
-    of ``_RecoveryContext.parity`` for the graph on ``n`` vertices with the
-    ascending neighbor tuples ``adjacency``, by a depth-first search that
-    scans every neighbor of every vertex it pops.  ``late`` counts the pops
-    made after every vertex was labeled."""
-    component = [-1] * n
-    side = [0] * n
-    need = []
-    mask = []
-    labeled = late = 0
-    for root in range(n):
-        if component[root] >= 0:
-            continue
-        c = len(need)
-        component[root], side[root] = c, 1
-        labeled += 1
-        stack = [root]
-        total, bipartite = 0, True
-        while stack:
-            v = stack.pop()
-            late += labeled == n
-            s = side[v]
-            total += s
-            for w in adjacency[v]:
-                if component[w] < 0:
-                    component[w], side[w] = c, -s
-                    labeled += 1
-                    stack.append(w)
-                elif side[w] == s:
-                    bipartite = False
-        need.append(total)
-        mask.append(-1 if bipartite else 1)
-    bad = sum(1 for x, m in zip(need, mask) if x & m)
-    return (component, side, need, mask, bad), late
 
 
 # -- the parity family ---------------------------------------------------------------

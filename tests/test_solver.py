@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 
-import networkx as nx
 import pytest
 
 from exactmatching import (
@@ -39,7 +38,6 @@ from exactmatching import solver as solver_mod
 from ._support import (
     color_adjacency,
     first_success,
-    full_scan_parity,
     naive_first_success,
     naive_lattice,
     naive_solve,
@@ -503,73 +501,8 @@ class TestRecovery:
                     check_context(g, empty, 0, color)
                 assert "neighbor_index" not in vars(g)
 
-    def test_parity_labels_match_full_scan_reference(self):
-        # Element for element against the DFS that scans every vertex's
-        # neighbors in the opposite-color graph read off graph.colors, on
-        # general and bipartite graphs from sparse to dense.
-        # The dense ones label every vertex before their search ends, where
-        # the labels skip the remaining scans.
-        rng = random.Random(29)
-        late = {False: 0, True: 0}
-        for seed in range(120):
-            n = rng.choice((2, 4, 8, 12, 16, 20))
-            bipartite = seed % 2 == 0
-            make = random_bipartite_colored_graph if bipartite else random_colored_graph
-            g = make(n, rng.choice((0.1, 0.3, 0.6, 0.9, 1.0)), seed)
-            for color, other in ((RED, BLUE), (BLUE, RED)):
-                ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
-                want, after = full_scan_parity(g.n, color_adjacency(g, other))
-                assert ctx.parity == want
-                late[bipartite] += after
-        assert late[False] > 100 and late[True] > 100
 
-    def test_parity_screen_matches_components(self):
-        # Against networkx's components and 2-colorings of the whole
-        # opposite-color graph: the screen rejects exactly the remainders
-        # that leave a component odd or a bipartite one unbalanced, and
-        # never one that completion can match.
-        rng = random.Random(17)
-        rejected = matched = 0
-        for seed in range(60):
-            n = rng.choice((4, 6, 8, 10, 12, 14))
-            make = random_bipartite_colored_graph if seed % 3 == 0 else random_colored_graph
-            g = make(n, rng.choice((0.15, 0.3, 0.6, 0.9)), seed)
-            for color, flag in ((RED, 0), (BLUE, 1)):
-                ctx = solver_mod._make_context(g, PerfectMatching(frozenset(), 0), 0, color)
-                adjacency = color_adjacency(g, BLUE if color == RED else RED)
-                other = nx.Graph()
-                other.add_nodes_from(range(n))
-                other.add_edges_from((u, v) for u in range(n) for v in adjacency[u])
-                parts = []
-                for comp in nx.connected_components(other):
-                    sub = other.subgraph(comp)
-                    parts.append((comp, nx.bipartite.color(sub) if nx.is_bipartite(sub) else None))
-                for _ in range(8):
-                    # A random vertex-disjoint proposal of ``color`` edges.
-                    edges = list(ctx.color_edges)
-                    rng.shuffle(edges)
-                    removed = set()
-                    for u, v in edges[:rng.randint(0, len(edges))]:
-                        if u not in removed and v not in removed:
-                            removed.update((u, v))
-                    want = True
-                    for comp, side in parts:
-                        rest = comp - removed
-                        if len(rest) % 2 or (side is not None
-                                             and 2 * sum(side[v] for v in rest) != len(rest)):
-                            want = False
-                    got = solver_mod._parity_ok(ctx, removed)
-                    assert got == want
-                    rejected += not got
-                    free = [w for w in range(n) if w not in removed]
-                    pm = solver_mod.perfect_matching_on_adjacency(g.neighbor_index, free, flag)
-                    if pm is not None:
-                        assert got
-                        matched += 1
-        assert rejected > 100 and matched > 100
-
-
-CACHED_VIEWS = ("color_edges", "layout", "parity")
+CACHED_VIEWS = ("color_edges", "layout")
 
 
 def reference_context(graph, matching, k, color):
@@ -599,14 +532,14 @@ def check_context(graph, matching, k, color):
     ctx = solver_mod._make_context(graph, matching, k, color)
     assert not set(CACHED_VIEWS) & vars(ctx).keys()
     got = {field.name: getattr(ctx, field.name) for field in dataclasses.fields(ctx)}
-    for name in ("color_edges", "layout"):
+    for name in CACHED_VIEWS:
         got[name] = getattr(ctx, name)
     want = reference_context(graph, matching, k, color)
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert got[name] == value, name
     assert type(ctx.color_edges) is tuple and list(ctx.color_edges) == sorted(ctx.color_edges)
-    for name in ("color_edges", "layout"):
+    for name in CACHED_VIEWS:
         assert getattr(ctx, name) is got[name], name
 
 
@@ -994,10 +927,9 @@ class TestSolveEm:
     @pytest.mark.parametrize("n, split, k", [
         (16, 4, 1), (20, 6, 1), (20, 4, 3), (24, 8, 1), (28, 4, 1), (28, 14, 1)])
     def test_parity_no_instances_stop_early(self, n, split, k, monkeypatch):
-        # Odd k with an even split: every remainder fails the parity screen,
-        # so no completion is attempted, and the lattice (d = 2) built at
-        # the first failed recovery certifies each before size
-        # min(r + k, n - r - k).
+        # Odd k with an even split: no completion can succeed, so the first
+        # recovery is one failed completion, and the lattice (d = 2) built
+        # there certifies each before size min(r + k, n - r - k).
         sizes, completions = [], []
         guesses, complete = solver_mod._guesses, solver_mod.perfect_matching_on_adjacency
         monkeypatch.setattr(solver_mod, "_guesses",
@@ -1010,7 +942,7 @@ class TestSolveEm:
         assert (v.status, v.L_used, v.reason) == (
             NO_CERTIFIED, 0, "k outside the red-count lattice")
         assert max(sizes) <= min(r + k, n - r - k)
-        assert not completions
+        assert len(completions) == 1
         if n <= 24:
             assert k not in perfect_matching_red_counts(g, max_n=n)
 
@@ -1020,20 +952,24 @@ class TestSolveEm:
         # and 6, but its bridges break every potential, so the lattice built
         # at the first failed recovery excludes nothing and the search
         # recovers every guess up to its early stop, size
-        # min(r + k, n - r - k): thousands of guesses, far past 64.
-        sizes, calls = [], []
+        # min(r + k, n - r - k): thousands of guesses, far past 64, each
+        # tested by one completion.
+        sizes, calls, completions = [], [], []
         guesses, recover = solver_mod._guesses, solver_mod._recover
+        complete = solver_mod.perfect_matching_on_adjacency
         monkeypatch.setattr(solver_mod, "_guesses",
                             lambda ctx, size: sizes.append(size) or guesses(ctx, size))
         monkeypatch.setattr(solver_mod, "_recover",
                             lambda ctx, guess: calls.append(1) or recover(ctx, guess))
+        monkeypatch.setattr(solver_mod, "perfect_matching_on_adjacency",
+                            lambda *args: completions.append(1) or complete(*args))
         g = cycle_union((3, 5, 7), bridged=True)
         v = solve_em(g, k, SolverParams(alpha_hint=7))
         assert (v.status, v.L_used, v.reason) == (
             NO_CERTIFIED, g.n, "exhausted the certified search radius")
         n, r = g.n, v.phase1_r
         assert max(sizes) == min(r + k, n - r - k)
-        assert len(calls) == {4: 2730, 6: 10010}[k]
+        assert len(calls) == len(completions) == {4: 2730, 6: 10010}[k]
 
     @pytest.mark.parametrize("n, split, k", [
         (16, 2, 3), (24, 2, 5), (26, 2, 7), (32, 4, 7), (40, 6, 9), (40, 10, 12)])
@@ -1061,8 +997,8 @@ class TestSolveEm:
         (20, 6, 5), (24, 6, 5), (28, 8, 5), (40, 8, 7), (60, 10, 7), (100, 10, 9),
         (100, 50, 25)])
     def test_in_range_parity_no_instances_certify_by_the_lattice(self, n, split, k, monkeypatch):
-        # Every guess fails the parity screen.  The lattice (d = 2) built
-        # after the first one excludes k, so recovery runs once where the
+        # No completion can succeed.  The lattice (d = 2) built after the
+        # first failed one excludes k, so recovery runs once where the
         # full search would enumerate millions of guesses.
         assert_certified_by_the_lattice(monkeypatch, parity_graph(n, split), k, 1)
 
