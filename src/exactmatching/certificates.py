@@ -9,7 +9,10 @@ the weights, the matching and that record, and raises ``OptimalityError``,
 not ``assert``.  It builds each vertex's chain of enclosing sets once, and
 skips the per-edge slack pass at vertex ``i`` when ``vertex2[i] +
 min(vertex2) - 2 * top >= 0``, a lower bound on every slack at ``i`` as no
-weight exceeds ``top``; every condition is still checked.
+weight exceeds ``top``.  A matched edge at a vertex that no set of the
+record encloses has no set dual in its slack, so its slack is read inline
+from the two vertex duals and the weight; only a vertex inside a set walks
+its chain.  Every condition is still checked.
 """
 
 from __future__ import annotations
@@ -91,5 +94,6 @@ def check_optimum(adj: Sequence[Mapping[int, int]], mate: Sequence[int],
                 if edge_slack(i, j, wt) < 0:
                     raise OptimalityError(f"edge ({i}, {j}) has negative slack")
         m = mate[i]
-        if m != -1 and edge_slack(i, m, nbrs[m]) != 0:
+        if m != -1 and (edge_slack(i, m, nbrs[m]) if chains[i]
+                        else di + vertex2[m] - tw * nbrs[m]) != 0:
             raise OptimalityError(f"matched edge ({i}, {m}) has nonzero slack")

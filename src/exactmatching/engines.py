@@ -5,15 +5,20 @@ primal-dual method, translated from networkx's ``max_weight_matching`` with
 ``maxcardinality=True``), which is exact for integer weights and runs on the
 standard library alone.  A maximum-cardinality matching of maximum weight is
 a maximum-weight perfect matching whenever a perfect matching exists at all,
-so perfection is detected by size.  Completion (``perfect_matching_on``) is
+so perfection is detected by size, and the red count is read with one
+``map`` over the matched edges.  Completion (``perfect_matching_on``) is
 the lexicographically first perfect matching, found by augmenting-path
 searches (at most one per vertex a greedy pass leaves exposed, and one per
 trial of the lexicographic pass) in polynomial time and no search budget.
+The greedy pass (``_greedy``) walks, for each vertex, whichever is shorter:
+its neighbor map or the list of vertices above it, as blossom's greedy
+stages walk the shorter of a map and their single-vertex list.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .blossom import max_weight_matching
@@ -86,7 +91,7 @@ def _best_perfect(
     if -1 in mate:
         return None
     edges = [(u, v) for u, v in enumerate(mate) if u < v]
-    return PerfectMatching(frozenset(edges), sum(graph.colors[e] == RED for e in edges))
+    return PerfectMatching(frozenset(edges), list(map(graph.colors.__getitem__, edges)).count(RED))
 
 
 def _augment(
@@ -153,6 +158,40 @@ def _augment(
     return False
 
 
+def _greedy(
+    adjacency: Sequence[dict[int, int]] | Mapping[int, dict[int, int]],
+    color: int, verts: list[int], alive: set[int],
+) -> dict[int, int]:
+    """Completion's greedy pass: each vertex of ``verts`` (ascending, the
+    ``alive`` set) still exposed at its turn takes its lowest exposed alive
+    neighbor flagged ``color``, if any.  Returns the mate map, both ways.
+
+    When the part of ``verts`` above u is shorter than u's neighbor map,
+    that list is walked instead of the map, testing each vertex's flag in
+    the map.  The two walks pick the same partner: each alive neighbor of u
+    below u with u's flag was already mated when u's turn came, since
+    otherwise, exposed at its own turn, it would have taken u or a lower
+    partner.
+    """
+    mate: dict[int, int] = {}
+    last = len(verts) - 1
+    for i, u in enumerate(verts):
+        if u in mate:
+            continue
+        nbrs = adjacency[u]
+        if last - i < len(nbrs):
+            for v in islice(verts, i + 1, None):
+                if v not in mate and nbrs.get(v) == color:
+                    mate[u], mate[v] = v, u
+                    break
+        else:
+            for v, flag in nbrs.items():
+                if flag == color and v in alive and v not in mate:
+                    mate[u], mate[v] = v, u
+                    break
+    return mate
+
+
 def perfect_matching_on(
     vertices: Iterable[int], edges: Sequence[Edge]
 ) -> tuple[Edge, ...] | None:
@@ -183,8 +222,14 @@ def perfect_matching_on_adjacency(
     index itself.  It must hold every vertex of ``vertices`` and may cover
     more; edges leaving the vertex set are ignored.
 
-    A lowest-first greedy pass and one ``_augment`` per vertex it leaves
-    exposed find some perfect matching.  Then the lowest unfixed vertex u
+    A lowest-first greedy pass (``_greedy``) and one ``_augment`` per
+    vertex it leaves exposed find some perfect matching.  At u's turn the
+    greedy pass walks u's neighbor map, or the vertices above u when those
+    are fewer, and both walks give u the same partner: an alive neighbor
+    below u with u's flag was mated before u's turn, or it would have taken
+    u.  On a dense remainder u's partner is often just above it, so the
+    list walk stops within a few steps where the map walk first passes
+    every lower neighbor.  Then the lowest unfixed vertex u
     keeps the first neighbor v that leaves one: its mate, or a v such that
     deleting u and v leaves an augmenting path between their former mates.
 
@@ -198,13 +243,7 @@ def perfect_matching_on_adjacency(
     """
     verts = sorted(set(vertices))
     alive = set(verts)
-    mate: dict[int, int] = {}
-    for u in verts:
-        if u not in mate:
-            for v, flag in adjacency[u].items():
-                if flag == color and v in alive and v not in mate:
-                    mate[u], mate[v] = v, u
-                    break
+    mate = _greedy(adjacency, color, verts, alive)
     greedy = mate.copy()
     for r in verts:
         if r not in mate and not _augment(adjacency, color, mate, alive, r):

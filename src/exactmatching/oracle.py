@@ -18,10 +18,15 @@ from .graphs import ColoredGraph, GraphError, PerfectMatching
 ENUMERATION_CAP = 16
 COUNTING_CAP = 20
 INDEPENDENCE_CAP = 40
+# Vertices in the output of a densifying lift (``reductions``), which adds a
+# hub edge per vertex: without it an edgeless graph of huge n would grow
+# until memory runs out.
+LIFT_CAP = 1_000_000
 
 
 class OracleLimitError(RuntimeError):
-    """Instance too large for a brute-force oracle call."""
+    """Instance too large for a size-capped call: a brute-force oracle or a
+    densifying lift."""
 
 
 def _check_cap(graph: ColoredGraph, max_n: int, what: str) -> None:

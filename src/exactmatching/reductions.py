@@ -4,13 +4,31 @@ Both lifts append a small blue gadget whose edges are forced into every
 perfect matching, so perfect matchings of the lifted graph correspond one
 to one with perfect matchings of the original, with identical red counts.
 The gadget's hub vertices put every original vertex within a short distance
-of each other, which collapses distance-based independence measures.
+of each other, which collapses distance-based independence measures.  Each
+lift checks its output size against ``LIFT_CAP`` before it builds anything
+per vertex.
 """
 
 from __future__ import annotations
 
 from .graphs import BLUE, ColoredGraph, GraphError, PerfectMatching, edge_key
-from .oracle import INDEPENDENCE_CAP, _check_cap, max_independent_set_size
+from .oracle import (
+    INDEPENDENCE_CAP,
+    LIFT_CAP,
+    OracleLimitError,
+    _check_cap,
+    max_independent_set_size,
+)
+
+
+def _check_lift(graph: ColoredGraph, added: int) -> None:
+    """Raise ``OracleLimitError`` if lifting ``graph`` by ``added`` gadget
+    vertices would pass ``LIFT_CAP``."""
+    size = graph.n + added
+    if size > LIFT_CAP:
+        raise OracleLimitError(
+            f"instance too large for a lift: n={graph.n} would become {size} vertices,"
+            f" above cap {LIFT_CAP}")
 
 
 def lift_to_dense(graph: ColoredGraph) -> ColoredGraph:
@@ -22,6 +40,7 @@ def lift_to_dense(graph: ColoredGraph) -> ColoredGraph:
     rest.  Any two vertices of the result are within distance 2 of each
     other, so its distance-3 independence number is 1.
     """
+    _check_lift(graph, 2)
     n = graph.n
     colors = dict(graph.colors)
     hub, pendant = n, n + 1
@@ -43,6 +62,7 @@ def lift_to_dense_bipartite(graph: ColoredGraph) -> ColoredGraph:
     """
     if graph.bipartition is None:
         raise GraphError("bipartite lift needs a bipartition")
+    _check_lift(graph, 4)
     n = graph.n
     side_a, side_b = graph.bipartition
     hub_a, pendant_a, hub_b, pendant_b = n, n + 1, n + 2, n + 3

@@ -154,17 +154,26 @@ class Verdict:
         return doc
 
 
-def _threshold(bipartite: bool, bound: int) -> int:
-    """The walk's cycle-weight threshold: 2 * 4^alpha, or 2 * 4^(2 beta + 2)
-    in the bipartite variant."""
-    return 2 * 4 ** (2 * bound + 2) if bipartite else 2 * 4 ** bound
+# The largest e such that 2^e has at most 4,300 decimal digits, the
+# interpreter's default int-to-str limit.
+_PRINTABLE_EXPONENT = (10 ** 4300).bit_length() - 1
 
 
-def threshold_text(threshold: int) -> int | str:
-    """``threshold`` itself when ``str`` can print it under the interpreter's
-    int-to-str digit limit, else "2^e".  A threshold that long is a
-    guaranteed one, 2 * 4^alpha or 2 * 4^(2 beta + 2), so a power of two; a
-    ``t_override`` was parsed under the limit and always prints."""
+def _threshold(bipartite: bool, bound: int) -> int | str:
+    """The walk's cycle-weight threshold: 2 * 4^alpha = 2^(2 alpha + 1), or
+    2 * 4^(2 beta + 2) = 2^(4 beta + 5) in the bipartite variant.  Past the
+    default digit limit it is the text "2^e", never built: such a power
+    exceeds n / 2 on any graph whose perfect matchings fit in memory, and
+    2 * 4^(10^10) alone would take 2.5 GB."""
+    e = 4 * bound + 5 if bipartite else 2 * bound + 1
+    return f"2^{e}" if e > _PRINTABLE_EXPONENT else 1 << e
+
+
+def threshold_text(threshold: int | str) -> int | str:
+    """``threshold`` itself when it is text or ``str`` can print it under the
+    interpreter's int-to-str digit limit, else "2^e".  Only a guaranteed
+    threshold, a power of two, can be that long: a ``t_override`` was parsed
+    under the limit and always prints."""
     try:
         str(threshold)
     except ValueError:
@@ -172,14 +181,15 @@ def threshold_text(threshold: int) -> int | str:
     return threshold
 
 
-def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple[int, int]:
+def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple[int, int | str]:
     """(bound, threshold) of the phase-1 walk on ``graph``.  The bound is
     beta with a bipartition and alpha otherwise: the hint, else the oracle's
     value, at least 1 and at most n // 2 (beta) or n (alpha), which no graph
     exceeds.  The cap changes no walk: its threshold exceeds n / 2 >= k, so
     the loop never runs under it.  The threshold is ``t_override`` if set,
-    else the guaranteed one.  Raises ``ConfigurationError`` above the oracle
-    cap without a hint."""
+    else the guaranteed one, given as its text "2^e" when it is too long to
+    print (see ``_threshold``).  Raises ``ConfigurationError`` above the
+    oracle cap without a hint."""
     params = params or SolverParams()
     bipartite = graph.bipartition is not None
     if bipartite:
@@ -246,7 +256,9 @@ def _missing_cause(graph: ColoredGraph, params: SolverParams) -> str:
     except ConfigurationError as exc:
         return f"{override}, which is unknown: {exc}"
     guaranteed = _threshold(graph.bipartition is not None, bound)
-    return f"{override} {threshold_text(guaranteed)}" if t_override < guaranteed else hint
+    if isinstance(guaranteed, str) or t_override < guaranteed:
+        return f"{override} {threshold_text(guaranteed)}"
+    return hint
 
 
 def run_phase1(
@@ -298,6 +310,10 @@ def run_phase1(
         threshold = _threshold(bipartite, 1)
         if r_high > k and low.red_count <= k - threshold:
             _, threshold = walk_bound(graph, params)
+            if isinstance(threshold, str):
+                # A power of two too long to print: above n / 2 >= k, so
+                # the walk stops at once, as under any such threshold.
+                threshold = graph.n + 1
 
     # Invariant: high = low ^ context (low flipped along the context's cycles)
     # and r_high = r(low) + context.total_weight, the context being weighted
@@ -644,7 +660,8 @@ def _candidates(
 def _verified(graph: ColoredGraph, pm: PerfectMatching, k: int, phase: str) -> PerfectMatching:
     """``pm`` after checking that it is a perfect matching with exactly k red
     edges, counted from the graph rather than taken from ``pm.red_count``."""
-    if not validate_matching(graph, pm) or sum(graph.colors[e] == RED for e in pm.edges) != k:
+    if (not validate_matching(graph, pm)
+            or list(map(graph.colors.__getitem__, pm.edges)).count(RED) != k):
         raise SolverError(f"{phase} produced an invalid witness")
     return pm
 

@@ -17,7 +17,8 @@ the witness contract of ``solve_em`` spelled out with plain combinations;
 library side of that comparison; ``naive_lattice`` is the red-count lattice
 by its definition, modulus by modulus; and ``backtrack_match`` is the
 lexicographically first perfect matching by plain backtracking, the
-reference for completion.
+reference for completion, and ``greedy_map_walk`` is completion's greedy
+pass as plain walks of each neighbor map, the reference for its two walks.
 ``largest_read_weight`` is the ``top`` the blossom engine's precondition
 asks for, by a plain scan, and ``blossom_mate`` calls the engine with it.
 ``color_adjacency`` is one color's graph read off ``graph.colors``, the
@@ -575,6 +576,24 @@ def backtrack_match(adjacency, verts, budget):
         u = verts[pos]
         uncovered.discard(u)
         untried = iter(adjacency.get(u, ()))
+
+
+def greedy_map_walk(adjacency, color, verts) -> dict[int, int]:
+    """Completion's greedy pass by lowest-first walks of the neighbor maps:
+    each vertex of ``verts`` (ascending) still exposed at its turn takes the
+    first neighbor in its map that lies in ``verts``, is exposed and is
+    flagged ``color``.  Returns the mate map, both ways."""
+    alive = set(verts)
+    mate: dict[int, int] = {}
+    for u in verts:
+        if u in mate:
+            continue
+        for v, flag in adjacency[u].items():
+            if flag == color and v in alive and v not in mate:
+                mate[u] = v
+                mate[v] = u
+                break
+    return mate
 
 
 def largest_read_weight(adj, negate: bool = False) -> int:

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
 
+import exactmatching
 from exactmatching import (
     SKIP_WEIGHTS,
     BaseFamily,
@@ -451,6 +455,35 @@ class TestHugeN:
         p.write_text(json.dumps({"n": self.N, "edges": [], "bipartition": [[0], [1]]}))
         assert main(["solve", str(p), "-k", "0"]) == EXIT_INPUT
         assert "its sides hold 2 vertices" in capsys.readouterr().err
+
+    def _run_limited(self, tmp_path, *args):
+        """``emsolve ARGS`` on the edgeless huge-n document in a child
+        process whose address space is capped at 2 GB, so that a per-vertex
+        build fails fast with exit 70 instead of filling memory."""
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"n": self.N, "edges": []}))
+        cap = 2 * 10 ** 9
+        src = os.path.dirname(os.path.dirname(exactmatching.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "exactmatching", args[0], str(p), *args[1:]],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+    def test_approx_names_a_huge_threshold_without_building_it(self, tmp_path):
+        # 2 * 4^(10^10) as an int would take 2.5 GB; it is reported as text.
+        run = self._run_limited(tmp_path, "approx", "-k", "0", "--alpha", "10000000000",
+                                "--json")
+        assert run.returncode == EXIT_NO, run.stderr
+        doc = json.loads(run.stdout)
+        assert (doc["threshold"], doc["bound"], doc["matching"]) == (
+            "2^20000000001", 10 ** 10, None)
+
+    def test_reduce_hits_the_lift_cap(self, tmp_path):
+        run = self._run_limited(tmp_path, "reduce")
+        assert run.returncode == EXIT_LIMIT, run.stderr
+        assert run.stderr.startswith("emsolve: limit: instance too large for a lift: "
+                                     f"n={self.N} would become {self.N + 2} vertices")
 
 
 class TestMalformedInput:

@@ -46,6 +46,7 @@ from ._support import (
     BudgetExhausted,
     backtrack_match,
     blossom_mate,
+    greedy_map_walk,
     largest_read_weight,
     parity_graph,
 )
@@ -193,6 +194,26 @@ def test_tampered_record_fails_the_check(tamper, message):
         vertex2[mate[0]] += 2
     with pytest.raises(OptimalityError, match=message):
         check_optimum(adj, mate, MatchingDuals(vertex2, sets), -1, 0)
+
+
+def test_inline_matched_edge_check_fails_inside_and_outside_sets():
+    """Parity K_6 (split 3) with a pendant edge 6-7 hung on vertex 5: the
+    min-red record encloses 0..5 in sets with positive duals and leaves the
+    matched pair 6-7 outside every set.  Raising the dual of either end of a
+    matched edge, inside a set or outside, fails its zero-slack condition."""
+    colors = dict(parity_graph(6, 3).colors)
+    colors[(5, 6)] = colors[(6, 7)] = BLUE
+    adj = ColoredGraph(8, colors).neighbor_index
+    mate, duals = blossom.max_weight_matching(adj, 0, negate=True)
+    assert mate == [4, 2, 1, 5, 0, 3, 7, 6]
+    assert duals.blossoms == [(1, [3, 5, 4]), (1, [2, 1, 0])]
+    check_optimum(adj, mate, duals, -1, 0)
+    for v in (0, 4, 6, 7):
+        vertex2 = list(duals.vertex2)
+        vertex2[v] += 2
+        u, w = sorted((v, mate[v]))
+        with pytest.raises(OptimalityError, match=rf"matched edge \({u}, {w}\) has nonzero slack"):
+            check_optimum(adj, mate, MatchingDuals(vertex2, duals.blossoms), -1, 0)
 
 
 def _record_blossom_calls(monkeypatch):
@@ -763,6 +784,50 @@ def test_completion_equals_backtracking(monkeypatch):
         _compare_completion(adj, verts, dense, seed)
     assert min(dense.values()) >= 5 and dense["equal"] >= 100, dense
     assert len(searches) >= 100, len(searches)
+
+
+def _completion_remainders():
+    """The remainders ``test_completion_equals_backtracking`` completes, as
+    (adjacency, vertices): its 600 sparse to dense ones, then its 200 dense
+    ones."""
+    for seed in range(600):
+        rng = random.Random(f"completion-{seed}")
+        n = 2 * rng.randint(2, 20)
+        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
+        g = make(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.95]), seed)
+        adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
+        yield adj, sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
+    for seed in range(200):
+        rng = random.Random(f"dense-completion-{seed}")
+        n = 2 * rng.randint(20, 30)
+        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
+        g = make(n, rng.choice([0.5, 0.7, 0.85, 0.95]), seed)
+        adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
+        yield adj, sorted(rng.sample(range(n), 2 * rng.randint(n // 5, 3 * n // 10)))
+
+
+def test_completion_greedy_walks_agree_with_the_map_walk():
+    """Completion's greedy pass walks the vertices above u or u's map,
+    whichever is shorter; on every remainder it must mate as plain map walks
+    do, and each walk must be taken often.  A map walk is counted by its one
+    ``items()`` call, and every other turn of an exposed vertex walks the
+    list."""
+    walks = {"map": 0, "list": 0}
+    for adj, verts in _completion_remainders():
+        items = []
+
+        class CountingMap(dict):
+            def items(self):
+                items.append(1)
+                return super().items()
+
+        counting = {v: CountingMap(nbrs) for v, nbrs in adj.items()}
+        got = engines._greedy(counting, 0, verts, set(verts))
+        assert got == greedy_map_walk(adj, 0, verts), verts
+        turns = sum(u not in got or got[u] > u for u in verts)
+        walks["map"] += len(items)
+        walks["list"] += turns - len(items)
+    assert min(walks.values()) >= 100, walks
 
 
 @pytest.mark.parametrize("a", [13, 21, 41])

@@ -13,6 +13,7 @@ from exactmatching import (
     random_bipartite_colored_graph,
     random_colored_graph,
 )
+from exactmatching import reductions
 from exactmatching.reductions import distance_d_independence_number, pullback_matching
 
 
@@ -132,3 +133,28 @@ class TestDistanceIndependence:
         g = ColoredGraph.from_edges(44, [])
         with pytest.raises(OracleLimitError):
             distance_d_independence_number(g, 3)
+
+
+class TestLiftCap:
+    """Each lift checks its output size before it builds anything per
+    vertex, and names the input and output sizes."""
+
+    def test_lifts_up_to_the_cap(self, monkeypatch, c4, k33):
+        monkeypatch.setattr(reductions, "LIFT_CAP", 10)
+        assert lift_to_dense(c4).n == 6
+        assert lift_to_dense_bipartite(k33).n == 10
+
+    def test_lifts_past_the_cap_raise(self, monkeypatch, c4, k33):
+        monkeypatch.setattr(reductions, "LIFT_CAP", 9)
+        with pytest.raises(OracleLimitError,
+                           match="n=6 would become 10 vertices, above cap 9"):
+            lift_to_dense_bipartite(k33)
+        monkeypatch.setattr(reductions, "LIFT_CAP", 5)
+        with pytest.raises(OracleLimitError,
+                           match="n=4 would become 6 vertices, above cap 5"):
+            lift_to_dense(c4)
+
+    def test_huge_n_raises_before_building(self):
+        huge = ColoredGraph(10 ** 40, {})
+        with pytest.raises(OracleLimitError, match=f"n={10 ** 40} would become"):
+            lift_to_dense(huge)

@@ -368,6 +368,26 @@ class TestBoundOnDemand:
         assert solver_mod.threshold_text(2 * 4 ** n) == "2^14401"
         assert solver_mod.threshold_text(512) == 512
 
+    def test_a_threshold_too_long_to_print_is_never_built(self):
+        # 2^14283 has 4,300 digits and is built; 2^14285 has 4,301 and is
+        # named only, so 2 * 4^(10^10), 2.5 GB as an int, costs nothing.
+        assert solver_mod._threshold(False, 7141) == 1 << 14283
+        assert solver_mod._threshold(False, 7142) == "2^14285"
+        assert solver_mod._threshold(True, 10 ** 10) == "2^40000000005"
+        assert solver_mod.threshold_text("2^14285") == "2^14285"
+
+    def test_a_walk_under_an_unprinted_threshold_stops_at_once(self):
+        # On the alternating 7,200-cycle at k = 10 the loop test passes under
+        # the threshold 8, so the walk reads its bound: the hint 7,200 gives
+        # the unbuilt 2^14401, above n / 2, and the walk returns low.
+        n = 7200
+        c = ColoredGraph.from_edges(
+            n, [(i, (i + 1) % n, RED if i % 2 == 0 else BLUE) for i in range(n)])
+        params = SolverParams(alpha_hint=n)
+        assert walk_bound(c, params) == (n, "2^14401")
+        res = run_phase1(c, 10, params)
+        assert (res.iterations, res.matching.red_count, res.red_range) == (0, 0, (0, n // 2))
+
 
 class TestVerdictWithoutHint:
     """G(60, 0.3) seed 1 and two variants of it, above the oracle cap: a
