@@ -46,7 +46,6 @@ from .solver import (
     SolverParams,
     run_phase1,
     solve_em,
-    threshold_text,
     walk_bound,
 )
 
@@ -147,9 +146,13 @@ def _cmd_approx(args) -> int:
     graph = _load_graph(args)
     params = _params_from(args, graph)
     # The report states the bound, so it is measured even where the walk
-    # reads none, and a graph above the oracle cap still asks for a hint.
-    # The walk gets the measured bound as its hint and measures nothing.
+    # reads none.  The walk gets it as its hint and measures nothing.
     bound, threshold = walk_bound(graph, params)
+    try:
+        str(threshold)
+    except ValueError:  # past the int-to-str digit limit, as n nearly is
+        raise ConfigurationError(f"the threshold 2^{threshold.bit_length() - 1} "
+                                 "has too many digits to print") from None
     result = run_phase1(graph, args.k,
                         dataclasses.replace(params, alpha_hint=bound, beta_hint=bound))
     m = result.matching
@@ -160,7 +163,7 @@ def _cmd_approx(args) -> int:
             "red_count": None if m is None else m.red_count,
             "target": args.k,
             "red_range": None if m is None else list(result.red_range),
-            "threshold": threshold_text(threshold),
+            "threshold": threshold,
             "bound": bound,
             "bipartite": bipartite,
             "iterations": result.iterations,
@@ -172,7 +175,7 @@ def _cmd_approx(args) -> int:
     else:
         lo, hi = result.red_range
         print(f"red_count: {m.red_count}  target: {args.k}  red_range: [{lo}, {hi}]")
-        print(f"threshold: {threshold_text(threshold)}  bound: {bound}  "
+        print(f"threshold: {threshold}  bound: {bound}  "
               f"bipartite: {bipartite}  iterations: {result.iterations}")
         print("matching: " + " ".join(f"({u},{v})" for u, v in m.sorted_edges()))
     return EXIT_NO if m is None else EXIT_YES
@@ -270,13 +273,13 @@ def _add_input(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=int, default=None,
-                     help="promise bound on the independence number "
-                          "(read on a graph without a bipartition; "
-                          "a value above n counts as n)")
+                     help="promise bound on the independence number (read on a graph "
+                          "without a bipartition; a value above a* counts as a*, the "
+                          "least bound whose threshold exceeds n // 2)")
     sub.add_argument("--beta", type=int, default=None,
-                     help="promise bound on the bipartite independence number "
-                          "(read on a graph with a bipartition; "
-                          "a value above n // 2 counts as n // 2)")
+                     help="promise bound on the bipartite independence number (read on "
+                          "a graph with a bipartition; a value above a* counts as a*, "
+                          "the least bound whose threshold exceeds n // 2)")
     sub.add_argument("--t-override", dest="t_override", type=int, default=None,
                      help="replace the phase-1 cycle-weight threshold (>= 0)")
 

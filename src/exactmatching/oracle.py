@@ -1,12 +1,13 @@
 """Brute-force ground truth: matching enumeration and independence numbers.
 
 Everything here is exponential-time by design and guarded by configurable
-size caps.  The enumeration recursion always matches the lowest uncovered
-vertex first and scans its neighbors in ascending order, so matchings come
-out in lexicographic order of their sorted edge lists.  Counting and the
-achievable red counts share one memoized recursion over vertex subsets, so
-one pass yields both.  Every search is a module-level function that takes
-its state as arguments, so no call leaves a reference cycle behind.
+size caps, or by a ``limit`` on an independence measure.  The enumeration
+recursion always matches the lowest uncovered vertex first and scans its
+neighbors in ascending order, so matchings come out in lexicographic order
+of their sorted edge lists.  Counting and the achievable red counts share
+one memoized recursion over vertex subsets, so one pass yields both.  Every
+search is a module-level function that takes its state as arguments, so no
+call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
@@ -135,81 +136,112 @@ def em_decide_bruteforce(
     return None
 
 
-def _clique_bound(comp: list[int], size: int, cand: int, best: int) -> int:
-    """The larger of ``best`` and ``size`` plus the largest clique of the
-    graph ``comp`` inside ``cand``, pruned by a greedy coloring of ``cand``."""
-    if cand == 0:
-        return max(best, size)
-    order: list[tuple[int, int]] = []
-    uncolored = cand
-    color = 0
-    while uncolored:
-        color += 1
-        avail = uncolored
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~(comp[v] | (1 << v))
-            uncolored &= ~(1 << v)
-            order.append((v, color))
-    rest = cand
-    for v, color in reversed(order):
-        if size + color <= best:
-            break
-        best = _clique_bound(comp, size + 1, rest & comp[v], best)
-        rest &= ~(1 << v)
-    return best
+def _clique_bound(comp: list[int], cand: int, limit: int) -> int:
+    """min(``limit``, the largest clique of the graph ``comp`` inside
+    ``cand``), by branch and bound.  A node greedily colors its candidates
+    and branches on them highest color first, while the clique size plus
+    the color can beat the best.  Nodes are frames on an explicit stack, so
+    no recursion grows with the answer; the search stops at ``limit``."""
+    best = 0
+    frames = [[0, cand, None]]          # (clique size, candidates left, coloring)
+    while frames and best < limit:
+        frame = frames[-1]
+        size, rest, order = frame
+        if order is None:
+            order = frame[2] = []
+            uncolored, color = rest, 0
+            while uncolored:
+                color += 1
+                avail = uncolored
+                while avail:
+                    v = (avail & -avail).bit_length() - 1
+                    avail &= ~(comp[v] | (1 << v))
+                    uncolored &= ~(1 << v)
+                    order.append((v, color))
+        if not order or size + order[-1][1] <= best:
+            frames.pop()
+            continue
+        v = order.pop()[0]
+        frame[1] = rest & ~(1 << v)
+        frames.append([size + 1, rest & comp[v], None])
+        best = max(best, size + 1)
+    return min(best, limit)
 
 
-def max_independent_set_size(n: int, neighbor_masks: list[int]) -> int:
-    """Exact maximum independent set size from adjacency bitmasks.
+def max_independent_set_size(n: int, neighbor_masks: list[int], limit: int | None = None) -> int:
+    """Maximum independent set size from adjacency bitmasks, or min(it,
+    ``limit``) when a limit is given.
 
     Branch and bound on the complement's cliques with a greedy-coloring
     bound (an independent set of the graph is a clique of the complement).
     """
     full = (1 << n) - 1
     comp = [full & ~(neighbor_masks[v] | (1 << v)) for v in range(n)]
-    return _clique_bound(comp, 0, full, 0)
+    return _clique_bound(comp, full, n if limit is None else limit)
 
 
-def independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE_CAP) -> int:
-    """Exact independence number (size of the largest independent set)."""
-    _check_cap(graph, max_n, "independence number")
-    return max_independent_set_size(graph.n, _neighbor_masks(graph))
+def independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE_CAP,
+                        limit: int | None = None) -> int:
+    """Exact independence number (size of the largest independent set), or
+    min(it, ``limit``) with no size cap when a limit is given.  Turan's bound
+    alpha >= n^2 / (2m + n) answers from n and m alone when it exceeds
+    ``limit`` - 1, so only dense graphs reach the search, where the n-bit
+    masks are no larger than the graph."""
+    n = graph.n
+    if limit is None:
+        _check_cap(graph, max_n, "independence number")
+    elif n * n > (limit - 1) * (2 * graph.m + n):
+        return limit
+    return max_independent_set_size(n, _neighbor_masks(graph), limit)
 
 
-def _biclique_bound(nonadj: list[int], i: int, chosen: int, cand_b: int, best: int) -> int:
-    """``best`` raised to the largest min(side-A count, common side-B
-    non-neighbors) over every choice among the side-A vertices from ``i``
-    on, given ``chosen`` picked before ``i`` with common non-neighbors
-    ``cand_b``; branches that cannot beat ``best`` are pruned."""
-    best = max(best, min(chosen, cand_b.bit_count()))
+def _biclique_bound(nonadj: list[int], cand_b: int, limit: int) -> int:
+    """min(``limit``, the largest min(side-A count, common side-B
+    non-neighbors)) over every choice among the side-A vertices, whose
+    side-B non-neighbors ``nonadj`` holds, by branch and bound: each vertex
+    is first included, then skipped.  A loop follows the includes and an
+    explicit stack holds the skips (index, count, common non-neighbors)."""
     n_a = len(nonadj)
-    if i == n_a or min(chosen + (n_a - i), cand_b.bit_count()) <= best:
-        return best
-    narrowed = cand_b & nonadj[i]
-    if narrowed.bit_count() > chosen:
-        best = _biclique_bound(nonadj, i + 1, chosen + 1, narrowed, best)
-    return _biclique_bound(nonadj, i + 1, chosen, cand_b, best)
+    best = 0
+    stack = [(0, 0, cand_b)]
+    while stack and best < limit:
+        i, chosen, cand = stack.pop()
+        while True:
+            count = cand.bit_count()
+            best = max(best, min(chosen, count))
+            if best >= limit or i == n_a or min(chosen + n_a - i, count) <= best:
+                break
+            narrowed = cand & nonadj[i]
+            i += 1
+            if narrowed.bit_count() > chosen:
+                stack.append((i, chosen, cand))
+                chosen, cand = chosen + 1, narrowed
+    return min(best, limit)
 
 
-def bipartite_independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE_CAP) -> int:
-    """Largest b such that some independent set has b vertices on each side.
+def bipartite_independence_number(graph: ColoredGraph, max_n: int = INDEPENDENCE_CAP,
+                                  limit: int | None = None) -> int:
+    """Largest b such that some independent set has b vertices on each side,
+    or min(it, ``limit``) when a limit is given.
 
     Requires a bipartition.  Equivalent to the maximum balanced biclique of
-    the bipartite complement; solved by branch and bound over one side.
+    the bipartite complement; solved by branch and bound over one side.  A
+    limited search has no size cap, and answers ``limit`` from the sizes
+    alone when a side of p vertices has p >= limit and p q >= limit (m + p):
+    its ``limit`` vertices of least degree then have at least ``limit``
+    common non-neighbors among the other side's q.
     """
-    _check_cap(graph, max_n, "bipartite independence number")
+    if limit is None:
+        _check_cap(graph, max_n, "bipartite independence number")
     if graph.bipartition is None:
         raise GraphError("bipartite independence number needs a bipartition")
-    side_a = sorted(graph.bipartition[0])
-    side_b = sorted(graph.bipartition[1])
-    index_b = {v: i for i, v in enumerate(side_b)}
-    full_b = (1 << len(side_b)) - 1
-    # nonadj[i] = bitmask over side_b of vertices NOT adjacent to side_a[i]
-    nonadj = []
-    for a in side_a:
-        mask = full_b
-        for b in graph.neighbor_index[a]:
-            mask &= ~(1 << index_b[b])
-        nonadj.append(mask)
-    return _biclique_bound(nonadj, 0, 0, full_b, 0)
+    p, q = map(len, graph.bipartition)
+    if limit is not None and any(a >= limit and a * b >= limit * (graph.m + a)
+                                 for a, b in ((p, q), (q, p))):
+        return limit
+    index_b = {v: i for i, v in enumerate(sorted(graph.bipartition[1]))}
+    full_b = (1 << q) - 1
+    # Per side-A vertex, the bitmask of its side-B non-neighbors.
+    nonadj = [full_b & ~sum(1 << index_b[b] for b in graph.neighbor_index[a])
+              for a in sorted(graph.bipartition[0])]
+    return _biclique_bound(nonadj, full_b, min(p, q) if limit is None else limit)

@@ -61,7 +61,7 @@ from .graphs import (
     symmetric_difference,
     validate_matching,
 )
-from .oracle import OracleLimitError, bipartite_independence_number, independence_number
+from .oracle import bipartite_independence_number, independence_number
 # orient is not called here, but perfbench/tracing.py wraps it under this
 # module's name, so it stays importable from here.
 from .skips import (  # noqa: F401
@@ -79,7 +79,7 @@ UNKNOWN = "unknown"
 
 
 class ConfigurationError(ValueError):
-    """Solver cannot run as configured (bad budget, unmeasurable bound, ...)."""
+    """Solver cannot run as configured (a bad knob, a missing shortcut, ...)."""
 
 
 class SolverError(RuntimeError):
@@ -97,10 +97,8 @@ class SolverParams:
     ``ConfigurationError``, whether or not a walk would read it.
 
     ``alpha_hint`` / ``beta_hint`` override measuring the independence bound
-    with the brute-force oracle; ``walk_bound`` caps a hint at n (alpha) or
-    n // 2 (beta).  The walk reads the bound only when its loop can run (see
-    ``run_phase1``), so a hint is mandatory above the oracle cap only there,
-    and for ``walk_bound``.
+    with the oracle; ``walk_bound`` caps a hint, as it caps the measured
+    bound, at the least bound whose threshold exceeds n // 2.
     ``L_cap`` limits the phase-2 guess size; None means uncapped, in which
     case exhaustion certifies a no-instance.  ``t_override`` replaces the
     phase-1 cycle-weight threshold (experimentation only).
@@ -154,56 +152,36 @@ class Verdict:
         return doc
 
 
-# The largest e such that 2^e has at most 4,300 decimal digits, the
-# interpreter's default int-to-str limit.
-_PRINTABLE_EXPONENT = (10 ** 4300).bit_length() - 1
-
-
-def _threshold(bipartite: bool, bound: int) -> int | str:
+def _threshold(bipartite: bool, bound: int) -> int:
     """The walk's cycle-weight threshold: 2 * 4^alpha = 2^(2 alpha + 1), or
-    2 * 4^(2 beta + 2) = 2^(4 beta + 5) in the bipartite variant.  Past the
-    default digit limit it is the text "2^e", never built: such a power
-    exceeds n / 2 on any graph whose perfect matchings fit in memory, and
-    2 * 4^(10^10) alone would take 2.5 GB."""
-    e = 4 * bound + 5 if bipartite else 2 * bound + 1
-    return f"2^{e}" if e > _PRINTABLE_EXPONENT else 1 << e
+    2 * 4^(2 beta + 2) = 2^(4 beta + 5) in the bipartite variant."""
+    return 1 << (4 * bound + 5 if bipartite else 2 * bound + 1)
 
 
-def threshold_text(threshold: int | str) -> int | str:
-    """``threshold`` itself when it is text or ``str`` can print it under the
-    interpreter's int-to-str digit limit, else "2^e".  Only a guaranteed
-    threshold, a power of two, can be that long: a ``t_override`` was parsed
-    under the limit and always prints."""
-    try:
-        str(threshold)
-    except ValueError:
-        return f"2^{threshold.bit_length() - 1}"
-    return threshold
+def _bound_cap(bipartite: bool, n: int) -> int:
+    """a*, the least bound whose threshold exceeds n // 2.  The walk's loop
+    test r(low) <= k - threshold, with k <= n // 2, never passes under such
+    a threshold, so every bound from a* up gives the same walk."""
+    # 2^e > n // 2 exactly when e >= the bit length of n // 2.
+    bits = (n // 2).bit_length()
+    return max(1, (bits - 2) // 4 if bipartite else bits // 2)
 
 
-def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple[int, int | str]:
+def walk_bound(graph: ColoredGraph, params: SolverParams | None = None) -> tuple[int, int]:
     """(bound, threshold) of the phase-1 walk on ``graph``.  The bound is
-    beta with a bipartition and alpha otherwise: the hint, else the oracle's
-    value, at least 1 and at most n // 2 (beta) or n (alpha), which no graph
-    exceeds.  The cap changes no walk: its threshold exceeds n / 2 >= k, so
-    the loop never runs under it.  The threshold is ``t_override`` if set,
-    else the guaranteed one, given as its text "2^e" when it is too long to
-    print (see ``_threshold``).  Raises ``ConfigurationError`` above the
-    oracle cap without a hint."""
+    beta with a bipartition and alpha otherwise: max(1, min(B, a*)), where B
+    is the hint, else the oracle's value, and a* is ``_bound_cap``.  Every
+    bound from a* up gives the same walk, so the oracle's search stops at
+    a*, which measures a graph of any size.  The threshold is
+    ``t_override`` if set, else the guaranteed one."""
     params = params or SolverParams()
     bipartite = graph.bipartition is not None
-    if bipartite:
-        label, value, oracle = "beta", params.beta_hint, bipartite_independence_number
-    else:
-        label, value, oracle = "alpha", params.alpha_hint, independence_number
+    cap = _bound_cap(bipartite, graph.n)
+    value = params.beta_hint if bipartite else params.alpha_hint
     if value is None:
-        try:
-            value = oracle(graph)
-        except OracleLimitError as exc:
-            raise ConfigurationError(
-                f"cannot measure the {label} bound ({exc}); pass {label}_hint (--{label})"
-            ) from None
-    bound = max(1, min(value, graph.n // 2 if bipartite else graph.n))
+        oracle = bipartite_independence_number if bipartite else independence_number
+        value = oracle(graph, limit=cap)
+    bound = max(1, min(value, cap))
     if params.t_override is not None:
         return bound, params.t_override
     return bound, _threshold(bipartite, bound)
@@ -242,23 +220,15 @@ def _missing_cause(graph: ColoredGraph, params: SolverParams) -> str:
     """Why the walk found no shortcut: the setting that fixed the threshold.
     With ``t_override`` set the walk read no bound, so the bound is measured
     here, and the override is named when it lies below the guaranteed
-    threshold or when that threshold cannot be measured."""
+    threshold."""
+    if params.t_override is not None:
+        guaranteed = _threshold(graph.bipartition is not None, walk_bound(graph, params)[0])
+        if params.t_override < guaranteed:
+            return (f"t_override (--t-override) {params.t_override} is below "
+                    f"the guaranteed threshold {guaranteed}")
     if graph.bipartition is None:
-        hint = "the independence bound hint alpha_hint (--alpha) is too small"
-    else:
-        hint = "the bipartite independence bound hint beta_hint (--beta) is too small"
-    t_override = params.t_override
-    if t_override is None:
-        return hint
-    override = f"t_override (--t-override) {t_override} is below the guaranteed threshold"
-    try:
-        bound, _ = walk_bound(graph, params)
-    except ConfigurationError as exc:
-        return f"{override}, which is unknown: {exc}"
-    guaranteed = _threshold(graph.bipartition is not None, bound)
-    if isinstance(guaranteed, str) or t_override < guaranteed:
-        return f"{override} {threshold_text(guaranteed)}"
-    return hint
+        return "the independence bound hint alpha_hint (--alpha) is too small"
+    return "the bipartite independence bound hint beta_hint (--beta) is too small"
 
 
 def run_phase1(
@@ -281,10 +251,9 @@ def run_phase1(
     512 in the bipartite variant): r(high) > k and r(low) <= k - 8.  With
     ``t_override`` set it reads none, except to word a ``SkipSearchError``.
     Raises ``ConfigurationError`` for an odd n or k outside [0, n/2] (both
-    before the engines run), a bound the walk needs but cannot measure
-    without a hint, or a missing shortcut (``SkipSearchError``: a hint or
-    ``t_override`` is too small), and ``SolverError`` when an invariant of
-    the walk fails.
+    before the engines run) or a missing shortcut (``SkipSearchError``: a
+    hint or ``t_override`` is too small), and ``SolverError`` when an
+    invariant of the walk fails.
     """
     _check_k(graph, k)
     params = params or SolverParams()
@@ -310,10 +279,6 @@ def run_phase1(
         threshold = _threshold(bipartite, 1)
         if r_high > k and low.red_count <= k - threshold:
             _, threshold = walk_bound(graph, params)
-            if isinstance(threshold, str):
-                # A power of two too long to print: above n / 2 >= k, so
-                # the walk stops at once, as under any such threshold.
-                threshold = graph.n + 1
 
     # Invariant: high = low ^ context (low flipped along the context's cycles)
     # and r_high = r(low) + context.total_weight, the context being weighted
@@ -679,13 +644,9 @@ def solve_em(graph: ColoredGraph, k: int, params: SolverParams | None = None) ->
     unknown verdict, even when the search stopped early under the cap.
 
     Phase 1 runs the engines before it reads the independence bound, and
-    reads it (``walk_bound``) only when its walk can iterate.  So above the
-    oracle cap a hint is needed only when r(low) + 8 <= k < r(high)
-    (r(low) + 512 in the bipartite variant), and never for a graph with no
-    PM.
-    ``ConfigurationError`` is raised for a bound the walk needs above the
-    oracle cap without a hint, and for a missing shortcut
-    (``SkipSearchError``).
+    reads it (``walk_bound``) only when its walk can iterate.
+    ``ConfigurationError`` is raised for a missing shortcut
+    (``SkipSearchError``: a hint or ``t_override`` is too small).
 
     Phase 2 recovers the guesses of ``_candidates`` in order and returns
     the first success.  At its first failed recovery it asks the lattice,

@@ -633,3 +633,21 @@ def parity_graph(n, split):
     return ColoredGraph.from_edges(n, [
         (u, v, RED if (u < split) != (v < split) else BLUE)
         for u in range(n) for v in range(u + 1, n)])
+
+
+def cycle_union(halves, bridged=False):
+    """Disjoint alternating cycles C_2a, one per half-length a in ``halves``,
+    on consecutive vertices, each starting with a red edge from its first
+    vertex.  Its red counts are the subset sums of ``halves``.  With
+    ``bridged``, a blue edge joins the first vertices of consecutive cycles:
+    no perfect matching uses it, since its endpoints would leave each cycle
+    odd, but it makes the graph connected."""
+    triples, starts, off = [], [], 0
+    for a in halves:
+        starts.append(off)
+        triples += [(off + i, off + (i + 1) % (2 * a), RED if i % 2 == 0 else BLUE)
+                    for i in range(2 * a)]
+        off += 2 * a
+    if bridged:
+        triples += [(s, t, BLUE) for s, t in zip(starts, starts[1:])]
+    return ColoredGraph.from_edges(off, triples)

@@ -74,6 +74,36 @@ def test_a_failed_run_stops_the_record(tmp_path):
         bench_record.run_bench(tmp_path, "scale_yes", 1, 1.0)
 
 
+RUN_PY = """import json, os, pathlib
+source = pathlib.Path("src/pkg/mod.py")
+if pathlib.Path("touch").exists():
+    later = source.stat().st_mtime_ns + 10 ** 9
+    os.utime(source, ns=(later, later))
+print(json.dumps({"metrics": {"verdict_p50_ms": {"value": 1.0, "unit": "ms"}}}))
+"""
+
+
+@pytest.mark.parametrize("touch", [False, True])
+def test_a_source_file_touched_mid_record_fails_the_record(tmp_path, monkeypatch, capsys,
+                                                           touch):
+    # A tree whose run.py touches one of its source files on every run.
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(RUN_PY)
+    (tree / "src" / "pkg").mkdir(parents=True)
+    (tree / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    (tree / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "verdict_p50_ms", "better": "lower"}]}))
+    if touch:
+        (tree / "touch").write_text("")
+    monkeypatch.setattr(bench_record, "ROOT", tree)
+    code = bench_record.main(["--label", "t", "--seeds", "1", "--out", str(tmp_path)])
+    assert code == (1 if touch else 0)
+    assert (tmp_path / "BENCH_t.json").exists() is not touch
+    assert ("moved during the record" in capsys.readouterr().err) is touch
+
+
 def test_benchmark_declares_every_metric_direction():
     # The recorder reads each end-to-end metric's direction from here.
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -134,25 +134,26 @@ class TestSolve:
 
     def test_unmeasurable_bound_names_its_own_hint(self, tmp_path, capsys):
         # A bipartite graph's walk reads only the beta hint, so --alpha does
-        # not stand in for it; the message names the hint that would.  The
-        # walk reads no bound below n = 1024, so solve decides without one,
-        # and approx, whose report states the bound, asks for it.
+        # not stand in for it; the note names the hint that would.  The walk
+        # reads no bound below n = 1024, so solve decides without one, and
+        # approx, whose report states the bound, measures beta up to a* = 1.
         path = str(tmp_path / "b.json")
         assert main(["gen", "planted-beta", "-n", "60", "-k", "15", "--seed", "3",
                      "-o", path]) == 0
         capsys.readouterr()
         assert main(["solve", path, "-k", "15", "--alpha", "1"]) == EXIT_YES
         capsys.readouterr()
-        assert main(["approx", path, "-k", "15", "--alpha", "1"]) == EXIT_LIMIT
-        err = capsys.readouterr().err
-        assert "cannot measure the beta bound" in err
-        assert err.rstrip().endswith("; pass beta_hint (--beta)")
+        assert main(["approx", path, "-k", "15", "--alpha", "1"]) == EXIT_YES
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == "threshold: 512  bound: 1  bipartite: True  iterations: 0"
+        assert err == ("emsolve: note: --alpha is ignored: the graph is bipartite, "
+                       "so the walk reads --beta\n")
 
     def test_engine_verdict_needs_no_hint(self, tmp_path, capsys):
         # An all-blue G(60, 0.3): k=10 lies outside the red-count range
         # [0, 0], which the engines certify without the alpha bound.  approx
-        # reports the bound, so it still asks for a hint, and a hint below 1
-        # is rejected before anything runs.
+        # reports the bound, measured up to a* = 2, and a hint below 1 is
+        # rejected before anything runs.
         path = tmp_path / "blue.json"
         g = random_colored_graph(60, 0.3, 1)
         path.write_text(json.dumps({"n": 60, "edges": [[u, v, "blue"] for u, v in g.colors]}))
@@ -160,8 +161,10 @@ class TestSolve:
         assert main(["solve", p, "-k", "10", "--json"]) == EXIT_NO
         doc = json.loads(capsys.readouterr().out)
         assert (doc["verdict"], doc["reason"]) == ("no", "k outside the red-count range [0, 0]")
-        assert main(["approx", p, "-k", "10"]) == EXIT_LIMIT
-        assert "pass alpha_hint (--alpha)" in capsys.readouterr().err
+        assert main(["approx", p, "-k", "10"]) == EXIT_YES
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "red_count: 0  target: 10  red_range: [0, 0]",
+            "threshold: 32  bound: 2  bipartite: False  iterations: 0"]
         for command in ("solve", "approx"):
             assert main([command, p, "-k", "10", "--alpha", "0"]) == EXIT_LIMIT
             assert "alpha hint must be >= 1, got 0" in capsys.readouterr().err
@@ -295,7 +298,7 @@ class TestApprox:
         calls = []
         oracle = solver_mod.independence_number
         monkeypatch.setattr(solver_mod, "independence_number",
-                            lambda graph, *a: calls.append(graph) or oracle(graph, *a))
+                            lambda graph, *a, **kw: calls.append(graph) or oracle(graph, *a, **kw))
         g = gen_planted_yes(40, 10, BaseFamily("alpha", 1), 0)
         p = tmp_path / "p40.json"
         p.write_text(serialize_graph(g, "json"))
@@ -340,12 +343,13 @@ class TestApprox:
         assert pm.red_count == 12
 
     def test_override_below_the_guarantee_is_named(self, c4_file, tmp_path, capsys):
-        # The 4-cycle's measured alpha is 2 (threshold 32) and the planted
-        # bipartite graph's beta hint is 1 (threshold 512); a zero override
-        # replaces either, so the message names it and not a hint.
+        # The 4-cycle's measured alpha 2 counts as a* = 1 (threshold 8) and
+        # the planted bipartite graph's beta hint is 1 (threshold 512); a
+        # zero override replaces either, so the message names it and not a
+        # hint.
         b = str(tmp_path / "b.json")
         main(["gen", "planted-beta", "-n", "60", "-k", "15", "--seed", "3", "-o", b])
-        for args, shortcut, guaranteed in (([c4_file, "-k", "1"], "skip", 32),
+        for args, shortcut, guaranteed in (([c4_file, "-k", "1"], "skip", 8),
                                            ([b, "-k", "15", "--beta", "1"], "biskip", 512)):
             capsys.readouterr()
             assert main(["approx", *args, "--t-override", "0"]) == EXIT_LIMIT
@@ -400,14 +404,14 @@ class TestApprox:
 
 
 class TestLargeHints:
-    """A hint above n (alpha) or n // 2 (beta) counts as that cap, so its
-    threshold is computed."""
+    """A hint above a*, the least bound whose threshold exceeds n // 2,
+    counts as a*, so its threshold is computed."""
 
     def test_approx_reports_the_capped_alpha(self, c4_file, capsys):
-        # 2 * 4^10000 would have 6,021 digits.
+        # 2 * 4^10000 would have 6,021 digits; at n = 4, a* is 1.
         assert main(["approx", c4_file, "-k", "1", "--alpha", "10000", "--json"]) == EXIT_YES
         doc = json.loads(capsys.readouterr().out)
-        assert (doc["bound"], doc["threshold"], doc["red_count"]) == (4, 512, 0)
+        assert (doc["bound"], doc["threshold"], doc["red_count"]) == (1, 8, 0)
 
     def test_approx_reports_the_capped_beta(self, tmp_path, capsys):
         p = tmp_path / "k11.json"
@@ -418,16 +422,17 @@ class TestLargeHints:
 
     def test_approx_prints_a_threshold_past_the_digit_limit(self, tmp_path, capsys,
                                                             default_digit_limit):
-        # beta = n // 2 = 3600 is valid, and 2 * 4^7202 = 2^14405 has 4,337
-        # digits, so it is printed as a power of two, which json reads back
-        # under the limit.
+        # On the edgeless bipartite n = 7200 graph beta = n // 2 = 3600 is
+        # valid, and 2 * 4^7202 = 2^14405 would have 4,337 digits; the hint
+        # counts as a* = 2, whose threshold 2^13 exceeds 3600, so the
+        # threshold printed is an int json reads back under the limit.
         n = 7200
         p = tmp_path / "edgeless.json"
         p.write_text(json.dumps({"n": n, "edges": [], "bipartition": [
             list(range(0, n, 2)), list(range(1, n, 2))]}))
         assert main(["approx", str(p), "-k", "0", "--beta", "3600", "--json"]) == EXIT_NO
         doc = json.loads(capsys.readouterr().out)
-        assert (doc["bound"], doc["threshold"], doc["matching"]) == (3600, "2^14405", None)
+        assert (doc["bound"], doc["threshold"], doc["matching"]) == (2, 8192, None)
 
     def test_solve_decides_under_a_huge_alpha(self, tmp_path, capsys):
         p = str(tmp_path / "p24.json")
@@ -471,13 +476,25 @@ class TestHugeN:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
     def test_approx_names_a_huge_threshold_without_building_it(self, tmp_path):
-        # 2 * 4^(10^10) as an int would take 2.5 GB; it is reported as text.
-        run = self._run_limited(tmp_path, "approx", "-k", "0", "--alpha", "10000000000",
-                                "--json")
-        assert run.returncode == EXIT_NO, run.stderr
-        doc = json.loads(run.stdout)
-        assert (doc["threshold"], doc["bound"], doc["matching"]) == (
-            "2^20000000001", 10 ** 10, None)
+        # a* = 66, since 2 * 4^66 = 2^133 is the least such power above
+        # n / 2.  Without a hint, Turan's bound gives alpha >= 66 from n and
+        # m alone; a hint of 10^10 counts as 66, so 2 * 4^(10^10), 2.5 GB
+        # as an int, is never built.
+        for hint in ([], ["--alpha", "10000000000"]):
+            run = self._run_limited(tmp_path, "approx", "-k", "0", *hint, "--json")
+            assert run.returncode == EXIT_NO, run.stderr
+            doc = json.loads(run.stdout)
+            assert (doc["threshold"], doc["bound"], doc["matching"]) == (2 ** 133, 66, None)
+
+    def test_approx_rejects_a_threshold_too_long_to_print(self, tmp_path, capsys,
+                                                          default_digit_limit):
+        # An even n of 4,300 digits, the most the parser reads: its a* is
+        # 7,142, whose threshold 2^14285 has 4,301 digits.
+        p = tmp_path / "n4300.json"
+        p.write_text('{"n": ' + "9" * 4299 + '8, "edges": []}')
+        assert main(["approx", str(p), "-k", "0", "--json"]) == EXIT_LIMIT
+        assert capsys.readouterr() == (
+            "", "emsolve: limit: the threshold 2^14285 has too many digits to print\n")
 
     def test_reduce_hits_the_lift_cap(self, tmp_path):
         run = self._run_limited(tmp_path, "reduce")
@@ -570,6 +587,17 @@ class TestOracle:
 
     def test_cap_violation_is_limit_error(self, c4_file, capsys):
         assert main(["oracle", c4_file, "--count", "--cap", "2"]) == EXIT_LIMIT
+
+    def test_a_raised_cap_answers_past_the_recursion_limit(self, tmp_path, capsys):
+        # Edgeless graphs, whose whole vertex set (or side) is the answer.
+        p = tmp_path / "e.json"
+        p.write_text('{"n": 1200, "edges": []}')
+        assert main(["oracle", str(p), "--alpha", "--cap", "5000"]) == EXIT_YES
+        assert capsys.readouterr().out == "1200\n"
+        p.write_text(json.dumps({"n": 2400, "edges": [], "bipartition": [
+            list(range(1200)), list(range(1200, 2400))]}))
+        assert main(["oracle", str(p), "--beta", "--cap", "5000"]) == EXIT_YES
+        assert capsys.readouterr().out == "1200\n"
 
 
 def analyze_one_cycle(tmp_path, capsys, g, pm, cyc):

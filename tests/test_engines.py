@@ -759,14 +759,9 @@ def test_completion_equals_backtracking(monkeypatch):
     vertices, then dense ones (n 40 to 60, p 0.5 to 0.95, about n/2 free
     vertices), where greedy leaves vertices exposed, so the repair and the
     lexicographic pass's trials run."""
+    remainders = _completion_remainders()
     outcomes = {"equal": 0, "none": 0, "exhausted": 0}
-    for seed in range(600):
-        rng = random.Random(f"completion-{seed}")
-        n = 2 * rng.randint(2, 20)
-        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
-        g = make(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7, 0.95]), seed)
-        adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
-        verts = sorted(rng.sample(range(n), 2 * rng.randint(1, n // 2)))
+    for seed, (adj, verts) in enumerate(itertools.islice(remainders, 600)):
         _compare_completion(adj, verts, outcomes, seed)
     assert min(outcomes.values()) >= 5, outcomes
 
@@ -774,13 +769,7 @@ def test_completion_equals_backtracking(monkeypatch):
     augment = engines._augment
     monkeypatch.setattr(engines, "_augment", lambda *args: searches.append(1) or augment(*args))
     dense = {"equal": 0, "none": 0, "exhausted": 0}
-    for seed in range(200):
-        rng = random.Random(f"dense-completion-{seed}")
-        n = 2 * rng.randint(20, 30)
-        make = random_bipartite_colored_graph if seed % 2 else random_colored_graph
-        g = make(n, rng.choice([0.5, 0.7, 0.85, 0.95]), seed)
-        adj = {v: dict.fromkeys(nbrs, 0) for v, nbrs in enumerate(g.neighbor_index)}
-        verts = sorted(rng.sample(range(n), 2 * rng.randint(n // 5, 3 * n // 10)))
+    for seed, (adj, verts) in enumerate(remainders):
         _compare_completion(adj, verts, dense, seed)
     assert min(dense.values()) >= 5 and dense["equal"] >= 100, dense
     assert len(searches) >= 100, len(searches)

@@ -14,6 +14,7 @@ from exactmatching import (
     enumerate_perfect_matchings,
     independence_number,
     perfect_matching_red_counts,
+    random_bipartite_colored_graph,
     random_colored_graph,
 )
 from exactmatching.oracle import (
@@ -140,6 +141,10 @@ class TestIndependence:
         with pytest.raises(OracleLimitError):
             independence_number(complete(INDEPENDENCE_CAP + 2))
 
+    def test_the_answer_is_not_bounded_by_the_recursion_limit(self):
+        # Every vertex of the edgeless graph is in the answer.
+        assert independence_number(ColoredGraph.from_edges(1200, []), max_n=5000) == 1200
+
 
 class TestBipartiteIndependence:
     def test_complete_bipartite(self):
@@ -171,3 +176,51 @@ class TestBipartiteIndependence:
         with pytest.raises(OracleLimitError):
             bipartite_independence_number(
                 complete_bipartite(INDEPENDENCE_CAP, INDEPENDENCE_CAP))
+
+    def test_the_answer_is_not_bounded_by_the_recursion_limit(self):
+        g = ColoredGraph.from_edges(2400, [], bipartition=(range(1200), range(1200, 2400)))
+        assert bipartite_independence_number(g, max_n=5000) == 1200
+
+
+def fuzz_graphs():
+    """The n <= 16 fuzz: G(n, p) and its bipartite analogue at n 6-16,
+    p 0.3/0.5/0.8, seeds 0-9."""
+    for n in range(6, 17, 2):
+        for p in (0.3, 0.5, 0.8):
+            for seed in range(10):
+                yield random_colored_graph(n, p, seed)
+                yield random_bipartite_colored_graph(n, p, seed)
+
+
+class TestLimitedIndependence:
+    """Under a limit both measures give min(value, limit) and take no size
+    cap; the walk asks for no more than that."""
+
+    def test_limited_equals_the_exact_value_capped(self):
+        cases = 0
+        for g in fuzz_graphs():
+            if g.bipartition is None:
+                measure = independence_number
+            else:
+                measure = bipartite_independence_number
+            exact = measure(g)
+            for limit in range(1, g.n + 2):
+                assert measure(g, limit=limit) == min(exact, limit), (g.n, limit)
+                cases += 1
+        assert cases == 4320
+
+    def test_no_size_cap_under_a_limit(self):
+        assert independence_number(complete(INDEPENDENCE_CAP + 2), limit=3) == 1
+        g = complete_bipartite(INDEPENDENCE_CAP, INDEPENDENCE_CAP)
+        assert bipartite_independence_number(g, limit=3) == 0
+
+    def test_sparse_graphs_are_answered_before_any_per_vertex_build(self):
+        # Turan's bound on n and m, and its bipartite analogue on the side
+        # sizes and m: nothing is built per vertex, not even at n = 10^40.
+        for g, measure, limit in (
+                (ColoredGraph.from_edges(10 ** 40, []), independence_number, 66),
+                (ColoredGraph.from_edges(60, [(0, 1, RED)]), independence_number, 2),
+                (ColoredGraph.from_edges(7200, [(0, 1, RED)], bipartition=(
+                    range(0, 7200, 2), range(1, 7200, 2))), bipartite_independence_number, 2)):
+            assert measure(g, limit=limit) == limit
+            assert "neighbor_index" not in vars(g)

@@ -37,6 +37,7 @@ from exactmatching import solver as solver_mod
 
 from ._support import (
     color_adjacency,
+    cycle_union,
     first_success,
     naive_first_success,
     naive_lattice,
@@ -63,8 +64,8 @@ class TestPhase1:
         res = run_phase1(c4, 2)
         assert res.matching.red_count == 2
         assert res.iterations == 0
-        # The independence number of the four-cycle is 2.
-        assert walk_bound(c4) == (2, 2 * 4 ** 2)
+        # The independence number of the four-cycle is 2, above a* = 1.
+        assert walk_bound(c4) == (1, 2 * 4 ** 1)
 
     def test_no_pm(self):
         g = ColoredGraph.from_edges(4, [(0, 1, RED), (0, 2, RED), (0, 3, RED)])
@@ -73,7 +74,7 @@ class TestPhase1:
         assert approx_em(g, 0) is None
         params = SolverParams(alpha_hint=3)
         res = run_phase1(g, 0, params)
-        assert (res.matching, res.red_range, walk_bound(g, params)[0]) == (None, None, 3)
+        assert (res.matching, res.red_range, walk_bound(g, params)[0]) == (None, None, 1)
 
     def test_walk_iterates_under_forced_threshold(self):
         g = double_c4()
@@ -115,22 +116,40 @@ class TestPhase1:
         assert threshold == 2 * 4 ** (2 * bound + 2)
 
     def test_hint_overrides_measurement(self, c4):
-        assert walk_bound(c4, SolverParams(alpha_hint=3)) == (3, 2 * 4 ** 3)
+        assert walk_bound(c4, SolverParams(alpha_hint=3)) == (1, 2 * 4 ** 1)
+        # The edgeless 16-vertex graph measures alpha 16, capped at a* = 2.
+        edgeless = ColoredGraph.from_edges(16, [])
+        assert walk_bound(edgeless) == (2, 2 * 4 ** 2)
+        assert walk_bound(edgeless, SolverParams(alpha_hint=1)) == (1, 2 * 4 ** 1)
 
     def test_hints_are_capped_at_the_largest_bound(self, c4, k33):
-        # No graph has an alpha above n or a beta above n // 2.
-        assert walk_bound(c4, SolverParams(alpha_hint=10_000)) == (4, 2 * 4 ** 4)
-        assert walk_bound(c4, SolverParams(alpha_hint=4)) == (4, 2 * 4 ** 4)
-        assert walk_bound(k33, SolverParams(beta_hint=5_000)) == (3, 2 * 4 ** 8)
-        # An edge with its ends on the two sides: the measured beta is 0
-        # and the cap n // 2 is 1, but the bound is never below 1.
+        # a* is 1 below n = 16 (alpha) and below n = 1024 (beta).
+        assert walk_bound(c4, SolverParams(alpha_hint=10_000)) == (1, 2 * 4 ** 1)
+        assert walk_bound(c4, SolverParams(alpha_hint=4)) == (1, 2 * 4 ** 1)
+        assert walk_bound(k33, SolverParams(beta_hint=5_000)) == (1, 2 * 4 ** 4)
+        # An edge with its ends on the two sides: the measured beta is 0,
+        # but the bound is never below 1.
         k11 = ColoredGraph.from_edges(2, [(0, 1, RED)], bipartition=([0], [1]))
         assert walk_bound(k11) == walk_bound(k11, SolverParams(beta_hint=5_000)) == (1, 2 * 4 ** 4)
         empty = ColoredGraph.from_edges(0, [])
         assert walk_bound(empty, SolverParams(alpha_hint=7)) == (1, 2 * 4 ** 1)
 
+    def test_the_cap_is_the_least_bound_whose_threshold_exceeds_half_n(self):
+        sizes = [*range(0, 2100), 16_383, 16_384, 10 ** 40, 10 ** 4299]
+        for bipartite in (False, True):
+            for n in sizes:
+                cap = solver_mod._bound_cap(bipartite, n)
+                assert solver_mod._threshold(bipartite, cap) > n // 2, (bipartite, n)
+                assert cap == 1 or solver_mod._threshold(bipartite, cap - 1) <= n // 2
+        # a* is 2 at n 16-62, 3 at n 64-254 and 4 at n 256-1,022 (alpha),
+        # and 1 below n = 1024, 2 below n = 16,384 (beta).
+        assert [solver_mod._bound_cap(False, n) for n in (14, 16, 62, 64, 254, 256, 1022)] == [
+            1, 2, 2, 3, 3, 4, 4]
+        assert [solver_mod._bound_cap(True, n) for n in (1022, 1024, 16_382, 16_384)] == [
+            1, 2, 2, 3]
+
     def test_a_huge_hint_decides_as_the_capped_one(self):
-        # 2 * 4^(10^20) cannot be computed; the cap makes it 2 * 4^24.
+        # 2 * 4^(10^20) cannot be computed; the cap makes it 2 * 4^2.
         g = gen_planted_yes(24, 8, BaseFamily("alpha", 1), 0)
         huge = solve_em(g, 8, SolverParams(alpha_hint=10 ** 20))
         assert huge.status == YES
@@ -152,15 +171,15 @@ class TestPhase1:
             run_phase1(c4, 2, SolverParams(beta_hint=0))
 
     def test_unmeasurable_bound_needs_hint(self):
-        # Red range [0, 22]: the walk at k=11 reads the bound, the one at k=0
-        # reads none, so there only reading the result's bound needs a hint.
+        # Red range [0, 22]: the walk at k=11 reads the bound.  n = 44 is
+        # above the exact oracle's cap, but the search stops at a* = 2, so
+        # no hint is needed, and the walk is the one under any larger bound.
         g = random_colored_graph(44, 0.5, 3)
-        with pytest.raises(ConfigurationError, match=r"pass alpha_hint \(--alpha\)"):
-            run_phase1(g, 11)
-        assert run_phase1(g, 0).iterations == 0
-        with pytest.raises(ConfigurationError, match=r"pass alpha_hint \(--alpha\)"):
-            walk_bound(g)
-        assert walk_bound(g, SolverParams(alpha_hint=3))[0] == 3
+        res = run_phase1(g, 11)
+        assert res.iterations == 0
+        assert res == run_phase1(g, 11, SolverParams(alpha_hint=44))
+        assert walk_bound(g) == (2, 2 * 4 ** 2)
+        assert walk_bound(g, SolverParams(alpha_hint=1))[0] == 1
 
     def test_approx_em_delegates_to_run_phase1(self):
         for seed in range(8):
@@ -271,7 +290,7 @@ def count_oracle_calls(monkeypatch):
     calls = []
     oracle = solver_mod.independence_number
     monkeypatch.setattr(solver_mod, "independence_number",
-                        lambda graph, *a: calls.append(graph) or oracle(graph, *a))
+                        lambda graph, *a, **kw: calls.append(graph) or oracle(graph, *a, **kw))
     return calls
 
 
@@ -344,54 +363,33 @@ class TestBoundOnDemand:
             run_phase1(k33, 0, SolverParams(beta_hint=-1))
 
     def test_unmeasurable_bound_under_t_override_names_it(self):
-        # The chordless alternating 42-cycle has no skip, and at n=42 the
-        # oracle cannot measure the alpha that would fix the guarantee.
+        # The chordless alternating 42-cycle has no skip.  Its alpha, 21,
+        # counts as a* = 2, so the guaranteed threshold it names is 32.
         c42 = ColoredGraph.from_edges(
             42, [(i, (i + 1) % 42, RED if i % 2 == 0 else BLUE) for i in range(42)])
         with pytest.raises(SkipSearchError) as exc:
             run_phase1(c42, 10, SolverParams(t_override=0))
-        assert str(exc.value).startswith(
+        assert str(exc.value) == (
             "no negative skip on a heavy cycle; t_override (--t-override) 0 is below "
-            "the guaranteed threshold, which is unknown: cannot measure the alpha bound")
-        assert str(exc.value).endswith("; pass alpha_hint (--alpha)")
-
-    def test_a_threshold_past_the_digit_limit_is_named_as_a_power(self, default_digit_limit):
-        # The alternating 7,200-cycle has no skip.  Its guaranteed threshold
-        # at alpha 7,200 is 2 * 4^7200 = 2^14401, 4,336 digits in decimal.
-        n = 7200
-        c = ColoredGraph.from_edges(
-            n, [(i, (i + 1) % n, RED if i % 2 == 0 else BLUE) for i in range(n)])
-        with pytest.raises(SkipSearchError) as exc:
-            run_phase1(c, 10, SolverParams(alpha_hint=n, t_override=0))
-        assert str(exc.value).endswith(
-            "t_override (--t-override) 0 is below the guaranteed threshold 2^14401")
-        assert solver_mod.threshold_text(2 * 4 ** n) == "2^14401"
-        assert solver_mod.threshold_text(512) == 512
-
-    def test_a_threshold_too_long_to_print_is_never_built(self):
-        # 2^14283 has 4,300 digits and is built; 2^14285 has 4,301 and is
-        # named only, so 2 * 4^(10^10), 2.5 GB as an int, costs nothing.
-        assert solver_mod._threshold(False, 7141) == 1 << 14283
-        assert solver_mod._threshold(False, 7142) == "2^14285"
-        assert solver_mod._threshold(True, 10 ** 10) == "2^40000000005"
-        assert solver_mod.threshold_text("2^14285") == "2^14285"
+            "the guaranteed threshold 32")
 
     def test_a_walk_under_an_unprinted_threshold_stops_at_once(self):
         # On the alternating 7,200-cycle at k = 10 the loop test passes under
-        # the threshold 8, so the walk reads its bound: the hint 7,200 gives
-        # the unbuilt 2^14401, above n / 2, and the walk returns low.
+        # the threshold 8, so the walk reads its bound.  The hint 7,200 would
+        # give 2 * 4^7200 = 2^14401, too long to print; it counts as a* = 6,
+        # whose threshold 2^13 exceeds n / 2, and the walk returns low.
         n = 7200
         c = ColoredGraph.from_edges(
             n, [(i, (i + 1) % n, RED if i % 2 == 0 else BLUE) for i in range(n)])
         params = SolverParams(alpha_hint=n)
-        assert walk_bound(c, params) == (n, "2^14401")
+        assert walk_bound(c, params) == (6, 2 ** 13)
         res = run_phase1(c, 10, params)
         assert (res.iterations, res.matching.red_count, res.red_range) == (0, 0, (0, n // 2))
 
 
 class TestVerdictWithoutHint:
-    """G(60, 0.3) seed 1 and two variants of it, above the oracle cap: a
-    verdict that the engines or phase 1 decide needs no hint."""
+    """G(60, 0.3) seed 1 and two variants of it, above the exact oracle's
+    cap: no verdict needs a hint."""
 
     @pytest.fixture
     def g60(self):
@@ -415,10 +413,15 @@ class TestVerdictWithoutHint:
         assert solver_mod._verified(g60, v.witness, k, "test") is v.witness
 
     def test_a_walk_that_needs_alpha_still_raises(self, g60):
-        # Red range [0, 30]: at k=10 the walk reads alpha, which the oracle
-        # cannot measure at n=60.
-        with pytest.raises(ConfigurationError, match="cannot measure the alpha bound"):
-            solve_em(g60, 10)
+        # Red range [0, 30]: at k=10 the walk reads alpha, measured up to
+        # a* = 2.  The threshold 32 exceeds n / 2, as it does under any
+        # larger bound, so the verdict and witness are those of --alpha 60.
+        v = solve_em(g60, 10)
+        assert (v.status, v.L_used, v.phase1_r, v.iterations) == (YES, 10, 0, 0)
+        witness = json.dumps(v.to_json_dict()["witness"]).encode()
+        assert hashlib.sha256(witness).hexdigest() == (
+            "0df94594a2eee184b55538d7963eceffbcd59be20bd60ee20e36b673572153c0")
+        assert v == solve_em(g60, 10, SolverParams(alpha_hint=60))
 
 
 # -- phase 2: single-guess recovery -------------------------------------------------
@@ -644,24 +647,6 @@ class TestGuessStream:
                 (NO_CERTIFIED, True, "exhausted the certified search radius"),
                 (NO_CERTIFIED, False, "k outside the red-count lattice"),
                 (UNKNOWN, True, "search exhausted at guess-size budget 2")} <= outcomes
-
-
-def cycle_union(halves, bridged=False):
-    """Disjoint alternating cycles C_2a, one per half-length a in ``halves``,
-    on consecutive vertices, each starting with a red edge from its first
-    vertex.  Its red counts are the subset sums of ``halves``.  With
-    ``bridged``, a blue edge joins the first vertices of consecutive cycles:
-    no perfect matching uses it, since its endpoints would leave each cycle
-    odd, but it makes the graph connected."""
-    triples, starts, off = [], [], 0
-    for a in halves:
-        starts.append(off)
-        triples += [(off + i, off + (i + 1) % (2 * a), RED if i % 2 == 0 else BLUE)
-                    for i in range(2 * a)]
-        off += 2 * a
-    if bridged:
-        triples += [(s, t, BLUE) for s, t in zip(starts, starts[1:])]
-    return ColoredGraph.from_edges(off, triples)
 
 
 def lattice_set(g):

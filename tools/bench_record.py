@@ -10,15 +10,19 @@ files, or a git revision of this repository, which is extracted with
 ``git archive`` into a temporary directory.  Without ``--parent`` only this
 tree runs.  Before any run, ``python -m compileall -q src`` compiles each
 tree's package, so the import that ``setup_s`` times reads fresh bytecode on
-both sides.  One more ``--trace 1`` run per workload and side, on the first
-seed, gives the per-layer metrics.
+both sides.  A source file whose time moves after that would be compiled
+again by every later import, so the record compares each tree's source file
+times after the runs with those at compile time and fails if any moved.  One
+more ``--trace 1`` run per workload and side, on the first seed, gives the
+per-layer metrics.
 
 The file holds, per workload and side, each run's end-to-end metrics (the
 JSON object on the last line of ``run.py``'s output) with their median and
 quartiles, and per workload the pairs in which the change is better, with
 each metric's direction read from ``BENCHMARK.json``; ties count for
 neither side.  It also records each tree's commit, the interpreter and the
-core count.  Exit status: 0 after a record is written, 1 when a run fails.
+core count.  Exit status: 0 after a record is written, 1 when a run fails or
+a source file moved; then no file is written.
 """
 
 from __future__ import annotations
@@ -94,6 +98,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool 
         raise RunFailed(f"{workload} seed {seed} exited {done.returncode} in {tree}:\n"
                         f"{tail}\n{done.stderr}")
     return parse_run(done.stdout)
+
+
+def source_times(tree: Path) -> dict[Path, int]:
+    """The modification time, in ns, of each Python file under ``tree/src``."""
+    return {path: path.stat().st_mtime_ns for path in (tree / "src").rglob("*.py")}
 
 
 def git(cwd: Path, *args: str) -> str | None:
@@ -183,7 +192,15 @@ def main(argv=None) -> int:
             for tree in trees.values():
                 subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree,
                                check=True)
+            compiled = {side: source_times(tree) for side, tree in trees.items()}
             workloads = record(trees, args.workloads, seeds, args.seconds, better)
+            for side, tree in trees.items():
+                now = source_times(tree)
+                moved = sorted({path for path, _ in compiled[side].items() ^ now.items()})
+                if moved:
+                    raise RunFailed(f"source files of the {side} tree moved during the "
+                                    "record, so the runs after the move compiled them again: "
+                                    + ", ".join(map(str, moved)))
         except RunFailed as exc:
             print(f"bench_record: {exc}", file=sys.stderr)
             return 1
